@@ -9,13 +9,12 @@
 //!
 //! ```text
 //! cargo run -p fbist-bench --release --bin figure2 [-- --scale 0.35 \
-//!     --circuit s1238 --tpg add --taus 0,3,7,15,31,63,127,255,511 \
-//!     --sweep-engine auto --jobs 0]
+//!     --circuit s1238 --tpg add --taus 0,3,7,15,31,63,127,255,511 --jobs 0]
 //! ```
 
 use fbist_bench::{build_circuit, flag, install_jobs, num};
 use fbist_genbench::profile;
-use reseed_core::{tradeoff_sweep, FlowConfig, SweepEngine, TpgKind};
+use reseed_core::{tradeoff_sweep, FlowConfig, TpgKind};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -33,22 +32,16 @@ fn main() {
         Some(list) => reseed_core::parse_tau_list(&list).unwrap_or_else(|e| panic!("{e}")),
         None => vec![0, 3, 7, 15, 31, 63, 127, 255, 511],
     };
-    let engine = match flag(&args, "--sweep-engine") {
-        Some(v) => SweepEngine::parse(&v).unwrap_or_else(|e| panic!("{e}")),
-        None => SweepEngine::Auto,
-    };
 
     let p = profile(&circuit)
         .unwrap_or_else(|| panic!("unknown profile {circuit:?}"))
         .scaled(scale);
     let netlist = build_circuit(&p, seed);
-    let cfg = FlowConfig::new(tpg)
-        .with_seed(seed)
-        .with_sweep_engine(engine);
+    let cfg = FlowConfig::new(tpg).with_seed(seed);
     let curve = tradeoff_sweep(&netlist, &cfg, &taus).expect("combinational mimic");
 
     println!(
-        "# Figure 2 — trade-off reseedings vs. test length ({circuit} @ scale {scale}, TPG {tpg}, seed {seed}, jobs {jobs}, sweep engine {engine})"
+        "# Figure 2 — trade-off reseedings vs. test length ({circuit} @ scale {scale}, TPG {tpg}, seed {seed}, jobs {jobs})"
     );
     println!(
         "{:>6} {:>10} {:>12} {:>10}",

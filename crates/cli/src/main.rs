@@ -22,10 +22,11 @@
 //! `FBIST_JOBS` environment variable) to size the worker pool the
 //! parallel stages run on, plus `--backend auto|dense|sparse` to pick the
 //! set-covering implementation, `--matrix-build per-row|batched|auto` to
-//! pick the Detection-Matrix construction engine and `--sweep-engine
-//! per-tau|first-detection|auto` to pick how the τ-sweep is evaluated
-//! (per-τ re-simulation vs. one shared first-detection pass) — results
-//! are identical for every job count, backend and engine.
+//! pick the Detection-Matrix construction engine and `--simd-width
+//! auto|1|2|4|8` to pick the fault-simulation block width — results are
+//! identical for every job count, backend, engine and width. Every
+//! subcommand checks its arguments against one table of accepted flags
+//! before it runs, so an unknown flag is an error, never ignored.
 //!
 //! `reseed`, `sweep` and `serve` additionally accept `--store DIR` (also
 //! via the `FBIST_STORE` environment variable; `--no-store` overrides
@@ -46,7 +47,7 @@ use fbist_setcover::lp;
 use fbist_store::ArtifactStore;
 use reseed_core::{
     export, tradeoff_sweep_with, Backend, FlowConfig, Gatsby, GatsbyConfig,
-    InitialReseedingBuilder, MatrixBuild, ReseedingFlow, SimdWidth, SweepEngine, TpgKind,
+    InitialReseedingBuilder, MatrixBuild, ReseedingFlow, SimdWidth, TpgKind,
 };
 
 mod serve;
@@ -58,7 +59,8 @@ fn main() -> ExitCode {
     // invocation itself was wrong"; every other subcommand keeps the
     // classic ok/fail pair.
     if args.first().map(String::as_str) == Some("check") {
-        return match cmd_check(&args[1..]) {
+        let rest = &args[1..];
+        return match check_flags("check", rest, CHECK_FLAGS).and_then(|()| cmd_check(rest)) {
             Ok(findings) => ExitCode::from(u8::from(findings)),
             Err(msg) => {
                 eprintln!("fbist: {msg}");
@@ -104,12 +106,10 @@ settable via the FBIST_JOBS environment variable), --backend
 auto|dense|sparse (set-covering implementation), --matrix-build
 per-row|batched|auto (Detection-Matrix construction engine; auto batches
 whenever sharing 64-lane blocks across rows saves block evaluations) and
---sweep-engine per-tau|first-detection|auto (τ-sweep evaluation; auto
-shares one first-detection simulation across all τ points whenever there
-are at least two) and --simd-width auto|1|2|4|8 (fault-simulation block
-width in 64-lane words; auto picks the widest that still shrinks the
-block count). Results are identical for every job count, backend, engine
-and SIMD width.
+--simd-width auto|1|2|4|8 (fault-simulation block width in 64-lane
+words; auto picks the widest that still shrinks the block count).
+Results are identical for every job count, backend, engine and SIMD
+width. Any other flag a subcommand does not list is an error.
 check runs the static analyses only (no simulation): structural errors,
 floating nets, unobservable logic, dead constants, provably untestable
 stuck-at faults (including learned redundancies from the static-learning
@@ -130,7 +130,8 @@ reseed, sweep and serve accept --store DIR (default: the FBIST_STORE
 environment variable) to cache finished stages in a content-addressed
 artifact store, and --no-store to force recomputation; cached answers
 are byte-identical to computed ones. serve reads line-delimited
-`reseed ...`/`sweep ...` requests from stdin (blank line or `flush`
+`reseed ...`/`sweep ...` requests from stdin, taking the flags above
+minus --store, --no-store, --csv and --rom (blank line or `flush`
 evaluates the batch, `quit` or EOF exits), answers `ok <id> ...` /
 `err <id> ...` on stdout in submission order, and reports per-request
 store statistics on stderr.";
@@ -139,16 +140,17 @@ fn run(args: &[String]) -> Result<(), String> {
     let Some(cmd) = args.first() else {
         return Err("missing subcommand".into());
     };
+    let rest = &args[1..];
+    if let Some(flags) = subcommand_flags(cmd) {
+        check_flags(cmd, rest, flags)?;
+    }
     apply_jobs(args)?;
-    // validate --backend, --matrix-build, --sweep-engine and
-    // --simd-width globally (like --jobs) so a typo can never be silently
-    // ignored by a subcommand that does not solve a cover, build a matrix
-    // or sweep
+    // validate --backend, --matrix-build and --simd-width globally (like
+    // --jobs) so a typo can never be silently ignored by a subcommand that
+    // does not solve a cover or build a matrix
     parse_backend(args)?;
     parse_matrix_build(args)?;
-    parse_sweep_engine(args)?;
     parse_simd_width(args)?;
-    let rest = &args[1..];
     match cmd.as_str() {
         "profiles" => cmd_profiles(),
         "gen" => cmd_gen(rest),
@@ -172,6 +174,77 @@ fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1).cloned())
+}
+
+/// A flag and whether it takes a value.
+pub(crate) type Flag = (&'static str, bool);
+
+/// The throughput knobs: every subcommand and `fbist serve` request
+/// accepts them.
+const KNOB_FLAGS: &[Flag] = &[
+    ("--jobs", true),
+    ("--backend", true),
+    ("--matrix-build", true),
+    ("--simd-width", true),
+];
+/// Profile synthesis in [`load_circuit`].
+pub(crate) const CIRCUIT_FLAGS: &[Flag] = &[("--scale", true), ("--seed", true)];
+/// A `reseed` request, one-shot or as a `fbist serve` line.
+pub(crate) const RESEED_FLAGS: &[Flag] = &[("--tpg", true), ("--tau", true)];
+/// A `sweep` request, one-shot or as a `fbist serve` line.
+pub(crate) const SWEEP_FLAGS: &[Flag] = &[("--tpg", true), ("--taus", true)];
+/// The artifact store, see [`resolve_store`].
+const STORE_FLAGS: &[Flag] = &[("--store", true), ("--no-store", false)];
+const CHECK_FLAGS: &[&[Flag]] = &[CIRCUIT_FLAGS, &[("--json", false)]];
+
+/// The flags each subcommand accepts on top of [`KNOB_FLAGS`], or `None`
+/// for an unknown subcommand.
+fn subcommand_flags(cmd: &str) -> Option<&'static [&'static [Flag]]> {
+    Some(match cmd {
+        "profiles" => &[],
+        "gen" => &[CIRCUIT_FLAGS, &[("--out", true)]],
+        "stats" => &[CIRCUIT_FLAGS],
+        "check" => CHECK_FLAGS,
+        "atpg" => &[
+            CIRCUIT_FLAGS,
+            &[("--static-prepass", false), ("--static-learning", false)],
+        ],
+        "reseed" => &[
+            CIRCUIT_FLAGS,
+            RESEED_FLAGS,
+            STORE_FLAGS,
+            &[("--csv", true), ("--rom", true)],
+        ],
+        "sweep" => &[CIRCUIT_FLAGS, SWEEP_FLAGS, STORE_FLAGS],
+        "compare" | "lp" => &[CIRCUIT_FLAGS, RESEED_FLAGS],
+        "serve" => &[STORE_FLAGS],
+        _ => return None,
+    })
+}
+
+/// Rejects the first `--flag` that neither [`KNOB_FLAGS`] nor `tables`
+/// lists, naming it and `cmd`. The token after a flag that takes a value
+/// is that value and is not checked, so `--store --jobs` reaches the
+/// store's own diagnostic.
+pub(crate) fn check_flags(cmd: &str, args: &[String], tables: &[&[Flag]]) -> Result<(), String> {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        let known = std::iter::once(KNOB_FLAGS)
+            .chain(tables.iter().copied())
+            .flatten()
+            .find(|flag| flag.0 == arg.as_str());
+        match known {
+            Some(&(_, true)) => {
+                args.next();
+            }
+            Some(&(_, false)) => {}
+            None => return Err(format!("unknown flag {arg:?} for `{cmd}`")),
+        }
+    }
+    Ok(())
 }
 
 /// Parses `--jobs` and installs it as the process-wide worker count.
@@ -199,19 +272,23 @@ fn parse_matrix_build(args: &[String]) -> Result<MatrixBuild, String> {
     }
 }
 
-fn parse_sweep_engine(args: &[String]) -> Result<SweepEngine, String> {
-    match flag(args, "--sweep-engine") {
-        None => Ok(SweepEngine::Auto),
-        Some(v) => SweepEngine::parse(&v),
-    }
-}
-
 fn parse_simd_width(args: &[String]) -> Result<SimdWidth, String> {
     match flag(args, "--simd-width") {
         None => Ok(SimdWidth::Auto),
         Some(v) => SimdWidth::parse(&v)
             .ok_or_else(|| format!("unknown SIMD width {v:?} (expected auto, 1, 2, 4 or 8)")),
     }
+}
+
+/// The flow configuration a `reseed`, `sweep`, `compare` or `lp`
+/// invocation or a `fbist serve` request describes: `--tpg` plus the
+/// throughput knobs. The caller sets τ (`--tau`, or per point for
+/// `--taus`).
+pub(crate) fn flow_config(args: &[String]) -> Result<FlowConfig, String> {
+    Ok(FlowConfig::new(parse_tpg(args)?)
+        .with_backend(parse_backend(args)?)
+        .with_matrix_build(parse_matrix_build(args)?)
+        .with_simd_width(parse_simd_width(args)?))
 }
 
 /// Resolves the artifact store: `--no-store` disables it outright,
@@ -496,13 +573,7 @@ fn cmd_atpg(args: &[String]) -> Result<(), String> {
 
 fn cmd_reseed(args: &[String]) -> Result<(), String> {
     let n = load_circuit(args)?;
-    let tpg = parse_tpg(args)?;
-    let tau: usize = parse_tau(args, 31)?;
-    let cfg = FlowConfig::new(tpg)
-        .with_tau(tau)
-        .with_backend(parse_backend(args)?)
-        .with_matrix_build(parse_matrix_build(args)?)
-        .with_simd_width(parse_simd_width(args)?);
+    let cfg = flow_config(args)?.with_tau(parse_tau(args, 31)?);
     let flow = flow_for(args, &n)?;
     let report = flow.run(&cfg);
     print_store_stats(&flow, cfg.simd_width);
@@ -560,20 +631,15 @@ fn cmd_reseed(args: &[String]) -> Result<(), String> {
 
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let n = load_circuit(args)?;
-    let tpg = parse_tpg(args)?;
     let taus = parse_taus(args)?;
-    let cfg = FlowConfig::new(tpg)
-        .with_backend(parse_backend(args)?)
-        .with_matrix_build(parse_matrix_build(args)?)
-        .with_sweep_engine(parse_sweep_engine(args)?)
-        .with_simd_width(parse_simd_width(args)?);
+    let cfg = flow_config(args)?;
     let flow = flow_for(args, &n)?;
     let curve = tradeoff_sweep_with(&flow, &cfg, &taus);
     print_store_stats(&flow, cfg.simd_width);
     println!(
         "{} [{}] — reseedings vs. test length (Figure 2)",
         n.name(),
-        tpg
+        cfg.tpg
     );
     println!(
         "  {:>6} {:>10} {:>12} {:>10}",
@@ -590,26 +656,12 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 
 fn cmd_compare(args: &[String]) -> Result<(), String> {
     let n = load_circuit(args)?;
-    let tpg = parse_tpg(args)?;
-    let tau: usize = parse_tau(args, 31)?;
-    let backend = parse_backend(args)?;
-    let matrix_build = parse_matrix_build(args)?;
-    let simd_width = parse_simd_width(args)?;
+    let cfg = flow_config(args)?.with_tau(parse_tau(args, 31)?);
+    let (tpg, tau) = (cfg.tpg, cfg.tau);
     let flow = ReseedingFlow::new(&n).map_err(|e| e.to_string())?;
-    let report = flow.run(
-        &FlowConfig::new(tpg)
-            .with_tau(tau)
-            .with_backend(backend)
-            .with_matrix_build(matrix_build)
-            .with_simd_width(simd_width),
-    );
+    let report = flow.run(&cfg);
     let gatsby = Gatsby::new(&n).map_err(|e| e.to_string())?;
-    let init = flow.builder().build(
-        &FlowConfig::new(tpg)
-            .with_tau(tau)
-            .with_matrix_build(matrix_build)
-            .with_simd_width(simd_width),
-    );
+    let init = flow.builder().build(&cfg);
     let gres = gatsby.run(
         &init.target_faults,
         &GatsbyConfig {
@@ -645,12 +697,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
 
 fn cmd_lp(args: &[String]) -> Result<(), String> {
     let n = load_circuit(args)?;
-    let tpg = parse_tpg(args)?;
-    let tau: usize = parse_tau(args, 31)?;
-    let cfg = FlowConfig::new(tpg)
-        .with_tau(tau)
-        .with_matrix_build(parse_matrix_build(args)?)
-        .with_simd_width(parse_simd_width(args)?);
+    let cfg = flow_config(args)?.with_tau(parse_tau(args, 31)?);
     let builder = InitialReseedingBuilder::new(&n).map_err(|e| e.to_string())?;
     let init = builder.build(&cfg);
     print!("{}", lp::to_lp(&init.matrix));

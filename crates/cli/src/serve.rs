@@ -1,7 +1,8 @@
 //! `fbist serve` — a long-running request loop over the artifact store.
 //!
 //! Reads line-delimited requests from stdin, in the same syntax as the
-//! one-shot subcommands:
+//! one-shot subcommands minus their store and output-file flags (an
+//! unknown flag answers `err`):
 //!
 //! ```text
 //! reseed <circuit> [--tpg KIND] [--tau N] [--seed N] [--scale F] ...
@@ -32,8 +33,8 @@ use reseed_core::{
 };
 
 use crate::{
-    load_circuit, parse_backend, parse_matrix_build, parse_simd_width, parse_sweep_engine,
-    parse_tau, parse_taus, parse_tpg, resolve_store, simd_stats_line,
+    check_flags, flow_config, load_circuit, parse_tau, parse_taus, resolve_store, simd_stats_line,
+    Flag, CIRCUIT_FLAGS, RESEED_FLAGS, SWEEP_FLAGS,
 };
 
 pub fn cmd_serve(args: &[String]) -> Result<(), String> {
@@ -77,36 +78,36 @@ fn parse_line(line: &str) -> Result<Parsed, String> {
                 .into(),
         );
     }
+    let flags: &[&[Flag]] = match kind.as_str() {
+        "reseed" => &[CIRCUIT_FLAGS, RESEED_FLAGS],
+        "sweep" => &[CIRCUIT_FLAGS, SWEEP_FLAGS],
+        other => {
+            return Err(format!(
+                "unknown request {other:?} (expected `reseed` or `sweep`)"
+            ))
+        }
+    };
+    check_flags(kind, rest, flags)?;
     let netlist = load_circuit(rest)?;
-    let mut config = FlowConfig::new(parse_tpg(rest)?)
-        .with_backend(parse_backend(rest)?)
-        .with_matrix_build(parse_matrix_build(rest)?)
-        .with_sweep_engine(parse_sweep_engine(rest)?)
-        .with_simd_width(parse_simd_width(rest)?);
-    match kind.as_str() {
-        "reseed" => {
-            config = config.with_tau(parse_tau(rest, 31)?);
-            let digest = cover_stage_key(&netlist, &config).to_string();
-            Ok(Parsed {
-                netlist,
-                config,
-                taus: None,
-                digest,
-            })
-        }
-        "sweep" => {
-            let taus = parse_taus(rest)?;
-            let digest = format!("sweep/{}", sweep_request_digest(&netlist, &config, &taus));
-            Ok(Parsed {
-                netlist,
-                config,
-                taus: Some(taus),
-                digest,
-            })
-        }
-        other => Err(format!(
-            "unknown request {other:?} (expected `reseed` or `sweep`)"
-        )),
+    let config = flow_config(rest)?;
+    if kind.as_str() == "reseed" {
+        let config = config.with_tau(parse_tau(rest, 31)?);
+        let digest = cover_stage_key(&netlist, &config).to_string();
+        Ok(Parsed {
+            netlist,
+            config,
+            taus: None,
+            digest,
+        })
+    } else {
+        let taus = parse_taus(rest)?;
+        let digest = format!("sweep/{}", sweep_request_digest(&netlist, &config, &taus));
+        Ok(Parsed {
+            netlist,
+            config,
+            taus: Some(taus),
+            digest,
+        })
     }
 }
 

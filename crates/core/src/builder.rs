@@ -168,7 +168,8 @@ impl InitialReseedingBuilder {
     const BLOCK_CHUNK: usize = 4;
 
     /// Builds triplets and the Detection Matrix for an explicit pattern
-    /// list and fault list (used by the τ-sweep to reuse one ATPG run).
+    /// list and fault list (used by [`ReseedingFlow`](crate::ReseedingFlow)
+    /// to build from a shared ATPG run).
     ///
     /// `jobs` fans the construction out across the pool (`0` = global
     /// default) and `build` picks the engine. Every RNG draw happens in
@@ -325,10 +326,10 @@ impl InitialReseedingBuilder {
     /// [`first_detection_matrix_for`](Self::first_detection_matrix_for)
     /// each count one, whatever their engine or job count).
     ///
-    /// This is the sweep's efficiency contract made observable: a per-τ
-    /// sweep pays one pass per point, the
-    /// first-detection sweep pays exactly **one** pass total — asserted
-    /// in `tests/sweep_equivalence.rs` together with the
+    /// This is the sweep's efficiency contract made observable: a sweep
+    /// pays exactly **one** pass whatever its τ count, where separate runs
+    /// pay one each — asserted in `tests/sweep_equivalence.rs` together
+    /// with the
     /// [`LaneOccupancy`](fbist_sim::LaneOccupancy) counters.
     pub fn matrix_sim_passes(&self) -> u64 {
         self.matrix_passes.load(Ordering::Relaxed)

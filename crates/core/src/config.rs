@@ -122,68 +122,6 @@ impl std::fmt::Display for MatrixBuild {
     }
 }
 
-/// Which engine evaluates the τ-sweep ([`tradeoff_sweep`]).
-///
-/// Like `jobs`, [`Backend`] and [`MatrixBuild`], purely a throughput
-/// knob: every engine produces bit-identical sweep points (pinned by
-/// `tests/sweep_equivalence.rs`), so the choice can never change a
-/// curve, a report, or an event log.
-///
-/// [`tradeoff_sweep`]: crate::tradeoff_sweep
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SweepEngine {
-    /// One full Detection-Matrix fault simulation per τ point (the
-    /// historical engine): every point pays its own simulation pass.
-    PerTau,
-    /// One fault simulation at `max(taus)` recording each `(triplet,
-    /// fault)` pair's *first* detecting pattern index; every point's
-    /// matrix is then derived by thresholding (`first ≤ τ`) without
-    /// touching the simulator again. Detection at τ is a prefix property
-    /// of detection at `τ_max`, so the derived matrices are bit-identical
-    /// to freshly simulated ones.
-    FirstDetection,
-    /// Picks per call: first-detection whenever the sweep has at least
-    /// two distinct τ values to amortise the single pass over, per-τ for
-    /// degenerate single-point sweeps (where first-index bookkeeping
-    /// buys nothing).
-    #[default]
-    Auto,
-}
-
-impl SweepEngine {
-    /// Short name used in reports and flags (`per-tau`, `first-detection`,
-    /// `auto`).
-    pub fn name(self) -> &'static str {
-        match self {
-            SweepEngine::PerTau => "per-tau",
-            SweepEngine::FirstDetection => "first-detection",
-            SweepEngine::Auto => "auto",
-        }
-    }
-
-    /// Parses a flag value (`per-tau`, `first-detection` or `auto`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the accepted values on anything else.
-    pub fn parse(s: &str) -> Result<SweepEngine, String> {
-        match s {
-            "per-tau" => Ok(SweepEngine::PerTau),
-            "first-detection" => Ok(SweepEngine::FirstDetection),
-            "auto" => Ok(SweepEngine::Auto),
-            other => Err(format!(
-                "unknown sweep engine {other:?} (expected per-tau, first-detection or auto)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for SweepEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Validates one τ value against [`FlowConfig::MAX_TAU`], naming the
 /// originating flag in the error — the single owner of the user-facing
 /// bound diagnostic, shared by `--tau`, `--taus` and every front end.
@@ -274,10 +212,6 @@ pub struct FlowConfig {
     /// or auto). Purely a throughput knob: every engine fills the matrix
     /// bit-identically.
     pub matrix_build: MatrixBuild,
-    /// τ-sweep evaluation engine (one simulation per τ, one shared
-    /// first-detection simulation, or auto). Purely a throughput knob:
-    /// every engine traces the identical curve.
-    pub sweep_engine: SweepEngine,
     /// SIMD block width for the packed fault simulator (`[u64; W]` lanes
     /// per net; [`SimdWidth::Auto`] picks the widest W whose block count
     /// actually shrinks). Purely a throughput knob: lane `k` of a W-wide
@@ -312,7 +246,6 @@ impl FlowConfig {
             trim: true,
             jobs: 0,
             matrix_build: MatrixBuild::Auto,
-            sweep_engine: SweepEngine::Auto,
             simd_width: SimdWidth::Auto,
         }
     }
@@ -407,15 +340,6 @@ impl FlowConfig {
         self
     }
 
-    /// Selects the τ-sweep engine ([`SweepEngine::Auto`] shares one
-    /// first-detection simulation whenever the sweep has at least two
-    /// distinct τ values). Like every other engine knob, purely a
-    /// throughput choice: the curve is bit-identical either way.
-    pub fn with_sweep_engine(mut self, sweep_engine: SweepEngine) -> FlowConfig {
-        self.sweep_engine = sweep_engine;
-        self
-    }
-
     /// Selects the packed simulator's SIMD block width
     /// ([`SimdWidth::Auto`] widens only while the block count shrinks).
     /// Like `jobs` and the engines, purely a throughput knob: every width
@@ -470,28 +394,6 @@ mod tests {
         assert_eq!(
             FlowConfig::new(TpgKind::Adder).matrix_build,
             MatrixBuild::Auto
-        );
-    }
-
-    #[test]
-    fn sweep_engine_parse_roundtrip() {
-        for se in [
-            SweepEngine::PerTau,
-            SweepEngine::FirstDetection,
-            SweepEngine::Auto,
-        ] {
-            assert_eq!(SweepEngine::parse(se.name()), Ok(se));
-        }
-        assert!(SweepEngine::parse("pertau").is_err());
-        assert_eq!(
-            FlowConfig::new(TpgKind::Adder).sweep_engine,
-            SweepEngine::Auto
-        );
-        assert_eq!(
-            FlowConfig::new(TpgKind::Adder)
-                .with_sweep_engine(SweepEngine::FirstDetection)
-                .sweep_engine,
-            SweepEngine::FirstDetection
         );
     }
 

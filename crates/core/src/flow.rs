@@ -6,7 +6,7 @@ use fbist_sim::SimError;
 use fbist_store::ArtifactStore;
 use fbist_tpg::Triplet;
 
-use crate::builder::{InitialReseeding, InitialReseedingBuilder};
+use crate::builder::{AtpgBase, InitialReseeding, InitialReseedingBuilder};
 use crate::config::FlowConfig;
 use crate::report::{ReseedingReport, SelectedTriplet};
 use crate::stage::StageCache;
@@ -78,40 +78,94 @@ impl ReseedingFlow {
         if let Some(report) = self.stages.cover_get(self.builder.netlist(), config) {
             return report;
         }
-        let initial = self.build_initial(config);
-        let report = self.finish(config, &initial);
-        self.stages
-            .cover_put(self.builder.netlist(), config, &report);
-        report
+        let base = self.stages.atpg_base(&self.builder, config);
+        self.covers_from_base(base, config, &[config.tau])
+            .pop()
+            .expect("one report per τ")
     }
 
-    /// The initial reseeding via the stage DAG. Without a store this is
-    /// [`InitialReseedingBuilder::build`] verbatim; with one, the `atpg`
-    /// and `first-detection` stages resolve through the store and the
-    /// matrix at `config.tau` falls out of the saturating
-    /// first-detection artifact by thresholding — bit-identical either
-    /// way (the engine-equivalence contract pinned by the sweep suites).
-    fn build_initial(&self, config: &FlowConfig) -> InitialReseeding {
-        if !self.stages.is_enabled() {
-            return self.builder.build(config);
-        }
-        let base = self.stages.atpg_base(&self.builder, config);
-        let tpg = config.tpg.build(self.builder.netlist().inputs().len());
-        let (triplets, fdm) =
+    /// Computes the report of every τ in `uniq` (sorted, deduplicated,
+    /// non-empty) from one ATPG base and records each as a `cover`
+    /// artifact, for [`run`](Self::run) and the τ-sweep alike. This is the
+    /// one place the flow decides how the Detection Matrix is built:
+    ///
+    /// * **two or more τ, or a store attached:** one first-detection pass
+    ///   at `max(uniq)`, thresholded per point
+    ///   ([`FirstDetectionMatrix::at_tau`]). With a store the pass
+    ///   resolves through the saturating `first-detection` stage, which
+    ///   then answers every later τ up to its `τ_max`.
+    /// * **exactly one τ and no store:** the detection-only
+    ///   [`InitialReseedingBuilder::matrix_for`] build.
+    ///
+    /// Both builds give byte-identical reports
+    /// (`tests/sweep_equivalence.rs`), so no option selects between them.
+    ///
+    /// [`FirstDetectionMatrix::at_tau`]: fbist_setcover::FirstDetectionMatrix::at_tau
+    pub(crate) fn covers_from_base(
+        &self,
+        base: AtpgBase,
+        config: &FlowConfig,
+        uniq: &[usize],
+    ) -> Vec<ReseedingReport> {
+        let netlist = self.builder.netlist();
+        let tpg = config.tpg.build(netlist.inputs().len());
+        let reports = match *uniq {
+            // A single point has nothing to amortise first-detection
+            // indices over, and they cost memory: at τ = 31, jobs = 1
+            // (release build), the first-detection build raised peak
+            // VmHWM from 7.2 MB to 10.1 MB (+40 %) on c1908 and from
+            // 4.1 MB to 4.6 MB on mid256, with byte-identical reports.
+            [tau] if !self.stages.is_enabled() => {
+                let (triplets, matrix) = self.builder.matrix_for(
+                    &*tpg,
+                    &base.atpg.patterns,
+                    &base.target_faults,
+                    tau,
+                    config.seed,
+                    config.jobs,
+                    config.matrix_build,
+                    config.simd_width,
+                );
+                let initial = InitialReseeding {
+                    triplets,
+                    matrix,
+                    target_faults: base.target_faults,
+                    universe_size: base.universe_size,
+                    atpg: base.atpg,
+                };
+                vec![self.finish(&config.clone().with_tau(tau), &initial)]
+            }
+            _ => {
+                let tau_max = *uniq.last().expect("at least one τ");
+                let (triplets_max, fdm) =
+                    self.stages
+                        .first_detection(&self.builder, &*tpg, &base, config, tau_max);
+                mini_rayon::par_map_indexed(config.jobs, uniq.len(), |i| {
+                    let tau = uniq[i];
+                    // derived instead of re-simulated: same δ/θ (the RNG
+                    // prologue never reads τ), same matrix (prefix
+                    // property + thresholding)
+                    let initial = InitialReseeding {
+                        triplets: triplets_max.iter().map(|t| t.with_tau(tau)).collect(),
+                        matrix: fdm.at_tau(tau),
+                        target_faults: base.target_faults.clone(),
+                        universe_size: base.universe_size,
+                        atpg: base.atpg.clone(),
+                    };
+                    self.finish(&config.clone().with_tau(tau), &initial)
+                })
+            }
+        };
+        for (&tau, report) in uniq.iter().zip(&reports) {
             self.stages
-                .first_detection(&self.builder, &*tpg, &base, config, config.tau);
-        InitialReseeding {
-            triplets,
-            matrix: fdm.at_tau(config.tau),
-            target_faults: base.target_faults,
-            universe_size: base.universe_size,
-            atpg: base.atpg,
+                .cover_put(netlist, &config.clone().with_tau(tau), report);
         }
+        reports
     }
 
     /// Runs reduction, solving and trimming on a prebuilt initial
-    /// reseeding (lets the τ-sweep reuse one ATPG run and one matrix
-    /// build per τ).
+    /// reseeding (lets the τ-sweep share one ATPG run and one matrix
+    /// pass across its points).
     pub fn finish(&self, config: &FlowConfig, initial: &InitialReseeding) -> ReseedingReport {
         // ---- Matrix Reducer + solver (LINGO stand-in) -------------------
         let reduction = reduce_with(&initial.matrix, &config.solve.reducer, config.solve.backend);

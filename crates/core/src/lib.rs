@@ -53,7 +53,7 @@ mod verify;
 
 pub use area::{rom_bits_per_triplet, solution_rom_bits, AreaModel};
 pub use builder::{AtpgBase, InitialReseeding, InitialReseedingBuilder};
-pub use config::{check_tau, parse_tau_list, FlowConfig, MatrixBuild, SweepEngine, TpgKind};
+pub use config::{check_tau, parse_tau_list, FlowConfig, MatrixBuild, TpgKind};
 pub use fbist_bits::SimdWidth;
 pub use fbist_setcover::{Backend, FirstDetectionMatrix};
 pub use flow::ReseedingFlow;
@@ -63,5 +63,5 @@ pub use stage::{
     atpg_stage_key, circuit_digest, cover_stage_key, first_detection_stage_key,
     sweep_request_digest, CachedFirstDetection, StageCache, StageStats, THROUGHPUT_KNOBS,
 };
-pub use sweep::{tradeoff_sweep, tradeoff_sweep_from_base, tradeoff_sweep_with, SweepPoint};
+pub use sweep::{tradeoff_sweep, tradeoff_sweep_with, SweepPoint};
 pub use verify::{verify_against, verify_report, Verification};

@@ -19,11 +19,11 @@
 //!
 //! Pure throughput knobs — `jobs` (both the flow-level count and
 //! [`AtpgConfig::jobs`], which gates the fault-parallel PODEM rounds),
-//! the set-covering [`Backend`], the [`MatrixBuild`] engine, the
-//! [`SweepEngine`] — are **excluded** from every key: the workspace pins
-//! them bit-identical (the `sweep_equivalence`, `parallel_equivalence`,
-//! `atpg_equivalence`, `sparse_dense_equivalence` and
-//! `batched_matrix_equivalence` suites), so an artifact computed
+//! the set-covering [`Backend`], the [`MatrixBuild`] engine and the SIMD
+//! width — are **excluded** from every key: the workspace pins them
+//! bit-identical (the `parallel_equivalence`, `atpg_equivalence`,
+//! `sparse_dense_equivalence`, `batched_matrix_equivalence` and
+//! `simd_width_equivalence` suites), so an artifact computed
 //! under any of them answers all of them. That exclusion is what makes a
 //! store warmed by a 4-job batched sparse run answer a 1-job per-row
 //! dense query byte-identically — asserted by `tests/store_equivalence.rs`
@@ -42,7 +42,6 @@
 //!
 //! [`Backend`]: fbist_setcover::Backend
 //! [`MatrixBuild`]: crate::MatrixBuild
-//! [`SweepEngine`]: crate::SweepEngine
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -110,7 +109,6 @@ pub const THROUGHPUT_KNOBS: &[(&str, &str)] = &[
     ("solve.backend", "sparse_dense_equivalence"),
     ("solve.engine.jobs", "parallel_equivalence"),
     ("matrix_build", "batched_matrix_equivalence"),
-    ("sweep_engine", "sweep_equivalence"),
     ("simd_width", "simd_width_equivalence"),
     ("atpg.simd_width", "simd_width_equivalence"),
 ];
@@ -479,26 +477,17 @@ impl StageCache {
         config: &FlowConfig,
         tau_max: usize,
     ) -> (Vec<Triplet>, FirstDetectionMatrix) {
-        let Some(store) = &self.store else {
-            self.fd_misses.fetch_add(1, Ordering::Relaxed);
-            let (t, m) = builder.first_detection_matrix_for(
-                tpg,
-                &base.atpg.patterns,
-                &base.target_faults,
-                tau_max,
-                config.seed,
-                config.jobs,
-                config.matrix_build,
-                config.simd_width,
-            );
-            return (t, m);
-        };
-        let key = first_detection_key_from(self.circuit(builder.netlist()), config);
-        if let Some(cached) = store.get::<CachedFirstDetection>(key) {
-            if cached.tau_max >= tau_max
-                && cached.matrix.rows() == base.atpg.patterns.len()
-                && cached.matrix.cols() == base.target_faults.len()
-            {
+        let stored = self.store.as_ref().map(|store| {
+            let key = first_detection_key_from(self.circuit(builder.netlist()), config);
+            (store, key)
+        });
+        if let Some((store, key)) = stored {
+            let hit = store.get::<CachedFirstDetection>(key).filter(|cached| {
+                cached.tau_max >= tau_max
+                    && cached.matrix.rows() == base.atpg.patterns.len()
+                    && cached.matrix.cols() == base.target_faults.len()
+            });
+            if let Some(cached) = hit {
                 self.fd_hits.fetch_add(1, Ordering::Relaxed);
                 let triplets = derive_triplets(tpg, &base.atpg.patterns, tau_max, config.seed);
                 return (triplets, cached.matrix);
@@ -515,13 +504,15 @@ impl StageCache {
             config.matrix_build,
             config.simd_width,
         );
-        store.put(
-            key,
-            &CachedFirstDetection {
-                tau_max,
-                matrix: matrix.clone(),
-            },
-        );
+        if let Some((store, key)) = stored {
+            store.put(
+                key,
+                &CachedFirstDetection {
+                    tau_max,
+                    matrix: matrix.clone(),
+                },
+            );
+        }
         (triplets, matrix)
     }
 
@@ -556,7 +547,7 @@ impl StageCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{MatrixBuild, SweepEngine, TpgKind};
+    use crate::config::{MatrixBuild, TpgKind};
     use fbist_netlist::embedded;
     use fbist_setcover::Backend;
 
@@ -575,7 +566,7 @@ mod tests {
 
     #[test]
     fn throughput_knobs_never_change_any_stage_key() {
-        // jobs / backend / matrix-build / sweep-engine are pinned
+        // jobs / backend / matrix-build / SIMD width are pinned
         // bit-identical by the equivalence suites, so no stage key may
         // depend on them — otherwise a warm store would go cold when a
         // user merely changes the worker count
@@ -587,8 +578,6 @@ mod tests {
             cfg().with_backend(Backend::Dense),
             cfg().with_matrix_build(MatrixBuild::PerRow),
             cfg().with_matrix_build(MatrixBuild::Batched),
-            cfg().with_sweep_engine(SweepEngine::PerTau),
-            cfg().with_sweep_engine(SweepEngine::FirstDetection),
             cfg().with_simd_width(fbist_bits::SimdWidth::W1),
             cfg().with_simd_width(fbist_bits::SimdWidth::W4),
             cfg().with_simd_width(fbist_bits::SimdWidth::W8),
@@ -715,7 +704,6 @@ mod tests {
             base.clone().with_jobs(3),
             base.clone().with_backend(Backend::Sparse),
             base.clone().with_matrix_build(MatrixBuild::Batched),
-            base.clone().with_sweep_engine(SweepEngine::PerTau),
         ] {
             assert_eq!(sweep_request_digest(&n, &v, &[0, 7]), canonical);
         }

@@ -4,9 +4,8 @@
 //!
 //! A sweep point at evolution length `τ` needs the Detection Matrix whose
 //! cell `(i, j)` says "triplet `i`'s `τ + 1`-pattern expansion detects
-//! fault `j`". Historically every point re-ran a full fault simulation
-//! ([`SweepEngine::PerTau`]); the [`SweepEngine::FirstDetection`] engine
-//! replaces all of them with **one** pass at `τ_max = max(taus)`:
+//! fault `j`". Instead of one fault simulation per point, a sweep runs
+//! **one** pass at `τ_max = max(taus)`:
 //!
 //! 1. Pattern generators expand *prefix-stably*: pattern `k` of a
 //!    triplet's stream depends only on `(δ, θ, k)` — `τ` just says where
@@ -24,13 +23,14 @@
 //!    bit.
 //!
 //! Everything per-point after the matrix (triplet `τ` fields, reduction,
-//! solving, trimming) runs from per-point configuration and seeds exactly
-//! as in the per-τ engine, so the whole [`SweepPoint`] — report included —
-//! is bit-identical between engines, for every profile × TPG × jobs ×
-//! backend × matrix-build combination (`tests/sweep_equivalence.rs`).
+//! solving, trimming) runs from per-point configuration and seeds, so
+//! every [`SweepPoint`] — report included — is bit-identical to
+//! [`ReseedingFlow::run`] at its τ, for every profile × TPG × jobs ×
+//! backend combination (`tests/sweep_equivalence.rs`). Which build a
+//! sweep uses is decided in one place, `ReseedingFlow`'s shared cover
+//! computation: a single τ without a store takes the detection-only
+//! build that `run` uses.
 //!
-//! [`SweepEngine::PerTau`]: crate::SweepEngine::PerTau
-//! [`SweepEngine::FirstDetection`]: crate::SweepEngine::FirstDetection
 //! [`PatternGenerator`]: fbist_tpg::PatternGenerator
 //! [`FaultSimulator::first_detections`]: fbist_fault::FaultSimulator::first_detections
 //! [`FirstDetectionMatrix::at_tau`]: fbist_setcover::FirstDetectionMatrix::at_tau
@@ -38,8 +38,7 @@
 use fbist_netlist::Netlist;
 use fbist_sim::SimError;
 
-use crate::builder::{AtpgBase, InitialReseedingBuilder};
-use crate::config::{FlowConfig, SweepEngine};
+use crate::config::FlowConfig;
 use crate::flow::ReseedingFlow;
 use crate::report::ReseedingReport;
 
@@ -63,18 +62,17 @@ pub struct SweepPoint {
 /// accumulator, raising the test length from 5 427 to 15 551 drops the
 /// solution from 11 to 2 triplets).
 ///
-/// The ATPG run is shared across all τ values; with the default
-/// [`SweepEngine::Auto`] the Detection-Matrix fault simulation is shared
-/// too — one first-detection pass at `max(taus)` from which every point's
-/// matrix is derived by thresholding (see the [module docs](self)).
-/// Duplicate τ values are computed once and share their point.
+/// The ATPG run is shared across all τ values, and so is the
+/// Detection-Matrix fault simulation: one first-detection pass at
+/// `max(taus)` from which every point's matrix is derived by thresholding
+/// (see the [module docs](self)). Duplicate τ values are computed once and
+/// share their point.
 ///
 /// The per-point work is independent, so points evaluate in parallel on
 /// the workspace pool (`config.jobs`; `0` = global default). Each point's
 /// RNG streams are derived from `config.seed` alone — never from the
-/// worker that happens to compute it, nor from the engine — so the curve
-/// is bit-identical for every job count and engine, and points come back
-/// in the order of `taus`.
+/// worker that happens to compute it — so the curve is bit-identical for
+/// every job count, and points come back in the order of `taus`.
 ///
 /// # Errors
 ///
@@ -113,49 +111,25 @@ pub fn tradeoff_sweep(
 }
 
 /// [`tradeoff_sweep`] on a prebuilt flow — lets callers reuse the flow's
-/// simulators across sweeps and read its builder counters afterwards
-/// (`matrix_sim_passes`, lane occupancy). Runs the shared ATPG and
-/// delegates to [`tradeoff_sweep_from_base`].
-pub fn tradeoff_sweep_with(
-    flow: &ReseedingFlow,
-    config: &FlowConfig,
-    taus: &[usize],
-) -> Vec<SweepPoint> {
-    sweep_cached(flow, None, config, taus)
-}
-
-/// The sweep on a prebuilt [`AtpgBase`]: everything after the shared,
-/// τ-independent ATPG run. Callers holding the base already (the
-/// `figure2`/bench pipelines, repeated sweeps over TPG kinds, …) skip
-/// re-running ATPG entirely; [`tradeoff_sweep`] is this plus one
-/// `atpg` stage resolution.
-pub fn tradeoff_sweep_from_base(
-    flow: &ReseedingFlow,
-    base: &AtpgBase,
-    config: &FlowConfig,
-    taus: &[usize],
-) -> Vec<SweepPoint> {
-    sweep_cached(flow, Some(base), config, taus)
-}
-
-/// The one sweep path, cover-cache-first:
+/// simulators and store across sweeps and read its builder counters
+/// afterwards (`matrix_sim_passes`, lane occupancy).
+///
+/// Cover-cache-first:
 ///
 /// 1. each unique τ is looked up in the store as a `cover` artifact —
 ///    warm points decode without touching ATPG or the simulator;
-/// 2. only the *missing* τ values are computed, through the usual
-///    engines (the shared first-detection pass now resolving through the
-///    `first-detection` stage, so even a cover-cold sweep can skip its
-///    simulation if an earlier run saturated the matrix artifact);
-/// 3. computed covers are written back, then every point — cached or
-///    computed — redistributes onto the input τ list.
+/// 2. only the *missing* τ values are computed, from one ATPG base (the
+///    shared first-detection pass resolving through the `first-detection`
+///    stage, so even a cover-cold sweep can skip its simulation if an
+///    earlier run saturated the matrix artifact), and written back;
+/// 3. every point — cached or computed — redistributes onto the input τ
+///    list.
 ///
 /// The ATPG stage resolves lazily: a fully cover-warm sweep never runs
 /// ATPG at all (the acceptance criterion behind `fbist serve`'s warm
-/// latency). With no store attached every lookup misses and this is the
-/// historical two-engine sweep, bit for bit.
-fn sweep_cached(
+/// latency).
+pub fn tradeoff_sweep_with(
     flow: &ReseedingFlow,
-    prebuilt: Option<&AtpgBase>,
     config: &FlowConfig,
     taus: &[usize],
 ) -> Vec<SweepPoint> {
@@ -182,36 +156,13 @@ fn sweep_cached(
         .map(|(&tau, _)| tau)
         .collect();
     if !missing.is_empty() {
-        let computed_base;
-        let base = match prebuilt {
-            Some(base) => base,
-            None => {
-                computed_base = stages.atpg_base(flow.builder(), config);
-                &computed_base
-            }
-        };
-        let first_detection = match config.sweep_engine {
-            SweepEngine::PerTau => false,
-            SweepEngine::FirstDetection => true,
-            // a single-point sweep has nothing to amortise the shared pass
-            // over; with ≥ 2 distinct τ the shared pass always wins (it
-            // costs one build at max(taus), which per-τ pays for its
-            // largest point alone). With a store attached the shared pass
-            // wins even for one point: it seeds the saturating
-            // first-detection artifact that answers every later τ.
-            SweepEngine::Auto => missing.len() >= 2 || stages.is_enabled(),
-        };
-        let computed = if first_detection {
-            first_detection_sweep(flow, base, config, &missing)
-        } else {
-            per_tau_sweep(flow, base, config, &missing)
-        };
-        for point in computed {
-            stages.cover_put(netlist, &config.clone().with_tau(point.tau), &point.report);
+        let base = stages.atpg_base(flow.builder(), config);
+        let reports = flow.covers_from_base(base, config, &missing);
+        for (&tau, report) in missing.iter().zip(reports) {
             let i = uniq
-                .binary_search(&point.tau)
+                .binary_search(&tau)
                 .expect("computed τ comes from uniq");
-            slots[i] = Some(point);
+            slots[i] = Some(point_from(tau, report));
         }
     }
     // one point per *input* τ, in input order; duplicates share their
@@ -237,64 +188,6 @@ fn sweep_cached(
         .collect()
 }
 
-/// The historical engine: one Detection-Matrix simulation per τ point,
-/// all sharing one ATPG run (already the efficiency argument §4 makes
-/// against simulation-driven methods). `uniq` is the sorted,
-/// deduplicated τ list.
-fn per_tau_sweep(
-    flow: &ReseedingFlow,
-    base: &AtpgBase,
-    config: &FlowConfig,
-    uniq: &[usize],
-) -> Vec<SweepPoint> {
-    let tpg = config.tpg.build(flow.builder().netlist().inputs().len());
-    mini_rayon::par_map_indexed(config.jobs, uniq.len(), |i| {
-        let tau = uniq[i];
-        let initial = rebuild_at_tau(flow.builder(), base, &tpg, tau, config);
-        let cfg = config.clone().with_tau(tau);
-        let report = flow.finish(&cfg, &initial);
-        point_from(tau, report)
-    })
-}
-
-/// The shared-simulation engine: one first-detection pass at `max(taus)`,
-/// every point's matrix derived by thresholding (module docs). `uniq` is
-/// the sorted, deduplicated τ list.
-fn first_detection_sweep(
-    flow: &ReseedingFlow,
-    base: &AtpgBase,
-    config: &FlowConfig,
-    uniq: &[usize],
-) -> Vec<SweepPoint> {
-    let Some(&tau_max) = uniq.last() else {
-        return Vec::new();
-    };
-    let builder = flow.builder();
-    // unlike the per-τ engine, one shared fault-simulation pass —
-    // resolved through the first-detection stage, so a store whose
-    // artifact already saturates τ_max skips the pass entirely
-    let tpg = config.tpg.build(builder.netlist().inputs().len());
-    let (triplets_max, fdm) = flow
-        .stages()
-        .first_detection(builder, &*tpg, base, config, tau_max);
-    mini_rayon::par_map_indexed(config.jobs, uniq.len(), |i| {
-        let tau = uniq[i];
-        // the τ-point's initial reseeding, derived instead of re-simulated:
-        // same δ/θ (the RNG prologue never reads τ), same matrix (prefix
-        // property + thresholding)
-        let initial = crate::builder::InitialReseeding {
-            triplets: triplets_max.iter().map(|t| t.with_tau(tau)).collect(),
-            matrix: fdm.at_tau(tau),
-            target_faults: base.target_faults.clone(),
-            universe_size: base.universe_size,
-            atpg: base.atpg.clone(),
-        };
-        let cfg = config.clone().with_tau(tau);
-        let report = flow.finish(&cfg, &initial);
-        point_from(tau, report)
-    })
-}
-
 fn point_from(tau: usize, report: ReseedingReport) -> SweepPoint {
     SweepPoint {
         tau,
@@ -302,32 +195,6 @@ fn point_from(tau: usize, report: ReseedingReport) -> SweepPoint {
         test_length: report.test_length(),
         rom_bits: report.rom_bits(),
         report,
-    }
-}
-
-fn rebuild_at_tau(
-    builder: &InitialReseedingBuilder,
-    base: &AtpgBase,
-    tpg: &dyn fbist_tpg::PatternGenerator,
-    tau: usize,
-    config: &FlowConfig,
-) -> crate::builder::InitialReseeding {
-    let (triplets, matrix) = builder.matrix_for(
-        tpg,
-        &base.atpg.patterns,
-        &base.target_faults,
-        tau,
-        config.seed,
-        config.jobs,
-        config.matrix_build,
-        config.simd_width,
-    );
-    crate::builder::InitialReseeding {
-        triplets,
-        matrix,
-        target_faults: base.target_faults.clone(),
-        universe_size: base.universe_size,
-        atpg: base.atpg.clone(),
     }
 }
 
@@ -342,8 +209,8 @@ mod tests {
         // what the flow guarantees per point. (On this circuit the curve
         // happens to be monotone too, but that is an empirical property of
         // the instance — the greedy/local-search solver does not guarantee
-        // it, so it is no longer asserted here; see
-        // `engine_choice_never_changes_the_curve` for the determinism pin.)
+        // it, so it is not asserted here; `tests/sweep_equivalence.rs`
+        // pins every point against `run`.)
         let n = generate(&profile("tiny64").unwrap(), 4);
         let curve = tradeoff_sweep(&n, &FlowConfig::new(TpgKind::Adder), &[0, 3, 15, 63]).unwrap();
         assert_eq!(curve.len(), 4);
@@ -438,88 +305,28 @@ mod tests {
     }
 
     #[test]
-    fn engine_choice_never_changes_the_curve() {
-        // duplicated and unsorted τ values exercise the dedup/reorder path
-        let n = generate(&profile("tiny64").unwrap(), 4);
-        let taus = [15, 0, 3, 3, 15];
-        let curve = |engine: SweepEngine| {
-            tradeoff_sweep(
-                &n,
-                &FlowConfig::new(TpgKind::Adder).with_sweep_engine(engine),
-                &taus,
-            )
-            .unwrap()
-        };
-        let per_tau = curve(SweepEngine::PerTau);
-        assert_eq!(per_tau.len(), taus.len());
-        assert_eq!(per_tau[0], per_tau[4], "duplicate τ points are identical");
-        assert_eq!(
-            per_tau,
-            curve(SweepEngine::FirstDetection),
-            "first-detection curve differs"
-        );
-        assert_eq!(per_tau, curve(SweepEngine::Auto), "auto curve differs");
-    }
-
-    #[test]
-    fn first_detection_runs_one_simulation_pass() {
-        let n = generate(&profile("tiny64").unwrap(), 4);
-        let taus = [0, 3, 7, 15];
-        let flow = ReseedingFlow::new(&n).unwrap();
-        let fd = tradeoff_sweep_with(
-            &flow,
-            &FlowConfig::new(TpgKind::Adder).with_sweep_engine(SweepEngine::FirstDetection),
-            &taus,
-        );
-        assert_eq!(
-            flow.builder().matrix_sim_passes(),
-            1,
-            "first-detection must simulate exactly once"
-        );
-        flow.builder().reset_matrix_sim_passes();
-        let pt = tradeoff_sweep_with(
-            &flow,
-            &FlowConfig::new(TpgKind::Adder).with_sweep_engine(SweepEngine::PerTau),
-            &taus,
-        );
-        assert_eq!(
-            flow.builder().matrix_sim_passes(),
-            taus.len() as u64,
-            "per-τ pays one pass per point"
-        );
-        assert_eq!(fd, pt);
-    }
-
-    #[test]
-    fn auto_uses_shared_pass_only_for_multi_point_sweeps() {
+    fn single_tau_sweep_is_one_detection_only_pass_equal_to_run() {
+        // one distinct τ (even duplicated) and no store: the detection-only
+        // build `run` uses, one pass, never the first-detection stage
         let n = generate(&profile("tiny64").unwrap(), 4);
         let flow = ReseedingFlow::new(&n).unwrap();
         let cfg = FlowConfig::new(TpgKind::Adder);
-        // single distinct τ (even duplicated): per-τ path, and the
-        // duplicate shares its point — one pass total
-        let _ = tradeoff_sweep_with(&flow, &cfg, &[7, 7]);
+        let curve = tradeoff_sweep_with(&flow, &cfg, &[7, 7]);
         assert_eq!(flow.builder().matrix_sim_passes(), 1);
+        assert_eq!(flow.stages().stats().first_detection_misses, 0);
+        assert_eq!(curve[0], curve[1], "duplicate τ points are identical");
+        assert_eq!(curve[0].report, flow.run(&cfg.clone().with_tau(7)));
+        // two distinct τ: one shared first-detection pass
         flow.builder().reset_matrix_sim_passes();
-        // two distinct τ: the shared pass
         let _ = tradeoff_sweep_with(&flow, &cfg, &[7, 15]);
         assert_eq!(flow.builder().matrix_sim_passes(), 1);
+        assert_eq!(flow.stages().stats().first_detection_misses, 1);
     }
 
     #[test]
     fn empty_tau_list_yields_empty_curve() {
         let n = generate(&profile("tiny64").unwrap(), 4);
-        for engine in [
-            SweepEngine::PerTau,
-            SweepEngine::FirstDetection,
-            SweepEngine::Auto,
-        ] {
-            let curve = tradeoff_sweep(
-                &n,
-                &FlowConfig::new(TpgKind::Adder).with_sweep_engine(engine),
-                &[],
-            )
-            .unwrap();
-            assert!(curve.is_empty(), "{engine}");
-        }
+        let curve = tradeoff_sweep(&n, &FlowConfig::new(TpgKind::Adder), &[]).unwrap();
+        assert!(curve.is_empty());
     }
 }

@@ -68,8 +68,8 @@ pub mod prelude {
         AccumulatorOp, AccumulatorTpg, Lfsr, MultiPolyLfsr, PatternGenerator, Triplet,
     };
     pub use reseed_core::{
-        tradeoff_sweep, tradeoff_sweep_from_base, tradeoff_sweep_with, verify_report, AtpgBase,
-        FlowConfig, Gatsby, GatsbyConfig, InitialReseedingBuilder, MatrixBuild, ReseedingFlow,
-        ReseedingReport, SimdWidth, StageCache, SweepEngine, TpgKind,
+        tradeoff_sweep, tradeoff_sweep_with, verify_report, AtpgBase, FlowConfig, Gatsby,
+        GatsbyConfig, InitialReseedingBuilder, MatrixBuild, ReseedingFlow, ReseedingReport,
+        SimdWidth, StageCache, TpgKind,
     };
 }

@@ -11,9 +11,11 @@
 //! 3. **warm is free**: the warm sweep performs **zero** matrix
 //!    simulation passes and never runs ATPG (`fully_warm`).
 //!
-//! This is the store-level sibling of the `sweep_equivalence` (engine),
+//! This is the store-level sibling of the `sweep_equivalence` (sweep vs run),
 //! `parallel_equivalence` (jobs), `sparse_dense_equivalence` (backend)
 //! and `batched_matrix_equivalence` (matrix engine) contracts.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use fbist_genbench::{all_profiles, generate, CircuitProfile};
 use fbist_netlist::Netlist;
@@ -36,15 +38,22 @@ fn small(p: &CircuitProfile) -> Netlist {
     }
 }
 
+/// A fresh, empty store no other test touches: the label names the caller
+/// (profile and TPG for the per-profile tests), and a process-wide counter
+/// keeps even equal labels apart.
 fn fresh_store(label: &str) -> (ArtifactStore, std::path::PathBuf) {
-    let dir =
-        std::env::temp_dir().join(format!("fbist-store-equiv-{label}-{}", std::process::id()));
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "fbist-store-equiv-{label}-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     (ArtifactStore::open(&dir).expect("temp store opens"), dir)
 }
 
 fn assert_store_equivalent(netlist: &Netlist, tpg: TpgKind, label: &str) {
-    let (store, dir) = fresh_store(label);
+    let (store, dir) = fresh_store(&format!("{label}-{}", tpg.name()));
 
     // ground truth: no store attached
     let reference = tradeoff_sweep(netlist, &FlowConfig::new(tpg).with_jobs(1), &TAUS).unwrap();

@@ -1,39 +1,37 @@
-//! Differential suite pinning the first-detection τ-sweep engine to the
-//! per-τ one.
+//! Oracle suite for the τ-sweep: every point of [`tradeoff_sweep`] must
+//! equal [`ReseedingFlow::run`] at that τ, byte for byte.
 //!
-//! For **every** genbench profile (scaled to a small, fast gate budget —
-//! the thresholding machinery is identical at every size), a TPG from
-//! each family (accumulator-based `add`, LFSR-based `lfsr`),
-//! `jobs ∈ {1, 4}` and both covering backends, the first-detection sweep
-//! must produce a curve **byte-for-byte identical** to the per-τ sweep's
-//! — every [`SweepPoint`] including its full report — on a τ list that is
-//! deliberately unsorted and duplicated. This is the sweep-level sibling
-//! of the `parallel_equivalence` (jobs), `sparse_dense_equivalence`
-//! (backend) and `batched_matrix_equivalence` (matrix engine) contracts:
-//! the sweep engine may only change wall-clock time, never a single bit
-//! of any artefact.
+//! With more than one τ the sweep derives every point's Detection Matrix
+//! by thresholding one first-detection pass at `max(taus)`; `run` on a
+//! flow without a store builds the detection-only matrix at its single τ.
+//! The two sides share no matrix code, so their agreement pins the
+//! derivation itself. The suite covers **every** genbench profile (scaled
+//! to a small, fast gate budget — the thresholding machinery is identical
+//! at every size), a TPG from each family (accumulator-based `add`,
+//! LFSR-based `lfsr`), `jobs ∈ {1, 4}` and both covering backends, on a τ
+//! list that is deliberately unsorted and duplicated.
 //!
-//! The suite also pins the engine's reason to exist, the ISSUE's
-//! acceptance criterion verbatim: on `mid256` at full scale with
-//! `--taus 0,3,7,15,31,63`, the first-detection engine reproduces the
-//! per-τ curve byte-for-byte while running **exactly one**
+//! It also pins the shared pass's reason to exist: on `mid256` at full
+//! scale with `--taus 0,3,7,15,31,63`, one sweep runs **exactly one**
 //! Detection-Matrix simulation pass (the builder's pass counter) and
-//! strictly fewer simulated 64-lane blocks (the `PackedSimulator` lane
-//! counters).
+//! evaluates strictly fewer 64-lane blocks (the `PackedSimulator` lane
+//! counters) than six separate runs.
 //!
-//! [`SweepPoint`]: reseed_core::SweepPoint
+//! [`tradeoff_sweep`]: reseed_core::tradeoff_sweep
+//! [`ReseedingFlow::run`]: reseed_core::ReseedingFlow::run
 
 use fbist_genbench::{all_profiles, generate, CircuitProfile};
 use fbist_netlist::Netlist;
 use set_covering_reseeding::prelude::*;
+use set_covering_reseeding::reseed::SweepPoint;
 
-/// Gate budget for the per-profile equivalence half: exercises every
-/// interface shape while staying test-fast.
+/// Gate budget for the per-profile half: exercises every interface shape
+/// while staying test-fast.
 const GATE_BUDGET: f64 = 70.0;
 
-/// Deliberately unsorted, duplicated τ list: the first-detection engine
-/// must dedupe, simulate once at max = 15, and still emit one point per
-/// input τ in input order.
+/// Deliberately unsorted, duplicated τ list: the sweep must dedupe,
+/// simulate once at max = 7, and still emit one point per input τ in
+/// input order.
 const TAUS: [usize; 4] = [7, 0, 3, 3];
 
 fn small(p: &CircuitProfile) -> Netlist {
@@ -45,35 +43,35 @@ fn small(p: &CircuitProfile) -> Netlist {
     }
 }
 
-/// Per-τ vs first-detection vs auto, byte-for-byte, across jobs ×
-/// backend, for one profile and TPG.
-fn assert_sweeps_equivalent(netlist: &Netlist, tpg: TpgKind, label: &str) {
+/// The sweep point `run` implies at `tau`.
+fn point_of_run(flow: &ReseedingFlow, config: &FlowConfig, tau: usize) -> SweepPoint {
+    let report = flow.run(&config.clone().with_tau(tau));
+    SweepPoint {
+        tau,
+        triplets: report.triplet_count(),
+        test_length: report.test_length(),
+        rom_bits: report.rom_bits(),
+        report,
+    }
+}
+
+/// Every sweep point against `run` at its τ, across jobs × backend, for
+/// one profile and TPG.
+fn assert_sweep_matches_runs(netlist: &Netlist, tpg: TpgKind, label: &str) {
+    let flow = ReseedingFlow::new(netlist).unwrap();
     for jobs in [1usize, 4] {
         for backend in [Backend::Dense, Backend::Sparse] {
-            let curve = |engine: SweepEngine| {
-                tradeoff_sweep(
-                    netlist,
-                    &FlowConfig::new(tpg)
-                        .with_jobs(jobs)
-                        .with_backend(backend)
-                        .with_sweep_engine(engine),
-                    &TAUS,
-                )
-                .unwrap()
-            };
-            let per_tau = curve(SweepEngine::PerTau);
-            assert_eq!(per_tau.len(), TAUS.len(), "{label}");
-            assert_eq!(
-                per_tau,
-                curve(SweepEngine::FirstDetection),
-                "{label} jobs={jobs} backend={backend:?}: first-detection \
-                 curve differs from per-τ"
-            );
-            assert_eq!(
-                per_tau,
-                curve(SweepEngine::Auto),
-                "{label} jobs={jobs} backend={backend:?}: auto curve differs"
-            );
+            let config = FlowConfig::new(tpg).with_jobs(jobs).with_backend(backend);
+            let curve = tradeoff_sweep(netlist, &config, &TAUS).unwrap();
+            assert_eq!(curve.len(), TAUS.len(), "{label}");
+            for (point, &tau) in curve.iter().zip(&TAUS) {
+                assert_eq!(
+                    *point,
+                    point_of_run(&flow, &config, tau),
+                    "{label} jobs={jobs} backend={backend:?} τ={tau}: sweep point \
+                     differs from run"
+                );
+            }
         }
     }
 }
@@ -86,13 +84,13 @@ macro_rules! sweep_equivalence_tests {
             #[test]
             fn add() {
                 let p = genbench_profile($profile).expect("profile registered");
-                assert_sweeps_equivalent(&small(&p), TpgKind::Adder, $profile);
+                assert_sweep_matches_runs(&small(&p), TpgKind::Adder, $profile);
             }
 
             #[test]
             fn lfsr() {
                 let p = genbench_profile($profile).expect("profile registered");
-                assert_sweeps_equivalent(&small(&p), TpgKind::Lfsr, $profile);
+                assert_sweep_matches_runs(&small(&p), TpgKind::Lfsr, $profile);
             }
         }
     )+};
@@ -128,52 +126,46 @@ fn sweep_macro_covers_every_profile() {
     assert_eq!(all_profiles().len(), 20, "update sweep_equivalence_tests!");
 }
 
-/// The acceptance criterion, end to end on `mid256` at full scale:
-/// `--taus 0,3,7,15,31,63` with the first-detection engine is
-/// byte-identical to the per-τ engine while performing exactly one matrix
-/// simulation pass and evaluating strictly fewer 64-lane blocks.
+/// The shared pass, end to end on `mid256` at full scale: one sweep over
+/// `--taus 0,3,7,15,31,63` reproduces six separate runs byte for byte
+/// while performing exactly one matrix simulation pass and evaluating
+/// strictly fewer 64-lane blocks.
 #[test]
-fn mid256_first_detection_single_pass_and_fewer_blocks() {
+fn mid256_sweep_is_one_pass_and_fewer_blocks_than_runs() {
     let n = generate(&genbench_profile("mid256").unwrap(), 1);
     let taus = [0usize, 3, 7, 15, 31, 63];
+    let config = FlowConfig::new(TpgKind::Adder);
     let flow = ReseedingFlow::new(&n).unwrap();
     let sim = flow.builder().fault_simulator().good_simulator();
 
-    flow.builder().reset_matrix_sim_passes();
     sim.reset_occupancy();
-    let per_tau = tradeoff_sweep_with(
-        &flow,
-        &FlowConfig::new(TpgKind::Adder).with_sweep_engine(SweepEngine::PerTau),
-        &taus,
+    let runs: Vec<SweepPoint> = taus
+        .iter()
+        .map(|&tau| point_of_run(&flow, &config, tau))
+        .collect();
+    let run_blocks = sim.occupancy().blocks;
+    assert_eq!(
+        flow.builder().matrix_sim_passes(),
+        taus.len() as u64,
+        "one pass per run"
     );
-    let pt_passes = flow.builder().matrix_sim_passes();
-    let pt_occupancy = sim.occupancy();
-    assert_eq!(pt_passes, taus.len() as u64, "per-τ: one pass per point");
 
     flow.builder().reset_matrix_sim_passes();
     sim.reset_occupancy();
-    let first_detection = tradeoff_sweep_with(
-        &flow,
-        &FlowConfig::new(TpgKind::Adder).with_sweep_engine(SweepEngine::FirstDetection),
-        &taus,
-    );
-    let fd_passes = flow.builder().matrix_sim_passes();
-    let fd_occupancy = sim.occupancy();
+    let curve = tradeoff_sweep_with(&flow, &config, &taus);
+    let sweep_blocks = sim.occupancy().blocks;
 
+    assert_eq!(curve, runs, "sweep must be byte-identical to the runs");
     assert_eq!(
-        per_tau, first_detection,
-        "first-detection curve must be byte-identical to per-τ"
-    );
-    assert_eq!(
-        fd_passes, 1,
-        "first-detection must run exactly one matrix simulation pass"
+        flow.builder().matrix_sim_passes(),
+        1,
+        "the sweep must run exactly one matrix simulation pass"
     );
     // the per-point trimming simulations are identical on both sides
     // (identical reports), so the strict block gap is pure matrix work
     assert!(
-        fd_occupancy.blocks < pt_occupancy.blocks,
-        "first-detection evaluated {} blocks, per-τ {} — expected strictly fewer",
-        fd_occupancy.blocks,
-        pt_occupancy.blocks
+        sweep_blocks < run_blocks,
+        "the sweep evaluated {sweep_blocks} blocks, six runs {run_blocks} — \
+         expected strictly fewer"
     );
 }
