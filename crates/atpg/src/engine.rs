@@ -66,11 +66,13 @@ pub struct AtpgConfig {
     /// throughput knob: results are bit-identical at any value.
     pub jobs: usize,
     /// Run the static untestability pre-pass (`fbist-analyze`) and prune
-    /// provably untestable faults before the random and PODEM phases.
-    /// Changes fault *classification* (pruned faults are reported
-    /// untestable up front, never aborted), so unlike `jobs` it is part
-    /// of the `atpg` stage key; the detected set and pattern sequence are
-    /// unaffected because untestable faults never contribute patterns.
+    /// provably untestable faults before the random and PODEM phases. On
+    /// by default; `false` keeps the unpruned run as a reference for the
+    /// differential suites. Changes fault *classification* (pruned faults
+    /// are reported untestable up front, never aborted), so unlike `jobs`
+    /// it is part of the `atpg` stage key; the detected set and pattern
+    /// sequence are unaffected because untestable faults never contribute
+    /// patterns.
     pub static_prepass: bool,
     /// Build the static-learning implication database (`fbist-analyze`)
     /// once per run and use it twice: the untestability pre-pass (when
@@ -104,7 +106,7 @@ impl Default for AtpgConfig {
             fill: FillMode::Random,
             compact: true,
             jobs: 0,
-            static_prepass: false,
+            static_prepass: true,
             static_learning: false,
             simd_width: SimdWidth::Auto,
         }
@@ -205,7 +207,7 @@ impl Atpg {
         // rebuilt from `detected` after every test.
         let mut remaining: Vec<FaultId> = faults.iter().map(|(id, _)| id).collect();
 
-        // ---- Phase 0: optional static untestability pre-pass ----------
+        // ---- Phase 0: static untestability pre-pass --------------------
         //
         // Statically-proven untestable faults are recorded up front and
         // removed from the target list, so neither the random phase nor
@@ -682,14 +684,14 @@ mod tests {
         let n = bench::parse(src).unwrap();
         let atpg = Atpg::new(&n).unwrap();
         let faults = FaultList::full(&n);
-        let off = atpg.run(&faults, &AtpgConfig::default());
-        let on = atpg.run(
+        let off = atpg.run(
             &faults,
             &AtpgConfig {
-                static_prepass: true,
+                static_prepass: false,
                 ..AtpgConfig::default()
             },
         );
+        let on = atpg.run(&faults, &AtpgConfig::default());
         assert_eq!(off.patterns, on.patterns);
         assert_eq!(off.detected, on.detected);
         assert_eq!(off.random_detected, on.random_detected);
@@ -722,6 +724,7 @@ mod tests {
         let cfg = AtpgConfig {
             backtrack_limit: 0,
             max_random_batches: 0,
+            static_prepass: false,
             ..AtpgConfig::default()
         };
         let off = atpg.run(&faults, &cfg);
@@ -779,7 +782,6 @@ mod tests {
         let cfg = AtpgConfig {
             backtrack_limit: 0,
             max_random_batches: 0,
-            static_prepass: true,
             ..AtpgConfig::default()
         };
         let plain = atpg.run(&faults, &cfg);
@@ -807,6 +809,7 @@ mod tests {
         let faults = FaultList::full(&n);
         let base = AtpgConfig {
             static_learning: true,
+            static_prepass: false,
             ..AtpgConfig::default()
         };
         let off = atpg.run(&faults, &base);

@@ -9,6 +9,11 @@
 //! each net carries a (good, faulty) pair of [`Trit`]s; the classical
 //! five-valued `D`/`D̄` appear as the pairs `(1,0)` / `(0,1)`. This handles
 //! stem and branch faults uniformly.
+//!
+//! Backtracking undoes instead of re-simulating: every plane write is
+//! logged on a trail of old values, each decision remembers the trail
+//! length it started from, and a flip rolls the trail back to that mark
+//! before forward-simulating the flipped input alone.
 
 use fbist_analyze::LearnedImplications;
 use fbist_bits::{Cube, Trit};
@@ -134,7 +139,7 @@ const TV_ZERO: Tv = 0b01;
 const TV_ONE: Tv = 0b10;
 const TV_X: Tv = 0b11;
 
-#[inline]
+#[cfg(test)]
 fn tv_of(t: Trit) -> Tv {
     match t {
         Trit::Zero => TV_ZERO,
@@ -264,6 +269,21 @@ struct Search {
     cand: Vec<u32>,
     /// Reusable DFS stack (cone restamp and X-path probe).
     stack: Vec<GateId>,
+    /// Old values of every plane write since [`Search::rebind`], oldest
+    /// first. A decision records the trail length before its implication;
+    /// rolling back to that mark restores the planes of the assignment
+    /// without it (each mark holds the unique fixpoint of the PI
+    /// assignment at that point). Each implication writes a net at most
+    /// once, so the trail never exceeds #PIs × #gates entries.
+    trail: Vec<Undo>,
+}
+
+/// One trail entry: a net and its plane values before a write.
+#[derive(Clone, Copy)]
+struct Undo {
+    net: u32,
+    good: Tv,
+    faulty: Tv,
 }
 
 impl Search {
@@ -279,6 +299,7 @@ impl Search {
             in_d_list: vec![false; n],
             cand: Vec::new(),
             stack: Vec::new(),
+            trail: Vec::new(),
         }
     }
 
@@ -295,6 +316,7 @@ impl Search {
             self.in_d_list[i as usize] = false;
         }
         self.d_list.clear();
+        self.trail.clear();
         if self.cone_epoch == u32::MAX {
             self.cone_mark.fill(0);
             self.cone_epoch = 0;
@@ -317,14 +339,38 @@ impl Search {
         }
     }
 
-    /// Records net `i`'s current D status after a plane update.
+    /// Writes net `i`'s planes, logging the old values on the trail and
+    /// recording the new D status (fault effects exist only in the cone).
     #[inline]
-    fn update_d(&mut self, i: usize, good: Tv, faulty: Tv) {
-        let d = (good ^ faulty) == 0b11;
-        self.is_d[i] = d;
-        if d && !self.in_d_list[i] {
-            self.in_d_list[i] = true;
-            self.d_list.push(i as u32);
+    fn write(&mut self, planes: &mut Planes, i: usize, good: Tv, faulty: Tv) {
+        self.trail.push(Undo {
+            net: i as u32,
+            good: planes.good[i],
+            faulty: planes.faulty[i],
+        });
+        planes.good[i] = good;
+        planes.faulty[i] = faulty;
+        if self.in_cone(i) {
+            let d = (good ^ faulty) == 0b11;
+            self.is_d[i] = d;
+            if d && !self.in_d_list[i] {
+                self.in_d_list[i] = true;
+                self.d_list.push(i as u32);
+            }
+        }
+    }
+
+    /// Rolls the planes back to trail length `mark`, newest write first,
+    /// with each net's D status. `d_list` needs no repair: a restored D
+    /// was a D once before, so it is already listed.
+    fn undo_to(&mut self, mark: usize, planes: &mut Planes) {
+        for u in self.trail.drain(mark..).rev() {
+            let i = u.net as usize;
+            planes.good[i] = u.good;
+            planes.faulty[i] = u.faulty;
+            if self.cone_mark[i] == self.cone_epoch {
+                self.is_d[i] = (u.good ^ u.faulty) == 0b11;
+            }
         }
     }
 }
@@ -439,8 +485,9 @@ impl Podem {
             },
             pi: vec![Trit::X; npis],
             stack: Vec::new(),
-            changed: Vec::new(),
             required: Vec::new(),
+            #[cfg(test)]
+            restores_checked: 0,
         }
     }
 
@@ -452,46 +499,31 @@ impl Podem {
         }
     }
 
-    /// Incrementally re-propagates the planes after the PIs at `changed`
-    /// were reassigned: event-driven re-evaluation through the pending
-    /// rank bitset, exactly like the packed fault simulator's sweep. Only
-    /// the region whose value actually changes is revisited.
-    fn resimulate(
-        &self,
-        pi: &[Trit],
-        changed: &[usize],
-        fault: Fault,
-        s: &mut Search,
-        planes: &mut Planes,
-    ) {
-        let stuck = tv_from_bool(fault.stuck_value());
-        let inputs = self.netlist.inputs();
+    /// Incrementally re-propagates the planes after the PI at position
+    /// `pos` was assigned `v`: event-driven re-evaluation through the
+    /// pending rank bitset, exactly like the packed fault simulator's
+    /// sweep. Only the region whose value actually changes is revisited.
+    fn resimulate(&self, pos: usize, v: bool, fault: Fault, s: &mut Search, planes: &mut Planes) {
+        let id = self.netlist.inputs()[pos];
+        let i = id.index();
+        let v = tv_from_bool(v);
+        // the faulty plane of a stuck primary input never moves
+        let fv = if fault.site() == FaultSite::GateOutput(id) {
+            tv_from_bool(fault.stuck_value())
+        } else {
+            v
+        };
+        if planes.good[i] == v && planes.faulty[i] == fv {
+            return;
+        }
+        s.write(planes, i, v, fv);
         let mut min_w = usize::MAX;
         let mut max_w = 0usize;
-        for &pos in changed {
-            let id = inputs[pos];
-            let i = id.index();
-            let v = tv_of(pi[pos]);
-            // the faulty plane of a stuck primary input never moves
-            let fv = if fault.site() == FaultSite::GateOutput(id) {
-                stuck
-            } else {
-                v
-            };
-            if planes.good[i] == v && planes.faulty[i] == fv {
-                continue;
-            }
-            planes.good[i] = v;
-            planes.faulty[i] = fv;
-            if s.in_cone(i) {
-                s.update_d(i, v, fv);
-            }
-            for &fo in self.fanouts_of(i) {
-                let r = self.rank[fo.index()] as usize;
-                s.pending[r >> 6] |= 1u64 << (r & 63);
-                min_w = min_w.min(r >> 6);
-                max_w = max_w.max(r >> 6);
-            }
+        for &fo in self.fanouts_of(i) {
+            let r = self.rank[fo.index()] as usize;
+            s.pending[r >> 6] |= 1u64 << (r & 63);
+            min_w = min_w.min(r >> 6);
+            max_w = max_w.max(r >> 6);
         }
         self.propagate_events(fault, s, planes, min_w, max_w);
     }
@@ -545,11 +577,7 @@ impl Podem {
                 }
             };
             if ng != planes.good[idx] || nf != planes.faulty[idx] {
-                planes.good[idx] = ng;
-                planes.faulty[idx] = nf;
-                if s.in_cone(idx) {
-                    s.update_d(idx, ng, nf);
-                }
+                s.write(planes, idx, ng, nf);
                 for &fo in self.fanouts_of(idx) {
                     let r = self.rank[fo.index()] as usize;
                     s.pending[r >> 6] |= 1u64 << (r & 63);
@@ -591,8 +619,7 @@ impl Podem {
         if nf == planes.faulty[idx] {
             return;
         }
-        planes.faulty[idx] = nf;
-        s.update_d(idx, planes.good[idx], nf);
+        s.write(planes, idx, planes.good[idx], nf);
         let mut min_w = usize::MAX;
         let mut max_w = 0usize;
         for &fo in self.fanouts_of(idx) {
@@ -602,6 +629,44 @@ impl Podem {
             max_w = max_w.max(r >> 6);
         }
         self.propagate_events(fault, s, planes, min_w, max_w);
+    }
+
+    /// The planes of `pi` computed from scratch: one full two-plane sweep
+    /// in topological order, the oracle for trail rollbacks.
+    #[cfg(test)]
+    fn full_sweep(&self, pi: &[Trit], fault: Fault) -> Planes {
+        let n = self.netlist.gate_count();
+        let stuck = tv_from_bool(fault.stuck_value());
+        let mut p = Planes {
+            good: vec![TV_X; n],
+            faulty: vec![TV_X; n],
+        };
+        for &id in &self.order {
+            let idx = id.index();
+            let kind = self.kinds[idx];
+            let fanin = self.fanins_of(idx);
+            let (good, faulty) = if kind == GateKind::Input {
+                let pos = self
+                    .netlist
+                    .input_position(id)
+                    .expect("combinational input");
+                (tv_of(pi[pos]), tv_of(pi[pos]))
+            } else {
+                let good = eval_tv(kind, fanin.len(), |k| p.good[fanin[k].index()]);
+                let faulty = eval_tv(kind, fanin.len(), |k| match fault.site() {
+                    FaultSite::GateInput { gate, pin } if gate == id && k == pin as usize => stuck,
+                    _ => p.faulty[fanin[k].index()],
+                });
+                (good, faulty)
+            };
+            p.good[idx] = good;
+            p.faulty[idx] = if fault.site() == FaultSite::GateOutput(id) {
+                stuck
+            } else {
+                faulty
+            };
+        }
+        p
     }
 
     /// Picks the next objective `(net, value)`; `None` signals a conflict
@@ -830,16 +895,30 @@ pub struct PodemSession<'p> {
     search: Search,
     planes: Planes,
     pi: Vec<Trit>,
-    /// Decision stack: (pi position, current value, already flipped).
-    stack: Vec<(usize, bool, bool)>,
-    /// Scratch list of PI positions reassigned since the last implication.
-    changed: Vec<usize>,
+    /// Decision stack, oldest first.
+    stack: Vec<Decision>,
     /// Learned necessary conditions for the current fault, as
     /// `(net, forbidden good value)` pairs: the good plane settling on the
     /// forbidden value anywhere makes excitation impossible in the whole
     /// subtree, so the search backtracks immediately. Empty without a
     /// learning database.
     required: Vec<(u32, Tv)>,
+    /// Trail rollbacks checked against a from-scratch sweep.
+    #[cfg(test)]
+    restores_checked: usize,
+}
+
+/// One PI decision of the search.
+#[derive(Clone, Copy)]
+struct Decision {
+    /// Position of the PI.
+    pos: usize,
+    /// Its current value.
+    val: bool,
+    /// Whether the other value was already tried.
+    flipped: bool,
+    /// Trail length before the decision's implication.
+    mark: usize,
 }
 
 impl PodemSession<'_> {
@@ -851,6 +930,24 @@ impl PodemSession<'_> {
     /// Generates a test for `fault`. See [`PodemOutcome`].
     pub fn generate(&mut self, fault: Fault) -> PodemOutcome {
         self.generate_with_stats(fault).0
+    }
+
+    /// Asserts that the rolled-back planes and D flags equal a
+    /// from-scratch sweep of the current PI assignment.
+    #[cfg(test)]
+    fn check_restored(&mut self, fault: Fault) {
+        let want = self.podem.full_sweep(&self.pi, fault);
+        assert!(
+            want.good == self.planes.good && want.faulty == self.planes.faulty,
+            "trail rollback diverged from a full sweep on {}",
+            fault.describe(&self.podem.netlist)
+        );
+        for i in 0..want.good.len() {
+            if self.search.in_cone(i) {
+                assert_eq!(self.search.is_d[i], want.has_d(GateId::from_index(i)));
+            }
+        }
+        self.restores_checked += 1;
     }
 
     /// Generates a test and reports search statistics.
@@ -914,52 +1011,46 @@ impl PodemSession<'_> {
                 podem.objective(&self.planes, fault, &mut self.search)
             };
             let next = objective.and_then(|(net, val)| podem.backtrace(net, val, &self.planes));
-            match next {
+            let (pos, val) = match next {
                 Some((pos, val)) => {
                     stats.decisions += 1;
-                    self.pi[pos] = Trit::from_bool(val);
-                    self.stack.push((pos, val, false));
-                    self.changed.clear();
-                    self.changed.push(pos);
-                    podem.resimulate(
-                        &self.pi,
-                        &self.changed,
-                        fault,
-                        &mut self.search,
-                        &mut self.planes,
-                    );
+                    self.stack.push(Decision {
+                        pos,
+                        val,
+                        flipped: false,
+                        mark: self.search.trail.len(),
+                    });
+                    (pos, val)
                 }
                 None => {
-                    // conflict → backtrack
-                    self.changed.clear();
-                    loop {
+                    // conflict → backtrack: drop the exhausted decisions,
+                    // roll the planes back to before the newest untried
+                    // one, and flip it
+                    let d = loop {
                         match self.stack.pop() {
-                            Some((pos, val, false)) => {
-                                stats.backtracks += 1;
-                                if stats.backtracks > podem.config.backtrack_limit {
-                                    return (PodemOutcome::Aborted, stats);
-                                }
-                                self.pi[pos] = Trit::from_bool(!val);
-                                self.stack.push((pos, !val, true));
-                                self.changed.push(pos);
-                                break;
-                            }
-                            Some((pos, _, true)) => {
-                                self.pi[pos] = Trit::X;
-                                self.changed.push(pos);
-                            }
+                            Some(d) if !d.flipped => break d,
+                            Some(d) => self.pi[d.pos] = Trit::X,
                             None => return (PodemOutcome::Untestable, stats),
                         }
+                    };
+                    stats.backtracks += 1;
+                    if stats.backtracks > podem.config.backtrack_limit {
+                        return (PodemOutcome::Aborted, stats);
                     }
-                    podem.resimulate(
-                        &self.pi,
-                        &self.changed,
-                        fault,
-                        &mut self.search,
-                        &mut self.planes,
-                    );
+                    self.pi[d.pos] = Trit::X;
+                    self.search.undo_to(d.mark, &mut self.planes);
+                    #[cfg(test)]
+                    self.check_restored(fault);
+                    self.stack.push(Decision {
+                        val: !d.val,
+                        flipped: true,
+                        ..d
+                    });
+                    (d.pos, !d.val)
                 }
-            }
+            };
+            self.pi[pos] = Trit::from_bool(val);
+            podem.resimulate(pos, val, fault, &mut self.search, &mut self.planes);
         }
     }
 }
@@ -1145,6 +1236,40 @@ z = OR(c, d, e, f, g, h)
         assert_eq!(out, PodemOutcome::Untestable);
         assert_eq!(stats.decisions, 0);
         assert_eq!(stats.backtracks, 0);
+    }
+
+    /// Searches every collapsed fault of `n` at `budget` through one
+    /// session, whose every backtrack checks the trail rollback against a
+    /// full sweep. Returns the rollbacks checked and the faults aborted.
+    fn check_rollbacks(n: &Netlist, budget: usize) -> (usize, usize) {
+        let podem = Podem::with_config(
+            n,
+            PodemConfig {
+                backtrack_limit: budget,
+                ..PodemConfig::default()
+            },
+        )
+        .unwrap();
+        let mut session = podem.session();
+        let mut aborted = 0;
+        for (_, fault) in FaultList::collapsed(n).iter() {
+            match session.generate(fault) {
+                PodemOutcome::Test(cube) => check_cube_detects(n, fault, &cube),
+                PodemOutcome::Aborted => aborted += 1,
+                PodemOutcome::Untestable => {}
+            }
+        }
+        (session.restores_checked, aborted)
+    }
+
+    #[test]
+    fn trail_rollback_equals_a_full_sweep() {
+        let (c17, _) = check_rollbacks(&embedded::c17(), 1000);
+        let (adder, _) = check_rollbacks(&embedded::adder4(), 1000);
+        let profile = fbist_genbench::profile("c1908").unwrap().scaled(0.25);
+        let (gen, aborted) = check_rollbacks(&fbist_genbench::generate(&profile, 1), 8);
+        assert!(aborted > 0, "the genbench netlist must abort at budget 8");
+        assert!(gen > 0, "no rollback checked (c17 {c17}, adder4 {adder})");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! fbist gen <profile> [--scale F] [--seed N] [--out FILE]
 //! fbist stats <file.bench>
 //! fbist check <file.bench|profile> [--json]
-//! fbist atpg <file.bench|profile> [--seed N] [--static-prepass] [--static-learning]
+//! fbist atpg <file.bench|profile> [--seed N] [--static-learning]
 //! fbist reseed <file.bench|profile> [--tpg add|sub|mul|lfsr|mplfsr|wrand] [--tau N]
 //! fbist sweep <file.bench|profile> [--tpg KIND] [--taus 0,7,31,...]
 //! fbist compare <file.bench|profile> [--tpg KIND] [--tau N]
@@ -26,7 +26,12 @@
 //! auto|1|2|4|8` to pick the fault-simulation block width — results are
 //! identical for every job count, backend, engine and width. Every
 //! subcommand checks its arguments against one table of accepted flags
-//! before it runs, so an unknown flag is an error, never ignored.
+//! before it runs, so an unknown flag, a repeated flag or a flag missing
+//! its value is an error, never ignored. ATPG always runs the static
+//! untestability pre-pass; `atpg --static-learning` adds static learning.
+//!
+//! Output to a closed pipe (`fbist sweep mid256 | head -1`) ends the
+//! process quietly with status 0.
 //!
 //! `reseed`, `sweep` and `serve` additionally accept `--store DIR` (also
 //! via the `FBIST_STORE` environment variable; `--no-store` overrides
@@ -50,7 +55,40 @@ use reseed_core::{
     InitialReseedingBuilder, MatrixBuild, ReseedingFlow, SimdWidth, TpgKind,
 };
 
+/// `print!` to stdout, ending the process quietly once the reader has
+/// closed the pipe (see [`exit_if_pipe_closed`]).
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` with the closed-pipe handling of [`out!`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod serve;
+
+fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        eprintln!("fbist: writing output: {}", exit_if_pipe_closed(e));
+        std::process::exit(1);
+    }
+}
+
+/// Ends the process quietly with status 0 when a write failed because
+/// the reader closed the pipe (`fbist sweep mid256 | head -1`); any other
+/// write error comes back as its message.
+pub(crate) fn exit_if_pipe_closed(e: std::io::Error) -> String {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    e.to_string()
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -87,7 +125,7 @@ usage:
   fbist gen <profile> [--scale F] [--seed N] [--out FILE]
   fbist stats <circuit>
   fbist check <circuit> [--json]
-  fbist atpg <circuit> [--seed N] [--static-prepass] [--static-learning]
+  fbist atpg <circuit> [--seed N] [--static-learning]
   fbist reseed <circuit> [--tpg KIND] [--tau N] [--seed N] [--scale F]
                [--csv FILE] [--rom FILE]
   fbist sweep <circuit> [--tpg KIND] [--taus 0,7,31] [--scale F]
@@ -109,7 +147,8 @@ whenever sharing 64-lane blocks across rows saves block evaluations) and
 --simd-width auto|1|2|4|8 (fault-simulation block width in 64-lane
 words; auto picks the widest that still shrinks the block count).
 Results are identical for every job count, backend, engine and SIMD
-width. Any other flag a subcommand does not list is an error.
+width. Any other flag a subcommand does not list is an error, and so is
+a flag given twice or a flag missing its value.
 check runs the static analyses only (no simulation): structural errors,
 floating nets, unobservable logic, dead constants, provably untestable
 stuck-at faults (including learned redundancies from the static-learning
@@ -118,14 +157,14 @@ implication database), and a SCOAP hard-to-test-region report. It exits
 on a usage error; --json emits the report as stable machine-readable
 JSON on stdout (the \"testability\" section lists the hardest fault
 sites by SCOAP difficulty).
-atpg accepts --static-prepass to prune statically-proven-untestable
-faults before any random patterns or PODEM effort is spent on them
-(coverage over detected faults is unchanged; aborted faults may be
-reclassified as untestable), and --static-learning to build the
-recursive-learning implication database once per run: it deepens the
-pre-pass proofs (implication-proved fault equivalence and dominance) and
-seeds every PODEM search with early conflict detection, reducing
-aborted faults at equal or better coverage.
+ATPG always prunes statically-proven-untestable faults before any random
+patterns or PODEM effort is spent on them (patterns and detected faults
+are unchanged; faults PODEM would abort are reported untestable). atpg
+accepts --static-learning to build the recursive-learning implication
+database once per run: it deepens the pre-pass proofs
+(implication-proved fault equivalence and dominance) and seeds every
+PODEM search with early conflict detection, reducing aborted faults at
+equal or better coverage.
 reseed, sweep and serve accept --store DIR (default: the FBIST_STORE
 environment variable) to cache finished stages in a content-addressed
 artifact store, and --no-store to force recomputation; cached answers
@@ -205,10 +244,7 @@ fn subcommand_flags(cmd: &str) -> Option<&'static [&'static [Flag]]> {
         "gen" => &[CIRCUIT_FLAGS, &[("--out", true)]],
         "stats" => &[CIRCUIT_FLAGS],
         "check" => CHECK_FLAGS,
-        "atpg" => &[
-            CIRCUIT_FLAGS,
-            &[("--static-prepass", false), ("--static-learning", false)],
-        ],
+        "atpg" => &[CIRCUIT_FLAGS, &[("--static-learning", false)]],
         "reseed" => &[
             CIRCUIT_FLAGS,
             RESEED_FLAGS,
@@ -222,26 +258,29 @@ fn subcommand_flags(cmd: &str) -> Option<&'static [&'static [Flag]]> {
     })
 }
 
-/// Rejects the first `--flag` that neither [`KNOB_FLAGS`] nor `tables`
-/// lists, naming it and `cmd`. The token after a flag that takes a value
-/// is that value and is not checked, so `--store --jobs` reaches the
-/// store's own diagnostic.
+/// Rejects, naming the flag and `cmd`, the first `--flag` that neither
+/// [`KNOB_FLAGS`] nor `tables` lists, that repeats an earlier flag, or
+/// that takes a value but is last or followed by another `--flag`.
 pub(crate) fn check_flags(cmd: &str, args: &[String], tables: &[&[Flag]]) -> Result<(), String> {
-    let mut args = args.iter();
+    let mut seen: Vec<&str> = Vec::new();
+    let mut args = args.iter().peekable();
     while let Some(arg) = args.next() {
         if !arg.starts_with("--") {
             continue;
         }
-        let known = std::iter::once(KNOB_FLAGS)
+        let Some(&(name, takes_value)) = std::iter::once(KNOB_FLAGS)
             .chain(tables.iter().copied())
             .flatten()
-            .find(|flag| flag.0 == arg.as_str());
-        match known {
-            Some(&(_, true)) => {
-                args.next();
-            }
-            Some(&(_, false)) => {}
-            None => return Err(format!("unknown flag {arg:?} for `{cmd}`")),
+            .find(|flag| flag.0 == arg.as_str())
+        else {
+            return Err(format!("unknown flag {arg:?} for `{cmd}`"));
+        };
+        if seen.contains(&name) {
+            return Err(format!("duplicate flag {arg:?} for `{cmd}`"));
+        }
+        seen.push(name);
+        if takes_value && args.next_if(|v| !v.starts_with("--")).is_none() {
+            return Err(format!("flag {arg:?} for `{cmd}` expects a value"));
         }
     }
     Ok(())
@@ -308,20 +347,8 @@ fn resolve_store_from(
     if args.iter().any(|a| a == "--no-store") {
         return Ok(None);
     }
-    let dir = match flag(args, "--store") {
-        Some(d) => {
-            if d.starts_with("--") {
-                return Err(format!("--store expects a directory, got flag {d:?}"));
-            }
-            Some(d)
-        }
-        None => {
-            if args.iter().any(|a| a == "--store") {
-                return Err("--store expects a directory argument".into());
-            }
-            env.filter(|s| !s.is_empty())
-        }
-    };
+    // `check_flags` has already rejected a `--store` without a directory
+    let dir = flag(args, "--store").or_else(|| env.filter(|s| !s.is_empty()));
     match dir {
         None => Ok(None),
         Some(d) => ArtifactStore::open(std::path::Path::new(&d))
@@ -485,11 +512,11 @@ fn read_bench_file(name: &str) -> Result<Netlist, String> {
 // ------------------------------------------------------------- subcommands
 
 fn cmd_profiles() -> Result<(), String> {
-    println!("built-in circuit profiles (paper suite + extras):");
+    outln!("built-in circuit profiles (paper suite + extras):");
     for p in all_profiles() {
-        println!("  {p}");
+        outln!("  {p}");
     }
-    println!(
+    outln!(
         "worker pool: {} jobs (override with --jobs N or FBIST_JOBS)",
         mini_rayon::jobs()
     );
@@ -508,9 +535,9 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
     match flag(args, "--out") {
         Some(path) => {
             std::fs::write(&path, text).map_err(|e| format!("writing {path}: {e}"))?;
-            println!("wrote {} ({})", path, NetlistStats::of(&n));
+            outln!("wrote {} ({})", path, NetlistStats::of(&n));
         }
-        None => print!("{text}"),
+        None => out!("{text}"),
     }
     Ok(())
 }
@@ -518,14 +545,14 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
 fn cmd_stats(args: &[String]) -> Result<(), String> {
     let n = load_circuit(args)?;
     let s = NetlistStats::of(&n);
-    println!("{s}");
-    println!("  by kind:");
+    outln!("{s}");
+    outln!("  by kind:");
     for (kind, count) in &s.by_kind {
-        println!("    {kind:<6} {count}");
+        outln!("    {kind:<6} {count}");
     }
     let faults = FaultList::full(&n);
     let collapsed = FaultList::collapsed(&n);
-    println!(
+    outln!(
         "  faults: {} full, {} collapsed ({:.1} %)",
         faults.len(),
         collapsed.len(),
@@ -541,9 +568,9 @@ fn cmd_check(args: &[String]) -> Result<bool, String> {
     let n = load_circuit_raw(args)?;
     let report = fbist_analyze::analyze(&n);
     if args.iter().any(|a| a == "--json") {
-        println!("{}", report.to_json());
+        outln!("{}", report.to_json());
     } else {
-        print!("{}", report.render_text());
+        out!("{}", report.render_text());
     }
     Ok(report.has_findings())
 }
@@ -554,10 +581,9 @@ fn cmd_atpg(args: &[String]) -> Result<(), String> {
     let atpg = Atpg::new(&n).map_err(|e| e.to_string())?;
     let mut cfg = AtpgConfig::default();
     cfg.seed = parse_num(args, "--seed", cfg.seed)?;
-    cfg.static_prepass = args.iter().any(|a| a == "--static-prepass");
     cfg.static_learning = args.iter().any(|a| a == "--static-learning");
     let r = atpg.run(&faults, &cfg);
-    println!(
+    outln!(
         "{}: {} patterns, coverage {:.2} % (efficiency {:.2} %), {} random-phase detections, {} PODEM tests, {} untestable, {} aborted",
         n.name(),
         r.patterns.len(),
@@ -580,15 +606,15 @@ fn cmd_reseed(args: &[String]) -> Result<(), String> {
     if let Some(path) = flag(args, "--csv") {
         std::fs::write(&path, export::to_csv(&report))
             .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote triplet CSV to {path}");
+        outln!("wrote triplet CSV to {path}");
     }
     if let Some(path) = flag(args, "--rom") {
         std::fs::write(&path, export::to_rom_image(&report))
             .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote seed ROM image to {path}");
+        outln!("wrote seed ROM image to {path}");
     }
-    println!("{report}");
-    println!(
+    outln!("{report}");
+    outln!(
         "  matrix {}x{} → residual {}x{} in {} iterations ({} dominated rows)",
         report.initial_triplets,
         report.target_faults,
@@ -597,14 +623,14 @@ fn cmd_reseed(args: &[String]) -> Result<(), String> {
         report.reduction_iterations,
         report.dominated_rows
     );
-    println!(
+    outln!(
         "  solver: {} nodes, optimal: {}; ROM: {} bits",
         report.solver_nodes,
         report.solution_optimal,
         report.rom_bits()
     );
     for (i, t) in report.selected.iter().enumerate() {
-        println!(
+        outln!(
             "  triplet {:>3} {} τ={:<5} +{} faults, {} patterns{}",
             i,
             if t.necessary {
@@ -622,7 +648,7 @@ fn cmd_reseed(args: &[String]) -> Result<(), String> {
             }
         );
         if i == 16 && report.selected.len() > 18 {
-            println!("  … {} more", report.selected.len() - 17);
+            outln!("  … {} more", report.selected.len() - 17);
             break;
         }
     }
@@ -636,19 +662,25 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let flow = flow_for(args, &n)?;
     let curve = tradeoff_sweep_with(&flow, &cfg, &taus);
     print_store_stats(&flow, cfg.simd_width);
-    println!(
+    outln!(
         "{} [{}] — reseedings vs. test length (Figure 2)",
         n.name(),
         cfg.tpg
     );
-    println!(
+    outln!(
         "  {:>6} {:>10} {:>12} {:>10}",
-        "tau", "#triplets", "test_length", "rom_bits"
+        "tau",
+        "#triplets",
+        "test_length",
+        "rom_bits"
     );
     for p in curve {
-        println!(
+        outln!(
             "  {:>6} {:>10} {:>12} {:>10}",
-            p.tau, p.triplets, p.test_length, p.rom_bits
+            p.tau,
+            p.triplets,
+            p.test_length,
+            p.rom_bits
         );
     }
     Ok(())
@@ -670,19 +702,19 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
             ..GatsbyConfig::default()
         },
     );
-    println!(
+    outln!(
         "{} [{}] τ={tau} — set covering vs GATSBY-GA (Table 1)",
         n.name(),
         tpg
     );
-    println!(
+    outln!(
         "  set covering : {:>4} triplets, test length {:>7}, covers {}/{}",
         report.triplet_count(),
         report.test_length(),
         report.covered_faults,
         report.target_faults
     );
-    println!(
+    outln!(
         "  gatsby       : {:>4} triplets, test length {:>7}, covers {}/{} ({} fault-sim calls)",
         gres.triplet_count(),
         gres.test_length,
@@ -691,7 +723,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
         gres.fault_sim_calls
     );
     let delta = gres.triplet_count() as i64 - report.triplet_count() as i64;
-    println!("  improvement  : {delta:+} triplets");
+    outln!("  improvement  : {delta:+} triplets");
     Ok(())
 }
 
@@ -700,7 +732,7 @@ fn cmd_lp(args: &[String]) -> Result<(), String> {
     let cfg = flow_config(args)?.with_tau(parse_tau(args, 31)?);
     let builder = InitialReseedingBuilder::new(&n).map_err(|e| e.to_string())?;
     let init = builder.build(&cfg);
-    print!("{}", lp::to_lp(&init.matrix));
+    out!("{}", lp::to_lp(&init.matrix));
     Ok(())
 }
 
@@ -839,7 +871,7 @@ mod tests {
     }
 
     #[test]
-    fn store_flag_rejects_files_missing_values_and_flags() {
+    fn store_flag_rejects_files_and_missing_values() {
         // a file where the directory should be → a clear error naming it
         let file =
             std::env::temp_dir().join(format!("fbist-cli-store-file-{}", std::process::id()));
@@ -852,9 +884,15 @@ mod tests {
         );
         let _ = std::fs::remove_file(file);
         // a missing or flag-like value is a usage error, not a store named "--jobs"
-        let err = resolve_store_from(&args(&["--store"]), None).unwrap_err();
-        assert!(err.contains("expects a directory"), "{err}");
-        let err = resolve_store_from(&args(&["--store", "--jobs"]), None).unwrap_err();
-        assert!(err.contains("expects a directory"), "{err}");
+        for bad in [
+            &["reseed", "c17", "--store"][..],
+            &["sweep", "c17", "--store", "--jobs", "1"],
+        ] {
+            let err = run(&args(bad)).unwrap_err();
+            assert!(
+                err.contains("\"--store\" for `") && err.contains("expects a value"),
+                "{err}"
+            );
+        }
     }
 }

@@ -1,8 +1,7 @@
 //! `fbist serve` — a long-running request loop over the artifact store.
 //!
 //! Reads line-delimited requests from stdin, in the same syntax as the
-//! one-shot subcommands minus their store and output-file flags (an
-//! unknown flag answers `err`):
+//! one-shot subcommands minus their store and output-file flags:
 //!
 //! ```text
 //! reseed <circuit> [--tpg KIND] [--tau N] [--seed N] [--scale F] ...
@@ -19,7 +18,10 @@
 //!
 //! Answers go to stdout in submission order, one line per request —
 //! `ok <id> <summary>` or `err <id> <message>` — so the stream stays
-//! diffable between cold and warm stores. Per-request store statistics
+//! diffable between cold and warm stores. A request line is checked
+//! against the same flag tables as the one-shot subcommands: an unknown,
+//! repeated or value-less flag answers `err`. Once the reader closes
+//! stdout, the server exits quietly. Per-request store statistics
 //! (stage hits/misses, `matrix_sim_passes`, the configured SIMD width
 //! with the simulator's lane-occupancy counters, plus `coalesced=1` for
 //! requests that shared another's evaluation) go to stderr.
@@ -33,8 +35,8 @@ use reseed_core::{
 };
 
 use crate::{
-    check_flags, flow_config, load_circuit, parse_tau, parse_taus, resolve_store, simd_stats_line,
-    Flag, CIRCUIT_FLAGS, RESEED_FLAGS, SWEEP_FLAGS,
+    check_flags, exit_if_pipe_closed, flow_config, load_circuit, parse_tau, parse_taus,
+    resolve_store, simd_stats_line, Flag, CIRCUIT_FLAGS, RESEED_FLAGS, SWEEP_FLAGS,
 };
 
 pub fn cmd_serve(args: &[String]) -> Result<(), String> {
@@ -207,27 +209,27 @@ fn flush_batch(
         let id = req.id;
         match (&req.parsed, work) {
             (Err(msg), _) => {
-                writeln!(out, "err {id} {msg}").map_err(|e| e.to_string())?;
+                writeln!(out, "err {id} {msg}").map_err(exit_if_pipe_closed)?;
             }
             (Ok(_), Some((i, coalesced))) => {
                 let r = &results[*i];
                 match &r.summary {
                     Ok(summary) => {
-                        writeln!(out, "ok {id} {summary}").map_err(|e| e.to_string())?;
+                        writeln!(out, "ok {id} {summary}").map_err(exit_if_pipe_closed)?;
                         let suffix = if *coalesced { " coalesced=1" } else { "" };
                         writeln!(err, "stats {id} {}{suffix}", r.stats)
-                            .map_err(|e| e.to_string())?;
+                            .map_err(exit_if_pipe_closed)?;
                     }
                     Err(msg) => {
-                        writeln!(out, "err {id} {msg}").map_err(|e| e.to_string())?;
+                        writeln!(out, "err {id} {msg}").map_err(exit_if_pipe_closed)?;
                     }
                 }
             }
             (Ok(_), None) => unreachable!("parsed requests always get a work slot"),
         }
     }
-    out.flush().map_err(|e| e.to_string())?;
-    err.flush().map_err(|e| e.to_string())?;
+    out.flush().map_err(exit_if_pipe_closed)?;
+    err.flush().map_err(exit_if_pipe_closed)?;
     batch.clear();
     Ok(())
 }
@@ -239,13 +241,13 @@ fn serve(
     err: &mut dyn Write,
 ) -> Result<(), String> {
     if let Some(s) = &store {
-        writeln!(err, "fbist serve: store {}", s.root().display()).map_err(|e| e.to_string())?;
+        writeln!(err, "fbist serve: store {}", s.root().display()).map_err(exit_if_pipe_closed)?;
     } else {
         writeln!(
             err,
             "fbist serve: no store attached (pass --store DIR or set FBIST_STORE)"
         )
-        .map_err(|e| e.to_string())?;
+        .map_err(exit_if_pipe_closed)?;
     }
     let mut batch: Vec<Request> = Vec::new();
     let mut next_id = 0usize;

@@ -293,15 +293,6 @@ impl FlowConfig {
         self
     }
 
-    /// Enables/disables the static untestability pre-pass
-    /// ([`AtpgConfig::static_prepass`]). Unlike the throughput knobs this
-    /// IS part of every stage key: it upgrades aborted faults to proven
-    /// untestable, changing the classification an artifact records.
-    pub fn with_static_prepass(mut self, static_prepass: bool) -> FlowConfig {
-        self.atpg.static_prepass = static_prepass;
-        self
-    }
-
     /// Enables/disables static learning ([`AtpgConfig::static_learning`]):
     /// the learned-implication database upgrades the untestability
     /// pre-pass and seeds every PODEM search with early conflict

@@ -642,16 +642,17 @@ mod tests {
         // static_prepass changes the ATPG fault classification, so it
         // feeds every stage downstream of atpg — it is NOT a throughput
         // knob even though coverage over detected faults is unchanged
-        let prepass = base.clone().with_static_prepass(true);
+        let mut unpruned = base.clone();
+        unpruned.atpg.static_prepass = false;
         for key_fn in [atpg_stage_key, first_detection_stage_key, cover_stage_key] {
             assert_ne!(
-                key_fn(&n, &prepass),
+                key_fn(&n, &unpruned),
                 key_fn(&n, &base),
                 "static_prepass must change every stage key"
             );
         }
         assert_ne!(
-            sweep_request_digest(&n, &prepass, &[0, 7]),
+            sweep_request_digest(&n, &unpruned, &[0, 7]),
             sweep_request_digest(&n, &base, &[0, 7])
         );
         // static_learning reclassifies faults AND reshapes PODEM search,

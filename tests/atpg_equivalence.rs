@@ -18,11 +18,19 @@
 //! on `c880` the default configuration aborts a fault that a later
 //! pattern covers fortuitously — it must be reported detected, never
 //! double-counted as aborted too.
+//!
+//! Finally it pins the PODEM search itself to recorded goldens on three
+//! full-scale profiles: the digest of the encoded unpruned `AtpgResult`
+//! and the summed `PodemStats` of a search over every collapsed fault.
+//! Any change to decision order, backtracking or implication counting
+//! moves them; the pre-pass may only move fault classifications.
 
+use fbist_atpg::{Podem, PodemConfig, PodemOutcome};
 use fbist_fault::FaultList;
 use fbist_genbench::{all_profiles, generate, CircuitProfile};
 use fbist_netlist::Netlist;
 use set_covering_reseeding::prelude::*;
+use set_covering_reseeding::store::{encode_to_vec, Digest};
 
 /// Gate budget for the per-profile equivalence half: exercises every
 /// interface shape while staying test-fast.
@@ -142,4 +150,125 @@ fn c880_aborted_faults_are_reconciled_against_detections() {
     // the lists partition cleanly: every target fault is detected,
     // given-up, or simply uncovered — never two of those at once
     assert!(r.detected.count_ones() + r.untestable.len() + r.aborted.len() <= r.total_faults);
+}
+
+/// A profile at full scale, full-scanned if sequential.
+fn full(profile: &str) -> Netlist {
+    let n = generate(&genbench_profile(profile).expect("profile registered"), 1);
+    if n.is_combinational() {
+        n
+    } else {
+        full_scan(&n).into_combinational()
+    }
+}
+
+/// The store's FNV digest of an encoded `AtpgResult`.
+fn result_digest(r: &AtpgResult) -> String {
+    let mut d = Digest::new("atpg-golden");
+    d.bytes(&encode_to_vec(r));
+    d.finish().to_hex()
+}
+
+/// Summed search statistics and outcome counts of one PODEM search per
+/// collapsed fault, `[decisions, backtracks, implications, tests,
+/// untestable, aborted]`, plus a digest of every cube in fault order.
+fn podem_totals(netlist: &Netlist, faults: &FaultList) -> ([usize; 6], String) {
+    let podem = Podem::with_config(
+        netlist,
+        PodemConfig {
+            backtrack_limit: 400,
+            learning: None,
+        },
+    )
+    .unwrap();
+    let mut session = podem.session();
+    let mut t = [0usize; 6];
+    let mut cubes = Digest::new("podem-cubes");
+    for (_, fault) in faults.iter() {
+        let (outcome, stats) = session.generate_with_stats(fault);
+        t[0] += stats.decisions;
+        t[1] += stats.backtracks;
+        t[2] += stats.implications;
+        match outcome {
+            PodemOutcome::Test(cube) => {
+                t[3] += 1;
+                cubes.str(&cube.to_string());
+            }
+            PodemOutcome::Untestable => t[4] += 1,
+            PodemOutcome::Aborted => t[5] += 1,
+        }
+    }
+    (t, cubes.finish().to_hex())
+}
+
+/// Checks one profile against its goldens, then checks that the pre-pass
+/// leaves the pattern sequence and the detected set alone.
+fn assert_matches_golden(profile: &str, totals: [usize; 6], cubes: &str, digest: &str) {
+    let n = full(profile);
+    let atpg = Atpg::new(&n).unwrap();
+    let faults = FaultList::collapsed(&n);
+    let (got_totals, got_cubes) = podem_totals(&n, &faults);
+    assert_eq!(
+        got_totals, totals,
+        "{profile}: summed PODEM [decisions, backtracks, implications, \
+         tests, untestable, aborted] moved"
+    );
+    assert_eq!(got_cubes, cubes, "{profile}: a PODEM cube moved");
+    let off = atpg.run(
+        &faults,
+        &AtpgConfig {
+            static_prepass: false,
+            ..AtpgConfig::default()
+        },
+    );
+    assert_eq!(
+        result_digest(&off),
+        digest,
+        "{profile}: unpruned AtpgResult digest moved"
+    );
+    let on = atpg.run(
+        &faults,
+        &AtpgConfig {
+            static_prepass: true,
+            ..AtpgConfig::default()
+        },
+    );
+    assert_eq!(
+        off.patterns, on.patterns,
+        "{profile}: pre-pass moved a pattern"
+    );
+    assert_eq!(
+        off.detected, on.detected,
+        "{profile}: pre-pass moved a detection"
+    );
+}
+
+#[test]
+fn golden_search_mid256() {
+    assert_matches_golden(
+        "mid256",
+        [29893, 21201, 51943, 791, 58, 29],
+        "709907ea9a0e23f821991cf14b525c00",
+        "766d89dfc392a69c543956d23fc30505",
+    );
+}
+
+#[test]
+fn golden_search_s953() {
+    assert_matches_golden(
+        "s953",
+        [73425, 57007, 131826, 1323, 71, 113],
+        "f98729c3aa9e739d4b8517253d9bbb4e",
+        "6334fca8faa4c84cdbf4caf4ff1f4e29",
+    );
+}
+
+#[test]
+fn golden_search_c880() {
+    assert_matches_golden(
+        "c880",
+        [86636, 70863, 158752, 1183, 70, 142],
+        "6b7a2f6e08793cc9f73e29c0ee4e6aa8",
+        "a7f369e4a2391b75ce5147ce6b461a06",
+    );
 }
