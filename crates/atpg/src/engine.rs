@@ -65,14 +65,24 @@ pub struct AtpgConfig {
     /// default, i.e. `--jobs` / `FBIST_JOBS` / core count). A pure
     /// throughput knob: results are bit-identical at any value.
     pub jobs: usize,
-    /// Run the static untestability pre-pass (`fbist-analyze`) and prune
-    /// provably untestable faults before the random and PODEM phases. On
-    /// by default; `false` keeps the unpruned run as a reference for the
-    /// differential suites. Changes fault *classification* (pruned faults
-    /// are reported untestable up front, never aborted), so unlike `jobs`
-    /// it is part of the `atpg` stage key; the detected set and pattern
+    /// Prove faults untestable instead of letting PODEM abort on them.
+    /// On by default, it does two things:
+    ///
+    /// * the static untestability pre-pass (`fbist-analyze`) prunes
+    ///   provably untestable faults before the random and PODEM phases;
+    /// * a PODEM search that reaches [`ESCALATE_AT`](crate::ESCALATE_AT)
+    ///   backtracks asks the SAT fault miter ([`FaultMiter`](crate::FaultMiter))
+    ///   once, within [`CONFLICT_BUDGET`](crate::CONFLICT_BUDGET)
+    ///   conflicts; a proof ends the search untestable, any other answer
+    ///   lets the same search continue.
+    ///
+    /// `false` is the pure-PODEM reference run of the differential suites
+    /// and the goldens. Both halves change only fault *classification*
+    /// (would-be aborts are reported untestable), so unlike `jobs` the
+    /// flag is part of the `atpg` stage key; the detected set and pattern
     /// sequence are unaffected because untestable faults never contribute
-    /// patterns.
+    /// patterns and every test PODEM returns is the one it returns
+    /// without the check.
     pub static_prepass: bool,
     /// Build the static-learning implication database (`fbist-analyze`)
     /// once per run and use it twice: the untestability pre-pass (when
@@ -284,7 +294,7 @@ impl Atpg {
         // round already covers is discarded — exactly the fault the serial
         // loop would have skipped — so the accepted test sequence, and with
         // it every statistic, is independent of the worker count.
-        let podem = Podem::with_config(
+        let mut podem = Podem::with_config(
             &self.netlist,
             PodemConfig {
                 backtrack_limit: config.backtrack_limit,
@@ -292,6 +302,9 @@ impl Atpg {
             },
         )
         .expect("netlist already validated");
+        if config.static_prepass {
+            podem.escalate_to_sat();
+        }
         let mut aborted = Vec::new();
         let mut podem_tests = 0usize;
         // Faults PODEM has not yet attempted, in index order. Untestable
@@ -743,6 +756,35 @@ mod tests {
             off.aborted.len()
         );
         assert!(on.untestable.len() > off.untestable.len());
+    }
+
+    #[test]
+    fn sat_escalation_settles_aborts_the_prepass_cannot() {
+        // the static pre-pass alone leaves redundant faults for PODEM to
+        // abort on; with the pre-pass on, the SAT check proves some of
+        // them at ESCALATE_AT backtracks, patterns unchanged
+        let profile = fbist_genbench::profile("c1908").unwrap().scaled(0.25);
+        let n = fbist_genbench::generate(&profile, 1);
+        let atpg = Atpg::new(&n).unwrap();
+        let faults = FaultList::collapsed(&n);
+        let run = |static_prepass| {
+            atpg.run(
+                &faults,
+                &AtpgConfig {
+                    backtrack_limit: 100,
+                    static_prepass,
+                    ..AtpgConfig::default()
+                },
+            )
+        };
+        let (off, on) = (run(false), run(true));
+        assert_eq!(off.patterns, on.patterns);
+        assert!(on.aborted.len() < off.aborted.len());
+        let mask = fbist_analyze::untestable_faults(&n, &faults).unwrap();
+        assert!(
+            on.untestable.iter().any(|id| !mask[id.index()]),
+            "no fault proven beyond the static pre-pass"
+        );
     }
 
     #[test]

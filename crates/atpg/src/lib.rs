@@ -37,9 +37,12 @@
 
 mod compact;
 mod engine;
+mod miter;
 mod podem;
+mod sat;
 pub use fbist_analyze::testability;
 
 pub use compact::{compact_cubes, compaction_ratio};
 pub use engine::{Atpg, AtpgConfig, AtpgResult, FillMode};
-pub use podem::{Podem, PodemConfig, PodemOutcome, PodemSession, PodemStats};
+pub use miter::{FaultMiter, MiterSession, SatVerdict, CONFLICT_BUDGET};
+pub use podem::{Podem, PodemConfig, PodemOutcome, PodemSession, PodemStats, ESCALATE_AT};

@@ -14,6 +14,13 @@
 //! logged on a trail of old values, each decision remembers the trail
 //! length it started from, and a flip rolls the trail back to that mark
 //! before forward-simulating the flipped input alone.
+//!
+//! A session of an engine built for the full ATPG flow (see
+//! `Podem::escalate_to_sat`) asks the SAT fault miter once, when a search
+//! reaches [`ESCALATE_AT`] backtracks: a proof of untestability ends the
+//! search, any other answer lets it continue exactly as before. Every
+//! test the search returns is therefore the test it returns without the
+//! check; only searches that would abort can end untestable instead.
 
 use fbist_analyze::LearnedImplications;
 use fbist_bits::{Cube, Trit};
@@ -21,7 +28,12 @@ use fbist_fault::{Fault, FaultSite};
 use fbist_netlist::{CsrAdjacency, GateId, GateKind, Netlist};
 use fbist_sim::SimError;
 
+use crate::miter::{FaultMiter, MiterSession, SatVerdict};
 use crate::testability::Testability;
+
+/// Backtracks after which a search of the full ATPG flow asks the SAT
+/// fault miter whether the fault is untestable at all.
+pub const ESCALATE_AT: usize = 10;
 
 /// Tuning knobs for the PODEM search.
 #[derive(Debug, Clone)]
@@ -122,6 +134,8 @@ pub struct Podem {
     /// `memcpy`s plus cone-local fault injection instead of a full
     /// two-plane gate sweep.
     baseline: Vec<Tv>,
+    /// The SAT untestability check searches escalate to, if any.
+    miter: Option<FaultMiter>,
 }
 
 /// Two-bit Kleene encoding of a three-valued net value: bit 0 = "can be
@@ -432,7 +446,15 @@ impl Podem {
             config,
             is_po,
             baseline,
+            miter: None,
         })
+    }
+
+    /// Makes every search of this engine's sessions ask the SAT fault
+    /// miter once, at [`ESCALATE_AT`] backtracks, and end `Untestable` on
+    /// a proof. Tests are unchanged; only would-be aborts move.
+    pub(crate) fn escalate_to_sat(&mut self) {
+        self.miter = Some(FaultMiter::new(&self.netlist).expect("netlist already validated"));
     }
 
     /// Gate `i`'s fanins (CSR slice).
@@ -455,7 +477,9 @@ impl Podem {
     /// Generates a test for `fault`. See [`PodemOutcome`].
     ///
     /// Convenience wrapper that builds a one-shot [`PodemSession`]; callers
-    /// targeting many faults should hold a session and reuse it.
+    /// targeting many faults should hold a session and reuse it. An engine
+    /// built with [`Podem::new`] or [`Podem::with_config`] is pure PODEM:
+    /// only the full ATPG flow escalates searches to the SAT check.
     pub fn generate(&self, fault: Fault) -> PodemOutcome {
         self.session().generate(fault)
     }
@@ -486,6 +510,7 @@ impl Podem {
             pi: vec![Trit::X; npis],
             stack: Vec::new(),
             required: Vec::new(),
+            miter: None,
             #[cfg(test)]
             restores_checked: 0,
         }
@@ -903,6 +928,8 @@ pub struct PodemSession<'p> {
     /// subtree, so the search backtracks immediately. Empty without a
     /// learning database.
     required: Vec<(u32, Tv)>,
+    /// The SAT check, opened at the first escalation.
+    miter: Option<MiterSession<'p>>,
     /// Trail rollbacks checked against a from-scratch sweep.
     #[cfg(test)]
     restores_checked: usize,
@@ -921,7 +948,7 @@ struct Decision {
     mark: usize,
 }
 
-impl PodemSession<'_> {
+impl<'p> PodemSession<'p> {
     /// The engine this session searches with.
     pub fn podem(&self) -> &Podem {
         self.podem
@@ -930,6 +957,17 @@ impl PodemSession<'_> {
     /// Generates a test for `fault`. See [`PodemOutcome`].
     pub fn generate(&mut self, fault: Fault) -> PodemOutcome {
         self.generate_with_stats(fault).0
+    }
+
+    /// `true` if the engine escalates to the SAT fault miter and it
+    /// proves `fault` untestable.
+    fn sat_proves_untestable(&mut self, fault: Fault) -> bool {
+        let podem: &'p Podem = self.podem;
+        let Some(miter) = &podem.miter else {
+            return false;
+        };
+        let session = self.miter.get_or_insert_with(|| miter.session());
+        session.check(fault) == SatVerdict::Untestable
     }
 
     /// Asserts that the rolled-back planes and D flags equal a
@@ -1036,6 +1074,9 @@ impl PodemSession<'_> {
                     stats.backtracks += 1;
                     if stats.backtracks > podem.config.backtrack_limit {
                         return (PodemOutcome::Aborted, stats);
+                    }
+                    if stats.backtracks == ESCALATE_AT && self.sat_proves_untestable(fault) {
+                        return (PodemOutcome::Untestable, stats);
                     }
                     self.pi[d.pos] = Trit::X;
                     self.search.undo_to(d.mark, &mut self.planes);
@@ -1270,6 +1311,43 @@ z = OR(c, d, e, f, g, h)
         let (gen, aborted) = check_rollbacks(&fbist_genbench::generate(&profile, 1), 8);
         assert!(aborted > 0, "the genbench netlist must abort at budget 8");
         assert!(gen > 0, "no rollback checked (c17 {c17}, adder4 {adder})");
+    }
+
+    #[test]
+    fn sat_escalation_only_moves_aborts_to_untestable() {
+        // an escalating session returns every test (and its search
+        // statistics) of a plain one; it may only settle a search the
+        // plain session aborts, or prove untestable sooner
+        let profile = fbist_genbench::profile("c1908").unwrap().scaled(0.25);
+        let n = fbist_genbench::generate(&profile, 1);
+        let plain = Podem::with_config(
+            &n,
+            PodemConfig {
+                backtrack_limit: 100,
+                ..PodemConfig::default()
+            },
+        )
+        .unwrap();
+        let mut escalating = plain.clone();
+        escalating.escalate_to_sat();
+        let (mut p, mut e) = (plain.session(), escalating.session());
+        let mut settled = 0;
+        for (_, fault) in FaultList::collapsed(&n).iter() {
+            let (po, ps) = p.generate_with_stats(fault);
+            let (eo, es) = e.generate_with_stats(fault);
+            match po {
+                PodemOutcome::Test(_) => assert_eq!((eo, es), (po, ps)),
+                PodemOutcome::Untestable => assert_eq!(eo, PodemOutcome::Untestable),
+                PodemOutcome::Aborted if eo == PodemOutcome::Untestable => {
+                    assert_eq!(es.backtracks, ESCALATE_AT);
+                    settled += 1;
+                }
+                PodemOutcome::Aborted => assert_eq!((eo, es), (po, ps)),
+            }
+        }
+        assert!(settled > 0, "no abort settled by the SAT check");
+        // the public entry points never escalate
+        assert!(plain.miter.is_none());
     }
 
     #[test]

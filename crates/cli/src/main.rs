@@ -27,8 +27,12 @@
 //! identical for every job count, backend, engine and width. Every
 //! subcommand checks its arguments against one table of accepted flags
 //! before it runs, so an unknown flag, a repeated flag or a flag missing
-//! its value is an error, never ignored. ATPG always runs the static
-//! untestability pre-pass; `atpg --static-learning` adds static learning.
+//! its value is a usage error (exit status 2), never ignored. ATPG always
+//! proves what it can untestable instead of aborting: the static
+//! untestability pre-pass prunes faults up front, and a PODEM search that
+//! reaches 10 backtracks asks a SAT fault miter once, ending untestable on
+//! a proof. Patterns are unchanged. `atpg --static-learning` adds static
+//! learning.
 //!
 //! Output to a closed pipe (`fbist sweep mid256 | head -1`) ends the
 //! process quietly with status 0.
@@ -92,31 +96,31 @@ pub(crate) fn exit_if_pipe_closed(e: std::io::Error) -> String {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `check` owns a three-way exit code (0 clean, 1 findings, 2 usage
-    // error) so scripts can distinguish "circuit has issues" from "the
-    // invocation itself was wrong"; every other subcommand keeps the
-    // classic ok/fail pair.
+    // A usage error (a flag the subcommand does not list, given twice or
+    // missing its value) exits 2, so scripts can tell "the invocation
+    // was wrong" from "the run failed" (1). `check` also reports findings
+    // with 1 and maps all of its own errors onto 2.
+    if let Err(msg) = check_usage(&args) {
+        return fail(&msg, 2);
+    }
     if args.first().map(String::as_str) == Some("check") {
-        let rest = &args[1..];
-        return match check_flags("check", rest, CHECK_FLAGS).and_then(|()| cmd_check(rest)) {
+        return match cmd_check(&args[1..]) {
             Ok(findings) => ExitCode::from(u8::from(findings)),
-            Err(msg) => {
-                eprintln!("fbist: {msg}");
-                eprintln!();
-                eprintln!("{USAGE}");
-                ExitCode::from(2)
-            }
+            Err(msg) => fail(&msg, 2),
         };
     }
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("fbist: {msg}");
-            eprintln!();
-            eprintln!("{USAGE}");
-            ExitCode::FAILURE
-        }
+        Err(msg) => fail(&msg, 1),
     }
+}
+
+/// Prints `msg` and the usage text; the process exits with `code`.
+fn fail(msg: &str, code: u8) -> ExitCode {
+    eprintln!("fbist: {msg}");
+    eprintln!();
+    eprintln!("{USAGE}");
+    ExitCode::from(code)
 }
 
 const USAGE: &str = "\
@@ -147,8 +151,9 @@ whenever sharing 64-lane blocks across rows saves block evaluations) and
 --simd-width auto|1|2|4|8 (fault-simulation block width in 64-lane
 words; auto picks the widest that still shrinks the block count).
 Results are identical for every job count, backend, engine and SIMD
-width. Any other flag a subcommand does not list is an error, and so is
-a flag given twice or a flag missing its value.
+width. Any other flag a subcommand does not list is a usage error (exit
+2), and so is a flag given twice or a flag missing its value; other
+failures exit 1.
 check runs the static analyses only (no simulation): structural errors,
 floating nets, unobservable logic, dead constants, provably untestable
 stuck-at faults (including learned redundancies from the static-learning
@@ -158,8 +163,12 @@ on a usage error; --json emits the report as stable machine-readable
 JSON on stdout (the \"testability\" section lists the hardest fault
 sites by SCOAP difficulty).
 ATPG always prunes statically-proven-untestable faults before any random
-patterns or PODEM effort is spent on them (patterns and detected faults
-are unchanged; faults PODEM would abort are reported untestable). atpg
+patterns or PODEM effort is spent on them, and a PODEM search that
+reaches 10 backtracks asks a SAT fault miter once (within 10000
+conflicts) whether the fault is testable at all: a proof ends the search
+untestable, any other answer lets it continue. Patterns and detected
+faults are unchanged; faults PODEM would abort are reported untestable
+instead. atpg
 accepts --static-learning to build the recursive-learning implication
 database once per run: it deepens the pre-pass proofs
 (implication-proved fault equivalence and dominance) and seeds every
@@ -175,14 +184,24 @@ evaluates the batch, `quit` or EOF exits), answers `ok <id> ...` /
 `err <id> ...` on stdout in submission order, and reports per-request
 store statistics on stderr.";
 
+/// Checks `args` against the flag table of its subcommand (an unknown or
+/// missing subcommand is left to [`run`]).
+fn check_usage(args: &[String]) -> Result<(), String> {
+    match args.split_first() {
+        Some((cmd, rest)) => match subcommand_flags(cmd) {
+            Some(flags) => check_flags(cmd, rest, flags),
+            None => Ok(()),
+        },
+        None => Ok(()),
+    }
+}
+
+/// Runs a command line whose flags [`check_usage`] accepted.
 fn run(args: &[String]) -> Result<(), String> {
     let Some(cmd) = args.first() else {
         return Err("missing subcommand".into());
     };
     let rest = &args[1..];
-    if let Some(flags) = subcommand_flags(cmd) {
-        check_flags(cmd, rest, flags)?;
-    }
     apply_jobs(args)?;
     // validate --backend, --matrix-build and --simd-width globally (like
     // --jobs) so a typo can never be silently ignored by a subcommand that
@@ -234,7 +253,6 @@ pub(crate) const RESEED_FLAGS: &[Flag] = &[("--tpg", true), ("--tau", true)];
 pub(crate) const SWEEP_FLAGS: &[Flag] = &[("--tpg", true), ("--taus", true)];
 /// The artifact store, see [`resolve_store`].
 const STORE_FLAGS: &[Flag] = &[("--store", true), ("--no-store", false)];
-const CHECK_FLAGS: &[&[Flag]] = &[CIRCUIT_FLAGS, &[("--json", false)]];
 
 /// The flags each subcommand accepts on top of [`KNOB_FLAGS`], or `None`
 /// for an unknown subcommand.
@@ -243,7 +261,7 @@ fn subcommand_flags(cmd: &str) -> Option<&'static [&'static [Flag]]> {
         "profiles" => &[],
         "gen" => &[CIRCUIT_FLAGS, &[("--out", true)]],
         "stats" => &[CIRCUIT_FLAGS],
-        "check" => CHECK_FLAGS,
+        "check" => &[CIRCUIT_FLAGS, &[("--json", false)]],
         "atpg" => &[CIRCUIT_FLAGS, &[("--static-learning", false)]],
         "reseed" => &[
             CIRCUIT_FLAGS,
@@ -888,7 +906,7 @@ mod tests {
             &["reseed", "c17", "--store"][..],
             &["sweep", "c17", "--store", "--jobs", "1"],
         ] {
-            let err = run(&args(bad)).unwrap_err();
+            let err = check_usage(&args(bad)).unwrap_err();
             assert!(
                 err.contains("\"--store\" for `") && err.contains("expects a value"),
                 "{err}"

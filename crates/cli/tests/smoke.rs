@@ -1,6 +1,23 @@
 //! End-to-end smoke tests of the `fbist` binary.
 
+use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// A fresh, empty directory no other test shares, in this process or a
+/// concurrent one: the label names the caller, the process id and a
+/// process-wide counter keep equal labels apart.
+fn unique_temp_dir(label: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "fbist-{label}-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir is writable");
+    dir
+}
 
 fn fbist(args: &[&str]) -> (bool, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_fbist"))
@@ -33,13 +50,13 @@ fn reseed_on_embedded_circuit() {
 
 #[test]
 fn gen_stats_roundtrip_through_file() {
-    let dir = std::env::temp_dir().join("fbist_cli_smoke");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = unique_temp_dir("cli-gen");
     let path = dir.join("tiny.bench");
     let path_s = path.to_str().unwrap();
     let (ok, _, stderr) = fbist(&["gen", "tiny64", "--out", path_s]);
     assert!(ok, "{stderr}");
     let (ok, stdout, stderr) = fbist(&["stats", path_s]);
+    let _ = std::fs::remove_dir_all(&dir);
     assert!(ok, "{stderr}");
     assert!(stdout.contains("faults:"), "{stdout}");
 }
@@ -90,11 +107,11 @@ fn check_clean_circuit_exits_zero() {
 
 #[test]
 fn check_flags_findings_with_exit_one() {
-    let dir = std::env::temp_dir().join("fbist_cli_check");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = unique_temp_dir("cli-check");
     let path = dir.join("floating.bench");
     std::fs::write(&path, "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\nz = BUFF(a)\n").unwrap();
     let (code, stdout, _) = fbist_code(&["check", path.to_str().unwrap()]);
+    let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(code, Some(1), "{stdout}");
     assert!(stdout.contains("[floating-net]"), "{stdout}");
     assert!(stdout.contains("\"z\""), "{stdout}");
@@ -153,13 +170,13 @@ fn check_json_testability_schema_is_stable() {
 
 #[test]
 fn check_json_reports_findings_with_severities() {
-    let dir = std::env::temp_dir().join("fbist_cli_check");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = unique_temp_dir("cli-check");
     let path = dir.join("redundant.bench");
     // OR(a, NOT a) is constant 1: an info-level untestable-fault finding,
     // which must NOT flip the exit code
     std::fs::write(&path, "INPUT(a)\nOUTPUT(y)\nna = NOT(a)\ny = OR(a, na)\n").unwrap();
     let (code, stdout, _) = fbist_code(&["check", path.to_str().unwrap(), "--json"]);
+    let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(
         code,
         Some(0),
@@ -183,11 +200,11 @@ fn check_usage_errors_exit_two() {
 
 #[test]
 fn check_reports_cycles_from_bench_files_by_full_path() {
-    let dir = std::env::temp_dir().join("fbist_cli_check");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = unique_temp_dir("cli-check");
     let path = dir.join("cyclic.bench");
     std::fs::write(&path, "INPUT(a)\nOUTPUT(x)\nx = AND(a, y)\ny = NOT(x)\n").unwrap();
     let (code, _, stderr) = fbist_code(&["check", path.to_str().unwrap()]);
+    let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(code, Some(2), "cycle is a parse error: {stderr}");
     for name in ["combinational cycle", "x", "y", "->"] {
         assert!(stderr.contains(name), "missing {name:?}: {stderr}");
@@ -200,7 +217,7 @@ fn atpg_prepass_flag_is_gone_because_the_prepass_always_runs() {
     // flag's name occurs nowhere in live code
     let retired = ["--static", "-prepass"].concat();
     let (code, stdout, stderr) = fbist_code(&["atpg", "c17", &retired]);
-    assert_eq!(code, Some(1), "{stderr}");
+    assert_eq!(code, Some(2), "{stderr}");
     assert!(stdout.is_empty(), "{stdout}");
     let named = format!("unknown flag \"{retired}\" for `atpg`");
     assert!(stderr.contains(&named), "{stderr}");
@@ -241,7 +258,7 @@ fn unknown_circuit_error_names_every_namespace() {
 /// parse failure or a confusing `EISDIR`).
 #[test]
 fn profile_name_shadowed_by_cwd_entries_still_resolves() {
-    let dir = std::env::temp_dir().join("fbist_cli_shadow");
+    let dir = unique_temp_dir("cli-shadow");
     std::fs::create_dir_all(dir.join("tiny64")).unwrap(); // directory shadow
     std::fs::write(dir.join("mid256"), "not a bench file").unwrap(); // file shadow
     std::fs::write(dir.join("c17"), "garbage").unwrap(); // embedded shadow
@@ -258,14 +275,16 @@ fn profile_name_shadowed_by_cwd_entries_still_resolves() {
             "{name}: no stats output"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn explicit_directory_path_gets_a_clear_error() {
-    let dir = std::env::temp_dir().join("fbist_cli_dirpath");
+    let dir = unique_temp_dir("cli-dirpath");
     std::fs::create_dir_all(dir.join("subdir")).unwrap();
     let path = dir.join("subdir");
     let (ok, _, stderr) = fbist(&["stats", path.to_str().unwrap()]);
+    let _ = std::fs::remove_dir_all(&dir);
     assert!(!ok);
     assert!(
         stderr.contains("is a directory, not a .bench file"),
@@ -348,9 +367,8 @@ fn unknown_flags_fail_on_reseed_sweep_and_serve() {
     }
     // serve answers `err` for such request lines and keeps answering the
     // ones a benchmark client sends (`serve --store DIR --jobs 1`)
-    let store = std::env::temp_dir().join(format!("fbist_cli_flags_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&store);
-    let script = store.with_extension("requests");
+    let dir = unique_temp_dir("cli-flags");
+    let (store, script) = (dir.join("store"), dir.join("requests"));
     std::fs::write(
         &script,
         format!(
@@ -363,8 +381,7 @@ fn unknown_flags_fail_on_reseed_sweep_and_serve() {
         .stdin(std::fs::File::open(&script).unwrap())
         .output()
         .expect("binary runs");
-    let _ = std::fs::remove_file(&script);
-    let _ = std::fs::remove_dir_all(&store);
+    let _ = std::fs::remove_dir_all(&dir);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     let lines: Vec<&str> = stdout.lines().collect();
@@ -404,15 +421,15 @@ fn duplicate_and_valueless_flags_fail_on_the_cli_and_in_serve() {
         ),
     ] {
         let (code, stdout, stderr) = fbist_code(args);
-        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(stdout.is_empty(), "{args:?}: {stdout}");
         assert!(
             stderr.contains(named) && stderr.contains("usage:"),
             "{args:?}: {stderr}"
         );
     }
-    let script =
-        std::env::temp_dir().join(format!("fbist_cli_dup_{}.requests", std::process::id()));
+    let dir = unique_temp_dir("cli-dup");
+    let script = dir.join("requests");
     std::fs::write(
         &script,
         "reseed c17 --tpg add --tpg lfsr\nreseed c17 --tau\nreseed c17 --tau 3\nquit\n",
@@ -423,7 +440,7 @@ fn duplicate_and_valueless_flags_fail_on_the_cli_and_in_serve() {
         .stdin(std::fs::File::open(&script).unwrap())
         .output()
         .expect("binary runs");
-    let _ = std::fs::remove_file(&script);
+    let _ = std::fs::remove_dir_all(&dir);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     let lines: Vec<&str> = stdout.lines().collect();
@@ -443,8 +460,7 @@ fn duplicate_and_valueless_flags_fail_on_the_cli_and_in_serve() {
 fn closed_stdout_pipe_exits_quietly() {
     // `true` exits without reading, so the lines the sweep prints once it
     // has computed hit a closed pipe; that used to panic with status 101
-    let dir = std::env::temp_dir().join(format!("fbist_cli_epipe_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = unique_temp_dir("cli-epipe");
     let (stderr_file, status_file) = (dir.join("stderr"), dir.join("status"));
     let out = Command::new("sh")
         .args([
@@ -570,8 +586,7 @@ fn jobs_env_var_is_honoured_and_flag_beats_it() {
 
 #[test]
 fn rom_and_csv_exports() {
-    let dir = std::env::temp_dir().join("fbist_cli_smoke");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = unique_temp_dir("cli-export");
     let csv = dir.join("sol.csv");
     let rom = dir.join("sol.rom");
     let (ok, _, stderr) = fbist(&[
@@ -588,5 +603,6 @@ fn rom_and_csv_exports() {
     let csv_text = std::fs::read_to_string(&csv).unwrap();
     assert!(csv_text.starts_with("index,kind,delta,theta,tau"));
     let rom_text = std::fs::read_to_string(&rom).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
     assert!(rom_text.starts_with("# seed ROM:"));
 }

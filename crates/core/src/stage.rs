@@ -13,7 +13,7 @@
 //!
 //! | stage | keyed on |
 //! |-------|----------|
-//! | `atpg` | circuit, ATPG settings (seed, batches, backtrack limit, fill, compaction, static pre-pass) |
+//! | `atpg` | circuit, ATPG settings (seed, batches, backtrack limit, fill, compaction, static pre-pass and, with it, the SAT escalation constants) |
 //! | `first-detection` | `atpg` inputs + TPG kind + flow seed (**not** τ — see below) |
 //! | `cover` | `first-detection` inputs + τ + solver settings + trim |
 //!
@@ -95,6 +95,13 @@ fn hash_atpg_fragment(d: &mut Digest, atpg: &AtpgConfig) {
     // artifacts.
     d.bool(atpg.static_prepass);
     d.bool(atpg.static_learning);
+    // the pre-pass also escalates PODEM searches to the SAT fault miter,
+    // whose threshold and conflict budget decide which aborts turn
+    // untestable
+    if atpg.static_prepass {
+        d.usize(fbist_atpg::ESCALATE_AT);
+        d.u64(fbist_atpg::CONFLICT_BUDGET);
+    }
 }
 
 /// The knobs deliberately **excluded** from every stage key, by config

@@ -3,6 +3,9 @@
 //! byte-stable, and any single-byte corruption of a stored envelope is
 //! detected rather than silently decoded.
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use fbist_bits::BitVec;
 use fbist_fault::{Fault, FaultList, FaultSite};
 use fbist_netlist::GateId;
@@ -10,6 +13,21 @@ use fbist_setcover::FirstDetectionMatrix;
 use fbist_store::{decode_from_slice, encode_to_vec, Artifact, ArtifactStore, StageKey};
 use fbist_tpg::Triplet;
 use proptest::prelude::*;
+
+/// A fresh, empty directory no other test shares, in this process or a
+/// concurrent one: the label names the caller, the process id and a
+/// process-wide counter keep equal labels apart.
+fn unique_temp_dir(label: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "fbist-{label}-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir is writable");
+    dir
+}
 
 /// decode(encode(x)) == x, and the re-encoding is the same byte stream
 /// (a canonical encoding — required for content addressing to be stable).
@@ -129,8 +147,7 @@ fn every_single_byte_corruption_of_a_stored_artifact_is_detected() {
     // flip each byte of a stored envelope in turn: the load must fail
     // (magic, version, kind, key digest, payload checksum, or a codec
     // invariant) — never silently return a different artifact
-    let dir = std::env::temp_dir().join(format!("fbist-store-corrupt-prop-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = unique_temp_dir("store-corrupt-prop");
     let store = ArtifactStore::open(&dir).unwrap();
     let value = Triplet::new(BitVec::from_u64(8, 0xA5), BitVec::from_u64(8, 0x3C), 7);
     let key = StageKey::new("triplet", {

@@ -35,8 +35,13 @@
 //!   implication-proved fault equivalence, and dominance edge against
 //!   exhaustive truth-table simulation of the random circuit (≤ 4 inputs,
 //!   so ≤ 16 patterns enumerate the whole input space).
+//!
+//! The SAT fault miter that PODEM escalates to is held to the same
+//! exhaustive tables: it must prove exactly the faults no input pattern
+//! detects, never running out of budget on circuits this small.
 
 use fbist_analyze::{fault_relations, untestable_faults_with, LearnedImplications};
+use fbist_atpg::{FaultMiter, SatVerdict};
 use fbist_genbench::{all_profiles, generate, CircuitProfile};
 use proptest::prelude::*;
 use set_covering_reseeding::prelude::*;
@@ -527,6 +532,36 @@ proptest! {
                 !atpg_detected.get(id.index()) && !r.detected.get(id.index()),
                 "ATPG detects proven-untestable {}",
                 f.describe(&netlist)
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Soundness and completeness of the SAT fault miter: for every fault
+    /// of the full list, UNSAT exactly when no input pattern detects it.
+    #[test]
+    fn sat_miter_proves_exactly_the_undetectable_faults(netlist in arb_redundant_netlist()) {
+        let faults = FaultList::full(&netlist);
+        let detected = detection_tables(&netlist, &faults);
+        let miter = FaultMiter::new(&netlist).unwrap();
+        let mut session = miter.session();
+        for (id, f) in faults.iter() {
+            let detectable = detected.iter().any(|d| d.get(id.index()));
+            let verdict = session.check(f);
+            prop_assert!(
+                verdict != SatVerdict::Unknown,
+                "budget spent on {}", f.describe(&netlist)
+            );
+            prop_assert_eq!(
+                verdict == SatVerdict::Untestable,
+                !detectable,
+                "{} is {} but the miter says {:?}",
+                f.describe(&netlist),
+                if detectable { "detectable" } else { "undetectable" },
+                verdict
             );
         }
     }

@@ -19,6 +19,10 @@
 //! pattern covers fortuitously — it must be reported detected, never
 //! double-counted as aborted too.
 //!
+//! A second test per profile compares the pre-pass (and the SAT
+//! escalation it turns on) against the pure-PODEM run: only fault
+//! classifications may move, from aborted to untestable.
+//!
 //! Finally it pins the PODEM search itself to recorded goldens on three
 //! full-scale profiles: the digest of the encoded unpruned `AtpgResult`
 //! and the summed `PodemStats` of a search over every collapsed fault.
@@ -85,6 +89,49 @@ fn assert_atpg_equivalent(netlist: &Netlist, label: &str) {
     }
 }
 
+/// Pre-pass on against off, at `jobs ∈ {1, 4}`: the untestability
+/// pre-pass and the SAT escalation it enables may only move faults from
+/// aborted to untestable. Patterns, detections, random-phase detections
+/// and PODEM tests stay equal; every fault aborted with the pre-pass on
+/// aborts without it, and every fault untestable without it stays
+/// untestable.
+fn assert_classification_only(netlist: &Netlist, label: &str) {
+    let atpg = Atpg::new(netlist).unwrap();
+    let faults = FaultList::collapsed(netlist);
+    for jobs in [1, 4] {
+        let run = |static_prepass: bool| {
+            atpg.run(
+                &faults,
+                &AtpgConfig {
+                    jobs,
+                    static_prepass,
+                    ..AtpgConfig::default()
+                },
+            )
+        };
+        let (off, on) = (run(false), run(true));
+        let ctx = format!("{label} jobs={jobs}");
+        assert_eq!(off.patterns, on.patterns, "{ctx}: a pattern moved");
+        assert_eq!(off.detected, on.detected, "{ctx}: a detection moved");
+        assert_eq!(off.random_detected, on.random_detected, "{ctx}");
+        assert_eq!(off.podem_tests, on.podem_tests, "{ctx}");
+        for id in &on.aborted {
+            assert!(
+                off.aborted.contains(id),
+                "{ctx}: fault {} aborts only with the pre-pass on",
+                id.index()
+            );
+        }
+        for id in &off.untestable {
+            assert!(
+                on.untestable.contains(id),
+                "{ctx}: fault {} untestable only with the pre-pass off",
+                id.index()
+            );
+        }
+    }
+}
+
 macro_rules! atpg_equivalence_tests {
     ($($test:ident => $profile:literal),+ $(,)?) => {$(
         mod $test {
@@ -94,6 +141,12 @@ macro_rules! atpg_equivalence_tests {
             fn serial_vs_parallel() {
                 let p = genbench_profile($profile).expect("profile registered");
                 assert_atpg_equivalent(&small(&p), $profile);
+            }
+
+            #[test]
+            fn prepass_moves_classification_only() {
+                let p = genbench_profile($profile).expect("profile registered");
+                assert_classification_only(&small(&p), $profile);
             }
         }
     )+};

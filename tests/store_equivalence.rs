@@ -15,7 +15,8 @@
 //! `parallel_equivalence` (jobs), `sparse_dense_equivalence` (backend)
 //! and `batched_matrix_equivalence` (matrix engine) contracts.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use fbist_genbench::{all_profiles, generate, CircuitProfile};
 use fbist_netlist::Netlist;
@@ -38,17 +39,25 @@ fn small(p: &CircuitProfile) -> Netlist {
     }
 }
 
-/// A fresh, empty store no other test touches: the label names the caller
-/// (profile and TPG for the per-profile tests), and a process-wide counter
-/// keeps even equal labels apart.
-fn fresh_store(label: &str) -> (ArtifactStore, std::path::PathBuf) {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
+/// A fresh, empty directory no other test shares, in this process or a
+/// concurrent one: the label names the caller, the process id and a
+/// process-wide counter keep equal labels apart.
+fn unique_temp_dir(label: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "fbist-store-equiv-{label}-{}-{}",
+        "fbist-{label}-{}-{}",
         std::process::id(),
         NEXT.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir is writable");
+    dir
+}
+
+/// A fresh, empty store no other test touches (the label names the
+/// caller: profile and TPG for the per-profile tests).
+fn fresh_store(label: &str) -> (ArtifactStore, PathBuf) {
+    let dir = unique_temp_dir(&format!("store-equiv-{label}"));
     (ArtifactStore::open(&dir).expect("temp store opens"), dir)
 }
 
