@@ -191,11 +191,12 @@ impl Atpg {
     /// Returns [`SimError::SequentialNetlist`] for sequential netlists and
     /// [`SimError::Netlist`] for invalid ones.
     pub fn new(netlist: &Netlist) -> Result<Self, SimError> {
-        // validate eagerly so `run` cannot fail
-        let _ = Podem::new(netlist)?;
+        // the fault simulator validates exactly as PODEM does (sequential,
+        // then levelisation), so `run` cannot fail building its sessions
+        let fsim = FaultSimulator::new(netlist)?;
         Ok(Atpg {
             netlist: netlist.clone(),
-            fsim: FaultSimulator::new(netlist)?,
+            fsim,
         })
     }
 
@@ -529,6 +530,16 @@ mod tests {
         assert_eq!(r1.patterns, r2.patterns, "same seed, same result");
         assert!(r1.untestable.is_empty());
         assert!(r1.aborted.is_empty());
+    }
+
+    #[test]
+    fn new_rejects_sequential_netlists() {
+        let n = embedded::johnson3();
+        assert!(!n.is_combinational());
+        assert!(matches!(
+            Atpg::new(&n),
+            Err(SimError::SequentialNetlist { dffs: 3 })
+        ));
     }
 
     #[test]

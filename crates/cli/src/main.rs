@@ -53,6 +53,7 @@ use fbist_fault::FaultList;
 use fbist_genbench::{all_profiles, generate, profile};
 use fbist_netlist::{bench, full_scan, Netlist, NetlistStats};
 use fbist_setcover::lp;
+use fbist_sim::LaneOccupancy;
 use fbist_store::ArtifactStore;
 use reseed_core::{
     export, tradeoff_sweep_with, Backend, FlowConfig, Gatsby, GatsbyConfig,
@@ -182,7 +183,9 @@ are byte-identical to computed ones. serve reads line-delimited
 minus --store, --no-store, --csv and --rom (blank line or `flush`
 evaluates the batch, `quit` or EOF exits), answers `ok <id> ...` /
 `err <id> ...` on stdout in submission order, and reports per-request
-store statistics on stderr.";
+store statistics on stderr. It keeps up to 8 circuits resident between
+requests; a request that panics answers `err <id> internal: ...` and the
+rest of its batch is still answered.";
 
 /// Checks `args` against the flag table of its subcommand (an unknown or
 /// missing subcommand is left to [`run`]).
@@ -401,20 +404,24 @@ fn print_store_stats(flow: &ReseedingFlow, simd_width: SimdWidth) {
             s.atpg_misses,
             flow.builder().matrix_sim_passes()
         );
-        eprintln!("fbist: {}", simd_stats_line(flow, simd_width));
+        eprintln!("fbist: {}", simd_stats_line(occupancy(flow), simd_width));
     }
+}
+
+/// The lane-occupancy counters of the simulator that builds `flow`'s
+/// Detection Matrices.
+fn occupancy(flow: &ReseedingFlow) -> LaneOccupancy {
+    flow.builder()
+        .fault_simulator()
+        .good_simulator()
+        .occupancy()
 }
 
 /// One-line SIMD summary for stderr stats: the configured width knob and
 /// the simulator's width-aware lane-occupancy counters (a wide block
 /// contributes `64·W` lanes of capacity, so the ratio stays honest at
 /// every width).
-fn simd_stats_line(flow: &ReseedingFlow, simd_width: SimdWidth) -> String {
-    let occ = flow
-        .builder()
-        .fault_simulator()
-        .good_simulator()
-        .occupancy();
+fn simd_stats_line(occ: LaneOccupancy, simd_width: SimdWidth) -> String {
     format!(
         "simd_width={} sim_blocks={} sim_lanes={}/{} occupancy={:.3}",
         simd_width,
@@ -475,12 +482,84 @@ fn parse_num<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> R
 /// Sequential netlists are full-scanned. Errors name the namespace that
 /// failed instead of a bare I/O message.
 fn load_circuit(args: &[String]) -> Result<Netlist, String> {
-    let n = load_circuit_raw(args)?;
-    Ok(if n.is_combinational() {
-        n
-    } else {
-        full_scan(&n).into_combinational()
-    })
+    CircuitSource::of(args)?.load()
+}
+
+/// [`load_circuit`] plus the flow configuration of a `reseed`, `sweep`,
+/// `compare` or `lp` invocation (τ left to the caller, as in
+/// [`flow_config`]), rejecting a TPG the circuit's inputs cannot seed.
+fn circuit_and_config(args: &[String]) -> Result<(Netlist, FlowConfig), String> {
+    let n = load_circuit(args)?;
+    let cfg = flow_config(args)?;
+    cfg.tpg.check_inputs(n.inputs().len())?;
+    Ok((n, cfg))
+}
+
+/// Where a circuit argument resolves to, before anything is read or
+/// generated (the namespace order of [`load_circuit`]).
+pub(crate) enum CircuitSource<'a> {
+    /// A `.bench` file: its content can change between loads.
+    File(&'a str),
+    /// A built-in profile or embedded circuit: a pure function of the
+    /// name, `--scale` and `--seed`.
+    Generated {
+        name: &'a str,
+        scale: f64,
+        seed: u64,
+    },
+}
+
+impl CircuitSource<'_> {
+    /// Resolves the circuit argument of `args`.
+    pub(crate) fn of(args: &[String]) -> Result<CircuitSource<'_>, String> {
+        let Some(name) = args.first().filter(|a| !a.starts_with("--")) else {
+            return Err("missing circuit argument".into());
+        };
+        let scale: f64 = parse_num(args, "--scale", 1.0)?;
+        if !(scale > 0.0 && scale.is_finite()) {
+            return Err(format!(
+                "invalid value for --scale: {scale} (expected a positive number)"
+            ));
+        }
+        let seed: u64 = parse_num(args, "--seed", 1)?;
+        let explicit_path = name.ends_with(".bench")
+            || name.contains('/')
+            || name.contains(std::path::MAIN_SEPARATOR);
+        if explicit_path {
+            Ok(CircuitSource::File(name))
+        } else if profile(name).is_some() || fbist_netlist::embedded::by_name(name).is_some() {
+            Ok(CircuitSource::Generated { name, scale, seed })
+        } else if std::path::Path::new(name).exists() {
+            Ok(CircuitSource::File(name))
+        } else {
+            Err(format!(
+                "circuit {name:?} not found in any namespace: not a .bench file path, \
+                 not a built-in profile (see `fbist profiles`), and not an embedded circuit"
+            ))
+        }
+    }
+
+    /// Reads or generates the circuit as written (no full scan).
+    fn load_raw(&self) -> Result<Netlist, String> {
+        match *self {
+            CircuitSource::File(name) => read_bench_file(name),
+            CircuitSource::Generated { name, scale, seed } => match profile(name) {
+                Some(p) => Ok(generate(&p.scaled(scale), seed)),
+                None => fbist_netlist::embedded::by_name(name)
+                    .ok_or_else(|| format!("no embedded circuit {name:?}")),
+            },
+        }
+    }
+
+    /// Reads or generates the circuit, full-scanned if it is sequential.
+    pub(crate) fn load(&self) -> Result<Netlist, String> {
+        let n = self.load_raw()?;
+        Ok(if n.is_combinational() {
+            n
+        } else {
+            full_scan(&n).into_combinational()
+        })
+    }
 }
 
 /// [`load_circuit`] without the full-scan conversion: `check` analyses
@@ -488,28 +567,7 @@ fn load_circuit(args: &[String]) -> Result<Netlist, String> {
 /// scan-observed `D` pins) stay visible instead of being rewritten into
 /// pseudo-ports first.
 fn load_circuit_raw(args: &[String]) -> Result<Netlist, String> {
-    let Some(name) = args.first().filter(|a| !a.starts_with("--")) else {
-        return Err("missing circuit argument".into());
-    };
-    let scale: f64 = parse_num(args, "--scale", 1.0)?;
-    let seed: u64 = parse_num(args, "--seed", 1)?;
-    let explicit_path =
-        name.ends_with(".bench") || name.contains('/') || name.contains(std::path::MAIN_SEPARATOR);
-    let n = if explicit_path {
-        read_bench_file(name)?
-    } else if let Some(p) = profile(name) {
-        generate(&p.scaled(scale), seed)
-    } else if let Some(n) = fbist_netlist::embedded::by_name(name) {
-        n
-    } else if std::path::Path::new(name).exists() {
-        read_bench_file(name)?
-    } else {
-        return Err(format!(
-            "circuit {name:?} not found in any namespace: not a .bench file path, \
-             not a built-in profile (see `fbist profiles`), and not an embedded circuit"
-        ));
-    };
-    Ok(n)
+    CircuitSource::of(args)?.load_raw()
 }
 
 /// Reads and parses a `.bench` file, with errors that name the file
@@ -616,8 +674,8 @@ fn cmd_atpg(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_reseed(args: &[String]) -> Result<(), String> {
-    let n = load_circuit(args)?;
-    let cfg = flow_config(args)?.with_tau(parse_tau(args, 31)?);
+    let (n, cfg) = circuit_and_config(args)?;
+    let cfg = cfg.with_tau(parse_tau(args, 31)?);
     let flow = flow_for(args, &n)?;
     let report = flow.run(&cfg);
     print_store_stats(&flow, cfg.simd_width);
@@ -674,9 +732,8 @@ fn cmd_reseed(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
-    let n = load_circuit(args)?;
+    let (n, cfg) = circuit_and_config(args)?;
     let taus = parse_taus(args)?;
-    let cfg = flow_config(args)?;
     let flow = flow_for(args, &n)?;
     let curve = tradeoff_sweep_with(&flow, &cfg, &taus);
     print_store_stats(&flow, cfg.simd_width);
@@ -705,8 +762,8 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_compare(args: &[String]) -> Result<(), String> {
-    let n = load_circuit(args)?;
-    let cfg = flow_config(args)?.with_tau(parse_tau(args, 31)?);
+    let (n, cfg) = circuit_and_config(args)?;
+    let cfg = cfg.with_tau(parse_tau(args, 31)?);
     let (tpg, tau) = (cfg.tpg, cfg.tau);
     let flow = ReseedingFlow::new(&n).map_err(|e| e.to_string())?;
     let report = flow.run(&cfg);
@@ -746,8 +803,8 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_lp(args: &[String]) -> Result<(), String> {
-    let n = load_circuit(args)?;
-    let cfg = flow_config(args)?.with_tau(parse_tau(args, 31)?);
+    let (n, cfg) = circuit_and_config(args)?;
+    let cfg = cfg.with_tau(parse_tau(args, 31)?);
     let builder = InitialReseedingBuilder::new(&n).map_err(|e| e.to_string())?;
     let init = builder.build(&cfg);
     out!("{}", lp::to_lp(&init.matrix));

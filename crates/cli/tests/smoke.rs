@@ -606,3 +606,58 @@ fn rom_and_csv_exports() {
     let _ = std::fs::remove_dir_all(&dir);
     assert!(rom_text.starts_with("# seed ROM:"));
 }
+
+#[test]
+fn lfsr_on_a_one_input_circuit_is_rejected_without_a_panic() {
+    let dir = unique_temp_dir("cli-one-input");
+    let bench = dir.join("one.bench");
+    std::fs::write(&bench, "INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n").unwrap();
+    let path = bench.to_str().unwrap();
+    for (cmd, tpg) in [("reseed", "lfsr"), ("sweep", "mplfsr"), ("compare", "lfsr")] {
+        let (code, stdout, stderr) = fbist_code(&[cmd, path, "--tpg", tpg]);
+        assert_eq!(code, Some(1), "{cmd} {tpg}: {stderr}");
+        assert!(stdout.is_empty(), "{cmd} {tpg}: {stdout}");
+        assert!(
+            stderr.contains(&format!("TPG {tpg} needs a circuit with at least 2 inputs"))
+                && stderr.contains("has 1")
+                && !stderr.contains("panicked"),
+            "{cmd} {tpg}: {stderr}"
+        );
+    }
+    // in serve the request answers `err` and its batch siblings still
+    // answer
+    let script = dir.join("requests");
+    std::fs::write(
+        &script,
+        format!("reseed {path} --tpg lfsr\nreseed {path} --tpg add\nreseed c17 --tau 3\nquit\n"),
+    )
+    .unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_fbist"))
+        .args(["serve", "--jobs", "1"])
+        .stdin(std::fs::File::open(&script).unwrap())
+        .output()
+        .expect("binary runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 3, "{stdout}");
+    assert!(
+        lines[0].starts_with("err 0 TPG lfsr needs a circuit with at least 2 inputs"),
+        "{stdout}"
+    );
+    assert!(lines[1].starts_with("ok 1 reseed"), "{stdout}");
+    assert!(lines[2].starts_with("ok 2 reseed c17"), "{stdout}");
+}
+
+#[test]
+fn a_scale_that_is_not_positive_is_rejected_without_a_panic() {
+    for scale in ["0", "-1", "nan", "inf"] {
+        let (code, _, stderr) = fbist_code(&["stats", "mid256", "--scale", scale]);
+        assert_eq!(code, Some(1), "--scale {scale}: {stderr}");
+        assert!(
+            stderr.contains("invalid value for --scale") && !stderr.contains("panicked"),
+            "--scale {scale}: {stderr}"
+        );
+    }
+}

@@ -46,6 +46,28 @@ impl TpgKind {
         }
     }
 
+    /// Rejects, naming the generator and the input count, a circuit with
+    /// fewer inputs than the generator can seed: the LFSR families run a
+    /// register of at least two bits, so a one-input circuit's patterns
+    /// cannot be loaded into it.
+    ///
+    /// # Errors
+    ///
+    /// A message for the request boundary when `inputs` is too few.
+    pub fn check_inputs(self, inputs: usize) -> Result<(), String> {
+        let needed = match self {
+            TpgKind::Lfsr | TpgKind::MultiPolyLfsr => 2,
+            _ => 0,
+        };
+        if inputs < needed {
+            return Err(format!(
+                "TPG {} needs a circuit with at least {needed} inputs, this one has {inputs}",
+                self.name()
+            ));
+        }
+        Ok(())
+    }
+
     /// Instantiates the generator at the given register width.
     pub fn build(self, width: usize) -> Box<dyn PatternGenerator> {
         match self {
@@ -353,6 +375,18 @@ mod tests {
         assert_eq!(cfg.tau, 7);
         assert_eq!(cfg.seed, 5);
         assert!(cfg.trim);
+    }
+
+    #[test]
+    fn lfsr_families_need_two_inputs() {
+        for kind in [TpgKind::Lfsr, TpgKind::MultiPolyLfsr] {
+            let msg = kind.check_inputs(1).unwrap_err();
+            assert!(msg.contains(kind.name()) && msg.contains("has 1"), "{msg}");
+            assert!(kind.check_inputs(2).is_ok());
+        }
+        for kind in TpgKind::PAPER.into_iter().chain([TpgKind::Weighted]) {
+            assert!(kind.check_inputs(1).is_ok(), "{kind}");
+        }
     }
 
     #[test]

@@ -3,13 +3,13 @@
 use fbist_netlist::Netlist;
 use fbist_setcover::{reduce_with, solve_with, ReductionEvent};
 use fbist_sim::SimError;
-use fbist_store::ArtifactStore;
+use fbist_store::{ArtifactStore, DigestBytes, StageKey};
 use fbist_tpg::Triplet;
 
 use crate::builder::{AtpgBase, InitialReseeding, InitialReseedingBuilder};
 use crate::config::FlowConfig;
 use crate::report::{ReseedingReport, SelectedTriplet};
-use crate::stage::StageCache;
+use crate::stage::{cover_key_from, sweep_digest_from, StageCache};
 
 /// The complete set-covering reseeding flow:
 /// ATPG → initial reseeding → Detection Matrix → reduction → exact solve →
@@ -69,6 +69,25 @@ impl ReseedingFlow {
     /// built with [`ReseedingFlow::new`]).
     pub fn stages(&self) -> &StageCache {
         &self.stages
+    }
+
+    /// Content digest of this flow's netlist
+    /// ([`circuit_digest`](crate::circuit_digest)), hashed once per flow.
+    pub fn circuit_digest(&self) -> DigestBytes {
+        self.stages.circuit(self.builder.netlist())
+    }
+
+    /// [`cover_stage_key`](crate::cover_stage_key) of `config` for this
+    /// flow's netlist, without hashing the netlist again.
+    pub fn cover_key(&self, config: &FlowConfig) -> StageKey {
+        cover_key_from(self.circuit_digest(), config)
+    }
+
+    /// [`sweep_request_digest`](crate::sweep_request_digest) of `config`
+    /// and `taus` for this flow's netlist, without hashing the netlist
+    /// again.
+    pub fn sweep_digest(&self, config: &FlowConfig, taus: &[usize]) -> DigestBytes {
+        sweep_digest_from(self.circuit_digest(), config, taus)
     }
 
     /// Runs the full flow: answered from the `cover` artifact when the
@@ -260,6 +279,19 @@ mod tests {
         assert!(report.triplet_count() >= 1);
         assert!(report.triplet_count() <= report.initial_triplets);
         assert!(report.test_length() >= report.triplet_count());
+    }
+
+    #[test]
+    fn flow_keys_equal_the_netlist_keys() {
+        let n = embedded::c17();
+        let flow = ReseedingFlow::new(&n).unwrap();
+        let config = FlowConfig::new(TpgKind::Lfsr).with_tau(5);
+        assert_eq!(flow.circuit_digest(), crate::circuit_digest(&n));
+        assert_eq!(flow.cover_key(&config), crate::cover_stage_key(&n, &config));
+        assert_eq!(
+            flow.sweep_digest(&config, &[7, 0, 7]),
+            crate::sweep_request_digest(&n, &config, &[0, 7])
+        );
     }
 
     #[test]

@@ -164,7 +164,7 @@ fn first_detection_key_from(circuit: DigestBytes, config: &FlowConfig) -> StageK
     StageKey::new("first-detection", d.finish())
 }
 
-fn cover_key_from(circuit: DigestBytes, config: &FlowConfig) -> StageKey {
+pub(crate) fn cover_key_from(circuit: DigestBytes, config: &FlowConfig) -> StageKey {
     let mut d = Digest::new("fbist/stage/cover");
     d.bytes(&circuit.0);
     hash_atpg_fragment(&mut d, &config.atpg);
@@ -203,11 +203,19 @@ pub fn cover_stage_key(netlist: &Netlist, config: &FlowConfig) -> StageKey {
 ///
 /// [`tradeoff_sweep`]: crate::tradeoff_sweep
 pub fn sweep_request_digest(netlist: &Netlist, config: &FlowConfig, taus: &[usize]) -> DigestBytes {
+    sweep_digest_from(circuit_digest(netlist), config, taus)
+}
+
+pub(crate) fn sweep_digest_from(
+    circuit: DigestBytes,
+    config: &FlowConfig,
+    taus: &[usize],
+) -> DigestBytes {
     let mut uniq: Vec<usize> = taus.to_vec();
     uniq.sort_unstable();
     uniq.dedup();
     let mut d = Digest::new("fbist/request/sweep");
-    d.bytes(&circuit_digest(netlist).0);
+    d.bytes(&circuit.0);
     hash_atpg_fragment(&mut d, &config.atpg);
     d.str(config.tpg.name());
     d.u64(config.seed);
@@ -447,7 +455,7 @@ impl StageCache {
         }
     }
 
-    fn circuit(&self, netlist: &Netlist) -> DigestBytes {
+    pub(crate) fn circuit(&self, netlist: &Netlist) -> DigestBytes {
         *self.circuit.get_or_init(|| circuit_digest(netlist))
     }
 
