@@ -1,8 +1,10 @@
-//! Fault-simulation throughput: the packed event-driven simulator vs. the
-//! naive per-(fault, pattern) reference, plus good-circuit simulation
-//!(packed vs. event-driven). The paper's efficiency argument rests on
-//! fault simulation being cheap enough to build the whole Detection
-//! Matrix; this bench quantifies the engine that makes it so.
+//! Fault-simulation throughput: the packed simulator (fanout-free-region
+//! tracing plus one event-driven cone sweep per region root; the ids keep
+//! their `packed_event_driven` name) vs. the naive per-(fault, pattern)
+//! reference, plus good-circuit simulation (packed vs. event-driven). The
+//! paper's efficiency argument rests on fault simulation being cheap
+//! enough to build the whole Detection Matrix; this bench quantifies the
+//! engine that makes it so.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fbist_bits::BitVec;

@@ -20,8 +20,11 @@
 //!
 //! * the learned pre-pass proves a strict superset of the plain
 //!   pre-pass's untestable faults;
-//! * with learning on, strictly fewer faults are aborted and strictly
-//!   more are proven untestable than the PR-8 pre-pass baseline;
+//! * with learning on, strictly fewer faults are aborted than the
+//!   pre-pass-only baseline (705 → 634 on `big3500`);
+//! * the proven-untestable set is no smaller. Since the SAT fault miter
+//!   proves what PODEM cannot, both runs prove the same 3136 faults on
+//!   `big3500`, so learning no longer *grows* it;
 //! * fault coverage never drops (it in fact *rises*: searches seeded
 //!   with learned implications find tests for faults the unseeded
 //!   search aborted, and every such fault is a genuine detection).
@@ -60,7 +63,7 @@ fn bench_learning(c: &mut Criterion) {
          ({plain_count} -> {learned_count}) — timing a no-op"
     );
 
-    // ATPG payoff contract: strictly fewer aborts, strictly more proofs,
+    // ATPG payoff contract: strictly fewer aborts, no fewer proofs,
     // coverage no worse than the pre-pass-only baseline.
     let atpg = Atpg::new(&netlist).expect("combinational mimic");
     let run = |static_learning: bool| {
@@ -87,8 +90,8 @@ fn bench_learning(c: &mut Criterion) {
         learning.aborted.len()
     );
     assert!(
-        learning.untestable.len() > prepass.untestable.len(),
-        "learning must strictly grow the proven-untestable set ({} -> {})",
+        learning.untestable.len() >= prepass.untestable.len(),
+        "learning must not shrink the proven-untestable set ({} -> {})",
         prepass.untestable.len(),
         learning.untestable.len()
     );

@@ -12,24 +12,39 @@
 //!     --circuit s1238 --tpg add --taus 0,3,7,15,31,63,127,255,511 --jobs 0]
 //! ```
 
-use fbist_bench::{build_circuit, flag, install_jobs, num};
+use fbist_bench::{build_circuit, Args, JOBS_FLAGS};
 use fbist_genbench::profile;
 use reseed_core::{tradeoff_sweep, FlowConfig, TpgKind};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = install_jobs(&args);
-    let circuit = flag(&args, "--circuit").unwrap_or_else(|| "s1238".to_owned());
-    let scale: f64 = num(&args, "--scale", 0.35);
-    let seed: u64 = num(&args, "--seed", 1);
-    let tpg = match flag(&args, "--tpg").as_deref() {
+    let args = Args::from_env(
+        "figure2",
+        &[
+            JOBS_FLAGS,
+            &[
+                ("--circuit", true),
+                ("--scale", true),
+                ("--seed", true),
+                ("--tpg", true),
+                ("--taus", true),
+            ],
+        ],
+    );
+    let jobs = args.install_jobs();
+    let circuit = args.flag("--circuit").unwrap_or_else(|| "s1238".to_owned());
+    let scale: f64 = args.num("--scale", 0.35);
+    let seed: u64 = args.num("--seed", 1);
+    let tpg = match args.flag("--tpg").as_deref() {
+        None | Some("add") => TpgKind::Adder,
         Some("sub") => TpgKind::Subtracter,
         Some("mul") => TpgKind::Multiplier,
         Some("lfsr") => TpgKind::Lfsr,
-        _ => TpgKind::Adder,
+        Some(other) => args.fail(&format!(
+            "invalid value for --tpg: {other:?} (expected add, sub, mul or lfsr)"
+        )),
     };
-    let taus: Vec<usize> = match flag(&args, "--taus") {
-        Some(list) => reseed_core::parse_tau_list(&list).unwrap_or_else(|e| panic!("{e}")),
+    let taus: Vec<usize> = match args.flag("--taus") {
+        Some(list) => reseed_core::parse_tau_list(&list).unwrap_or_else(|e| args.fail(&e)),
         None => vec![0, 3, 7, 15, 31, 63, 127, 255, 511],
     };
 

@@ -11,16 +11,23 @@
 //! triplets than GATSBY on every circuit except s838. The shape to check
 //! here is *set covering ≤ GATSBY everywhere, often strictly better*.
 
-use fbist_bench::{build_circuit, display_name, flag, install_jobs, num, suite_from_args};
+use fbist_bench::{build_circuit, display_name, suite_from_args, Args, JOBS_FLAGS, SUITE_FLAGS};
 use reseed_core::{FlowConfig, Gatsby, GatsbyConfig, ReseedingFlow, TpgKind};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::from_env(
+        "table1",
+        &[
+            JOBS_FLAGS,
+            SUITE_FLAGS,
+            &[("--tau", true), ("--skip-gatsby", false), ("--tpg", true)],
+        ],
+    );
     let suite = suite_from_args(&args);
-    let jobs = install_jobs(&args);
-    let tau: usize = num(&args, "--tau", 31);
-    let skip_gatsby = args.iter().any(|a| a == "--skip-gatsby");
-    let tpgs: Vec<TpgKind> = match flag(&args, "--tpg").as_deref() {
+    let jobs = args.install_jobs();
+    let tau: usize = args.num("--tau", 31);
+    let skip_gatsby = args.has("--skip-gatsby");
+    let tpgs: Vec<TpgKind> = match args.flag("--tpg").as_deref() {
         Some("all") => vec![
             TpgKind::Adder,
             TpgKind::Subtracter,
@@ -33,7 +40,10 @@ fn main() {
         Some("sub") => vec![TpgKind::Subtracter],
         Some("mul") => vec![TpgKind::Multiplier],
         Some("lfsr") => vec![TpgKind::Lfsr],
-        _ => TpgKind::PAPER.to_vec(),
+        None => TpgKind::PAPER.to_vec(),
+        Some(other) => args.fail(&format!(
+            "invalid value for --tpg: {other:?} (expected all, add, sub, mul or lfsr)"
+        )),
     };
 
     println!(

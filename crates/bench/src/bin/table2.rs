@@ -14,16 +14,23 @@
 //!   solve by necessary triplets alone);
 //! * other circuits split between solver-only and mixed solutions.
 
-use fbist_bench::{build_circuit, display_name, install_jobs, num, suite_from_args};
+use fbist_bench::{build_circuit, display_name, suite_from_args, Args, JOBS_FLAGS, SUITE_FLAGS};
 use fbist_setcover::{Engine, SolveConfig};
 use reseed_core::{FlowConfig, ReseedingFlow, TpgKind};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::from_env(
+        "table2",
+        &[
+            JOBS_FLAGS,
+            SUITE_FLAGS,
+            &[("--tau", true), ("--greedy", false)],
+        ],
+    );
     let suite = suite_from_args(&args);
-    let jobs = install_jobs(&args);
-    let tau: usize = num(&args, "--tau", 31);
-    let greedy = args.iter().any(|a| a == "--greedy");
+    let jobs = args.install_jobs();
+    let tau: usize = args.num("--tau", 31);
+    let greedy = args.has("--greedy");
 
     println!(
         "# Table 2 — set-covering algorithm anatomy (scale {}, τ = {tau}, seed {}, engine {}, jobs {jobs})",

@@ -9,48 +9,90 @@
 //! | `figure2` | Figure 2 | τ sweep on s1238/adder: triplets vs. test length |
 //!
 //! All binaries accept `--scale F` (default 0.15) to size the synthetic
-//! mimics, `--seed N`, and `--circuits a,b,c` to restrict the suite; see
-//! `EXPERIMENTS.md` for the recorded runs.
+//! mimics, `--seed N` and `--jobs N`; `table1` and `table2` also take
+//! `--circuits a,b,c` to restrict the suite; see `EXPERIMENTS.md` for the
+//! recorded runs. Each binary checks its arguments against its own flag
+//! table with `fbist`'s rules ([`reseed_core::flags`]): an unknown,
+//! repeated, value-less or unparsable flag exits with status 2.
 
 #![forbid(unsafe_code)]
 
 use fbist_genbench::{generate, paper_suite, profile, CircuitProfile};
 use fbist_netlist::Netlist;
+use reseed_core::flags::{self, Flag};
 
 /// Default scale factor for the synthetic mimics used by the committed
 /// experiment tables (kept modest so the whole suite runs in minutes).
 pub const DEFAULT_SCALE: f64 = 0.15;
 
-/// Simple `--flag value` extraction from a raw argument list.
-pub fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// `--jobs`, which every binary accepts (see [`Args::install_jobs`]).
+pub const JOBS_FLAGS: &[Flag] = &[("--jobs", true)];
+
+/// The suite selection of [`suite_from_args`].
+pub const SUITE_FLAGS: &[Flag] = &[("--scale", true), ("--seed", true), ("--circuits", true)];
+
+/// A binary's command line, checked against its flag tables.
+pub struct Args {
+    bin: &'static str,
+    args: Vec<String>,
 }
 
-/// Parses a numeric flag with a default.
-pub fn num<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    flag(args, name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+impl Args {
+    /// Checks the process arguments against `tables` (the binary's flag
+    /// tables); on a usage error, prints `<bin>: <message>` and exits
+    /// with status 2.
+    pub fn from_env(bin: &'static str, tables: &[&[Flag]]) -> Args {
+        Args::new(bin, std::env::args().skip(1).collect(), tables)
+            .unwrap_or_else(|msg| usage_error(bin, &msg))
+    }
 
-/// Parses `--jobs` (0 = auto), installs it process-wide, and returns the
-/// resolved worker count for display. All table/figure binaries accept it;
-/// job counts change wall-clock time only, never results. Exits with
-/// status 1 on a non-numeric value — same contract as the `fbist` CLI —
-/// so a typo can never silently benchmark the wrong configuration.
-pub fn install_jobs(args: &[String]) -> usize {
-    if let Some(v) = flag(args, "--jobs") {
-        match mini_rayon::parse_jobs(&v) {
-            Ok(n) => mini_rayon::set_jobs(n),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
+    /// Checks `args` against `tables`, returning the usage error message
+    /// on failure.
+    fn new(bin: &'static str, args: Vec<String>, tables: &[&[Flag]]) -> Result<Args, String> {
+        flags::check_flags(bin, &args, tables)?;
+        Ok(Args { bin, args })
+    }
+
+    /// The value of flag `name`, if given.
+    pub fn flag(&self, name: &str) -> Option<String> {
+        flags::flag(&self.args, name)
+    }
+
+    /// Whether switch `name` is given.
+    pub fn has(&self, name: &str) -> bool {
+        self.args.iter().any(|a| a == name)
+    }
+
+    /// The parsed value of flag `name`, `default` if absent; a value that
+    /// does not parse exits with status 2.
+    pub fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+        flags::parse_num(&self.args, name, default).unwrap_or_else(|msg| self.fail(&msg))
+    }
+
+    /// Prints `msg` as a usage error and exits with status 2.
+    pub fn fail(&self, msg: &str) -> ! {
+        usage_error(self.bin, msg)
+    }
+
+    /// Parses `--jobs` (0 = auto), installs it process-wide, and returns
+    /// the resolved worker count for display. Job counts change
+    /// wall-clock time only, never results; a value that does not parse
+    /// exits with status 2, so a typo can never silently benchmark the
+    /// wrong configuration.
+    pub fn install_jobs(&self) -> usize {
+        if let Some(v) = self.flag("--jobs") {
+            match mini_rayon::parse_jobs(&v) {
+                Ok(n) => mini_rayon::set_jobs(n),
+                Err(e) => self.fail(&e),
             }
         }
+        mini_rayon::jobs()
     }
-    mini_rayon::jobs()
+}
+
+fn usage_error(bin: &str, msg: &str) -> ! {
+    eprintln!("{bin}: {msg}");
+    std::process::exit(2)
 }
 
 /// The circuit selection for a harness run.
@@ -65,10 +107,10 @@ pub struct Suite {
 
 /// Builds the circuit suite from CLI args: `--scale`, `--seed`,
 /// `--circuits c499,s1238,…` (default: the full 16-circuit paper suite).
-pub fn suite_from_args(args: &[String]) -> Suite {
-    let scale: f64 = num(args, "--scale", DEFAULT_SCALE);
-    let seed: u64 = num(args, "--seed", 1);
-    let names: Vec<String> = match flag(args, "--circuits") {
+pub fn suite_from_args(args: &Args) -> Suite {
+    let scale: f64 = args.num("--scale", DEFAULT_SCALE);
+    let seed: u64 = args.num("--seed", 1);
+    let names: Vec<String> = match args.flag("--circuits") {
         Some(list) => list.split(',').map(|s| s.trim().to_owned()).collect(),
         None => paper_suite().iter().map(|p| p.name.clone()).collect(),
     };
@@ -98,25 +140,36 @@ pub fn display_name(p: &CircuitProfile) -> &str {
 mod tests {
     use super::*;
 
+    fn args(line: &str) -> Result<Args, String> {
+        let words = line.split_whitespace().map(str::to_owned).collect();
+        Args::new("test", words, &[JOBS_FLAGS, SUITE_FLAGS])
+    }
+
     #[test]
     fn default_suite_is_paper_suite() {
-        let s = suite_from_args(&[]);
+        let s = suite_from_args(&args("").unwrap());
         assert_eq!(s.profiles.len(), 16);
         assert!(s.profiles[0].name.starts_with("c499"));
     }
 
     #[test]
     fn circuit_restriction() {
-        let args = vec!["--circuits".to_owned(), "c499,s1238".to_owned()];
-        let s = suite_from_args(&args);
+        let s = suite_from_args(&args("--circuits c499,s1238").unwrap());
         assert_eq!(s.profiles.len(), 2);
     }
 
     #[test]
     fn flags_parse() {
-        let args = vec!["--scale".to_owned(), "0.5".to_owned()];
-        assert_eq!(num(&args, "--scale", 1.0), 0.5);
-        assert_eq!(num(&args, "--seed", 7u64), 7);
+        let a = args("--scale 0.5").unwrap();
+        assert_eq!(a.num("--scale", 1.0), 0.5);
+        assert_eq!(a.num("--seed", 7u64), 7);
+    }
+
+    #[test]
+    fn bad_flags_are_usage_errors() {
+        assert!(args("--scael 0.5").is_err());
+        assert!(args("--seed 1 --seed 2").is_err());
+        assert!(args("--scale").is_err());
     }
 
     #[test]

@@ -49,12 +49,13 @@
 use std::process::ExitCode;
 
 use fbist_atpg::{Atpg, AtpgConfig};
-use fbist_fault::FaultList;
+use fbist_fault::{ConeSweeps, FaultList};
 use fbist_genbench::{all_profiles, generate, profile};
 use fbist_netlist::{bench, full_scan, Netlist, NetlistStats};
 use fbist_setcover::lp;
 use fbist_sim::LaneOccupancy;
 use fbist_store::ArtifactStore;
+use reseed_core::flags::{check_flags, flag, parse_num, Flag};
 use reseed_core::{
     export, tradeoff_sweep_with, Backend, FlowConfig, Gatsby, GatsbyConfig,
     InitialReseedingBuilder, MatrixBuild, ReseedingFlow, SimdWidth, TpgKind,
@@ -231,18 +232,9 @@ fn run(args: &[String]) -> Result<(), String> {
 
 // ---------------------------------------------------------------- helpers
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// A flag and whether it takes a value.
-pub(crate) type Flag = (&'static str, bool);
-
 /// The throughput knobs: every subcommand and `fbist serve` request
 /// accepts them.
-const KNOB_FLAGS: &[Flag] = &[
+pub(crate) const KNOB_FLAGS: &[Flag] = &[
     ("--jobs", true),
     ("--backend", true),
     ("--matrix-build", true),
@@ -257,54 +249,27 @@ pub(crate) const SWEEP_FLAGS: &[Flag] = &[("--tpg", true), ("--taus", true)];
 /// The artifact store, see [`resolve_store`].
 const STORE_FLAGS: &[Flag] = &[("--store", true), ("--no-store", false)];
 
-/// The flags each subcommand accepts on top of [`KNOB_FLAGS`], or `None`
-/// for an unknown subcommand.
+/// The flags each subcommand accepts, [`KNOB_FLAGS`] included, or
+/// `None` for an unknown subcommand.
 fn subcommand_flags(cmd: &str) -> Option<&'static [&'static [Flag]]> {
     Some(match cmd {
-        "profiles" => &[],
-        "gen" => &[CIRCUIT_FLAGS, &[("--out", true)]],
-        "stats" => &[CIRCUIT_FLAGS],
-        "check" => &[CIRCUIT_FLAGS, &[("--json", false)]],
-        "atpg" => &[CIRCUIT_FLAGS, &[("--static-learning", false)]],
+        "profiles" => &[KNOB_FLAGS],
+        "gen" => &[KNOB_FLAGS, CIRCUIT_FLAGS, &[("--out", true)]],
+        "stats" => &[KNOB_FLAGS, CIRCUIT_FLAGS],
+        "check" => &[KNOB_FLAGS, CIRCUIT_FLAGS, &[("--json", false)]],
+        "atpg" => &[KNOB_FLAGS, CIRCUIT_FLAGS, &[("--static-learning", false)]],
         "reseed" => &[
+            KNOB_FLAGS,
             CIRCUIT_FLAGS,
             RESEED_FLAGS,
             STORE_FLAGS,
             &[("--csv", true), ("--rom", true)],
         ],
-        "sweep" => &[CIRCUIT_FLAGS, SWEEP_FLAGS, STORE_FLAGS],
-        "compare" | "lp" => &[CIRCUIT_FLAGS, RESEED_FLAGS],
-        "serve" => &[STORE_FLAGS],
+        "sweep" => &[KNOB_FLAGS, CIRCUIT_FLAGS, SWEEP_FLAGS, STORE_FLAGS],
+        "compare" | "lp" => &[KNOB_FLAGS, CIRCUIT_FLAGS, RESEED_FLAGS],
+        "serve" => &[KNOB_FLAGS, STORE_FLAGS],
         _ => return None,
     })
-}
-
-/// Rejects, naming the flag and `cmd`, the first `--flag` that neither
-/// [`KNOB_FLAGS`] nor `tables` lists, that repeats an earlier flag, or
-/// that takes a value but is last or followed by another `--flag`.
-pub(crate) fn check_flags(cmd: &str, args: &[String], tables: &[&[Flag]]) -> Result<(), String> {
-    let mut seen: Vec<&str> = Vec::new();
-    let mut args = args.iter().peekable();
-    while let Some(arg) = args.next() {
-        if !arg.starts_with("--") {
-            continue;
-        }
-        let Some(&(name, takes_value)) = std::iter::once(KNOB_FLAGS)
-            .chain(tables.iter().copied())
-            .flatten()
-            .find(|flag| flag.0 == arg.as_str())
-        else {
-            return Err(format!("unknown flag {arg:?} for `{cmd}`"));
-        };
-        if seen.contains(&name) {
-            return Err(format!("duplicate flag {arg:?} for `{cmd}`"));
-        }
-        seen.push(name);
-        if takes_value && args.next_if(|v| !v.starts_with("--")).is_none() {
-            return Err(format!("flag {arg:?} for `{cmd}` expects a value"));
-        }
-    }
-    Ok(())
 }
 
 /// Parses `--jobs` and installs it as the process-wide worker count.
@@ -404,7 +369,10 @@ fn print_store_stats(flow: &ReseedingFlow, simd_width: SimdWidth) {
             s.atpg_misses,
             flow.builder().matrix_sim_passes()
         );
-        eprintln!("fbist: {}", simd_stats_line(occupancy(flow), simd_width));
+        eprintln!(
+            "fbist: {}",
+            simd_stats_line(occupancy(flow), cone_sweeps(flow), simd_width)
+        );
     }
 }
 
@@ -417,18 +385,26 @@ fn occupancy(flow: &ReseedingFlow) -> LaneOccupancy {
         .occupancy()
 }
 
-/// One-line SIMD summary for stderr stats: the configured width knob and
+/// The cone-sweep counters of the simulator that builds `flow`'s
+/// Detection Matrices.
+fn cone_sweeps(flow: &ReseedingFlow) -> ConeSweeps {
+    flow.builder().fault_simulator().cone_sweeps()
+}
+
+/// One-line SIMD summary for stderr stats: the configured width knob,
 /// the simulator's width-aware lane-occupancy counters (a wide block
 /// contributes `64·W` lanes of capacity, so the ratio stays honest at
-/// every width).
-fn simd_stats_line(occ: LaneOccupancy, simd_width: SimdWidth) -> String {
+/// every width) and its region-root sweeps against fault evaluations.
+fn simd_stats_line(occ: LaneOccupancy, sweeps: ConeSweeps, simd_width: SimdWidth) -> String {
     format!(
-        "simd_width={} sim_blocks={} sim_lanes={}/{} occupancy={:.3}",
+        "simd_width={} sim_blocks={} sim_lanes={}/{} occupancy={:.3} cone_sweeps={}/{}",
         simd_width,
         occ.blocks,
         occ.lanes,
         occ.capacity,
-        occ.ratio()
+        occ.ratio(),
+        sweeps.roots,
+        sweeps.faults
     )
 }
 
@@ -457,15 +433,6 @@ fn parse_tpg(args: &[String]) -> Result<TpgKind, String> {
         Some("mplfsr") => Ok(TpgKind::MultiPolyLfsr),
         Some("wrand") => Ok(TpgKind::Weighted),
         Some(other) => Err(format!("unknown TPG kind {other:?}")),
-    }
-}
-
-fn parse_num<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    match flag(args, name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("invalid value for {name}: {v:?}")),
     }
 }
 

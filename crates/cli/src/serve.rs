@@ -41,8 +41,8 @@
 //! repeated or value-less flag answers `err`. Once the reader closes
 //! stdout, the server exits quietly. Per-request statistics go to stderr
 //! as `stats <id> ...`: stage hits/misses, `matrix_sim_passes`, the
-//! configured SIMD width with the simulator's lane-occupancy counters,
-//! plus `coalesced=1` for requests that shared another's evaluation. They
+//! configured SIMD width with the simulator's lane-occupancy and
+//! cone-sweep counters, plus `coalesced=1` for requests that shared another's evaluation. They
 //! are the changes of the resident flow's counters over that request
 //! alone, which stay exact because no other request uses the flow
 //! meanwhile.
@@ -52,13 +52,15 @@ use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
+use fbist_fault::ConeSweeps;
 use fbist_sim::LaneOccupancy;
 use fbist_store::{ArtifactStore, DigestBytes};
 use reseed_core::{circuit_digest, tradeoff_sweep_with, FlowConfig, ReseedingFlow, StageStats};
 
 use crate::{
-    check_flags, exit_if_pipe_closed, flow_config, occupancy, parse_tau, parse_taus, resolve_store,
-    simd_stats_line, CircuitSource, Flag, CIRCUIT_FLAGS, RESEED_FLAGS, SWEEP_FLAGS,
+    check_flags, cone_sweeps, exit_if_pipe_closed, flow_config, occupancy, parse_tau, parse_taus,
+    resolve_store, simd_stats_line, CircuitSource, Flag, CIRCUIT_FLAGS, KNOB_FLAGS, RESEED_FLAGS,
+    SWEEP_FLAGS,
 };
 
 /// How many circuits a server keeps resident.
@@ -201,8 +203,8 @@ fn parse_line(line: &str, residents: &mut Residents) -> Result<Parsed, String> {
         );
     }
     let flags: &[&[Flag]] = match kind.as_str() {
-        "reseed" => &[CIRCUIT_FLAGS, RESEED_FLAGS],
-        "sweep" => &[CIRCUIT_FLAGS, SWEEP_FLAGS],
+        "reseed" => &[KNOB_FLAGS, CIRCUIT_FLAGS, RESEED_FLAGS],
+        "sweep" => &[KNOB_FLAGS, CIRCUIT_FLAGS, SWEEP_FLAGS],
         other => {
             return Err(format!(
                 "unknown request {other:?} (expected `reseed` or `sweep`)"
@@ -242,6 +244,7 @@ struct Counters {
     stages: StageStats,
     matrix_sim_passes: u64,
     occupancy: LaneOccupancy,
+    sweeps: ConeSweeps,
 }
 
 impl Counters {
@@ -250,6 +253,7 @@ impl Counters {
             stages: flow.stages().stats(),
             matrix_sim_passes: flow.builder().matrix_sim_passes(),
             occupancy: occupancy(flow),
+            sweeps: cone_sweeps(flow),
         }
     }
 
@@ -263,6 +267,10 @@ impl Counters {
                 blocks: now.blocks - then.blocks,
                 lanes: now.lanes - then.lanes,
                 capacity: now.capacity - then.capacity,
+            },
+            sweeps: ConeSweeps {
+                roots: self.sweeps.roots - earlier.sweeps.roots,
+                faults: self.sweeps.faults - earlier.sweeps.faults,
             },
         }
     }
@@ -315,7 +323,7 @@ fn evaluate(p: &Parsed) -> Evaluated {
         s.atpg_hits,
         s.atpg_misses,
         c.matrix_sim_passes,
-        simd_stats_line(c.occupancy, p.config.simd_width)
+        simd_stats_line(c.occupancy, c.sweeps, p.config.simd_width)
     );
     Evaluated { summary, stats }
 }
@@ -599,6 +607,25 @@ mod tests {
             "warm request must simulate nothing: {err}"
         );
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn warm_request_reports_no_cone_sweeps() {
+        // the cone-sweep counter is a per-request delta like sim_blocks:
+        // the cold request sweeps, the warm one on the same resident flow
+        // evaluates nothing
+        let (store, dir) = tmp_store("cone-sweeps");
+        let script = "reseed c17 --tau 7\nflush\nreseed c17 --tau 7\nquit\n";
+        let (_, err) = run_serve(Some(store), script);
+        let _ = std::fs::remove_dir_all(dir);
+        let stats: Vec<&str> = err.lines().filter(|l| l.starts_with("stats")).collect();
+        assert_eq!(stats.len(), 2, "{err}");
+        assert!(stats[0].contains(" cone_sweeps="), "{err}");
+        assert!(!stats[0].contains(" cone_sweeps=0/0"), "{err}");
+        assert!(
+            stats[1].contains(" sim_blocks=0 ") && stats[1].ends_with(" cone_sweeps=0/0"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -661,3 +661,44 @@ fn a_scale_that_is_not_positive_is_rejected_without_a_panic() {
         );
     }
 }
+
+/// The `cone_sweeps=<roots>/<faults>` token of a stats line.
+fn cone_sweeps_token(stderr: &str) -> String {
+    stderr
+        .split_whitespace()
+        .find(|t| t.starts_with("cone_sweeps="))
+        .unwrap_or_else(|| panic!("no cone_sweeps in {stderr}"))
+        .to_owned()
+}
+
+#[test]
+fn cone_sweep_counter_is_identical_at_every_job_count() {
+    // counted per block range with a per-range memo, so the pool's
+    // scheduling never moves it; the sim_blocks token CI greps for keeps
+    // its place in front of it
+    for width in ["1", "auto"] {
+        let run = |jobs: &str| {
+            let dir = unique_temp_dir("cone-sweeps");
+            let store = dir.to_str().unwrap().to_owned();
+            let (ok, _, err) = fbist(&[
+                "reseed",
+                "mid256",
+                "--tau",
+                "7",
+                "--jobs",
+                jobs,
+                "--simd-width",
+                width,
+                "--store",
+                &store,
+            ]);
+            let _ = std::fs::remove_dir_all(&dir);
+            assert!(ok, "{err}");
+            assert!(err.contains(" sim_blocks="), "{err}");
+            cone_sweeps_token(&err)
+        };
+        let one = run("1");
+        assert_ne!(one, "cone_sweeps=0/0", "width {width}");
+        assert_eq!(one, run("4"), "width {width}");
+    }
+}

@@ -44,6 +44,7 @@ mod area;
 mod builder;
 mod config;
 pub mod export;
+pub mod flags;
 mod flow;
 pub mod gatsby;
 mod report;

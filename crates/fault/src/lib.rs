@@ -11,9 +11,12 @@
 //! * [`collapse`] — structural equivalence collapsing (union-find over the
 //!   textbook gate rules), which shrinks the universe ~2.5× without losing
 //!   information;
-//! * [`FaultSimulator`] — a 64-way bit-parallel, event-driven ("single
-//!   fault propagation") fault simulator with fault dropping, plus a
-//!   detection-dictionary builder;
+//! * [`FaultSimulator`] — a `64·W`-way bit-parallel fault simulator
+//!   with fault dropping, plus a detection-dictionary builder. It
+//!   simulates by fanout-free region: critical-path tracing inside each
+//!   region and one event-driven cone sweep per region root, not per
+//!   fault ([`reference::ConeOracle`] keeps the per-fault path as the
+//!   oracle);
 //! * [`BatchPlan`] — the cross-row batch planner behind
 //!   [`FaultSimulator::detects_batch`], which fills every simulation lane
 //!   when many rows are simulated at once.
@@ -24,8 +27,8 @@
 //! row. Simulated per row, each stream occupies its own 64-lane blocks:
 //! a row of `τ + 1` patterns wastes `63 − τ (mod 64)` lanes of its last
 //! block — 50 % dead lanes at the default `τ = 31`, 94 % at `τ = 3` —
-//! and the good-circuit evaluation plus every fault's cone propagation
-//! is repeated for every row.
+//! and the good-circuit evaluation plus every fault's evaluation is
+//! repeated for every row.
 //!
 //! [`BatchPlan`] instead concatenates the streams of all rows (in row
 //! order) into *shared* blocks. Each block carries up to 64 consecutive
@@ -33,14 +36,14 @@
 //! belong to which row; a row whose stream crosses a block boundary simply
 //! splits into groups in consecutive blocks. Every block except possibly
 //! the last is completely full, so the good circuit is evaluated — and
-//! each fault's cone propagated — once per *shared* block: up to
+//! each fault's detection word computed — once per *shared* block: up to
 //! `64 / (τ + 1)`× fewer of both than the per-row build.
 //!
 //! Detection is attributed through the groups: fault `f`'s 64-bit
 //! detection word for a block is ANDed with each group's lane mask, and a
 //! nonzero intersection marks `(row, f)` detected. *Masked dropping*
 //! removes redundant work on top: once every row with lanes in a block has
-//! already detected `f`, the fault's propagation is skipped for that
+//! already detected `f`, the fault's evaluation is skipped for that
 //! block, and rows that already detected `f` are masked out of its
 //! detection word elsewhere. Dropping can never change a row's detected
 //! set, because a row detects `f` iff **some** lane of **some** of its
@@ -83,4 +86,4 @@ mod sim;
 pub use batch::{BatchBlock, BatchPlan, LaneGroup};
 pub use checkpoint::checkpoint_faults;
 pub use model::{Fault, FaultId, FaultList, FaultSite};
-pub use sim::{merge_first_detections, FaultSimResult, FaultSimulator};
+pub use sim::{merge_first_detections, ConeSweeps, FaultSimResult, FaultSimulator};

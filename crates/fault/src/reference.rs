@@ -1,16 +1,114 @@
-//! Naive single-pattern fault simulation, used as a correctness oracle.
+//! Reference fault simulation, used as correctness oracles.
 //!
-//! This module re-implements fault detection in the most direct way
-//! possible — full circuit re-evaluation per (fault, pattern) pair with
-//! scalar booleans — so the optimised event-driven simulator in
-//! [`crate::FaultSimulator`] has an independent reference to be checked
-//! against in tests and benchmarks. Do not use it for real workloads; it is
-//! orders of magnitude slower by design.
+//! Two oracles check the fanout-free-region simulator in
+//! [`crate::FaultSimulator`]:
+//!
+//! * [`naive_detects`] re-implements fault detection in the most direct
+//!   way possible — full circuit re-evaluation per (fault, pattern) pair
+//!   with scalar booleans — orders of magnitude slower by design;
+//! * [`ConeOracle`] is the bit-parallel per-fault path the region
+//!   simulator replaced: every fault injected and swept event-wise
+//!   through its own fanout cone, one detection word per block and fault.
+//!
+//! Do not use either for real workloads.
 
-use fbist_bits::BitVec;
+use fbist_bits::{pack, BitVec, SimWord};
 use fbist_netlist::{GateId, GateKind, Netlist};
+use fbist_sim::SimError;
 
-use crate::model::{Fault, FaultSite};
+use crate::model::{Fault, FaultList, FaultSite};
+use crate::sim::{FaultSimulator, Scratch};
+
+/// Per-fault cone propagation: each fault injected into a block of good
+/// values and swept event-wise through its fanout cone until the faulty
+/// values die out, the detection word read at the primary outputs.
+///
+/// This is the simulator's per-fault path before fanout-free regions,
+/// kept as the oracle its detection words are checked against word for
+/// word.
+///
+/// # Example
+///
+/// ```
+/// use fbist_netlist::embedded;
+/// use fbist_fault::{reference::ConeOracle, FaultList, FaultSimulator};
+/// use fbist_bits::BitVec;
+///
+/// let c17 = embedded::c17();
+/// let faults = FaultList::collapsed(&c17);
+/// let patterns: Vec<BitVec> = (0..32u64).map(|v| BitVec::from_u64(5, v)).collect();
+/// let words = ConeOracle::new(&c17)?.block_words::<1>(&patterns, &faults);
+/// let dict = FaultSimulator::new(&c17)?.dictionary(&patterns, &faults);
+/// for (fid, _) in faults.iter() {
+///     for p in 0..patterns.len() {
+///         assert_eq!(words[0][fid.index()].lane(p), dict.get(p, fid.index()));
+///     }
+/// }
+/// # Ok::<(), fbist_sim::SimError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct ConeOracle {
+    sim: FaultSimulator,
+}
+
+impl ConeOracle {
+    /// Builds the oracle for a combinational netlist.
+    ///
+    /// # Errors
+    ///
+    /// As [`FaultSimulator::new`].
+    pub fn new(netlist: &Netlist) -> Result<Self, SimError> {
+        Ok(ConeOracle {
+            sim: FaultSimulator::new(netlist)?,
+        })
+    }
+
+    /// Splits `patterns` into consecutive blocks of `64·W` and returns,
+    /// per block and per fault of `faults` (in list order), the detection
+    /// word: lane `k` of block `b` is 1 iff pattern `b·64·W + k` detects
+    /// the fault. Lanes past the last pattern are 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pattern's width differs from the input count.
+    pub fn block_words<const W: usize>(
+        &self,
+        patterns: &[BitVec],
+        faults: &FaultList,
+    ) -> Vec<Vec<SimWord<W>>> {
+        let good_sim = self.sim.good_simulator();
+        let mut good = good_sim.value_buffer_w::<W>();
+        let mut scratch = Scratch::<W>::new(good.len());
+        patterns
+            .chunks(SimWord::<W>::LANES)
+            .map(|chunk| {
+                let pi_words = pack::pack_patterns_w::<W>(good_sim.input_count(), chunk);
+                good_sim.eval_block_into_w(&pi_words, &mut good);
+                scratch.next_block(&good);
+                let lane_mask = pack::lane_mask_w::<W>(chunk.len());
+                faults
+                    .iter()
+                    .map(|(_, fault)| self.propagate(&good, fault, &mut scratch) & lane_mask)
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Injects `fault` into one block of good values and sweeps its own
+    /// cone.
+    fn propagate<const W: usize>(
+        &self,
+        good: &[SimWord<W>],
+        fault: Fault,
+        scratch: &mut Scratch<W>,
+    ) -> SimWord<W> {
+        let (origin, faulty) = self.sim.inject(good, fault);
+        if faulty == good[origin] {
+            return SimWord::ZERO; // never excited in this block
+        }
+        self.sim.sweep(good, origin, faulty, scratch)
+    }
+}
 
 /// Evaluates every net of a combinational netlist for one pattern, with an
 /// optional fault injected. Returns per-net boolean values.

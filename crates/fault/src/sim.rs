@@ -1,6 +1,39 @@
-//! Bit-parallel, event-driven single-fault-propagation simulator.
+//! Bit-parallel stuck-at fault simulation by fanout-free region.
+//!
+//! A *fanout-free region* (FFR) is a tree of gates whose every member but
+//! the root drives exactly one gate pin and no primary output; its root is
+//! a fanout stem, a primary output, or a gate that drives nothing. A
+//! single stuck-at fault inside a region can leave the region only through
+//! its root, along the one path from the faulty gate up the tree. So per
+//! block of patterns the simulator evaluates the good circuit once and
+//! then, for each fault, ANDs three lane masks (critical-path tracing,
+//! Abramovici, Menon and Miller, DAC 1983, applied to bit-parallel words
+//! as in HOPE, Lee and Ha, IEEE TCAD 1996):
+//!
+//! * **excitation** — the lanes where the fault changes its gate's output
+//!   (for a pin fault this already includes the pin's sensitization
+//!   through its own gate);
+//! * **path sensitization** — the lanes where every gate on the tree path
+//!   to the region root passes a flip of that pin through: the other pins
+//!   of an AND/NAND are 1, of an OR/NOR are 0 (XOR, XNOR, NOT and BUFF
+//!   always pass). Memoised per gate per block, so a region's paths are
+//!   traced once however many faults share them;
+//! * **root observability** — the lanes where flipping the root changes
+//!   some primary output: 1 everywhere for a PO root, otherwise one
+//!   event-driven sweep of the flipped root through its fanout cone, run
+//!   once per root per block and only when some live, excited,
+//!   path-sensitized fault reaches it.
+//!
+//! The product is exact for single stuck-at faults: inside a region there
+//! is no reconvergence, and a flip that reaches the root is, lane by lane,
+//! the root flipped in an otherwise good circuit. Every detection word
+//! therefore equals the one a separate cone sweep per fault computes —
+//! [`crate::reference::ConeOracle`] keeps that per-fault path as the test
+//! oracle — while a block runs one sweep per reached stem instead of one
+//! per fault.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use fbist_bits::{pack, BitMatrix, BitVec, SimWord, SIMD_WIDTHS};
 use fbist_netlist::{CsrAdjacency, GateId, GateKind, Netlist};
@@ -54,11 +87,15 @@ impl FaultSimResult {
 
 /// Bit-parallel stuck-at fault simulator.
 ///
-/// For every block of 64 patterns the good circuit is simulated once; each
-/// fault is then *injected* and its effect propagated event-wise through
-/// its fanout cone only, in topological order, stopping as soon as the
-/// faulty values reconverge with the good ones. Detection is the lane-wise
-/// XOR at the primary outputs.
+/// For every block of `64·W` patterns the good circuit is simulated once.
+/// Each fault's detection word is then its excitation mask ANDed with the
+/// sensitization of its path to its fanout-free-region root (traced over
+/// the good values, memoised per gate) and with the root's observability
+/// — one event-driven sweep of the flipped root through its fanout cone
+/// per block, shared by every fault of the region (see the module docs).
+/// The words are exactly those of a separate cone sweep per fault.
+/// [`cone_sweeps`](Self::cone_sweeps) counts the sweeps against the
+/// fault evaluations.
 ///
 /// # Example
 ///
@@ -77,51 +114,111 @@ impl FaultSimResult {
 pub struct FaultSimulator {
     sim: PackedSimulator,
     rank: Vec<u32>,
-    /// Flat fanout/fanin adjacency and per-gate kinds: the propagation
-    /// sweep's whole working set in contiguous arrays, instead of
-    /// pointer-chasing through `Gate` structs (heap `Vec` + name `String`
-    /// per gate).
+    /// Flat fanout/fanin adjacency and per-gate kinds: the whole working
+    /// set of the cone sweeps and the path tracing in contiguous arrays,
+    /// instead of pointer-chasing through `Gate` structs (heap `Vec` +
+    /// name `String` per gate).
     fo: CsrAdjacency,
     fi: CsrAdjacency,
     kinds: Vec<GateKind>,
     is_po: Vec<bool>,
+    /// The fanout-free-region tree: for a gate with exactly one fanout
+    /// pin that is not a primary output, the `(gate, pin)` it drives;
+    /// `(ROOT, 0)` for a region root (a stem, a PO or a dangling gate).
+    next: Vec<(u32, u32)>,
+    /// Each gate's region root (itself for a root).
+    root: Vec<u32>,
+    counters: ConeCounters,
+}
+
+/// `next` mark of a gate that roots its own fanout-free region.
+const ROOT: u32 = u32::MAX;
+
+/// Cone-sweep counters of a [`FaultSimulator`]: how many root
+/// observability sweeps ran against how many fault detection words were
+/// evaluated.
+///
+/// Both are pure functions of the simulated blocks, faults and masks
+/// (each block range runs its own memo), so they are identical for every
+/// job count — like [`fbist_sim::LaneOccupancy`], which they sit next to
+/// in the stats lines.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ConeSweeps {
+    /// Event-driven sweeps of a flipped region root.
+    pub roots: u64,
+    /// Fault detection words evaluated.
+    pub faults: u64,
+}
+
+/// The atomic totals behind [`ConeSweeps`]: shared by every worker that
+/// simulates through one `&FaultSimulator`, added to once per run.
+#[derive(Debug, Default)]
+struct ConeCounters {
+    roots: AtomicU64,
+    faults: AtomicU64,
+}
+
+impl Clone for ConeCounters {
+    fn clone(&self) -> Self {
+        ConeCounters {
+            roots: AtomicU64::new(self.roots.load(Ordering::Relaxed)),
+            faults: AtomicU64::new(self.faults.load(Ordering::Relaxed)),
+        }
+    }
 }
 
 /// Per-run scratch space, reused across faults and blocks; generic over
 /// the SIMD width `W` of the faulty-value words.
+///
+/// `faulty` mirrors the block's good values outside a sweep: a sweep
+/// writes the values it changes, lists them in `touched`, and restores
+/// them before it returns, so gate evaluation reads one array.
 ///
 /// The event queue is a bitset over topological *ranks*: enqueueing a gate
 /// sets the bit of its rank, and the sweep pops bits in ascending rank
 /// order with word scans. Ranks are unique, so this visits gates in
 /// exactly the order a rank-keyed priority queue would — without any heap
 /// traffic. Every bit is cleared as it is popped, so the bitset is empty
-/// again when a propagation finishes and needs no per-fault reset.
-struct Scratch<const W: usize> {
+/// again when a sweep finishes and needs no per-sweep reset.
+pub(crate) struct Scratch<const W: usize> {
     faulty: Vec<SimWord<W>>,
-    stamp: Vec<u32>,
-    epoch: u32,
     touched: Vec<u32>,
     pending: Vec<u64>,
+    /// Per-block memo, valid where `memo_stamp` equals `block`: a region
+    /// root's observability, any other gate's path sensitization.
+    memo: Vec<SimWord<W>>,
+    memo_stamp: Vec<u32>,
+    block: u32,
+    /// Gates of a path being traced, bottom first.
+    chain: Vec<u32>,
+    /// This run's [`ConeSweeps`], added to the simulator's totals at the
+    /// end of the run.
+    sweeps: ConeSweeps,
 }
 
 impl<const W: usize> Scratch<W> {
-    fn new(n: usize) -> Scratch<W> {
+    pub(crate) fn new(n: usize) -> Scratch<W> {
         Scratch {
             faulty: vec![SimWord::ZERO; n],
-            stamp: vec![0; n],
-            epoch: 0,
             touched: Vec::new(),
             pending: vec![0; n.div_ceil(64)],
+            memo: vec![SimWord::ZERO; n],
+            memo_stamp: vec![0; n],
+            block: 0,
+            chain: Vec::new(),
+            sweeps: ConeSweeps::default(),
         }
     }
 
-    fn next_epoch(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.fill(0);
-            self.epoch = 1;
+    /// Starts a block: mirrors its good values and invalidates the
+    /// per-block memo.
+    pub(crate) fn next_block(&mut self, good: &[SimWord<W>]) {
+        self.faulty.copy_from_slice(good);
+        self.block = self.block.wrapping_add(1);
+        if self.block == 0 {
+            self.memo_stamp.fill(0);
+            self.block = 1;
         }
-        self.touched.clear();
     }
 }
 
@@ -143,14 +240,67 @@ impl FaultSimulator {
         for &o in netlist.outputs() {
             is_po[o.index()] = true;
         }
+        let fo = netlist.fanouts_csr();
+        let fi = netlist.fanins_csr();
+        // the region tree: a gate continues its region into the one pin
+        // it drives unless it is a PO; everything else is a root
+        let mut next = vec![(ROOT, 0); netlist.gate_count()];
+        for (g, link) in next.iter_mut().enumerate() {
+            if let [h] = fo.of(g) {
+                if !is_po[g] {
+                    let pin = fi.of(h.index()).iter().position(|f| f.index() == g);
+                    *link = (
+                        h.index() as u32,
+                        pin.expect("a fanout reads its driver") as u32,
+                    );
+                }
+            }
+        }
+        // roots rank above their region, so reverse topological order
+        // resolves every gate's successor first
+        let mut root = vec![0u32; netlist.gate_count()];
+        for &g in sim.order().iter().rev() {
+            root[g.index()] = match next[g.index()].0 {
+                ROOT => g.index() as u32,
+                h => root[h as usize],
+            };
+        }
         Ok(FaultSimulator {
             sim,
             rank,
-            fo: netlist.fanouts_csr(),
-            fi: netlist.fanins_csr(),
+            fo,
+            fi,
             kinds: netlist.kinds(),
             is_po,
+            next,
+            root,
+            counters: ConeCounters::default(),
         })
+    }
+
+    /// Cone-sweep counters accumulated since construction or the last
+    /// [`reset_cone_sweeps`](Self::reset_cone_sweeps).
+    pub fn cone_sweeps(&self) -> ConeSweeps {
+        ConeSweeps {
+            roots: self.counters.roots.load(Ordering::Relaxed),
+            faults: self.counters.faults.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Resets the cone-sweep counters to zero.
+    pub fn reset_cone_sweeps(&self) {
+        self.counters.roots.store(0, Ordering::Relaxed);
+        self.counters.faults.store(0, Ordering::Relaxed);
+    }
+
+    /// Adds a finished run's counts to the totals.
+    fn record_sweeps<const W: usize>(&self, s: &Scratch<W>) {
+        self.counters
+            .roots
+            .fetch_add(s.sweeps.roots, Ordering::Relaxed);
+        self.counters
+            .faults
+            .fetch_add(s.sweeps.faults, Ordering::Relaxed);
     }
 
     /// Gate `i`'s fanouts (CSR slice).
@@ -252,12 +402,13 @@ impl FaultSimulator {
             let pi_words = pack::pack_patterns_w::<W>(self.sim.input_count(), chunk);
             self.sim.eval_block_into_w(&pi_words, &mut good);
             self.sim.record_occupancy_wide(chunk.len(), lanes);
+            scratch.next_block(&good);
             let lane_mask = pack::lane_mask_w::<W>(chunk.len());
             for (fid, fault) in faults.iter() {
                 if detected.get(fid.index()) {
                     continue;
                 }
-                let det = self.propagate(&good, fault, &mut scratch) & lane_mask;
+                let det = self.detect(&good, fault, lane_mask, &mut scratch);
                 if !det.is_zero() {
                     detected.set(fid.index(), true);
                     first_detection[fid.index()] = Some(base + det.trailing_zeros());
@@ -265,6 +416,7 @@ impl FaultSimulator {
                 }
             }
         }
+        self.record_sweeps(&scratch);
         FaultSimResult {
             detected,
             first_detection,
@@ -277,7 +429,7 @@ impl FaultSimulator {
     /// returns, per row, the set of detected faults.
     ///
     /// The good circuit is evaluated once per *shared* block and every
-    /// fault's cone is propagated once per shared block — against the
+    /// fault is evaluated once per shared block — against the
     /// per-row [`detects`](Self::detects) loop this cuts both counts by
     /// up to `64 / (τ + 1)` while producing **bit-identical rows**:
     /// `detects_batch(rows, f)[i] == detects(&rows[i], f)` for every `i`.
@@ -323,7 +475,7 @@ impl FaultSimulator {
     ///
     /// Within the range, *masked dropping* is applied: once every row
     /// with lanes in a later block has already detected a fault inside
-    /// this range, the fault's propagation is skipped for that block.
+    /// this range, the fault's evaluation is skipped for that block.
     /// Dropping can never change a row's detected set — detection is a
     /// monotone OR over lanes, so skipping lanes that can only re-detect
     /// an already-detected `(row, fault)` pair removes redundant work
@@ -355,7 +507,7 @@ impl FaultSimulator {
     /// The shared block loop of both batched engines: packs each shared
     /// block, evaluates the good circuit once, builds every fault's
     /// masked-dropping lane mask from the rows `alive` still admits,
-    /// propagates only when the mask is nonzero, and reports each hit
+    /// evaluates a fault only when its mask is nonzero, and reports each hit
     /// group to `record` together with the row-local index of its lowest
     /// detecting lane (= the group's earliest hit pattern).
     ///
@@ -438,6 +590,7 @@ impl FaultSimulator {
             self.sim.eval_block_into_w(&pi_words, &mut good);
             self.sim
                 .record_occupancy_wide(block.lanes_used, SimWord::<W>::LANES);
+            scratch.next_block(&good);
             for (fid, fault) in faults.iter() {
                 let fi = fid.index();
                 let mut mask = SimWord::<W>::ZERO;
@@ -449,7 +602,7 @@ impl FaultSimulator {
                 if mask.is_zero() {
                     continue; // masked dropping: nobody here still needs it
                 }
-                let det = self.propagate(&good, fault, &mut scratch) & mask;
+                let det = self.detect(&good, fault, mask, &mut scratch);
                 if det.is_zero() {
                     continue;
                 }
@@ -465,6 +618,7 @@ impl FaultSimulator {
                 }
             }
         }
+        self.record_sweeps(&scratch);
         partial
             .into_iter()
             .enumerate()
@@ -626,9 +780,10 @@ impl FaultSimulator {
             let pi_words = pack::pack_patterns_w::<W>(self.sim.input_count(), chunk);
             self.sim.eval_block_into_w(&pi_words, &mut good);
             self.sim.record_occupancy_wide(chunk.len(), lanes);
+            scratch.next_block(&good);
             let lane_mask = pack::lane_mask_w::<W>(chunk.len());
             for (fid, fault) in faults.iter() {
-                let mut det = self.propagate(&good, fault, &mut scratch) & lane_mask;
+                let mut det = self.detect(&good, fault, lane_mask, &mut scratch);
                 while !det.is_zero() {
                     let lane = det.trailing_zeros() as usize;
                     m.set(base + lane, fid.index(), true);
@@ -636,52 +791,150 @@ impl FaultSimulator {
                 }
             }
         }
+        self.record_sweeps(&scratch);
         m
     }
 
-    /// Injects `fault` into the good values of one block and returns the
-    /// `64·W`-lane detection word (1 = some primary output differs in
-    /// that lane). The caller masks invalid lanes.
-    fn propagate<const W: usize>(
+    /// The detection word of `fault` in one block, restricted to `mask`
+    /// (1 = some primary output differs in that lane): excitation ∧ mask
+    /// ∧ sensitization of the path to the region root ∧ the root's
+    /// observability, each factor evaluated only while the product is
+    /// still nonzero.
+    fn detect<const W: usize>(
         &self,
         good: &[SimWord<W>],
         fault: Fault,
+        mask: SimWord<W>,
         s: &mut Scratch<W>,
     ) -> SimWord<W> {
-        s.next_epoch();
-        let netlist = self.sim.netlist();
-        let forced_word = if fault.stuck_value() {
+        s.sweeps.faults += 1;
+        let (gate, faulty) = self.inject(good, fault);
+        let det = (faulty ^ good[gate]) & mask;
+        if det.is_zero() {
+            return det;
+        }
+        let det = det & self.path_sensitization(good, gate, s);
+        if det.is_zero() {
+            return det;
+        }
+        det & self.observability(good, self.root[gate] as usize, s)
+    }
+
+    /// The gate whose output `fault` changes first, and that output's
+    /// faulty value under the block's good values.
+    pub(crate) fn inject<const W: usize>(
+        &self,
+        good: &[SimWord<W>],
+        fault: Fault,
+    ) -> (usize, SimWord<W>) {
+        let forced = if fault.stuck_value() {
             SimWord::<W>::MAX
         } else {
             SimWord::<W>::ZERO
         };
-
-        // Injection.
-        let origin = match fault.site() {
-            FaultSite::GateOutput(g) => {
-                if forced_word == good[g.index()] {
-                    return SimWord::ZERO; // never excited in this block
-                }
-                s.faulty[g.index()] = forced_word;
-                s.stamp[g.index()] = s.epoch;
-                s.touched.push(g.index() as u32);
-                g
-            }
+        match fault.site() {
+            FaultSite::GateOutput(g) => (g.index(), forced),
             FaultSite::GateInput { gate, pin } => {
-                let g = netlist.gate(gate);
-                let v = eval_forced(g.kind(), g.fanin(), pin as usize, forced_word, |i| good[i]);
-                if v == good[gate.index()] {
-                    return SimWord::ZERO;
-                }
-                s.faulty[gate.index()] = v;
-                s.stamp[gate.index()] = s.epoch;
-                s.touched.push(gate.index() as u32);
-                gate
+                let g = gate.index();
+                let fanin = self.fanins_of(g);
+                let v = eval_forced(self.kinds[g], fanin, pin as usize, forced, |i| good[i]);
+                (g, v)
             }
-        };
+        }
+    }
+
+    /// The lanes in which a flip of `gate`'s output reaches its region
+    /// root: the AND of the pin sensitizations along the tree path,
+    /// memoised per gate for the current block.
+    fn path_sensitization<const W: usize>(
+        &self,
+        good: &[SimWord<W>],
+        gate: usize,
+        s: &mut Scratch<W>,
+    ) -> SimWord<W> {
+        // climb to the root or to the first gate already traced
+        let mut g = gate;
+        let mut sens = SimWord::<W>::MAX;
+        s.chain.clear();
+        while self.next[g].0 != ROOT {
+            if s.memo_stamp[g] == s.block {
+                sens = s.memo[g];
+                break;
+            }
+            s.chain.push(g as u32);
+            g = self.next[g].0 as usize;
+        }
+        // then trace back down, memoising every gate passed
+        while let Some(c) = s.chain.pop() {
+            let (h, pin) = self.next[c as usize];
+            sens &= self.pin_sensitization(good, h as usize, pin as usize);
+            s.memo[c as usize] = sens;
+            s.memo_stamp[c as usize] = s.block;
+        }
+        sens
+    }
+
+    /// The lanes in which `gate`'s output follows a flip of input `pin`
+    /// under the good values of its other pins.
+    fn pin_sensitization<const W: usize>(
+        &self,
+        good: &[SimWord<W>],
+        gate: usize,
+        pin: usize,
+    ) -> SimWord<W> {
+        let others = self
+            .fanins_of(gate)
+            .iter()
+            .enumerate()
+            .filter(|&(p, _)| p != pin)
+            .map(|(_, f)| good[f.index()]);
+        match self.kinds[gate] {
+            GateKind::And | GateKind::Nand => others.fold(SimWord::MAX, |a, v| a & v),
+            GateKind::Or | GateKind::Nor => others.fold(SimWord::MAX, |a, v| a & !v),
+            GateKind::Xor | GateKind::Xnor | GateKind::Not | GateKind::Buff => SimWord::MAX,
+            GateKind::Input | GateKind::Const0 | GateKind::Const1 | GateKind::Dff => {
+                unreachable!("region trees only continue into logic gate pins")
+            }
+        }
+    }
+
+    /// The lanes in which flipping region root `root` changes some
+    /// primary output: everywhere for a PO, otherwise one cone sweep,
+    /// memoised for the current block.
+    fn observability<const W: usize>(
+        &self,
+        good: &[SimWord<W>],
+        root: usize,
+        s: &mut Scratch<W>,
+    ) -> SimWord<W> {
+        if self.is_po[root] {
+            return SimWord::MAX;
+        }
+        if s.memo_stamp[root] != s.block {
+            s.sweeps.roots += 1;
+            let obs = self.sweep(good, root, !good[root], s);
+            s.memo[root] = obs;
+            s.memo_stamp[root] = s.block;
+        }
+        s.memo[root]
+    }
+
+    /// Sets `origin`'s output to `value` in one block of good values,
+    /// propagates the change event-wise through the fanout cone and
+    /// returns the `64·W`-lane detection word (1 = some primary output
+    /// differs in that lane). The caller masks invalid lanes.
+    pub(crate) fn sweep<const W: usize>(
+        &self,
+        good: &[SimWord<W>],
+        origin: usize,
+        value: SimWord<W>,
+        s: &mut Scratch<W>,
+    ) -> SimWord<W> {
+        s.faulty[origin] = value;
+        s.touched.push(origin as u32);
         let mut min_w = usize::MAX;
         let mut max_w = 0usize;
-        for &fo in self.fanouts_of(origin.index()) {
+        for &fo in self.fanouts_of(origin) {
             let r = self.rank[fo.index()] as usize;
             s.pending[r >> 6] |= 1u64 << (r & 63);
             min_w = min_w.min(r >> 6);
@@ -707,17 +960,9 @@ impl FaultSimulator {
             if kind == GateKind::Dff {
                 continue; // state boundary: effects stop at D pins
             }
-            let epoch = s.epoch;
-            let v = eval_mixed(kind, self.fanins_of(idx), |i| {
-                if s.stamp[i] == epoch {
-                    s.faulty[i]
-                } else {
-                    good[i]
-                }
-            });
+            let v = eval_mixed(kind, self.fanins_of(idx), |i| s.faulty[i]);
             if v != good[idx] {
                 s.faulty[idx] = v;
-                s.stamp[idx] = epoch;
                 s.touched.push(idx as u32);
                 for &fo in self.fanouts_of(idx) {
                     let r = self.rank[fo.index()] as usize;
@@ -727,12 +972,15 @@ impl FaultSimulator {
             }
         }
 
-        // Detection: any touched primary output differing from good.
+        // Detection: any touched primary output differing from good;
+        // restoring the touched values ends the sweep.
         let mut det = SimWord::<W>::ZERO;
-        for &t in &s.touched {
-            if self.is_po[t as usize] {
-                det |= s.faulty[t as usize] ^ good[t as usize];
+        for t in s.touched.drain(..) {
+            let t = t as usize;
+            if self.is_po[t] {
+                det |= s.faulty[t] ^ good[t];
             }
+            s.faulty[t] = good[t];
         }
         det
     }
@@ -1211,6 +1459,81 @@ mod tests {
         let batched = sim.good_simulator().occupancy();
         assert_eq!(batched.blocks, 1);
         assert_eq!(batched.ratio(), 1.0);
+    }
+
+    #[test]
+    fn region_tree_roots_stems_outputs_and_dangling_gates() {
+        // a is a stem, p a PO that also feeds q, d dangles; b, x, n and q
+        // chain into their only readers
+        let src = "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(p)\nOUTPUT(y)\n\
+                   x = AND(a, b)\nn = NOT(x)\np = OR(n, a)\nq = BUFF(p)\n\
+                   y = XOR(q, a)\nd = NAND(c, c)\n";
+        let n = bench::parse(src).unwrap();
+        let sim = FaultSimulator::new(&n).unwrap();
+        let id = |name: &str| n.find(name).unwrap().index();
+        for root in ["a", "p", "y", "d"] {
+            assert_eq!(sim.next[id(root)].0, ROOT, "{root} is a root");
+            assert_eq!(sim.root[id(root)] as usize, id(root));
+        }
+        // c drives two pins of one gate: a stem too
+        assert_eq!(sim.next[id("c")].0, ROOT);
+        assert_eq!(sim.next[id("b")], (id("x") as u32, 1));
+        assert_eq!(sim.next[id("x")], (id("n") as u32, 0));
+        assert_eq!(sim.next[id("n")], (id("p") as u32, 0));
+        assert_eq!(sim.next[id("q")], (id("y") as u32, 0));
+        assert_eq!(sim.root[id("x")] as usize, id("p"));
+        assert_eq!(sim.root[id("q")] as usize, id("y"));
+    }
+
+    #[test]
+    fn every_width_matches_the_cone_oracle() {
+        fn check<const W: usize>(n: &Netlist, patterns: &[BitVec]) {
+            let sim = FaultSimulator::new(n).unwrap();
+            let faults = FaultList::full(n);
+            let words = reference::ConeOracle::new(n)
+                .unwrap()
+                .block_words::<W>(patterns, &faults);
+            let dict = sim.dictionary_wide(patterns, &faults, W);
+            for (fid, f) in faults.iter() {
+                for (p, _) in patterns.iter().enumerate() {
+                    let word = words[p / SimWord::<W>::LANES][fid.index()];
+                    assert_eq!(
+                        dict.get(p, fid.index()),
+                        word.lane(p % SimWord::<W>::LANES),
+                        "W={W} {} pattern {p}",
+                        f.describe(n)
+                    );
+                }
+            }
+        }
+        for n in [embedded::c17(), embedded::adder4(), embedded::majority()] {
+            let width = n.inputs().len();
+            let patterns: Vec<BitVec> = (0..700u64)
+                .map(|v| BitVec::from_u64(width, v.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 7))
+                .collect();
+            check::<1>(&n, &patterns);
+            check::<2>(&n, &patterns);
+            check::<4>(&n, &patterns);
+            check::<8>(&n, &patterns);
+        }
+    }
+
+    #[test]
+    fn cone_sweeps_count_one_sweep_per_reached_root() {
+        let n = embedded::c17();
+        let sim = FaultSimulator::new(&n).unwrap();
+        let faults = FaultList::full(&n);
+        let _ = sim.dictionary(&exhaustive_patterns(5), &faults);
+        let sweeps = sim.cone_sweeps();
+        // one block: every fault evaluated once, each non-PO root swept
+        // at most once
+        let stems = (0..n.gate_count())
+            .filter(|&g| sim.next[g].0 == ROOT && !sim.is_po[g])
+            .count() as u64;
+        assert_eq!(sweeps.faults, faults.len() as u64);
+        assert!(0 < sweeps.roots && sweeps.roots <= stems, "{sweeps:?}");
+        sim.reset_cone_sweeps();
+        assert_eq!(sim.cone_sweeps(), ConeSweeps::default());
     }
 
     #[test]
