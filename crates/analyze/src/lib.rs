@@ -11,8 +11,8 @@
 //!    [`untestable_faults`] runs a FIRE-style fault-independent pass over
 //!    the [`Implicator`], a direct-implication engine on the two-bit
 //!    Kleene domain. The ATPG engine's `static_prepass` knob uses it to
-//!    prune hopeless targets before spending random patterns and PODEM
-//!    backtrack budget on them.
+//!    prune hopeless targets among the random phase's survivors before
+//!    spending PODEM backtrack budget on them.
 //!
 //! On top of the direct engine, the [`learning`] module computes a
 //! SOCRATES-style **learned-implication database**
@@ -25,8 +25,8 @@
 //! it with a slice lookup. [`untestable_faults_with`] uses it to prove
 //! strictly more faults untestable and to close verdicts over
 //! implication-proved fault equivalence and dominance
-//! ([`fault_relations`]), and the ATPG engine's keyed `static_learning`
-//! knob seeds every PODEM session with it for early conflict detection.
+//! ([`fault_relations`]); `fbist check` reports the redundancies only
+//! the learned pass proves.
 //!
 //! The crate is also the shared home for fault-independent netlist
 //! *measures*: [`testability`] holds the SCOAP

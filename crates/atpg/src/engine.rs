@@ -65,37 +65,26 @@ pub struct AtpgConfig {
     /// default, i.e. `--jobs` / `FBIST_JOBS` / core count). A pure
     /// throughput knob: results are bit-identical at any value.
     pub jobs: usize,
-    /// Prove faults untestable instead of letting PODEM abort on them.
-    /// On by default, it does two things:
+    /// Let static analysis and SAT decide what PODEM cannot. On by
+    /// default, it does two things:
     ///
-    /// * the static untestability pre-pass (`fbist-analyze`) prunes
-    ///   provably untestable faults before the random and PODEM phases;
+    /// * the static untestability pre-pass (`fbist-analyze`) removes
+    ///   provably untestable faults from the random phase's survivors
+    ///   before PODEM targets them;
     /// * a PODEM search that reaches [`ESCALATE_AT`](crate::ESCALATE_AT)
-    ///   backtracks asks the SAT fault miter ([`FaultMiter`](crate::FaultMiter))
-    ///   once, within [`CONFLICT_BUDGET`](crate::CONFLICT_BUDGET)
-    ///   conflicts; a proof ends the search untestable, any other answer
-    ///   lets the same search continue.
+    ///   backtracks hands its fault to the SAT fault miter
+    ///   ([`FaultMiter`](crate::FaultMiter)), within
+    ///   [`CONFLICT_BUDGET`](crate::CONFLICT_BUDGET) conflicts: a proof
+    ///   ends the search untestable, a model ends it with the model's test
+    ///   cube, and only a spent budget lets the same search continue.
     ///
     /// `false` is the pure-PODEM reference run of the differential suites
-    /// and the goldens. Both halves change only fault *classification*
-    /// (would-be aborts are reported untestable), so unlike `jobs` the
-    /// flag is part of the `atpg` stage key; the detected set and pattern
-    /// sequence are unaffected because untestable faults never contribute
-    /// patterns and every test PODEM returns is the one it returns
-    /// without the check.
+    /// and the goldens. The random phase is the same either way, but SAT
+    /// cubes change the PODEM phase's patterns and so its fortuitous
+    /// detections, and faults that pure PODEM aborts on end detected or
+    /// untestable. Unlike `jobs`, the flag is therefore part of the `atpg`
+    /// stage key.
     pub static_prepass: bool,
-    /// Build the static-learning implication database (`fbist-analyze`)
-    /// once per run and use it twice: the untestability pre-pass (when
-    /// `static_prepass` is also set) upgrades to the learned closure —
-    /// indirect implications plus implication-proved fault equivalence and
-    /// dominance — proving strictly more faults untestable, and every
-    /// PODEM session is seeded with the database for early conflict
-    /// detection and search-free untestability proofs. Like
-    /// `static_prepass` this is a *semantic* knob (part of the `atpg`
-    /// stage key): classifications and patterns may differ from a
-    /// learning-free run, but results remain bit-identical across `jobs`
-    /// and `simd_width`.
-    pub static_learning: bool,
     /// SIMD block width for the packed fault simulations behind
     /// dictionaries, drop passes and compaction checks
     /// ([`SimdWidth::Auto`] widens only while the block count shrinks).
@@ -117,7 +106,6 @@ impl Default for AtpgConfig {
             compact: true,
             jobs: 0,
             static_prepass: true,
-            static_learning: false,
             simd_width: SimdWidth::Auto,
         }
     }
@@ -218,34 +206,6 @@ impl Atpg {
         // rebuilt from `detected` after every test.
         let mut remaining: Vec<FaultId> = faults.iter().map(|(id, _)| id).collect();
 
-        // ---- Phase 0: static untestability pre-pass --------------------
-        //
-        // Statically-proven untestable faults are recorded up front and
-        // removed from the target list, so neither the random phase nor
-        // PODEM spends budget on them. This cannot change the detected
-        // set or the pattern sequence: a provably untestable fault is
-        // detected by no pattern, so it never contributes a first
-        // detection in Phase 1 and PODEM could only ever classify it
-        // (untestable or aborted), never produce a test for it.
-        let mut untestable: Vec<FaultId> = Vec::new();
-        let learned = config.static_learning.then(|| {
-            fbist_analyze::LearnedImplications::learn(&self.netlist)
-                .expect("netlist already validated")
-        });
-        if config.static_prepass {
-            let statically_untestable =
-                fbist_analyze::untestable_faults_with(&self.netlist, faults, learned.as_ref())
-                    .expect("netlist already validated");
-            remaining.retain(|&id| {
-                if statically_untestable[id.index()] {
-                    untestable.push(id);
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-
         // ---- Phase 1: random patterns with fault dropping -------------
         let mut stall = 0usize;
         for _ in 0..config.max_random_batches {
@@ -286,7 +246,30 @@ impl Atpg {
             remaining.retain(|id| !detected.get(id.index()));
         }
 
-        // ---- Phase 2: fault-parallel PODEM in deterministic rounds -----
+        // ---- Phase 2: static untestability pre-pass on the survivors ---
+        //
+        // Statically-proven untestable faults are recorded and removed
+        // from the target list, so PODEM spends no budget on them. Running
+        // the pass after the random phase proves the same faults, in the
+        // same index order, as running it on the full list: a provably
+        // untestable fault is detected by no pattern, so the random phase
+        // never drops one.
+        let mut untestable: Vec<FaultId> = Vec::new();
+        if config.static_prepass {
+            let mut proven =
+                fbist_analyze::untestable_faults(&self.netlist, &faults.subset(&remaining))
+                    .expect("netlist already validated")
+                    .into_iter();
+            remaining.retain(|&id| {
+                let untestable_here = proven.next().expect("one verdict per survivor");
+                if untestable_here {
+                    untestable.push(id);
+                }
+                !untestable_here
+            });
+        }
+
+        // ---- Phase 3: fault-parallel PODEM in deterministic rounds -----
         //
         // Each round takes the next PODEM_ROUND undetected faults in index
         // order, searches their cubes in parallel (a pure function of the
@@ -299,7 +282,6 @@ impl Atpg {
             &self.netlist,
             PodemConfig {
                 backtrack_limit: config.backtrack_limit,
-                learning: learned,
             },
         )
         .expect("netlist already validated");
@@ -386,9 +368,12 @@ impl Atpg {
                             continue; // covered within this round — skip
                         }
                         let dict = dict.as_ref().expect("candidate implies dictionary");
-                        debug_assert!(
+                        // a release check: the dictionary is already built,
+                        // and a cube that misses its own target must never
+                        // be counted as a test
+                        assert!(
                             dict.get(this_row, j),
-                            "PODEM cube failed to detect its own fault {}",
+                            "test cube failed to detect its own fault {}",
                             faults.get(fid).describe(&self.netlist)
                         );
                         podem_tests += 1;
@@ -440,7 +425,7 @@ impl Atpg {
         untestable.retain(|id| !detected.get(id.index()));
         aborted.retain(|id| !detected.get(id.index()));
 
-        // ---- Phase 3: reverse-order compaction --------------------------
+        // ---- Phase 4: reverse-order compaction --------------------------
         if config.compact && patterns.len() > 1 {
             patterns = self.compacted_or_fallback(patterns, faults, detected.count_ones(), config);
         }
@@ -699,10 +684,55 @@ mod tests {
         }
     }
 
+    /// The contract between a SAT-completed run (`on`) and the pure-PODEM
+    /// reference (`off`) of the same faults: an identical random phase,
+    /// detected/untestable/aborted disjoint and covering every fault in
+    /// both, sound classifications across the runs, and the SAT run never
+    /// worse.
+    fn assert_sat_contract(off: &AtpgResult, on: &AtpgResult) {
+        assert_eq!(off.random_detected, on.random_detected);
+        for r in [off, on] {
+            let mut seen = vec![0u8; r.total_faults];
+            for id in r.untestable.iter().chain(&r.aborted) {
+                seen[id.index()] += 1;
+            }
+            for (i, &k) in seen.iter().enumerate() {
+                assert_eq!(
+                    k + r.detected.get(i) as u8,
+                    1,
+                    "fault {i} classified {k} times"
+                );
+            }
+        }
+        for id in &off.untestable {
+            assert!(
+                on.untestable.contains(id),
+                "fault {} lost its proof",
+                id.index()
+            );
+        }
+        for id in &on.untestable {
+            assert!(
+                !off.detected.get(id.index()),
+                "fault {} proven yet detected",
+                id.index()
+            );
+        }
+        for id in &on.aborted {
+            assert!(
+                off.aborted.contains(id),
+                "fault {} aborts only with SAT",
+                id.index()
+            );
+        }
+        assert!(on.coverage() >= off.coverage());
+    }
+
     #[test]
-    fn static_prepass_preserves_detection_and_patterns() {
-        // Prepass on vs off: identical patterns and detected set; the
-        // pruned faults all end up classified untestable.
+    fn static_prepass_keeps_the_sat_contract() {
+        // Prepass on vs off on a circuit with one redundancy: the contract
+        // holds, both runs prove the same faults, and every statically
+        // pruned fault is reported untestable.
         let src =
             "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nOUTPUT(z)\nna = NOT(a)\ny = OR(a, na)\nz = AND(a, b)\n";
         let n = bench::parse(src).unwrap();
@@ -716,9 +746,8 @@ mod tests {
             },
         );
         let on = atpg.run(&faults, &AtpgConfig::default());
-        assert_eq!(off.patterns, on.patterns);
+        assert_sat_contract(&off, &on);
         assert_eq!(off.detected, on.detected);
-        assert_eq!(off.random_detected, on.random_detected);
         // same untestable faults as a set (order may differ)
         let mut a = off.untestable.clone();
         let mut b = on.untestable.clone();
@@ -770,10 +799,11 @@ mod tests {
     }
 
     #[test]
-    fn sat_escalation_settles_aborts_the_prepass_cannot() {
-        // the static pre-pass alone leaves redundant faults for PODEM to
-        // abort on; with the pre-pass on, the SAT check proves some of
-        // them at ESCALATE_AT backtracks, patterns unchanged
+    fn sat_completion_settles_aborts_the_prepass_cannot() {
+        // the static pre-pass alone leaves faults for PODEM to abort on;
+        // with the pre-pass on, the SAT miter settles them at their first
+        // backtrack, proving some beyond the static pre-pass and testing
+        // the rest
         let profile = fbist_genbench::profile("c1908").unwrap().scaled(0.25);
         let n = fbist_genbench::generate(&profile, 1);
         let atpg = Atpg::new(&n).unwrap();
@@ -789,98 +819,13 @@ mod tests {
             )
         };
         let (off, on) = (run(false), run(true));
-        assert_eq!(off.patterns, on.patterns);
-        assert!(on.aborted.len() < off.aborted.len());
+        assert_sat_contract(&off, &on);
+        assert!(!off.aborted.is_empty() && on.aborted.is_empty());
         let mask = fbist_analyze::untestable_faults(&n, &faults).unwrap();
         assert!(
             on.untestable.iter().any(|id| !mask[id.index()]),
             "no fault proven beyond the static pre-pass"
         );
-    }
-
-    #[test]
-    fn static_learning_keeps_coverage_and_jobs_invariance() {
-        // Learning changes which faults abort, never which are detectable;
-        // and seeded sessions stay a pure function of the fault, so the
-        // jobs knob remains pure throughput (full sweep in
-        // tests/atpg_equivalence.rs).
-        let n = embedded::adder4();
-        let atpg = Atpg::new(&n).unwrap();
-        let faults = FaultList::collapsed(&n);
-        let run = |jobs| {
-            atpg.run(
-                &faults,
-                &AtpgConfig {
-                    jobs,
-                    static_learning: true,
-                    ..AtpgConfig::default()
-                },
-            )
-        };
-        let serial = run(1);
-        assert!((serial.coverage() - 1.0).abs() < 1e-12);
-        assert_eq!(serial, run(4));
-    }
-
-    #[test]
-    fn static_learning_never_prunes_less_than_the_plain_prepass() {
-        // With a zero backtrack budget every unproven redundancy aborts;
-        // the learned pre-pass must settle at least what the plain
-        // implication sweep settles, with the detected set unchanged.
-        let src =
-            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nOUTPUT(z)\nna = NOT(a)\nx = AND(a, b)\ny = AND(x, na)\nz = OR(a, b)\n";
-        let n = bench::parse(src).unwrap();
-        let atpg = Atpg::new(&n).unwrap();
-        let faults = FaultList::full(&n);
-        let cfg = AtpgConfig {
-            backtrack_limit: 0,
-            max_random_batches: 0,
-            ..AtpgConfig::default()
-        };
-        let plain = atpg.run(&faults, &cfg);
-        let learned = atpg.run(
-            &faults,
-            &AtpgConfig {
-                static_learning: true,
-                ..cfg
-            },
-        );
-        assert_eq!(plain.detected, learned.detected);
-        assert!(learned.untestable.len() >= plain.untestable.len());
-        assert!(learned.aborted.len() <= plain.aborted.len());
-    }
-
-    #[test]
-    fn learning_prepass_changes_classification_only() {
-        // With learning fixed on, turning the pre-pass on prunes faults
-        // that are provably untestable — detected by no pattern — so the
-        // pattern sequence and detected set cannot move.
-        let src =
-            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nOUTPUT(z)\nna = NOT(a)\ny = OR(a, na)\nz = AND(a, b)\n";
-        let n = bench::parse(src).unwrap();
-        let atpg = Atpg::new(&n).unwrap();
-        let faults = FaultList::full(&n);
-        let base = AtpgConfig {
-            static_learning: true,
-            static_prepass: false,
-            ..AtpgConfig::default()
-        };
-        let off = atpg.run(&faults, &base);
-        let on = atpg.run(
-            &faults,
-            &AtpgConfig {
-                static_prepass: true,
-                ..base
-            },
-        );
-        assert_eq!(off.patterns, on.patterns);
-        assert_eq!(off.detected, on.detected);
-        assert_eq!(off.random_detected, on.random_detected);
-        let mut a = off.untestable.clone();
-        let mut b = on.untestable.clone();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -11,11 +11,16 @@
 //!   (good/faulty) three-valued simulation, complete for combinational
 //!   stuck-at faults: returns a test cube, a proof of untestability, or an
 //!   abort after a backtrack budget;
+//! * [`FaultMiter`] — a SAT fault miter over the crate's CDCL solver that
+//!   decides every fault within a conflict budget: a proof of
+//!   untestability, or a model whose test cube detects the fault;
 //! * [`Atpg`] — the full engine: a random-pattern phase with fault
-//!   dropping, a deterministic PODEM phase for the random-resistant
-//!   remainder, and reverse-order compaction. Its output — the compacted
-//!   pattern list plus the list of faults it covers — is exactly the
-//!   `(ATPGTS, F)` pair the reseeding flow starts from.
+//!   dropping, a static untestability pre-pass on the survivors, a
+//!   deterministic PODEM phase that hands every search reaching its first
+//!   backtrack to the fault miter, and reverse-order compaction. Its
+//!   output — the compacted pattern list plus the list of faults it
+//!   covers — is exactly the `(ATPGTS, F)` pair the reseeding flow starts
+//!   from.
 //!
 //! # Example
 //!

@@ -16,11 +16,16 @@
 //!   path of differing nets from the origin to an output, so the clauses
 //!   are satisfiable exactly when the fault is detectable.
 //!
-//! UNSAT is therefore a proof that no input pattern detects the fault.
-//! Only the transitive fanin of the cone and the cone's own variables are
-//! decision variables, so the search never branches on logic that cannot
-//! influence the fault.
+//! UNSAT is therefore a proof that no input pattern detects the fault,
+//! and a model is a test: [`MiterSession::model_cube`] reads the model's
+//! values of the primary inputs in the cone's transitive fanin and leaves
+//! every other input X. Those inputs fix every good and faulty value in
+//! the cone, so any fill of the X positions detects the fault. Only the
+//! transitive fanin of the cone and the cone's own variables are decision
+//! variables, so the search never branches on logic that cannot influence
+//! the fault.
 
+use fbist_bits::{Cube, Trit};
 use fbist_fault::{Fault, FaultSite};
 use fbist_netlist::{CsrAdjacency, GateKind, Netlist};
 use fbist_sim::SimError;
@@ -73,6 +78,8 @@ pub struct FaultMiter {
     fo: CsrAdjacency,
     kinds: Vec<GateKind>,
     is_po: Vec<bool>,
+    /// The primary inputs' nets, in input-position order.
+    inputs: Vec<u32>,
     /// First auxiliary variable of gate `i`'s good XOR chain; its faulty
     /// chain follows directly.
     aux: Vec<u32>,
@@ -112,6 +119,7 @@ impl FaultMiter {
             fi,
             kinds,
             is_po,
+            inputs: netlist.inputs().iter().map(|i| i.index() as u32).collect(),
             aux,
             base: Solver::new(),
         };
@@ -411,15 +419,20 @@ impl MiterSession<'_> {
         self.work.add_clause(&mut self.clause);
     }
 
-    /// The input pattern of the last `Testable` answer on `netlist`
-    /// (unassigned inputs read 0).
-    #[cfg(test)]
-    pub(crate) fn model_inputs(&self, netlist: &Netlist) -> Vec<bool> {
-        netlist
-            .inputs()
-            .iter()
-            .map(|&i| self.work.model_value(i.index() as u32) == Some(true))
-            .collect()
+    /// The test cube of the last [`SatVerdict::Testable`] answer: each
+    /// primary input in the checked cone's transitive fanin takes its
+    /// model value, every other input stays X.
+    pub fn model_cube(&self) -> Cube {
+        let m = self.miter;
+        let mut cube = Cube::all_x(m.inputs.len());
+        for (k, &i) in m.inputs.iter().enumerate() {
+            if self.tfi[i as usize] == self.epoch {
+                if let Some(v) = self.work.model_value(i) {
+                    cube.set(k, Trit::from_bool(v));
+                }
+            }
+        }
+        cube
     }
 }
 
@@ -427,7 +440,6 @@ impl MiterSession<'_> {
 mod tests {
     use super::*;
     use crate::{Podem, PodemConfig, PodemOutcome};
-    use fbist_bits::BitVec;
     use fbist_fault::{reference, FaultList};
     use fbist_netlist::{bench, embedded};
 
@@ -442,7 +454,6 @@ mod tests {
             n,
             PodemConfig {
                 backtrack_limit: 2000,
-                ..PodemConfig::default()
             },
         )
         .unwrap();
@@ -460,15 +471,13 @@ mod tests {
                 _ => {}
             }
             if verdict == SatVerdict::Testable {
-                let bits = session.model_inputs(n);
-                let mut p = BitVec::zeros(bits.len());
-                for (k, b) in bits.into_iter().enumerate() {
-                    p.set(k, b);
+                let cube = session.model_cube();
+                for fill in [false, true] {
+                    assert!(
+                        reference::naive_detects(n, fault, &cube.fill_const(fill)),
+                        "{name}: the SAT cube {cube} (fill {fill}) does not detect the fault"
+                    );
                 }
-                assert!(
-                    reference::naive_detects(n, fault, &p),
-                    "{name}: the SAT model {p} does not detect the fault"
-                );
             }
             counts[verdict as usize] += 1;
         }

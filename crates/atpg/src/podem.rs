@@ -16,13 +16,14 @@
 //! before forward-simulating the flipped input alone.
 //!
 //! A session of an engine built for the full ATPG flow (see
-//! `Podem::escalate_to_sat`) asks the SAT fault miter once, when a search
-//! reaches [`ESCALATE_AT`] backtracks: a proof of untestability ends the
-//! search, any other answer lets it continue exactly as before. Every
-//! test the search returns is therefore the test it returns without the
-//! check; only searches that would abort can end untestable instead.
+//! `Podem::escalate_to_sat`) hands the fault to the SAT fault miter at
+//! its first backtrack ([`ESCALATE_AT`]), and the verdict settles the
+//! search: a proof ends it untestable, a model ends it with the model's
+//! test cube ([`MiterSession::model_cube`]), and only a spent conflict
+//! budget lets the same search continue to its backtrack limit. PODEM is
+//! the fast path for the faults it solves without backtracking; SAT
+//! decides every other one.
 
-use fbist_analyze::LearnedImplications;
 use fbist_bits::{Cube, Trit};
 use fbist_fault::{Fault, FaultSite};
 use fbist_netlist::{CsrAdjacency, GateId, GateKind, Netlist};
@@ -31,9 +32,9 @@ use fbist_sim::SimError;
 use crate::miter::{FaultMiter, MiterSession, SatVerdict};
 use crate::testability::Testability;
 
-/// Backtracks after which a search of the full ATPG flow asks the SAT
-/// fault miter whether the fault is untestable at all.
-pub const ESCALATE_AT: usize = 10;
+/// Backtracks after which a search of the full ATPG flow hands the fault
+/// to the SAT fault miter, whose verdict settles the search.
+pub const ESCALATE_AT: usize = 1;
 
 /// Tuning knobs for the PODEM search.
 #[derive(Debug, Clone)]
@@ -41,24 +42,12 @@ pub struct PodemConfig {
     /// Maximum number of backtracks before giving up with
     /// [`PodemOutcome::Aborted`].
     pub backtrack_limit: usize,
-    /// Optional static-learning database (`fbist-analyze`). When present,
-    /// every search derives the fault's *necessary excitation conditions*
-    /// — the learned good-circuit consequences of the excitation literal —
-    /// and backtracks as soon as the good plane contradicts one, instead
-    /// of discovering the dead end decisions later. A learned constant at
-    /// the excitation net proves the fault untestable with no search at
-    /// all. Outcomes stay a pure function of the fault, so `jobs` /
-    /// SIMD-width invariance is untouched; outcomes may legitimately
-    /// differ from a learning-free run (fewer aborts), which is why the
-    /// knob is part of the `atpg` stage key.
-    pub learning: Option<LearnedImplications>,
 }
 
 impl Default for PodemConfig {
     fn default() -> Self {
         PodemConfig {
             backtrack_limit: 1000,
-            learning: None,
         }
     }
 }
@@ -134,7 +123,7 @@ pub struct Podem {
     /// `memcpy`s plus cone-local fault injection instead of a full
     /// two-plane gate sweep.
     baseline: Vec<Tv>,
-    /// The SAT untestability check searches escalate to, if any.
+    /// The SAT fault miter searches escalate to, if any.
     miter: Option<FaultMiter>,
 }
 
@@ -450,9 +439,10 @@ impl Podem {
         })
     }
 
-    /// Makes every search of this engine's sessions ask the SAT fault
-    /// miter once, at [`ESCALATE_AT`] backtracks, and end `Untestable` on
-    /// a proof. Tests are unchanged; only would-be aborts move.
+    /// Makes every search of this engine's sessions hand its fault to the
+    /// SAT fault miter at [`ESCALATE_AT`] backtracks: a proof ends the
+    /// search `Untestable`, a model ends it with the model's cube, and an
+    /// `Unknown` verdict lets the search continue.
     pub(crate) fn escalate_to_sat(&mut self) {
         self.miter = Some(FaultMiter::new(&self.netlist).expect("netlist already validated"));
     }
@@ -509,7 +499,6 @@ impl Podem {
             },
             pi: vec![Trit::X; npis],
             stack: Vec::new(),
-            required: Vec::new(),
             miter: None,
             #[cfg(test)]
             restores_checked: 0,
@@ -922,12 +911,6 @@ pub struct PodemSession<'p> {
     pi: Vec<Trit>,
     /// Decision stack, oldest first.
     stack: Vec<Decision>,
-    /// Learned necessary conditions for the current fault, as
-    /// `(net, forbidden good value)` pairs: the good plane settling on the
-    /// forbidden value anywhere makes excitation impossible in the whole
-    /// subtree, so the search backtracks immediately. Empty without a
-    /// learning database.
-    required: Vec<(u32, Tv)>,
     /// The SAT check, opened at the first escalation.
     miter: Option<MiterSession<'p>>,
     /// Trail rollbacks checked against a from-scratch sweep.
@@ -959,15 +942,17 @@ impl<'p> PodemSession<'p> {
         self.generate_with_stats(fault).0
     }
 
-    /// `true` if the engine escalates to the SAT fault miter and it
-    /// proves `fault` untestable.
-    fn sat_proves_untestable(&mut self, fault: Fault) -> bool {
+    /// The outcome the SAT fault miter settles `fault` with, if the engine
+    /// escalates and the check answers within its conflict budget.
+    fn sat_outcome(&mut self, fault: Fault) -> Option<PodemOutcome> {
         let podem: &'p Podem = self.podem;
-        let Some(miter) = &podem.miter else {
-            return false;
-        };
+        let miter = podem.miter.as_ref()?;
         let session = self.miter.get_or_insert_with(|| miter.session());
-        session.check(fault) == SatVerdict::Untestable
+        match session.check(fault) {
+            SatVerdict::Untestable => Some(PodemOutcome::Untestable),
+            SatVerdict::Testable => Some(PodemOutcome::Test(session.model_cube())),
+            SatVerdict::Unknown => None,
+        }
     }
 
     /// Asserts that the rolled-back planes and D flags equal a
@@ -1005,21 +990,6 @@ impl<'p> PodemSession<'p> {
         self.search.rebind(podem, fault);
         podem.inject(fault, &mut self.search, &mut self.planes);
 
-        // Learned necessary conditions: excitation needs the good value
-        // `!stuck` at the excitation net, so every learned good-circuit
-        // consequence of that literal must hold in any test. A learned
-        // constant equal to the stuck value settles the fault outright.
-        self.required.clear();
-        if let Some(db) = &podem.config.learning {
-            let site = podem.excitation_net(fault);
-            if db.constant(site) == Some(fault.stuck_value()) {
-                return (PodemOutcome::Untestable, stats);
-            }
-            for (w, c) in db.implied(site, !fault.stuck_value()) {
-                self.required.push((w.index() as u32, tv_from_bool(!c)));
-            }
-        }
-
         loop {
             stats.implications += 1;
             if podem
@@ -1035,19 +1005,7 @@ impl<'p> PodemSession<'p> {
                 return (PodemOutcome::Test(cube), stats);
             }
 
-            // Early conflict: a learned necessary condition is violated on
-            // the good plane (a definite value holds under every completion
-            // of the current assignment), so no extension excites the
-            // fault — backtrack without exploring the subtree.
-            let learned_conflict = self
-                .required
-                .iter()
-                .any(|&(w, bad)| self.planes.good[w as usize] == bad);
-            let objective = if learned_conflict {
-                None
-            } else {
-                podem.objective(&self.planes, fault, &mut self.search)
-            };
+            let objective = podem.objective(&self.planes, fault, &mut self.search);
             let next = objective.and_then(|(net, val)| podem.backtrace(net, val, &self.planes));
             let (pos, val) = match next {
                 Some((pos, val)) => {
@@ -1075,8 +1033,10 @@ impl<'p> PodemSession<'p> {
                     if stats.backtracks > podem.config.backtrack_limit {
                         return (PodemOutcome::Aborted, stats);
                     }
-                    if stats.backtracks == ESCALATE_AT && self.sat_proves_untestable(fault) {
-                        return (PodemOutcome::Untestable, stats);
+                    if stats.backtracks == ESCALATE_AT {
+                        if let Some(outcome) = self.sat_outcome(fault) {
+                            return (outcome, stats);
+                        }
                     }
                     self.pi[d.pos] = Trit::X;
                     self.search.undo_to(d.mark, &mut self.planes);
@@ -1255,30 +1215,6 @@ z = OR(c, d, e, f, g, h)
         assert!(stats.decisions >= 1);
     }
 
-    #[test]
-    fn learning_settles_constant_sites_without_search() {
-        // y = AND(AND(a, b), NOT(a)) ≡ 0. With a zero backtrack budget the
-        // unseeded engine may abort on y/0; seeded with the learned
-        // database the constant settles it untestable with no decisions.
-        let src = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nna = NOT(a)\nx = AND(a, b)\ny = AND(x, na)\n";
-        let n = bench::parse(src).unwrap();
-        let db = fbist_analyze::LearnedImplications::learn(&n).unwrap();
-        let podem = Podem::with_config(
-            &n,
-            PodemConfig {
-                backtrack_limit: 0,
-                learning: Some(db),
-            },
-        )
-        .unwrap();
-        let y = n.find("y").unwrap();
-        let f = Fault::stuck_at(FaultSite::GateOutput(y), false);
-        let (out, stats) = podem.generate_with_stats(f);
-        assert_eq!(out, PodemOutcome::Untestable);
-        assert_eq!(stats.decisions, 0);
-        assert_eq!(stats.backtracks, 0);
-    }
-
     /// Searches every collapsed fault of `n` at `budget` through one
     /// session, whose every backtrack checks the trail rollback against a
     /// full sweep. Returns the rollbacks checked and the faults aborted.
@@ -1287,7 +1223,6 @@ z = OR(c, d, e, f, g, h)
             n,
             PodemConfig {
                 backtrack_limit: budget,
-                ..PodemConfig::default()
             },
         )
         .unwrap();
@@ -1314,38 +1249,49 @@ z = OR(c, d, e, f, g, h)
     }
 
     #[test]
-    fn sat_escalation_only_moves_aborts_to_untestable() {
-        // an escalating session returns every test (and its search
-        // statistics) of a plain one; it may only settle a search the
-        // plain session aborts, or prove untestable sooner
+    fn sat_completion_settles_every_search_that_backtracks() {
+        // an escalating session returns every search a plain one ends
+        // without backtracking unchanged; every other search ends at its
+        // first backtrack with the miter's verdict: a proof only where the
+        // plain search proves or aborts, a cube (that detects the fault
+        // under both constant fills) only where it finds a test or aborts
         let profile = fbist_genbench::profile("c1908").unwrap().scaled(0.25);
         let n = fbist_genbench::generate(&profile, 1);
         let plain = Podem::with_config(
             &n,
             PodemConfig {
                 backtrack_limit: 100,
-                ..PodemConfig::default()
             },
         )
         .unwrap();
         let mut escalating = plain.clone();
         escalating.escalate_to_sat();
         let (mut p, mut e) = (plain.session(), escalating.session());
-        let mut settled = 0;
+        let (mut sat_tests, mut settled_aborts) = (0, 0);
         for (_, fault) in FaultList::collapsed(&n).iter() {
             let (po, ps) = p.generate_with_stats(fault);
             let (eo, es) = e.generate_with_stats(fault);
-            match po {
-                PodemOutcome::Test(_) => assert_eq!((eo, es), (po, ps)),
-                PodemOutcome::Untestable => assert_eq!(eo, PodemOutcome::Untestable),
-                PodemOutcome::Aborted if eo == PodemOutcome::Untestable => {
-                    assert_eq!(es.backtracks, ESCALATE_AT);
-                    settled += 1;
+            if ps.backtracks < ESCALATE_AT || es.backtracks > ESCALATE_AT {
+                // no backtrack, or a spent conflict budget: plain PODEM
+                assert_eq!((&eo, es), (&po, ps));
+                continue;
+            }
+            match (&po, &eo) {
+                (PodemOutcome::Untestable, PodemOutcome::Untestable) => {}
+                (PodemOutcome::Test(_), PodemOutcome::Test(cube)) => {
+                    check_cube_detects(&n, fault, cube);
+                    sat_tests += 1;
                 }
-                PodemOutcome::Aborted => assert_eq!((eo, es), (po, ps)),
+                (PodemOutcome::Aborted, PodemOutcome::Test(cube)) => {
+                    check_cube_detects(&n, fault, cube);
+                    settled_aborts += 1;
+                }
+                (PodemOutcome::Aborted, PodemOutcome::Untestable) => settled_aborts += 1,
+                (po, eo) => panic!("{}: plain {po:?}, SAT {eo:?}", fault.describe(&n)),
             }
         }
-        assert!(settled > 0, "no abort settled by the SAT check");
+        assert!(sat_tests > 0, "no test came from a SAT model");
+        assert!(settled_aborts > 0, "no abort settled by the SAT check");
         // the public entry points never escalate
         assert!(plain.miter.is_none());
     }
@@ -1358,14 +1304,7 @@ z = OR(c, d, e, f, g, h)
         // also acceptable — we only require termination.)
         let src = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nna = NOT(a)\nx = AND(a, b)\ny = AND(x, na)\n";
         let n = bench::parse(src).unwrap();
-        let podem = Podem::with_config(
-            &n,
-            PodemConfig {
-                backtrack_limit: 0,
-                ..PodemConfig::default()
-            },
-        )
-        .unwrap();
+        let podem = Podem::with_config(&n, PodemConfig { backtrack_limit: 0 }).unwrap();
         let y = n.find("y").unwrap();
         // y is constant 0 (a & !a): y/0 is redundant; proving it requires
         // exhausting decisions, which costs backtracks → Aborted with 0.

@@ -167,7 +167,6 @@ impl Solver {
     }
 
     /// The value of `var` after a `Sat` answer (`None`: not assigned).
-    #[cfg(test)]
     pub(crate) fn model_value(&self, var: u32) -> Option<bool> {
         match self.value[var as usize] {
             UNDEF => None,

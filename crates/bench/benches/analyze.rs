@@ -1,19 +1,19 @@
 //! Cost of the static analyses against the ATPG wall clock they amortise.
 //!
 //! Two cheap passes — the full `fbist check` report and the untestability
-//! pre-pass (`AtpgConfig::static_prepass`'s Phase 0) — are timed on the
-//! `mid256` and `big3500` mimics, next to the `big3500` deterministic ATPG
-//! run with the knob off (`atpg_wall/full`) and on (`atpg_wall/prepass`).
-//! CI's push-gated `analyze-bench` job bounds the pre-pass at ≤5 % of the
-//! full ATPG wall clock from the `BENCH_results.json` the criterion shim
-//! writes; in practice the pre-pass *pays for itself many times over* on
-//! `big3500`, because every statically-pruned fault is one PODEM would
-//! otherwise burn its whole backtrack budget on before aborting.
+//! pre-pass (`AtpgConfig::static_prepass`'s Phase 2, here over the whole
+//! fault list) — are timed on the `mid256` and `big3500` mimics, next to
+//! the `big3500` deterministic ATPG run with the knob off
+//! (`atpg_wall/full`, pure PODEM) and on (`atpg_wall/prepass`, the
+//! pre-pass plus SAT completion). CI's push-gated `analyze-bench` job
+//! bounds the pre-pass at ≤5 % of the pure-PODEM ATPG wall clock from the
+//! `BENCH_results.json` the criterion shim writes.
 //!
 //! Before timing, the bench asserts the semantic contract pinned for every
-//! profile by `tests/analyze_equivalence.rs`: identical detected set and
-//! pattern list with the knob on and off, and a strict reduction of the
-//! Phase-2 target count on a profile that aborts faults.
+//! profile by `tests/analyze_equivalence.rs`: the same random phase with
+//! the knob on and off, no fault aborting only with it on, no proof lost,
+//! coverage no lower, and a strict reduction of the PODEM target count on
+//! a profile that aborts faults.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fbist_analyze::{analyze, untestable_faults};
@@ -71,28 +71,39 @@ fn bench_analyze(c: &mut Criterion) {
     let off = run(false);
     let on = run(true);
     assert_eq!(
-        off.detected, on.detected,
-        "pre-pass changed the detected-fault set"
+        off.random_detected, on.random_detected,
+        "pre-pass changed the random phase"
     );
-    assert_eq!(off.patterns, on.patterns, "pre-pass changed the test set");
+    assert!(
+        on.aborted.iter().all(|id| off.aborted.contains(id)),
+        "a fault aborts only with the pre-pass on"
+    );
+    assert!(
+        off.untestable.iter().all(|id| on.untestable.contains(id)),
+        "the pre-pass lost an untestability proof"
+    );
+    assert!(
+        on.coverage() >= off.coverage(),
+        "the pre-pass lost coverage"
+    );
     assert!(
         !off.aborted.is_empty(),
-        "big3500 no longer aborts faults — move the Phase-2 assertion to a \
-         profile that does"
+        "big3500 no longer aborts faults — move the PODEM-target assertion \
+         to a profile that does"
     );
-    // Phase-2 targets = faults surviving Phase 0 (static pruning) and
-    // Phase 1 (random detection). Pruned faults are never randomly
-    // detected, so any pruning strictly shrinks the PODEM workload.
+    // PODEM targets = faults surviving random detection and static
+    // pruning. Pruned faults are never randomly detected, so any pruning
+    // strictly shrinks the PODEM workload.
     let pruned = untestable_faults(&netlist, &faults)
         .expect("validated netlist")
         .iter()
         .filter(|&&m| m)
         .count();
-    let phase2_off = off.total_faults - off.random_detected;
-    let phase2_on = on.total_faults - pruned - on.random_detected;
+    let podem_off = off.total_faults - off.random_detected;
+    let podem_on = on.total_faults - pruned - on.random_detected;
     assert!(
-        pruned > 0 && phase2_on < phase2_off,
-        "pre-pass must strictly reduce Phase-2 targets ({phase2_off} -> {phase2_on})"
+        pruned > 0 && podem_on < podem_off,
+        "pre-pass must strictly reduce PODEM targets ({podem_off} -> {podem_on})"
     );
 
     for (label, static_prepass) in [("full", false), ("prepass", true)] {

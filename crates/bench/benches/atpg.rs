@@ -1,6 +1,6 @@
 //! Serial vs. fault-parallel deterministic ATPG.
 //!
-//! Measures `Atpg::run` — the Phase-2 PODEM rounds fanned over the
+//! Measures `Atpg::run` — the Phase-3 PODEM rounds fanned over the
 //! `mini-rayon` pool — on the `mid256` mimic at `jobs = 1` against
 //! `jobs = 4`. The two variants are bit-identical by construction
 //! (asserted below before timing, and pinned for every profile by

@@ -4,7 +4,7 @@
 //! fbist gen <profile> [--scale F] [--seed N] [--out FILE]
 //! fbist stats <file.bench>
 //! fbist check <file.bench|profile> [--json]
-//! fbist atpg <file.bench|profile> [--seed N] [--static-learning]
+//! fbist atpg <file.bench|profile> [--seed N]
 //! fbist reseed <file.bench|profile> [--tpg add|sub|mul|lfsr|mplfsr|wrand] [--tau N]
 //! fbist sweep <file.bench|profile> [--tpg KIND] [--taus 0,7,31,...]
 //! fbist compare <file.bench|profile> [--tpg KIND] [--tau N]
@@ -27,12 +27,11 @@
 //! identical for every job count, backend, engine and width. Every
 //! subcommand checks its arguments against one table of accepted flags
 //! before it runs, so an unknown flag, a repeated flag or a flag missing
-//! its value is a usage error (exit status 2), never ignored. ATPG always
-//! proves what it can untestable instead of aborting: the static
-//! untestability pre-pass prunes faults up front, and a PODEM search that
-//! reaches 10 backtracks asks a SAT fault miter once, ending untestable on
-//! a proof. Patterns are unchanged. `atpg --static-learning` adds static
-//! learning.
+//! its value is a usage error (exit status 2), never ignored. ATPG lets
+//! static analysis and SAT decide what PODEM cannot: the static
+//! untestability pre-pass prunes the faults the random phase leaves, and
+//! a PODEM search that backtracks hands its fault to a SAT fault miter,
+//! whose proof ends it untestable and whose model is its test.
 //!
 //! Output to a closed pipe (`fbist sweep mid256 | head -1`) ends the
 //! process quietly with status 0.
@@ -131,7 +130,7 @@ usage:
   fbist gen <profile> [--scale F] [--seed N] [--out FILE]
   fbist stats <circuit>
   fbist check <circuit> [--json]
-  fbist atpg <circuit> [--seed N] [--static-learning]
+  fbist atpg <circuit> [--seed N]
   fbist reseed <circuit> [--tpg KIND] [--tau N] [--seed N] [--scale F]
                [--csv FILE] [--rom FILE]
   fbist sweep <circuit> [--tpg KIND] [--taus 0,7,31] [--scale F]
@@ -158,24 +157,17 @@ width. Any other flag a subcommand does not list is a usage error (exit
 failures exit 1.
 check runs the static analyses only (no simulation): structural errors,
 floating nets, unobservable logic, dead constants, provably untestable
-stuck-at faults (including learned redundancies from the static-learning
-implication database), and a SCOAP hard-to-test-region report. It exits
-0 when clean, 1 when anything of warning severity or worse was found, 2
-on a usage error; --json emits the report as stable machine-readable
-JSON on stdout (the \"testability\" section lists the hardest fault
-sites by SCOAP difficulty).
-ATPG always prunes statically-proven-untestable faults before any random
-patterns or PODEM effort is spent on them, and a PODEM search that
-reaches 10 backtracks asks a SAT fault miter once (within 10000
-conflicts) whether the fault is testable at all: a proof ends the search
-untestable, any other answer lets it continue. Patterns and detected
-faults are unchanged; faults PODEM would abort are reported untestable
-instead. atpg
-accepts --static-learning to build the recursive-learning implication
-database once per run: it deepens the pre-pass proofs
-(implication-proved fault equivalence and dominance) and seeds every
-PODEM search with early conflict detection, reducing aborted faults at
-equal or better coverage.
+stuck-at faults (including redundancies only a recursive-learning
+implication database proves), and a SCOAP hard-to-test-region report.
+It exits 0 when clean, 1 when anything of warning severity or worse was
+found, 2 on a usage error; --json emits the report as stable
+machine-readable JSON on stdout (the \"testability\" section lists the
+hardest fault sites by SCOAP difficulty).
+ATPG prunes statically-proven-untestable faults among those the random
+phase leaves before any PODEM effort is spent on them, and a PODEM
+search that backtracks hands its fault to a SAT fault miter (within
+10000 conflicts): a proof ends the search untestable, a model is the
+fault's test, and only a spent budget lets PODEM continue.
 reseed, sweep and serve accept --store DIR (default: the FBIST_STORE
 environment variable) to cache finished stages in a content-addressed
 artifact store, and --no-store to force recomputation; cached answers
@@ -257,7 +249,7 @@ fn subcommand_flags(cmd: &str) -> Option<&'static [&'static [Flag]]> {
         "gen" => &[KNOB_FLAGS, CIRCUIT_FLAGS, &[("--out", true)]],
         "stats" => &[KNOB_FLAGS, CIRCUIT_FLAGS],
         "check" => &[KNOB_FLAGS, CIRCUIT_FLAGS, &[("--json", false)]],
-        "atpg" => &[KNOB_FLAGS, CIRCUIT_FLAGS, &[("--static-learning", false)]],
+        "atpg" => &[KNOB_FLAGS, CIRCUIT_FLAGS],
         "reseed" => &[
             KNOB_FLAGS,
             CIRCUIT_FLAGS,
@@ -624,7 +616,6 @@ fn cmd_atpg(args: &[String]) -> Result<(), String> {
     let atpg = Atpg::new(&n).map_err(|e| e.to_string())?;
     let mut cfg = AtpgConfig::default();
     cfg.seed = parse_num(args, "--seed", cfg.seed)?;
-    cfg.static_learning = args.iter().any(|a| a == "--static-learning");
     let r = atpg.run(&faults, &cfg);
     outln!(
         "{}: {} patterns, coverage {:.2} % (efficiency {:.2} %), {} random-phase detections, {} PODEM tests, {} untestable, {} aborted",

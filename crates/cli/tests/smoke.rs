@@ -224,17 +224,15 @@ fn atpg_prepass_flag_is_gone_because_the_prepass_always_runs() {
 }
 
 #[test]
-fn atpg_static_learning_keeps_coverage() {
-    let (ok, out_off, _) = fbist(&["atpg", "tiny64"]);
-    let (ok2, out_on, _) = fbist(&["atpg", "tiny64", "--static-learning"]);
-    assert!(ok && ok2);
-    let coverage = |s: &str| {
-        s.split("coverage ")
-            .nth(1)
-            .and_then(|t| t.split(' ').next())
-            .map(str::to_owned)
-    };
-    assert_eq!(coverage(&out_off), coverage(&out_on), "{out_off}\n{out_on}");
+fn atpg_static_learning_flag_is_gone_with_learning_in_atpg() {
+    // SAT completion leaves static learning nothing to do in ATPG; the
+    // flag's name is spelled in halves, like the retired flags above
+    let retired = ["--static", "-learning"].concat();
+    let (code, stdout, stderr) = fbist_code(&["atpg", "c17", &retired]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    let named = format!("unknown flag \"{retired}\" for `atpg`");
+    assert!(stderr.contains(&named), "{stderr}");
 }
 
 #[test]
@@ -408,8 +406,8 @@ fn duplicate_and_valueless_flags_fail_on_the_cli_and_in_serve() {
             "duplicate flag \"--jobs\" for `sweep`",
         ),
         (
-            &["atpg", "c17", "--static-learning", "--static-learning"][..],
-            "duplicate flag \"--static-learning\" for `atpg`",
+            &["check", "c17", "--json", "--json"][..],
+            "duplicate flag \"--json\" for `check`",
         ),
         (
             &["reseed", "c17", "--tau"][..],

@@ -315,17 +315,6 @@ impl FlowConfig {
         self
     }
 
-    /// Enables/disables static learning ([`AtpgConfig::static_learning`]):
-    /// the learned-implication database upgrades the untestability
-    /// pre-pass and seeds every PODEM search with early conflict
-    /// detection. A semantic knob, part of every stage key — results stay
-    /// bit-identical across `jobs` and SIMD widths, but may differ from a
-    /// learning-free run.
-    pub fn with_static_learning(mut self, static_learning: bool) -> FlowConfig {
-        self.atpg.static_learning = static_learning;
-        self
-    }
-
     /// Sets the worker-thread count (`0` = global default). Purely a
     /// throughput knob: every job count computes the same results. Also
     /// reaches the fault-parallel ATPG rounds, unless

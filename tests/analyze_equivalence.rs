@@ -11,37 +11,39 @@
 //!    CI pipelines over these circuits. (Provably untestable faults and
 //!    implied constants are Info by design: real circuits legitimately
 //!    contain redundancy, so they never flip the exit code.)
-//! 2. **The pre-pass never changes what is detected.** `static_prepass`
-//!    prunes only statically-*proven* untestable faults, which no pattern
-//!    can detect — so the detected-fault set, the pattern list, and the
-//!    random-phase statistics must be byte-identical with the knob on and
-//!    off, at `jobs ∈ {1, 4}`. Only the classification of undetected
-//!    faults may improve (aborted → untestable).
-//! 3. **Every pruned fault really is untestable.** With the knob on,
-//!    every statically-pruned fault must be reported in `untestable`,
-//!    never in `aborted`, never detected.
+//! 2. **The pre-pass never loses a detection.** `static_prepass` prunes
+//!    only statically-*proven* untestable faults among the random phase's
+//!    survivors, and turns on SAT completion. The random phase must be
+//!    identical with the knob on and off, at `jobs ∈ {1, 4}`; every fault
+//!    detected with the knob off is detected with it on unless it aborts,
+//!    and coverage never drops. SAT cubes change the PODEM phase's
+//!    patterns, so patterns are not compared.
+//! 3. **Every pruned fault really is untestable.** With the knob on, the
+//!    pre-pass part of `untestable` is the full-list mask minus the
+//!    random-phase detections, in index order — and since no pattern
+//!    detects a proven fault, that is the mask itself. No pruned fault is
+//!    aborted or detected.
 //!
 //! A proptest half cross-checks soundness on random circuits: a fault
 //! proven untestable by [`untestable_faults`] is never detected by random
 //! pattern sets nor by the full ATPG-generated test set.
 //!
-//! PR 10 extends both halves to static learning:
+//! Static learning (used by `fbist check`) is held to the same tables:
 //!
-//! * the prepass contracts also run with `static_learning` on, comparing
-//!   (learning on, prepass off) against (learning on, prepass on): the
-//!   detected set, pattern list, and random-phase statistics must be
-//!   byte-identical, and every learned-pruned fault lands in `untestable`;
+//! * the learned pre-pass proves everything the plain one proves;
 //! * proptests validate every learned implication, learned constant,
 //!   implication-proved fault equivalence, and dominance edge against
 //!   exhaustive truth-table simulation of the random circuit (≤ 4 inputs,
 //!   so ≤ 16 patterns enumerate the whole input space).
 //!
-//! The SAT fault miter that PODEM escalates to is held to the same
+//! The SAT fault miter that completes PODEM is held to the same
 //! exhaustive tables: it must prove exactly the faults no input pattern
-//! detects, never running out of budget on circuits this small.
+//! detects, never running out of budget on circuits this small, and
+//! every model cube it returns must detect its fault under any fill.
 
 use fbist_analyze::{fault_relations, untestable_faults_with, LearnedImplications};
 use fbist_atpg::{FaultMiter, SatVerdict};
+use fbist_fault::FaultId;
 use fbist_genbench::{all_profiles, generate, CircuitProfile};
 use proptest::prelude::*;
 use set_covering_reseeding::prelude::*;
@@ -86,6 +88,11 @@ fn assert_prepass_equivalent(netlist: &Netlist, label: &str) {
     let atpg = Atpg::new(&n).unwrap();
     let faults = FaultList::collapsed(&n);
     let statically_proven = untestable_faults(&n, &faults).unwrap();
+    let pruned: Vec<FaultId> = faults
+        .iter()
+        .map(|(id, _)| id)
+        .filter(|id| statically_proven[id.index()])
+        .collect();
     for jobs in [1usize, 4] {
         let run = |static_prepass: bool| {
             atpg.run(
@@ -99,96 +106,64 @@ fn assert_prepass_equivalent(netlist: &Netlist, label: &str) {
         };
         let off = run(false);
         let on = run(true);
-        // detection must be bit-identical: same detected set, same
-        // patterns, same random-phase statistics
-        assert_eq!(
-            off.detected, on.detected,
-            "{label} jobs={jobs}: detected set changed"
-        );
-        assert_eq!(
-            off.patterns, on.patterns,
-            "{label} jobs={jobs}: patterns changed"
-        );
+        // the random phase runs before the pre-pass, so it is identical
         assert_eq!(
             off.random_detected, on.random_detected,
             "{label} jobs={jobs}: random-phase statistics changed"
         );
-        // classification may only improve: pruned faults are untestable,
-        // never aborted, never detected
+        // the pre-pass runs on the random phase's survivors, so its part
+        // of `untestable` is the full-list mask minus the random-phase
+        // detections, in index order; a proven fault is detected by no
+        // pattern, so that subtraction removes nothing
+        let random_phase_detected: Vec<FaultId> = pruned
+            .iter()
+            .copied()
+            .filter(|id| off.detected.get(id.index()) || on.detected.get(id.index()))
+            .collect();
+        assert!(
+            random_phase_detected.is_empty(),
+            "{label} jobs={jobs}: pruned faults {random_phase_detected:?} detected — unsound proof"
+        );
+        assert_eq!(
+            on.untestable.get(..pruned.len()),
+            Some(&pruned[..]),
+            "{label} jobs={jobs}: the pre-pass part of `untestable` is not the full-list mask"
+        );
+        // detection is preserved: a fault detected without the pre-pass
+        // is detected with it unless it aborts (it is testable, so it is
+        // never proven untestable)
         for (id, f) in faults.iter() {
-            if !statically_proven[id.index()] {
-                continue;
+            let i = id.index();
+            assert!(
+                !off.detected.get(i) || on.detected.get(i) || on.aborted.contains(&id),
+                "{label} jobs={jobs}: {} detected only without the pre-pass",
+                f.describe(&n)
+            );
+            if statically_proven[i] {
+                assert!(
+                    !on.aborted.contains(&id),
+                    "{label} jobs={jobs}: pruned fault {} still aborted",
+                    f.describe(&n)
+                );
             }
-            assert!(
-                on.untestable.contains(&id),
-                "{label} jobs={jobs}: pruned fault {} not reported untestable",
-                f.describe(&n)
-            );
-            assert!(
-                !on.aborted.contains(&id),
-                "{label} jobs={jobs}: pruned fault {} still aborted",
-                f.describe(&n)
-            );
-            assert!(
-                !on.detected.get(id.index()),
-                "{label} jobs={jobs}: pruned fault {} detected — unsound proof",
-                f.describe(&n)
-            );
         }
+        assert!(
+            on.coverage() >= off.coverage(),
+            "{label} jobs={jobs}: prepass lost coverage"
+        );
         assert!(
             on.untestable.len() >= off.untestable.len(),
             "{label} jobs={jobs}: prepass lost untestable classifications"
         );
     }
 
-    // The same contract with static learning on: the learned database
-    // upgrades the prepass (deeper proofs) and seeds PODEM, but pruning
-    // still must not change what is detected — only reclassify.
+    // the learned database only ever adds refutations to the plain pass
     let db = LearnedImplications::learn(&n).unwrap();
     let learned_proven = untestable_faults_with(&n, &faults, Some(&db)).unwrap();
     for (i, &p) in statically_proven.iter().enumerate() {
         assert!(
             !p || learned_proven[i],
             "{label}: learning dropped a plain untestability verdict"
-        );
-    }
-    let run = |static_prepass: bool| {
-        atpg.run(
-            &faults,
-            &AtpgConfig {
-                static_prepass,
-                static_learning: true,
-                ..AtpgConfig::default()
-            },
-        )
-    };
-    let off = run(false);
-    let on = run(true);
-    assert_eq!(
-        off.detected, on.detected,
-        "{label} learning: detected set changed by the prepass"
-    );
-    assert_eq!(
-        off.patterns, on.patterns,
-        "{label} learning: patterns changed by the prepass"
-    );
-    assert_eq!(
-        off.random_detected, on.random_detected,
-        "{label} learning: random-phase statistics changed by the prepass"
-    );
-    for (id, f) in faults.iter() {
-        if !learned_proven[id.index()] {
-            continue;
-        }
-        assert!(
-            on.untestable.contains(&id) && !on.aborted.contains(&id),
-            "{label} learning: pruned fault {} not reported untestable",
-            f.describe(&n)
-        );
-        assert!(
-            !on.detected.get(id.index()) && !off.detected.get(id.index()),
-            "{label} learning: pruned fault {} detected — unsound proof",
-            f.describe(&n)
         );
     }
 }
@@ -563,6 +538,34 @@ proptest! {
                 if detectable { "detectable" } else { "undetectable" },
                 verdict
             );
+        }
+    }
+
+    /// Soundness of SAT tests: every `Testable` verdict's model cube
+    /// detects its fault when filled at random, with zeros and with ones.
+    #[test]
+    fn sat_model_cubes_detect_their_faults(netlist in arb_redundant_netlist(), fseed in any::<u64>()) {
+        let faults = FaultList::full(&netlist);
+        let miter = FaultMiter::new(&netlist).unwrap();
+        let mut session = miter.session();
+        let mut s = fseed | 1;
+        let mut next = move || { s ^= s << 13; s ^= s >> 7; s ^= s << 17; s };
+        for (_, f) in faults.iter() {
+            if session.check(f) != SatVerdict::Testable {
+                continue;
+            }
+            let cube = session.model_cube();
+            for (fill, p) in [
+                ("random", cube.fill_with(&mut next)),
+                ("zeros", cube.fill_const(false)),
+                ("ones", cube.fill_const(true)),
+            ] {
+                prop_assert!(
+                    fbist_fault::reference::naive_detects(&netlist, f, &p),
+                    "{} cube {} filled with {} ({}) misses the fault",
+                    f.describe(&netlist), cube, fill, p
+                );
+            }
         }
     }
 }

@@ -151,33 +151,30 @@ fn every_profile_matches_width_one_with_lfsr_tpg() {
     }
 }
 
-/// Static learning on, across every profile: the learned-implication
-/// database is a pure function of the netlist — computed once before the
-/// fault rounds — and the PODEM seeding it feeds is per-fault pure, so
-/// learning must not introduce any width (or jobs) dependence into the
-/// ATPG result. This is the learning half of the PR-10 invariance
-/// obligation; `atpg_equivalence` pins the jobs axis per fill mode.
+/// The pure-PODEM reference run (`static_prepass: false`), across every
+/// profile: the default config's width invariance is pinned through the
+/// flows above, and the reference the differential suites compare it
+/// against must not depend on the width (or jobs) either.
 #[test]
-fn atpg_with_static_learning_is_width_invariant() {
+fn pure_podem_atpg_is_width_invariant() {
     for p in all_profiles() {
         let n = small(&p);
         let builder = InitialReseedingBuilder::new(&n).expect("combinational circuit");
         for jobs in [1usize, 4] {
             let base_at = |w: SimdWidth| {
-                builder.atpg_base(
-                    &FlowConfig::new(TpgKind::Adder)
-                        .with_tau(31)
-                        .with_jobs(jobs)
-                        .with_simd_width(w)
-                        .with_static_learning(true),
-                )
+                let mut cfg = FlowConfig::new(TpgKind::Adder)
+                    .with_tau(31)
+                    .with_jobs(jobs)
+                    .with_simd_width(w);
+                cfg.atpg.static_prepass = false;
+                builder.atpg_base(&cfg)
             };
             let narrow = base_at(SimdWidth::W1);
             for w in WIDE {
                 assert_eq!(
                     narrow.atpg,
                     base_at(w).atpg,
-                    "{} jobs={jobs} {w}: learning-on ATPG differs from W=1",
+                    "{} jobs={jobs} {w}: pure-PODEM ATPG differs from W=1",
                     p.name
                 );
             }
