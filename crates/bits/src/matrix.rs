@@ -219,8 +219,7 @@ impl BitMatrix {
     }
 
     /// Calls `f` with each set column of `row`, in ascending order, without
-    /// allocating. This is the building block of sparse adjacency (CSR)
-    /// construction, where a `Vec` per row would dominate the build cost.
+    /// allocating.
     #[inline]
     pub fn for_each_col_of_row(&self, row: usize, mut f: impl FnMut(usize)) {
         for (wi, &w) in self.row_words(row).iter().enumerate() {

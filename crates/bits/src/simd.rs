@@ -166,7 +166,7 @@ impl<const W: usize> Not for SimWord<W> {
 
 /// The simulation-block width knob: how many `u64` words per block.
 ///
-/// A pure *throughput* knob, pinned like `jobs` and `backend`: every
+/// A pure *throughput* knob, pinned like `jobs`: every
 /// width produces byte-identical matrices, first-detection indices, ATPG
 /// results and reports (`tests/simd_width_equivalence.rs`), so it is
 /// excluded from content-addressed stage keys via the `THROUGHPUT_KNOBS`

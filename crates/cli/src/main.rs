@@ -4,7 +4,7 @@
 //! fbist gen <profile> [--scale F] [--seed N] [--out FILE]
 //! fbist stats <file.bench>
 //! fbist check <file.bench|profile> [--json]
-//! fbist atpg <file.bench|profile> [--seed N]
+//! fbist atpg <file.bench|profile> [--seed N] [--simd-width W]
 //! fbist reseed <file.bench|profile> [--tpg add|sub|mul|lfsr|mplfsr|wrand] [--tau N]
 //! fbist sweep <file.bench|profile> [--tpg KIND] [--taus 0,7,31,...]
 //! fbist compare <file.bench|profile> [--tpg KIND] [--tau N]
@@ -20,14 +20,14 @@
 //! a profile name. All subcommands are thin wrappers over the workspace
 //! libraries, and all accept `--jobs N` (0 = auto; also via the
 //! `FBIST_JOBS` environment variable) to size the worker pool the
-//! parallel stages run on, plus `--backend auto|dense|sparse` to pick the
-//! set-covering implementation, `--matrix-build per-row|batched|auto` to
-//! pick the Detection-Matrix construction engine and `--simd-width
-//! auto|1|2|4|8` to pick the fault-simulation block width — results are
-//! identical for every job count, backend, engine and width. Every
-//! subcommand checks its arguments against one table of accepted flags
-//! before it runs, so an unknown flag, a repeated flag or a flag missing
-//! its value is a usage error (exit status 2), never ignored. ATPG lets
+//! parallel stages run on. `atpg`, `reseed`, `sweep`, `compare` and `lp`
+//! also take `--simd-width auto|1|2|4|8` to pick the fault-simulation
+//! block width, and the last four `--matrix-build per-row|batched|auto`
+//! to pick the Detection-Matrix construction engine — results are
+//! identical for every job count, width and engine. Every subcommand
+//! checks its arguments against one table of the flags it reads before
+//! it runs, so an unknown flag, a repeated flag or a flag missing its
+//! value is a usage error (exit status 2), never ignored. ATPG lets
 //! static analysis and SAT decide what PODEM cannot: the static
 //! untestability pre-pass prunes the faults the random phase leaves, and
 //! a PODEM search that backtracks hands its fault to a SAT fault miter,
@@ -56,8 +56,8 @@ use fbist_sim::LaneOccupancy;
 use fbist_store::ArtifactStore;
 use reseed_core::flags::{check_flags, flag, parse_num, Flag};
 use reseed_core::{
-    export, tradeoff_sweep_with, Backend, FlowConfig, Gatsby, GatsbyConfig,
-    InitialReseedingBuilder, MatrixBuild, ReseedingFlow, SimdWidth, TpgKind,
+    export, tradeoff_sweep_with, FlowConfig, Gatsby, GatsbyConfig, InitialReseedingBuilder,
+    MatrixBuild, ReseedingFlow, SimdWidth, TpgKind,
 };
 
 /// `print!` to stdout, ending the process quietly once the reader has
@@ -130,7 +130,7 @@ usage:
   fbist gen <profile> [--scale F] [--seed N] [--out FILE]
   fbist stats <circuit>
   fbist check <circuit> [--json]
-  fbist atpg <circuit> [--seed N]
+  fbist atpg <circuit> [--seed N] [--simd-width W]
   fbist reseed <circuit> [--tpg KIND] [--tau N] [--seed N] [--scale F]
                [--csv FILE] [--rom FILE]
   fbist sweep <circuit> [--tpg KIND] [--taus 0,7,31] [--scale F]
@@ -145,16 +145,16 @@ KIND is one of add, sub, mul, lfsr, mplfsr, wrand.
 computed once, order is preserved, and every τ (like --tau) must not
 exceed 16777215.
 Every subcommand also accepts --jobs N (worker threads; 0 = auto, also
-settable via the FBIST_JOBS environment variable), --backend
-auto|dense|sparse (set-covering implementation), --matrix-build
+settable via the FBIST_JOBS environment variable). atpg, reseed, sweep,
+compare and lp accept --simd-width auto|1|2|4|8 (fault-simulation block
+width in 64-lane words; auto picks the widest that still shrinks the
+block count); reseed, sweep, compare and lp also accept --matrix-build
 per-row|batched|auto (Detection-Matrix construction engine; auto batches
-whenever sharing 64-lane blocks across rows saves block evaluations) and
---simd-width auto|1|2|4|8 (fault-simulation block width in 64-lane
-words; auto picks the widest that still shrinks the block count).
-Results are identical for every job count, backend, engine and SIMD
-width. Any other flag a subcommand does not list is a usage error (exit
-2), and so is a flag given twice or a flag missing its value; other
-failures exit 1.
+whenever sharing 64-lane blocks across rows saves block evaluations).
+Results are identical for every job count, SIMD width and engine. Any
+other flag a subcommand does not list is a usage error (exit 2), and so
+is a flag given twice or a flag missing its value; other failures exit
+1.
 check runs the static analyses only (no simulation): structural errors,
 floating nets, unobservable logic, dead constants, provably untestable
 stuck-at faults (including redundancies only a recursive-learning
@@ -173,7 +173,7 @@ environment variable) to cache finished stages in a content-addressed
 artifact store, and --no-store to force recomputation; cached answers
 are byte-identical to computed ones. serve reads line-delimited
 `reseed ...`/`sweep ...` requests from stdin, taking the flags above
-minus --store, --no-store, --csv and --rom (blank line or `flush`
+minus --jobs, --store, --no-store, --csv and --rom (blank line or `flush`
 evaluates the batch, `quit` or EOF exits), answers `ok <id> ...` /
 `err <id> ...` on stdout in submission order, and reports per-request
 store statistics on stderr. It keeps up to 8 circuits resident between
@@ -199,12 +199,6 @@ fn run(args: &[String]) -> Result<(), String> {
     };
     let rest = &args[1..];
     apply_jobs(args)?;
-    // validate --backend, --matrix-build and --simd-width globally (like
-    // --jobs) so a typo can never be silently ignored by a subcommand that
-    // does not solve a cover or build a matrix
-    parse_backend(args)?;
-    parse_matrix_build(args)?;
-    parse_simd_width(args)?;
     match cmd.as_str() {
         "profiles" => cmd_profiles(),
         "gen" => cmd_gen(rest),
@@ -224,14 +218,24 @@ fn run(args: &[String]) -> Result<(), String> {
 
 // ---------------------------------------------------------------- helpers
 
-/// The throughput knobs: every subcommand and `fbist serve` request
-/// accepts them.
-pub(crate) const KNOB_FLAGS: &[Flag] = &[
+/// The throughput knobs, each pinned result-neutral by the equivalence
+/// suite its `THROUGHPUT_KNOBS` entry names (`cargo run -p xtask --
+/// lint` checks that every flag here has one). A subcommand takes only
+/// the slice it reads, so the order matters: [`JOBS_FLAG`] everywhere,
+/// [`ATPG_KNOB_FLAGS`] for ATPG, all of them where a Detection Matrix
+/// is built and [`REQUEST_KNOB_FLAGS`] in a `fbist serve` request.
+const KNOB_FLAGS: &[Flag] = &[
     ("--jobs", true),
-    ("--backend", true),
-    ("--matrix-build", true),
     ("--simd-width", true),
+    ("--matrix-build", true),
 ];
+/// `--jobs`: sizes the worker pool of every subcommand.
+const JOBS_FLAG: &[Flag] = KNOB_FLAGS.split_at(1).0;
+/// `--jobs` and `--simd-width`: the knobs ATPG reads.
+const ATPG_KNOB_FLAGS: &[Flag] = KNOB_FLAGS.split_at(2).0;
+/// The knobs a `fbist serve` request reads: all but `--jobs`, which
+/// sizes the server's pool.
+pub(crate) const REQUEST_KNOB_FLAGS: &[Flag] = KNOB_FLAGS.split_at(1).1;
 /// Profile synthesis in [`load_circuit`].
 pub(crate) const CIRCUIT_FLAGS: &[Flag] = &[("--scale", true), ("--seed", true)];
 /// A `reseed` request, one-shot or as a `fbist serve` line.
@@ -241,15 +245,15 @@ pub(crate) const SWEEP_FLAGS: &[Flag] = &[("--tpg", true), ("--taus", true)];
 /// The artifact store, see [`resolve_store`].
 const STORE_FLAGS: &[Flag] = &[("--store", true), ("--no-store", false)];
 
-/// The flags each subcommand accepts, [`KNOB_FLAGS`] included, or
-/// `None` for an unknown subcommand.
+/// The flags each subcommand accepts, or `None` for an unknown
+/// subcommand.
 fn subcommand_flags(cmd: &str) -> Option<&'static [&'static [Flag]]> {
     Some(match cmd {
-        "profiles" => &[KNOB_FLAGS],
-        "gen" => &[KNOB_FLAGS, CIRCUIT_FLAGS, &[("--out", true)]],
-        "stats" => &[KNOB_FLAGS, CIRCUIT_FLAGS],
-        "check" => &[KNOB_FLAGS, CIRCUIT_FLAGS, &[("--json", false)]],
-        "atpg" => &[KNOB_FLAGS, CIRCUIT_FLAGS],
+        "profiles" => &[JOBS_FLAG],
+        "gen" => &[JOBS_FLAG, CIRCUIT_FLAGS, &[("--out", true)]],
+        "stats" => &[JOBS_FLAG, CIRCUIT_FLAGS],
+        "check" => &[JOBS_FLAG, CIRCUIT_FLAGS, &[("--json", false)]],
+        "atpg" => &[ATPG_KNOB_FLAGS, CIRCUIT_FLAGS],
         "reseed" => &[
             KNOB_FLAGS,
             CIRCUIT_FLAGS,
@@ -259,7 +263,7 @@ fn subcommand_flags(cmd: &str) -> Option<&'static [&'static [Flag]]> {
         ],
         "sweep" => &[KNOB_FLAGS, CIRCUIT_FLAGS, SWEEP_FLAGS, STORE_FLAGS],
         "compare" | "lp" => &[KNOB_FLAGS, CIRCUIT_FLAGS, RESEED_FLAGS],
-        "serve" => &[KNOB_FLAGS, STORE_FLAGS],
+        "serve" => &[JOBS_FLAG, STORE_FLAGS],
         _ => return None,
     })
 }
@@ -273,13 +277,6 @@ fn apply_jobs(args: &[String]) -> Result<(), String> {
         mini_rayon::set_jobs(mini_rayon::parse_jobs(&v)?);
     }
     Ok(())
-}
-
-fn parse_backend(args: &[String]) -> Result<Backend, String> {
-    match flag(args, "--backend") {
-        None => Ok(Backend::Auto),
-        Some(v) => Backend::parse(&v),
-    }
 }
 
 fn parse_matrix_build(args: &[String]) -> Result<MatrixBuild, String> {
@@ -303,7 +300,6 @@ fn parse_simd_width(args: &[String]) -> Result<SimdWidth, String> {
 /// `--taus`).
 pub(crate) fn flow_config(args: &[String]) -> Result<FlowConfig, String> {
     Ok(FlowConfig::new(parse_tpg(args)?)
-        .with_backend(parse_backend(args)?)
         .with_matrix_build(parse_matrix_build(args)?)
         .with_simd_width(parse_simd_width(args)?))
 }
@@ -610,12 +606,20 @@ fn cmd_check(args: &[String]) -> Result<bool, String> {
     Ok(report.has_findings())
 }
 
+/// The ATPG configuration an `atpg` invocation describes: `--seed` and
+/// `--simd-width` over the defaults.
+fn atpg_config(args: &[String]) -> Result<AtpgConfig, String> {
+    let mut cfg = AtpgConfig::default();
+    cfg.seed = parse_num(args, "--seed", cfg.seed)?;
+    cfg.simd_width = parse_simd_width(args)?;
+    Ok(cfg)
+}
+
 fn cmd_atpg(args: &[String]) -> Result<(), String> {
+    let cfg = atpg_config(args)?;
     let n = load_circuit(args)?;
     let faults = FaultList::collapsed(&n);
     let atpg = Atpg::new(&n).map_err(|e| e.to_string())?;
-    let mut cfg = AtpgConfig::default();
-    cfg.seed = parse_num(args, "--seed", cfg.seed)?;
     let r = atpg.run(&faults, &cfg);
     outln!(
         "{}: {} patterns, coverage {:.2} % (efficiency {:.2} %), {} random-phase detections, {} PODEM tests, {} untestable, {} aborted",
@@ -803,11 +807,13 @@ mod tests {
     }
 
     #[test]
-    fn simd_width_typo_fails_every_subcommand() {
-        // validated globally like --jobs: even a subcommand that never
-        // simulates must reject the typo instead of silently ignoring it
-        let err = run(&args(&["stats", "c17", "--simd-width", "16"])).unwrap_err();
-        assert!(err.contains("unknown SIMD width"), "{err}");
+    fn atpg_reads_the_simd_width() {
+        let cfg = atpg_config(&args(&["c17", "--simd-width", "4", "--seed", "9"])).unwrap();
+        assert_eq!((cfg.simd_width, cfg.seed), (SimdWidth::W4, 9));
+        assert_eq!(
+            atpg_config(&args(&["c17"])).unwrap().simd_width,
+            SimdWidth::Auto
+        );
     }
 
     #[test]

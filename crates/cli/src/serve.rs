@@ -1,7 +1,8 @@
 //! `fbist serve` — a long-running request loop over the artifact store.
 //!
 //! Reads line-delimited requests from stdin, in the same syntax as the
-//! one-shot subcommands minus their store and output-file flags:
+//! one-shot subcommands minus `--jobs` (the server's pool serves every
+//! request) and their store and output-file flags:
 //!
 //! ```text
 //! reseed <circuit> [--tpg KIND] [--tau N] [--seed N] [--scale F] ...
@@ -59,8 +60,8 @@ use reseed_core::{circuit_digest, tradeoff_sweep_with, FlowConfig, ReseedingFlow
 
 use crate::{
     check_flags, cone_sweeps, exit_if_pipe_closed, flow_config, occupancy, parse_tau, parse_taus,
-    resolve_store, simd_stats_line, CircuitSource, Flag, CIRCUIT_FLAGS, KNOB_FLAGS, RESEED_FLAGS,
-    SWEEP_FLAGS,
+    resolve_store, simd_stats_line, CircuitSource, Flag, CIRCUIT_FLAGS, REQUEST_KNOB_FLAGS,
+    RESEED_FLAGS, SWEEP_FLAGS,
 };
 
 /// How many circuits a server keeps resident.
@@ -202,9 +203,14 @@ fn parse_line(line: &str, residents: &mut Residents) -> Result<Parsed, String> {
                 .into(),
         );
     }
+    if rest.iter().any(|a| a == "--jobs") {
+        return Err(
+            "per-request --jobs is not supported; pass --jobs to `fbist serve` itself".into(),
+        );
+    }
     let flags: &[&[Flag]] = match kind.as_str() {
-        "reseed" => &[KNOB_FLAGS, CIRCUIT_FLAGS, RESEED_FLAGS],
-        "sweep" => &[KNOB_FLAGS, CIRCUIT_FLAGS, SWEEP_FLAGS],
+        "reseed" => &[REQUEST_KNOB_FLAGS, CIRCUIT_FLAGS, RESEED_FLAGS],
+        "sweep" => &[REQUEST_KNOB_FLAGS, CIRCUIT_FLAGS, SWEEP_FLAGS],
         other => {
             return Err(format!(
                 "unknown request {other:?} (expected `reseed` or `sweep`)"
@@ -645,9 +651,12 @@ mod tests {
     }
 
     #[test]
-    fn per_request_store_flags_are_rejected() {
+    fn per_request_store_and_jobs_flags_are_rejected() {
         let (out, _) = run_serve(None, "reseed c17 --store /tmp/x\n");
         assert!(out.starts_with("err 0 per-request store flags"), "{out}");
+        let (out, _) = run_serve(None, "reseed c17 --jobs 7 --tau 3\nsweep c17 --jobs 1\n");
+        let jobs = "per-request --jobs is not supported; pass --jobs to `fbist serve` itself";
+        assert_eq!(out, format!("err 0 {jobs}\nerr 1 {jobs}\n"));
     }
 
     #[test]
@@ -839,6 +848,119 @@ mod tests {
         let keys: Vec<&CircuitKey> = server.residents.entries.iter().map(|e| &e.0).collect();
         assert_eq!(keys.len(), 1, "the panicked circuit is dropped");
         assert!(matches!(keys[0], CircuitKey::Generated { name, .. } if name == "c17"));
+    }
+
+    /// Words of garbled request lines: request kinds and circuits, the
+    /// first ones valid; each flag with values it accepts, all small
+    /// enough to keep a request fast; values no flag accepts; and noise
+    /// characters spliced into a token (no whitespace and no `#`, so a
+    /// line never turns into a comment or a control line).
+    const KINDS: &str = "reseed sweep reseed sweep reseed sweep RESEED bogus";
+    const CIRCUITS: &str =
+        "c17 majority adder4 c17 tiny64 no-such-circuit missing.bench /no/dir/ --tau";
+    const REQUEST_FLAGS: &[(&str, &str)] = &[
+        ("--tpg", "add sub mul lfsr mplfsr wrand"),
+        ("--tau", "0 3 7"),
+        ("--taus", "0,3 7,0,7 3"),
+        ("--seed", "1 2 7"),
+        ("--scale", "1 0.5 0.01 1e-300"),
+        ("--simd-width", "auto 1 4"),
+        ("--matrix-build", "auto per-row batched"),
+    ];
+    const OTHER_FLAGS: &[(&str, &str)] = &[
+        ("--jobs", "1 0"),
+        ("--store", "/tmp"),
+        ("--no-store", ""),
+        ("--csv", "out.csv"),
+        ("--Tau", "3"),
+        ("--", ""),
+    ];
+    const GARBAGE: &str = "nope -1 abc 3,,7 , 16777216 99999999999999999999 nan inf -0 16 é 0x10";
+    const NOISE: &str = "-,=().x9é\0'\"";
+
+    /// Word `i` of `words`, wrapping around; `None` if there is none.
+    fn pick(words: &str, i: usize) -> Option<&str> {
+        let words: Vec<&str> = words.split_whitespace().collect();
+        (!words.is_empty()).then(|| words[i % words.len()])
+    }
+
+    type LineSpec = (usize, usize, Vec<(usize, usize, u8)>, (u8, usize, usize));
+
+    /// One request line from `(kind, circuit, flags, noise)`. A flag is
+    /// `(flag, value, value kind)`: one in four is not a request flag,
+    /// and the kind picks a value the flag accepts (0, 1), garbage (2)
+    /// or no value (3). The noise `(on, where, what)` puts a character
+    /// into one token.
+    fn garbled_line((kind, circuit, flags, (noisy, at, ch)): LineSpec) -> String {
+        let mut tokens: Vec<String> = [pick(KINDS, kind), pick(CIRCUITS, circuit)]
+            .into_iter()
+            .flatten()
+            .map(str::to_owned)
+            .collect();
+        for (flag, value, value_kind) in flags {
+            let table = if flag % 4 == 0 {
+                OTHER_FLAGS
+            } else {
+                REQUEST_FLAGS
+            };
+            let (name, accepted) = table[flag / 4 % table.len()];
+            tokens.push(name.to_owned());
+            let value = match value_kind {
+                0 | 1 => pick(accepted, value),
+                2 => pick(GARBAGE, value),
+                _ => None,
+            };
+            tokens.extend(value.map(str::to_owned));
+        }
+        if noisy % 4 == 0 {
+            let count = tokens.len();
+            let token = &mut tokens[at % count];
+            let pos = token.char_indices().nth(at % (token.chars().count() + 1));
+            let noise: Vec<char> = NOISE.chars().collect();
+            token.insert(pos.map_or(token.len(), |(i, _)| i), noise[ch % noise.len()]);
+        }
+        tokens.join(" ")
+    }
+
+    fn garbled_script() -> impl proptest::prelude::Strategy<Value = Vec<(String, bool)>> {
+        use proptest::prelude::*;
+        let flag = (any::<usize>(), any::<usize>(), 0u8..4);
+        let noise = (any::<u8>(), any::<usize>(), any::<usize>());
+        let line = (
+            any::<usize>(),
+            any::<usize>(),
+            proptest::collection::vec(flag, 0..4),
+            noise,
+        )
+            .prop_map(garbled_line);
+        proptest::collection::vec((line, any::<bool>()), 1..7)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn every_garbled_line_gets_one_answer_and_none_is_internal(script in garbled_script()) {
+            // the bool ends a batch after its line
+            let text: String = script
+                .iter()
+                .map(|(line, flush)| format!("{line}\n{}", if *flush { "flush\n" } else { "" }))
+                .collect();
+            let (out, _) = run_serve(None, &text);
+            let answers: Vec<&str> = out.lines().collect();
+            proptest::prop_assert_eq!(answers.len(), script.len(), "{}\n{}", text, out);
+            for (id, answer) in answers.iter().enumerate() {
+                let ok = answer.starts_with(&format!("ok {id} "));
+                let err = answer.starts_with(&format!("err {id} "));
+                proptest::prop_assert!(ok || err, "answer {} to {:?}: {}", id, script[id].0, out);
+                proptest::prop_assert!(
+                    !answer.starts_with(&format!("err {id} internal:")),
+                    "{:?} panicked: {}",
+                    script[id].0,
+                    answer
+                );
+            }
+        }
     }
 
     #[test]

@@ -291,28 +291,82 @@ fn explicit_directory_path_gets_a_clear_error() {
 }
 
 #[test]
-fn backend_flag_never_changes_results() {
-    let (ok_d, out_d, _) = fbist(&["reseed", "c17", "--tau", "7", "--backend", "dense"]);
-    let (ok_s, out_s, _) = fbist(&["reseed", "c17", "--tau", "7", "--backend", "sparse"]);
-    let (ok_a, out_a, _) = fbist(&["reseed", "c17", "--tau", "7", "--backend", "auto"]);
-    assert!(ok_d && ok_s && ok_a);
-    assert_eq!(out_d, out_s, "--backend must never change results");
-    assert_eq!(out_d, out_a, "--backend must never change results");
+fn backend_flag_is_gone_with_the_sparse_engine() {
+    // one covering engine is left, so the flag that picked one is an
+    // unknown flag everywhere, and an `err` answer in serve
+    for cmd in ["reseed", "sweep", "compare", "lp", "atpg", "stats"] {
+        let (code, stdout, stderr) = fbist_code(&[cmd, "c17", "--backend", "dense"]);
+        assert_eq!(code, Some(2), "{cmd}: {stderr}");
+        assert!(stdout.is_empty(), "{cmd}: {stdout}");
+        let named = format!("unknown flag \"--backend\" for `{cmd}`");
+        assert!(stderr.contains(&named), "{cmd}: {stderr}");
+    }
+    let dir = unique_temp_dir("cli-backend");
+    let script = dir.join("requests");
+    std::fs::write(
+        &script,
+        "reseed c17 --backend dense
+reseed c17 --tau 3
+",
+    )
+    .unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_fbist"))
+        .args(["serve", "--jobs", "1"])
+        .stdin(std::fs::File::open(&script).unwrap())
+        .output()
+        .expect("binary runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "{stdout}");
+    assert!(
+        lines[0].starts_with("err 0 unknown flag \"--backend\""),
+        "{stdout}"
+    );
+    assert!(lines[1].starts_with("ok 1 reseed c17"), "{stdout}");
 }
 
 #[test]
-fn backend_flag_rejects_garbage_on_every_subcommand() {
-    // validated globally (like --jobs): even subcommands that never solve
-    // a cover must reject a typo instead of silently ignoring it
-    for args in [
-        ["reseed", "c17", "--backend", "turbo"],
-        ["stats", "c17", "--backend", "turbo"],
-        ["lp", "c17", "--backend", "spase"],
-    ] {
-        let (ok, _, stderr) = fbist(&args);
-        assert!(!ok, "{args:?} must fail");
-        assert!(stderr.contains("unknown backend"), "{args:?}: {stderr}");
+fn knob_flags_fail_where_nothing_reads_them() {
+    // a subcommand that builds no Detection Matrix must not accept
+    // --matrix-build, and one that simulates nothing must not accept
+    // --simd-width: both would be silently ignored
+    let mut cases = vec![
+        vec!["atpg", "c17", "--matrix-build", "per-row"],
+        vec!["serve", "--simd-width", "4"],
+        vec!["serve", "--matrix-build", "batched"],
+        vec!["profiles", "--simd-width", "4"],
+    ];
+    for cmd in ["gen", "stats", "check"] {
+        cases.push(vec![cmd, "c17", "--matrix-build", "per-row"]);
+        cases.push(vec![cmd, "c17", "--simd-width", "4"]);
     }
+    for args in cases {
+        let (code, stdout, stderr) = fbist_code(&args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        let named = format!(
+            "unknown flag \"{}\" for `{}`",
+            args[args.len() - 2],
+            args[0]
+        );
+        assert!(stderr.contains(&named), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn atpg_simd_width_is_read_and_never_changes_results() {
+    let (ok_1, out_1, err_1) = fbist(&["atpg", "c17", "--simd-width", "1"]);
+    let (ok_4, out_4, err_4) = fbist(&["atpg", "c17", "--simd-width", "4"]);
+    let (ok_a, out_a, _) = fbist(&["atpg", "c17"]);
+    assert!(ok_1 && ok_4 && ok_a, "{err_1}{err_4}");
+    assert_eq!(out_1, out_4, "--simd-width must never change ATPG results");
+    assert_eq!(out_1, out_a, "--simd-width must never change ATPG results");
+    // read, so a bad value is a failure of its own, not an ignored flag
+    let (code, _, stderr) = fbist_code(&["atpg", "c17", "--simd-width", "16"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("unknown SIMD width"), "{stderr}");
 }
 
 #[test]
@@ -326,11 +380,10 @@ fn matrix_build_flag_never_changes_results() {
 }
 
 #[test]
-fn matrix_build_flag_rejects_garbage_on_every_subcommand() {
-    // validated globally (like --jobs and --backend)
+fn matrix_build_flag_rejects_garbage_where_it_is_read() {
     for args in [
         ["reseed", "c17", "--matrix-build", "perrow"],
-        ["stats", "c17", "--matrix-build", "rowwise"],
+        ["lp", "c17", "--matrix-build", "rowwise"],
         ["sweep", "c17", "--matrix-build", "batch"],
     ] {
         let (ok, _, stderr) = fbist(&args);

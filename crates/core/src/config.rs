@@ -2,7 +2,7 @@
 
 use fbist_atpg::AtpgConfig;
 use fbist_bits::SimdWidth;
-use fbist_setcover::{Backend, SolveConfig};
+use fbist_setcover::SolveConfig;
 use fbist_tpg::{
     AccumulatorOp, AccumulatorTpg, Lfsr, MultiPolyLfsr, PatternGenerator, WeightedTpg,
 };
@@ -89,7 +89,7 @@ impl std::fmt::Display for TpgKind {
 
 /// Which engine fills the Detection Matrix.
 ///
-/// Like `jobs` and [`Backend`], this is purely a throughput knob: every
+/// Like `jobs`, this is purely a throughput knob: every
 /// engine produces a bit-identical matrix (pinned by the
 /// `batched_matrix_equivalence` suite), so the choice can never change a
 /// cover, a report, or a sweep point.
@@ -324,18 +324,9 @@ impl FlowConfig {
         self
     }
 
-    /// Selects the set-covering backend (dense scans vs. the sparse
-    /// incremental engine; [`Backend::Auto`] picks by matrix size). Like
-    /// `jobs`, purely a throughput knob: every backend computes
-    /// bit-identical covers, reduction logs and reports.
-    pub fn with_backend(mut self, backend: Backend) -> FlowConfig {
-        self.solve.backend = backend;
-        self
-    }
-
     /// Selects the Detection-Matrix construction engine
     /// ([`MatrixBuild::Auto`] batches whenever sharing blocks across rows
-    /// saves block evaluations). Like `jobs` and the backend, purely a
+    /// saves block evaluations). Like `jobs`, purely a
     /// throughput knob: every engine fills the matrix bit-identically.
     pub fn with_matrix_build(mut self, matrix_build: MatrixBuild) -> FlowConfig {
         self.matrix_build = matrix_build;

@@ -1,7 +1,7 @@
 //! The end-to-end reseeding flow (paper Figure 1).
 
 use fbist_netlist::Netlist;
-use fbist_setcover::{reduce_with, solve_with, ReductionEvent};
+use fbist_setcover::{reduce, solve_with, ReductionEvent};
 use fbist_sim::SimError;
 use fbist_store::{ArtifactStore, DigestBytes, StageKey};
 use fbist_tpg::Triplet;
@@ -131,9 +131,10 @@ impl ReseedingFlow {
         let reports = match *uniq {
             // A single point has nothing to amortise first-detection
             // indices over, and they cost memory: at τ = 31, jobs = 1
-            // (release build), the first-detection build raised peak
-            // VmHWM from 7.2 MB to 10.1 MB (+40 %) on c1908 and from
-            // 4.1 MB to 4.6 MB on mid256, with byte-identical reports.
+            // (release build, x86-64 Linux), the first-detection build
+            // raised the flow's peak VmHWM from 5.4 MB to 10.6 MB on
+            // c1908 and from 3.7 MB to 4.7 MB on mid256, with
+            // byte-identical reports.
             [tau] if !self.stages.is_enabled() => {
                 let (triplets, matrix) = self.builder.matrix_for(
                     &*tpg,
@@ -187,7 +188,7 @@ impl ReseedingFlow {
     /// pass across its points).
     pub fn finish(&self, config: &FlowConfig, initial: &InitialReseeding) -> ReseedingReport {
         // ---- Matrix Reducer + solver (LINGO stand-in) -------------------
-        let reduction = reduce_with(&initial.matrix, &config.solve.reducer, config.solve.backend);
+        let reduction = reduce(&initial.matrix, &config.solve.reducer);
         let solution = solve_with(&initial.matrix, &config.solve, &reduction);
         let dominated_rows = reduction
             .log

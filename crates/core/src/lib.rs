@@ -56,7 +56,7 @@ pub use area::{rom_bits_per_triplet, solution_rom_bits, AreaModel};
 pub use builder::{AtpgBase, InitialReseeding, InitialReseedingBuilder};
 pub use config::{check_tau, parse_tau_list, FlowConfig, MatrixBuild, TpgKind};
 pub use fbist_bits::SimdWidth;
-pub use fbist_setcover::{Backend, FirstDetectionMatrix};
+pub use fbist_setcover::FirstDetectionMatrix;
 pub use flow::ReseedingFlow;
 pub use gatsby::{Gatsby, GatsbyConfig, GatsbyResult};
 pub use report::{ReseedingReport, SelectedTriplet};

@@ -19,15 +19,14 @@
 //!
 //! Pure throughput knobs — `jobs` (both the flow-level count and
 //! [`AtpgConfig::jobs`], which gates the fault-parallel PODEM rounds),
-//! the set-covering [`Backend`], the [`MatrixBuild`] engine and the SIMD
-//! width — are **excluded** from every key: the workspace pins them
-//! bit-identical (the `parallel_equivalence`, `atpg_equivalence`,
-//! `sparse_dense_equivalence`, `batched_matrix_equivalence` and
-//! `simd_width_equivalence` suites), so an artifact computed
-//! under any of them answers all of them. That exclusion is what makes a
-//! store warmed by a 4-job batched sparse run answer a 1-job per-row
-//! dense query byte-identically — asserted by `tests/store_equivalence.rs`
-//! and the key-invariance tests below.
+//! the [`MatrixBuild`] engine and the SIMD width — are **excluded** from
+//! every key: the workspace pins them bit-identical (the
+//! `parallel_equivalence`, `atpg_equivalence`,
+//! `batched_matrix_equivalence` and `simd_width_equivalence` suites), so
+//! an artifact computed under any of them answers all of them. That
+//! exclusion is what makes a store warmed by a 4-job batched run answer a
+//! 1-job per-row query byte-identically — asserted by
+//! `tests/store_equivalence.rs` and the key-invariance tests below.
 //!
 //! The first-detection artifact is not keyed on τ because it *saturates*
 //! instead: one pass at `τ_max` determines every `τ ≤ τ_max` matrix by
@@ -40,7 +39,6 @@
 //! key, so stale artifacts are never *read* — they are orphaned on disk
 //! (delete the store directory to reclaim the space).
 //!
-//! [`Backend`]: fbist_setcover::Backend
 //! [`MatrixBuild`]: crate::MatrixBuild
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -110,7 +108,6 @@ fn hash_atpg_fragment(d: &mut Digest, atpg: &AtpgConfig) {
 pub const THROUGHPUT_KNOBS: &[(&str, &str)] = &[
     ("jobs", "parallel_equivalence"),
     ("atpg.jobs", "atpg_equivalence"),
-    ("solve.backend", "sparse_dense_equivalence"),
     ("solve.engine.jobs", "parallel_equivalence"),
     ("matrix_build", "batched_matrix_equivalence"),
     ("simd_width", "simd_width_equivalence"),
@@ -119,9 +116,7 @@ pub const THROUGHPUT_KNOBS: &[(&str, &str)] = &[
 
 /// Hashes the solver-relevant fragment of [`SolveConfig`]: reductions,
 /// engine (with the local-search parameters that shape the cover —
-/// everything except its `jobs`), and the exact-node budget. The
-/// [`Backend`](fbist_setcover::Backend) is excluded: both backends are
-/// pinned bit-identical.
+/// everything except its `jobs`), and the exact-node budget.
 fn hash_solve_fragment(d: &mut Digest, solve: &SolveConfig) {
     d.bool(solve.reducer.essentiality);
     d.bool(solve.reducer.row_dominance);
@@ -561,7 +556,6 @@ mod tests {
     use super::*;
     use crate::config::{MatrixBuild, TpgKind};
     use fbist_netlist::embedded;
-    use fbist_setcover::Backend;
 
     fn cfg() -> FlowConfig {
         FlowConfig::new(TpgKind::Adder).with_tau(7)
@@ -578,7 +572,7 @@ mod tests {
 
     #[test]
     fn throughput_knobs_never_change_any_stage_key() {
-        // jobs / backend / matrix-build / SIMD width are pinned
+        // jobs / matrix-build / SIMD width are pinned
         // bit-identical by the equivalence suites, so no stage key may
         // depend on them — otherwise a warm store would go cold when a
         // user merely changes the worker count
@@ -586,8 +580,6 @@ mod tests {
         let base_keys = all_keys(&n, &cfg());
         let variants = [
             cfg().with_jobs(7),
-            cfg().with_backend(Backend::Sparse),
-            cfg().with_backend(Backend::Dense),
             cfg().with_matrix_build(MatrixBuild::PerRow),
             cfg().with_matrix_build(MatrixBuild::Batched),
             cfg().with_simd_width(fbist_bits::SimdWidth::W1),
@@ -711,7 +703,6 @@ mod tests {
         let canonical = sweep_request_digest(&n, &base, &[0, 7]);
         for v in [
             base.clone().with_jobs(3),
-            base.clone().with_backend(Backend::Sparse),
             base.clone().with_matrix_build(MatrixBuild::Batched),
         ] {
             assert_eq!(sweep_request_digest(&n, &v, &[0, 7]), canonical);

@@ -25,8 +25,8 @@
 //! Everything per-point after the matrix (triplet `τ` fields, reduction,
 //! solving, trimming) runs from per-point configuration and seeds, so
 //! every [`SweepPoint`] — report included — is bit-identical to
-//! [`ReseedingFlow::run`] at its τ, for every profile × TPG × jobs ×
-//! backend combination (`tests/sweep_equivalence.rs`). Which build a
+//! [`ReseedingFlow::run`] at its τ, for every profile × TPG × jobs
+//! combination (`tests/sweep_equivalence.rs`). Which build a
 //! sweep uses is decided in one place, `ReseedingFlow`'s shared cover
 //! computation: a single τ without a store takes the detection-only
 //! build that `run` uses.
@@ -269,26 +269,6 @@ mod tests {
         let curve = tradeoff_sweep(&n, &FlowConfig::new(TpgKind::Lfsr), &[7]).unwrap();
         assert_eq!(curve[0].report.tau, 7);
         assert_eq!(curve[0].rom_bits, curve[0].report.rom_bits());
-    }
-
-    #[test]
-    fn curve_invariant_in_backend() {
-        use fbist_setcover::Backend;
-        let n = generate(&profile("tiny64").unwrap(), 4);
-        let taus = [0, 7, 31];
-        let dense = tradeoff_sweep(
-            &n,
-            &FlowConfig::new(TpgKind::Adder).with_backend(Backend::Dense),
-            &taus,
-        )
-        .unwrap();
-        let sparse = tradeoff_sweep(
-            &n,
-            &FlowConfig::new(TpgKind::Adder).with_backend(Backend::Sparse),
-            &taus,
-        )
-        .unwrap();
-        assert_eq!(dense, sparse, "backend must never change the curve");
     }
 
     #[test]

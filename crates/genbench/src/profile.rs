@@ -133,8 +133,8 @@ pub fn all_profiles() -> Vec<CircuitProfile> {
         ("tiny64", 10, 6, 0, 64),
         ("mid256", 16, 10, 8, 256),
         // scaling stress profiles (not in the paper): a c7552-scale
-        // synthetic circuit and a doubled "xl" case, sized to push the
-        // Detection Matrix well past the sparse engine's auto-threshold
+        // synthetic circuit and a doubled "xl" case, sized to give the
+        // Detection Matrix thousands of fault columns
         ("big3500", 200, 100, 0, 3500),
         ("xl7000", 230, 120, 80, 7000),
     ]

@@ -340,12 +340,11 @@ pub fn parse_named(src: &str, name: &str) -> Result<Netlist, BenchParseError> {
 
 fn strip_call<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
     let rest = line.strip_prefix(keyword).or_else(|| {
-        // case-insensitive match
-        if line.len() >= keyword.len() && line[..keyword.len()].eq_ignore_ascii_case(keyword) {
-            Some(&line[keyword.len()..])
-        } else {
-            None
-        }
+        // case-insensitive match; `get` because the keyword's length may
+        // end inside a multi-byte character of the line
+        line.get(..keyword.len())
+            .filter(|head| head.eq_ignore_ascii_case(keyword))
+            .and_then(|_| line.get(keyword.len()..))
     })?;
     let rest = rest.trim_start();
     let rest = rest.strip_prefix('(')?;
@@ -424,6 +423,15 @@ OUTPUT(23)
         assert_eq!(n2.logic_gate_count(), n.logic_gate_count());
         // names survive
         assert!(n2.find("22").is_some());
+    }
+
+    #[test]
+    fn multibyte_character_at_keyword_length_is_an_error() {
+        // byte 5 falls inside 'é', where the case-insensitive keyword
+        // check used to slice the line and panic
+        let err = parse("MUX(é OUTPUT(x)\n").unwrap_err();
+        assert!(err.to_string().contains("unrecognised statement"), "{err}");
+        assert!(parse("inpué(a)\n").is_err());
     }
 
     #[test]

@@ -13,19 +13,11 @@
 //!
 //! A node budget keeps worst cases bounded; hitting it downgrades the
 //! result to "best found" with `optimal = false`.
-//!
-//! Like the greedy and the reducer, the search exists in a dense and a
-//! sparse implementation ([`Backend`], see [`ExactSolver::with_backend`]).
-//! The sparse path replaces the per-node masked scans with incremental
-//! cover counts on a [`SparseMatrix`] and picks the branching column from
-//! a precomputed `(degree, index)` order; it explores the *identical*
-//! search tree — same best cover, same node count, same optimality flag.
 
 use fbist_bits::BitVec;
 
-use crate::greedy::{greedy_cover, greedy_sparse};
+use crate::greedy::greedy_cover;
 use crate::matrix::DetectionMatrix;
-use crate::sparse::{Backend, SparseMatrix};
 
 /// Configuration for [`ExactSolver`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,41 +64,21 @@ pub struct ExactResult {
 #[derive(Debug, Clone, Default)]
 pub struct ExactSolver {
     config: ExactConfig,
-    backend: Backend,
 }
 
 impl ExactSolver {
-    /// Creates a solver with the default node budget and automatic backend.
+    /// Creates a solver with the default node budget.
     pub fn new() -> ExactSolver {
         ExactSolver::default()
     }
 
     /// Creates a solver with an explicit configuration.
     pub fn with_config(config: ExactConfig) -> ExactSolver {
-        ExactSolver {
-            config,
-            backend: Backend::Auto,
-        }
-    }
-
-    /// Selects the implementation ([`Backend::Auto`] by default). The
-    /// backend never changes the result — not even the node count.
-    pub fn with_backend(mut self, backend: Backend) -> ExactSolver {
-        self.backend = backend;
-        self
+        ExactSolver { config }
     }
 
     /// Solves the instance. Columns no row covers are ignored.
     pub fn solve(&self, matrix: &DetectionMatrix) -> ExactResult {
-        if self.backend.use_sparse(matrix.rows(), matrix.cols()) {
-            self.solve_sparse(matrix)
-        } else {
-            self.solve_dense(matrix)
-        }
-    }
-
-    /// The dense reference implementation.
-    fn solve_dense(&self, matrix: &DetectionMatrix) -> ExactResult {
         let mut coverable = BitVec::zeros(matrix.cols());
         for c in 0..matrix.cols() {
             if matrix.col_weight(c) > 0 {
@@ -139,171 +111,6 @@ impl ExactSolver {
             nodes,
             optimal: !truncated,
         }
-    }
-
-    /// The sparse implementation: one adjacency build, then incremental
-    /// cover counts — choosing a row walks its column list once, and the
-    /// lower bound and candidate gains touch only 1-cells.
-    fn solve_sparse(&self, matrix: &DetectionMatrix) -> ExactResult {
-        let sp = SparseMatrix::from_dense(matrix);
-        let cols = sp.cols();
-        let mut coverable = vec![false; cols];
-        let mut uncovered = 0usize;
-        for (c, ok) in coverable.iter_mut().enumerate() {
-            if sp.col_weight(c) > 0 {
-                *ok = true;
-                uncovered += 1;
-            }
-        }
-        if uncovered == 0 {
-            return ExactResult {
-                rows: Vec::new(),
-                nodes: 0,
-                optimal: true,
-            };
-        }
-
-        let mut best = greedy_sparse(&sp);
-        // The dense branch step scans uncovered columns in ascending index
-        // order keeping the first strict degree minimum — i.e. the
-        // lexicographic (static degree, index) minimum. Sorting the
-        // coverable columns by that key once turns every branch decision
-        // into "first still-uncovered entry of this list".
-        let mut order: Vec<u32> = (0..cols as u32)
-            .filter(|&c| coverable[c as usize])
-            .collect();
-        order.sort_by_key(|&c| (sp.col_weight(c as usize), c));
-
-        let best_len = best.len();
-        let mut search = SparseSearch {
-            sp: &sp,
-            order: &order,
-            cover_count: vec![0u32; cols],
-            uncovered,
-            node_limit: self.config.node_limit,
-            nodes: 0,
-            truncated: false,
-            best_len,
-            best: &mut best,
-            lb_mark: vec![0u64; cols],
-            lb_epoch: 0,
-        };
-        let mut chosen = Vec::new();
-        search.recurse(&mut chosen);
-        let truncated = search.truncated;
-        let nodes = search.nodes;
-        ExactResult {
-            rows: best,
-            nodes,
-            optimal: !truncated,
-        }
-    }
-}
-
-struct SparseSearch<'a> {
-    sp: &'a SparseMatrix,
-    /// Coverable columns sorted by `(static degree, index)`.
-    order: &'a [u32],
-    /// Per column: how many chosen rows cover it (uncoverable stay 0 but
-    /// never appear in any row's adjacency, so they are never consulted).
-    cover_count: Vec<u32>,
-    /// Coverable columns with `cover_count == 0`.
-    uncovered: usize,
-    node_limit: u64,
-    nodes: u64,
-    truncated: bool,
-    best_len: usize,
-    best: &'a mut Vec<usize>,
-    /// Epoch-stamped scratch for the lower bound (avoids a clear per node).
-    lb_mark: Vec<u64>,
-    lb_epoch: u64,
-}
-
-impl SparseSearch<'_> {
-    fn recurse(&mut self, chosen: &mut Vec<usize>) {
-        if self.nodes >= self.node_limit {
-            self.truncated = true;
-            return;
-        }
-        self.nodes += 1;
-
-        if self.uncovered == 0 {
-            if chosen.len() < self.best_len {
-                self.best_len = chosen.len();
-                *self.best = chosen.clone();
-            }
-            return;
-        }
-        if chosen.len() + 1 >= self.best_len {
-            return; // even a single perfect row cannot improve
-        }
-        if chosen.len() + self.lower_bound() >= self.best_len {
-            return;
-        }
-
-        // Most-constrained column: first uncovered entry in degree order.
-        let branch_col = self
-            .order
-            .iter()
-            .copied()
-            .find(|&c| self.cover_count[c as usize] == 0)
-            .expect("uncovered is non-zero") as usize;
-
-        // Order candidate rows by coverage of the uncovered set, descending
-        // (stable sort on an ascending list — the dense ordering).
-        let mut candidates: Vec<u32> = self.sp.col_rows(branch_col).to_vec();
-        candidates.sort_by_key(|&r| {
-            std::cmp::Reverse(
-                self.sp
-                    .row_cols(r as usize)
-                    .iter()
-                    .filter(|&&c| self.cover_count[c as usize] == 0)
-                    .count(),
-            )
-        });
-        for r in candidates {
-            let r = r as usize;
-            for &c in self.sp.row_cols(r) {
-                let c = c as usize;
-                if self.cover_count[c] == 0 {
-                    self.uncovered -= 1;
-                }
-                self.cover_count[c] += 1;
-            }
-            chosen.push(r);
-            self.recurse(chosen);
-            chosen.pop();
-            for &c in self.sp.row_cols(r) {
-                let c = c as usize;
-                self.cover_count[c] -= 1;
-                if self.cover_count[c] == 0 {
-                    self.uncovered += 1;
-                }
-            }
-            if self.truncated {
-                return;
-            }
-        }
-    }
-
-    /// Independent-column lower bound, identical in value to the dense
-    /// one: scan uncovered columns in ascending order, count one, then
-    /// blanket-mark everything reachable through its covering rows.
-    fn lower_bound(&mut self) -> usize {
-        self.lb_epoch += 1;
-        let epoch = self.lb_epoch;
-        let mut lb = 0;
-        for c in 0..self.sp.cols() {
-            if self.sp.col_weight(c) > 0 && self.cover_count[c] == 0 && self.lb_mark[c] != epoch {
-                lb += 1;
-                for &r in self.sp.col_rows(c) {
-                    for &cc in self.sp.row_cols(r as usize) {
-                        self.lb_mark[cc as usize] = epoch;
-                    }
-                }
-            }
-        }
-        lb
     }
 }
 
@@ -513,33 +320,6 @@ mod tests {
         // must still return the greedy warm start as a valid cover
         assert!(mat.is_cover(&res.rows));
         assert!(!res.optimal);
-    }
-
-    #[test]
-    fn sparse_matches_dense_search_exactly() {
-        use crate::generate::{detection_shaped, random_instance};
-        for seed in 0..6u64 {
-            let m = random_instance(18, 40, 0.12, seed);
-            let d = ExactSolver::new().with_backend(Backend::Dense).solve(&m);
-            let s = ExactSolver::new().with_backend(Backend::Sparse).solve(&m);
-            assert_eq!(d, s, "random seed {seed}"); // rows, nodes, optimal
-        }
-        for seed in 0..4u64 {
-            let m = detection_shaped(25, 60, seed);
-            let d = ExactSolver::new().with_backend(Backend::Dense).solve(&m);
-            let s = ExactSolver::new().with_backend(Backend::Sparse).solve(&m);
-            assert_eq!(d, s, "shaped seed {seed}");
-        }
-        // a tight node budget truncates both searches at the same node
-        let m = random_instance(30, 90, 0.07, 77);
-        let cfg = ExactConfig { node_limit: 40 };
-        let d = ExactSolver::with_config(cfg)
-            .with_backend(Backend::Dense)
-            .solve(&m);
-        let s = ExactSolver::with_config(cfg)
-            .with_backend(Backend::Sparse)
-            .solve(&m);
-        assert_eq!(d, s, "truncated runs must match node for node");
     }
 
     #[test]

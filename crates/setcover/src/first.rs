@@ -27,8 +27,8 @@ use crate::matrix::DetectionMatrix;
 /// the Detection Matrix of **every** `τ ≤ τ_max` — [`at_tau`] derives them
 /// by comparing stored indices against `τ`, without touching a simulator,
 /// and the result is bit-identical to re-simulating at `τ` (pinned by
-/// `tests/sweep_equivalence.rs` across every profile × TPG × jobs ×
-/// backend × matrix-build combination).
+/// `tests/sweep_equivalence.rs` across every profile × TPG × jobs
+/// combination).
 ///
 /// [`at_tau`]: FirstDetectionMatrix::at_tau
 ///

@@ -1,19 +1,15 @@
-//! The Chvátal greedy heuristic — dense word-scan and sparse incremental
-//! implementations.
+//! The Chvátal greedy heuristic.
 
 use fbist_bits::BitVec;
 
 use crate::matrix::DetectionMatrix;
-use crate::sparse::{Backend, SparseMatrix};
 
 /// Greedy set covering: repeatedly pick the row covering the most still-
 /// uncovered columns (ties broken toward the lower row index), guaranteeing
 /// an `H(d)`-factor approximation (`d` = largest row weight) — the standard
 /// fallback when the residual matrix is too large for the exact solver.
 ///
-/// Dispatches between the dense scan and the sparse incremental engine by
-/// instance size ([`Backend::Auto`]); see [`greedy_cover_with`] to force a
-/// backend. Both produce the identical cover, row for row.
+/// Each pick is a full `rows × cols/64` masked rescan.
 ///
 /// Columns no row covers are ignored (they cannot constrain any solution).
 ///
@@ -31,22 +27,6 @@ use crate::sparse::{Backend, SparseMatrix};
 /// assert_eq!(cover, vec![0, 1]); // row 0 covers 3, then row 1 finishes
 /// ```
 pub fn greedy_cover(matrix: &DetectionMatrix) -> Vec<usize> {
-    greedy_cover_with(matrix, Backend::Auto)
-}
-
-/// [`greedy_cover`] with an explicit backend. The backend never changes
-/// the result — only which implementation computes it.
-pub fn greedy_cover_with(matrix: &DetectionMatrix, backend: Backend) -> Vec<usize> {
-    if backend.use_sparse(matrix.rows(), matrix.cols()) {
-        greedy_sparse(&SparseMatrix::from_dense(matrix))
-    } else {
-        greedy_dense(matrix)
-    }
-}
-
-/// The dense reference implementation: a full `rows × cols/64` masked
-/// rescan per selected row.
-fn greedy_dense(matrix: &DetectionMatrix) -> Vec<usize> {
     let mut uncovered = BitVec::zeros(matrix.cols());
     for c in 0..matrix.cols() {
         if matrix.col_weight(c) > 0 {
@@ -74,72 +54,6 @@ fn greedy_dense(matrix: &DetectionMatrix) -> Vec<usize> {
     chosen
 }
 
-/// The sparse incremental implementation: exact gains live in a bucket
-/// priority queue; covering a column decrements the gain of exactly the
-/// rows covering it (one O(1) bucket move per adjacency edge), so the
-/// whole run costs `O(nnz)` bucket operations instead of a full matrix
-/// rescan per pick. The pick is the lowest row index in the highest
-/// non-empty bucket — precisely the dense scan's strict-maximum /
-/// lowest-index tie-break.
-pub(crate) fn greedy_sparse(sp: &SparseMatrix) -> Vec<usize> {
-    let (rows, cols) = (sp.rows(), sp.cols());
-    let mut covered = vec![false; cols];
-    let mut uncovered = 0usize;
-    for (c, done) in covered.iter_mut().enumerate() {
-        if sp.col_weight(c) > 0 {
-            uncovered += 1;
-        } else {
-            *done = true; // uncoverable: never constrains anything
-        }
-    }
-    // gains start at the full row weight (every coverable column of the
-    // row is uncovered; uncoverable columns belong to no row at all)
-    let mut gain: Vec<usize> = (0..rows).map(|r| sp.row_weight(r)).collect();
-    let max_gain = gain.iter().copied().max().unwrap_or(0);
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); max_gain + 1];
-    let mut pos = vec![0usize; rows];
-    for r in 0..rows {
-        pos[r] = buckets[gain[r]].len();
-        buckets[gain[r]].push(r as u32);
-    }
-    let mut cur_max = max_gain;
-    let mut chosen = Vec::new();
-    while uncovered > 0 {
-        // gains only ever decrease, so the maximum can only move down
-        while cur_max > 0 && buckets[cur_max].is_empty() {
-            cur_max -= 1;
-        }
-        if cur_max == 0 {
-            break; // defensive: mirrors the dense loop's bail-out
-        }
-        let best = *buckets[cur_max].iter().min().expect("bucket non-empty") as usize;
-        chosen.push(best);
-        for &c in sp.row_cols(best) {
-            let c = c as usize;
-            if covered[c] {
-                continue;
-            }
-            covered[c] = true;
-            uncovered -= 1;
-            // every row covering c (including `best`) loses one gain unit
-            for &k in sp.col_rows(c) {
-                let k = k as usize;
-                let g = gain[k];
-                let p = pos[k];
-                let last = *buckets[g].last().expect("k is in its bucket");
-                buckets[g].swap_remove(p);
-                if last as usize != k {
-                    pos[last as usize] = p;
-                }
-                gain[k] = g - 1;
-                pos[k] = buckets[g - 1].len();
-                buckets[g - 1].push(k as u32);
-            }
-        }
-    }
-    chosen
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,36 +75,29 @@ mod tests {
     fn handles_empty_matrix() {
         let mat = DetectionMatrix::from_rows(0, vec![]);
         assert!(greedy_cover(&mat).is_empty());
-        assert!(greedy_cover_with(&mat, Backend::Sparse).is_empty());
     }
 
     #[test]
     fn ignores_uncoverable_columns() {
         let mat = m(&["10", "10"]);
-        for backend in [Backend::Dense, Backend::Sparse] {
-            assert_eq!(greedy_cover_with(&mat, backend), vec![0], "{backend}");
-        }
+        assert_eq!(greedy_cover(&mat), vec![0]);
     }
 
     /// Pins the documented tie-break contract: among rows of equal gain the
     /// *lower row index* is selected, at the first pick and at every later
-    /// pick once incremental decrements have reshuffled the gains. The
-    /// sparse rewrite must never silently change this selection order.
+    /// pick once earlier picks have reshuffled the gains. The exact solver's
+    /// warm start, and so every node count, depends on this order.
     #[test]
     fn ties_break_toward_the_lower_row_index() {
         // all three rows tie at gain 2 → row 0 wins; covering {0,1} zeroes
         // row 1's gain, so row 2 finishes. Expected exact order: [0, 2].
         let mat = m(&["0011", "0011", "1100"]);
-        for backend in [Backend::Auto, Backend::Dense, Backend::Sparse] {
-            assert_eq!(greedy_cover_with(&mat, backend), vec![0, 2], "{backend}");
-        }
+        assert_eq!(greedy_cover(&mat), vec![0, 2]);
 
         // a mid-run tie: row 0 (gain 3) is picked first; on the remaining
         // columns {4,3} rows 1 and 2 then tie at gain 2 — row 1 must win.
         let mat = m(&["00111", "11000", "11000", "10000"]);
-        for backend in [Backend::Auto, Backend::Dense, Backend::Sparse] {
-            assert_eq!(greedy_cover_with(&mat, backend), vec![0, 1], "{backend}");
-        }
+        assert_eq!(greedy_cover(&mat), vec![0, 1]);
     }
 
     #[test]
@@ -218,27 +125,6 @@ mod tests {
             rows.push(fbist_bits::BitVec::ones(nc));
             let mat = DetectionMatrix::from_rows(nc, rows);
             assert!(mat.is_cover(&greedy_cover(&mat)));
-        }
-    }
-
-    #[test]
-    fn sparse_matches_dense_on_random_instances() {
-        use crate::generate::{detection_shaped, random_instance};
-        for seed in 0..12u64 {
-            let m = random_instance(30, 90, 0.04 + 0.02 * seed as f64, seed);
-            assert_eq!(
-                greedy_cover_with(&m, Backend::Dense),
-                greedy_cover_with(&m, Backend::Sparse),
-                "random seed {seed}"
-            );
-        }
-        for seed in 0..6u64 {
-            let m = detection_shaped(40, 130, seed);
-            assert_eq!(
-                greedy_cover_with(&m, Backend::Dense),
-                greedy_cover_with(&m, Backend::Sparse),
-                "shaped seed {seed}"
-            );
         }
     }
 

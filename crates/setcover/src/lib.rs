@@ -25,25 +25,13 @@
 //! [`lp`] exports instances in LP textual format for use with external ILP
 //! solvers, preserving the paper's LINGO workflow.
 //!
-//! # Scaling: the sparse incremental engine
+//! # One implementation
 //!
-//! Every solver and the reducer exist in two implementations. The *dense*
-//! paths scan packed `BitVec` words and win on small instances; the
-//! *sparse* paths walk a [`SparseMatrix`] (CSR + CSC adjacency built once
-//! from the [`DetectionMatrix`]) with incremental bookkeeping — a bucket
-//! priority queue with exact gain decrements for the greedy, per-column
-//! cover counts and candidate restriction through column adjacency for the
-//! reducer, and incremental cover counts plus a precomputed branch order
-//! for the branch-and-bound — and win asymptotically on the large, sparse
-//! matrices real circuits produce. [`Backend`] selects between them;
-//! `Backend::Auto` (the default everywhere) switches on instance size.
-//!
-//! **Equivalence guarantee:** the two implementations are *bit-identical*:
-//! same cover rows in the same order, same reduction event log, same
-//! branch-and-bound node count. The backend is purely a throughput knob —
-//! like the workspace's `--jobs` contract — and the root-level
-//! `sparse_dense_equivalence` suite pins this for every genbench profile ×
-//! TPG family.
+//! The reducer and both solvers scan packed `BitVec` words. The flow's
+//! Detection Matrices are dense (23–87 % ones on every genbench profile
+//! across the default τ list), and on all of them the word scans reduce
+//! faster than adjacency-list bookkeeping would; the reducer leaves the
+//! solvers at most a tiny residual.
 //!
 //! # Example
 //!
@@ -72,13 +60,11 @@ pub mod lp;
 mod matrix;
 mod reduce;
 mod solution;
-mod sparse;
 
 pub use exact::{ExactConfig, ExactResult, ExactSolver};
 pub use first::FirstDetectionMatrix;
-pub use greedy::{greedy_cover, greedy_cover_with};
+pub use greedy::greedy_cover;
 pub use local::{eliminate_redundant, local_search_cover, LocalSearchConfig};
 pub use matrix::DetectionMatrix;
-pub use reduce::{reduce, reduce_with, ReducerConfig, Reduction, ReductionEvent};
+pub use reduce::{reduce, reduce_with, Backend, ReducerConfig, Reduction, ReductionEvent};
 pub use solution::{solve, solve_with, CoverSolution, Engine, SolveConfig};
-pub use sparse::{Backend, SparseMatrix};

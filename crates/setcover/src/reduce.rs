@@ -14,20 +14,15 @@
 //!   `d` also covers column `c`, then satisfying `d` implies satisfying
 //!   `c`; the weaker constraint `c` is deleted. The paper does not use it;
 //!   it is exposed for the ablation study.
-
 //!
-//! Like the solvers, the reducer has two implementations selected by
-//! [`Backend`]: the dense path runs masked word scans (`O(R²)` subset
-//! tests per fixpoint round), the sparse path keeps incremental active
-//! row/column weights on a [`SparseMatrix`] and restricts dominance
-//! candidates through column adjacency. Both produce the identical
-//! [`Reduction`] — same essential rows, same active sets, and the same
-//! event log, entry for entry.
+//! The reducer runs masked word scans over the packed matrix: one masked
+//! popcount per column for essentiality, and `O(R²)` subset tests per
+//! fixpoint round for dominance. The flow's matrices are 23–87 % dense,
+//! where these word scans beat adjacency-list bookkeeping.
 
 use fbist_bits::BitVec;
 
 use crate::matrix::DetectionMatrix;
-use crate::sparse::{Backend, SparseMatrix};
 
 /// Which reductions to apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,32 +138,31 @@ impl Reduction {
     }
 }
 
-/// Applies the configured reductions to fixpoint. See the module docs.
+/// Selects nothing: there is one covering implementation. The type
+/// stays only so that the benchmark harness, which passes
+/// [`SolveConfig::backend`] to [`reduce_with`], still compiles; no code
+/// in this workspace reads it. It is deleted with `ROADMAP.md` item 5,
+/// once the harness calls only flow-level APIs.
 ///
-/// Dispatches between the dense and sparse implementations by instance
-/// size ([`Backend::Auto`]); see [`reduce_with`] to force a backend. The
-/// backend never changes the result.
-pub fn reduce(matrix: &DetectionMatrix, config: &ReducerConfig) -> Reduction {
-    reduce_with(matrix, config, Backend::Auto)
+/// [`SolveConfig::backend`]: crate::SolveConfig::backend
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Backend {
+    /// The only implementation.
+    #[default]
+    Dense,
 }
 
-/// [`reduce`] with an explicit backend. Dense and sparse produce the
-/// identical [`Reduction`], including the event log order.
+/// [`reduce`], with a [`Backend`] that selects nothing.
 pub fn reduce_with(
     matrix: &DetectionMatrix,
     config: &ReducerConfig,
-    backend: Backend,
+    _backend: Backend,
 ) -> Reduction {
-    if backend.use_sparse(matrix.rows(), matrix.cols()) {
-        reduce_sparse(matrix, config)
-    } else {
-        reduce_dense(matrix, config)
-    }
+    reduce(matrix, config)
 }
 
-/// The dense reference implementation: masked word scans over the packed
-/// matrix, all-pairs subset tests for dominance.
-fn reduce_dense(matrix: &DetectionMatrix, config: &ReducerConfig) -> Reduction {
+/// Applies the configured reductions to fixpoint. See the module docs.
+pub fn reduce(matrix: &DetectionMatrix, config: &ReducerConfig) -> Reduction {
     let (nr, nc) = (matrix.rows(), matrix.cols());
     let mut row_active = BitVec::ones(nr);
     let mut col_active = BitVec::ones(nc);
@@ -302,233 +296,6 @@ fn reduce_dense(matrix: &DetectionMatrix, config: &ReducerConfig) -> Reduction {
         essential_rows,
         active_rows: (0..nr).filter(|&r| row_active.get(r)).collect(),
         active_cols: (0..nc).filter(|&c| col_active.get(c)).collect(),
-        uncoverable_cols: uncoverable,
-        log,
-        iterations,
-    }
-}
-
-/// Incremental active-weight state shared by the sparse reduction phases.
-///
-/// `w[r]` is row `r`'s count of *active* columns and `cw[c]` is column
-/// `c`'s count of *active* rows; deactivating a row or column updates the
-/// dual counts along its adjacency list, so every count the dense code
-/// recomputes with an `O(width/64)` masked scan is available here in O(1).
-/// Each row and column is deactivated at most once, so all bookkeeping
-/// over a full reduction costs `O(nnz)`.
-struct SparseReducer<'a> {
-    matrix: &'a DetectionMatrix,
-    sp: SparseMatrix,
-    row_active: Vec<bool>,
-    col_active: Vec<bool>,
-    w: Vec<usize>,
-    cw: Vec<usize>,
-}
-
-impl SparseReducer<'_> {
-    fn new(matrix: &DetectionMatrix) -> SparseReducer<'_> {
-        let sp = SparseMatrix::from_dense(matrix);
-        let (nr, nc) = (sp.rows(), sp.cols());
-        SparseReducer {
-            matrix,
-            row_active: vec![true; nr],
-            col_active: vec![true; nc],
-            w: (0..nr).map(|r| sp.row_weight(r)).collect(),
-            cw: (0..nc).map(|c| sp.col_weight(c)).collect(),
-            sp,
-        }
-    }
-
-    fn deactivate_row(&mut self, r: usize) {
-        self.row_active[r] = false;
-        for &c in self.sp.row_cols(r) {
-            self.cw[c as usize] -= 1;
-        }
-    }
-
-    fn deactivate_col(&mut self, c: usize) {
-        self.col_active[c] = false;
-        for &r in self.sp.col_rows(c) {
-            self.w[r as usize] -= 1;
-        }
-    }
-
-    /// `true` if row `r`'s active columns are all covered by row `k` —
-    /// the dense `row_is_subset_masked(r, k, col_active)`, evaluated in
-    /// `O(deg(r))` single-cell probes instead of a word scan.
-    fn row_subset_on_active(&self, r: usize, k: usize) -> bool {
-        self.sp.row_cols(r).iter().all(|&c| {
-            let c = c as usize;
-            !self.col_active[c] || self.matrix.get(k, c)
-        })
-    }
-}
-
-/// The sparse incremental implementation. The control flow deliberately
-/// mirrors [`reduce_dense`] phase by phase and scan by scan, so the event
-/// log comes out identical; only the *primitives* differ — O(1) cover
-/// counts instead of masked popcounts, and dominance candidates drawn
-/// from the adjacency list of one of the dominated row's columns (any
-/// dominator must cover all of them) instead of every active row.
-fn reduce_sparse(matrix: &DetectionMatrix, config: &ReducerConfig) -> Reduction {
-    let (nr, nc) = (matrix.rows(), matrix.cols());
-    let mut st = SparseReducer::new(matrix);
-    let mut essential_rows = Vec::new();
-    let mut uncoverable = Vec::new();
-    let mut log = Vec::new();
-    let mut iterations = 0;
-
-    // Pre-pass: drop columns nothing covers (degenerate instances only).
-    for c in 0..nc {
-        if st.cw[c] == 0 {
-            st.col_active[c] = false;
-            uncoverable.push(c);
-            log.push(ReductionEvent::ColUncoverable { col: c });
-        }
-    }
-
-    loop {
-        iterations += 1;
-        let mut changed = false;
-
-        // ---- essentiality ------------------------------------------------
-        if config.essentiality {
-            let mut found = true;
-            while found {
-                found = false;
-                for c in 0..nc {
-                    if !st.col_active[c] {
-                        continue;
-                    }
-                    if st.cw[c] == 1 {
-                        let row = st
-                            .sp
-                            .col_rows(c)
-                            .iter()
-                            .map(|&r| r as usize)
-                            .find(|&r| st.row_active[r])
-                            .expect("count said one");
-                        log.push(ReductionEvent::Essential { row, col: c });
-                        essential_rows.push(row);
-                        st.deactivate_row(row);
-                        // retire every column the essential row covers
-                        for i in 0..st.sp.row_weight(row) {
-                            let cc = st.sp.row_cols(row)[i] as usize;
-                            if st.col_active[cc] {
-                                st.deactivate_col(cc);
-                                log.push(ReductionEvent::ColSatisfied { col: cc, by: row });
-                            }
-                        }
-                        changed = true;
-                        found = true;
-                    }
-                }
-            }
-        }
-
-        // ---- row dominance ----------------------------------------------
-        if config.row_dominance {
-            let active: Vec<usize> = (0..nr).filter(|&r| st.row_active[r]).collect();
-            for &r in &active {
-                if !st.row_active[r] {
-                    continue;
-                }
-                let wr = st.w[r];
-                if wr == 0 {
-                    // a row covering nothing active is trivially dominated
-                    // by the first active row passing the tie-break (the
-                    // dense loop's skip conditions reduce to exactly this)
-                    for &k in &active {
-                        if k == r || !st.row_active[k] {
-                            continue;
-                        }
-                        if st.w[k] == 0 && r < k {
-                            continue;
-                        }
-                        log.push(ReductionEvent::RowDominated { row: r, by: k });
-                        st.deactivate_row(r);
-                        changed = true;
-                        break;
-                    }
-                    continue;
-                }
-                // any dominator covers all of r's active columns, so the
-                // rows covering r's sparsest active column are a complete,
-                // index-ascending candidate list
-                let mut cstar = usize::MAX;
-                let mut cstar_cw = usize::MAX;
-                for &c in st.sp.row_cols(r) {
-                    let c = c as usize;
-                    if st.col_active[c] && st.cw[c] < cstar_cw {
-                        cstar_cw = st.cw[c];
-                        cstar = c;
-                    }
-                }
-                for i in 0..st.sp.col_weight(cstar) {
-                    let k = st.sp.col_rows(cstar)[i] as usize;
-                    if k == r || !st.row_active[k] {
-                        continue;
-                    }
-                    if wr > st.w[k] {
-                        continue; // cannot be a subset of a lighter row
-                    }
-                    if wr == st.w[k] && r < k {
-                        continue; // tie-break: keep the lower index
-                    }
-                    if st.row_subset_on_active(r, k) {
-                        log.push(ReductionEvent::RowDominated { row: r, by: k });
-                        st.deactivate_row(r);
-                        changed = true;
-                        break;
-                    }
-                }
-            }
-        }
-
-        // ---- column dominance ---------------------------------------------
-        if config.col_dominance {
-            let active: Vec<usize> = (0..nc).filter(|&c| st.col_active[c]).collect();
-            for &c in &active {
-                if !st.col_active[c] {
-                    continue;
-                }
-                for &d in &active {
-                    if c == d || !st.col_active[d] {
-                        continue;
-                    }
-                    // drop c if rows(d) ⊆ rows(c): d is the tighter constraint
-                    if st.cw[d] > st.cw[c] {
-                        continue;
-                    }
-                    if st.cw[d] == st.cw[c] && d > c {
-                        continue; // tie-break: keep the lower index
-                    }
-                    let implies = st.sp.col_rows(d).iter().all(|&r| {
-                        let r = r as usize;
-                        !st.row_active[r] || st.matrix.get(r, c)
-                    });
-                    if implies {
-                        log.push(ReductionEvent::ColDominated {
-                            col: c,
-                            implied_by: d,
-                        });
-                        st.deactivate_col(c);
-                        changed = true;
-                        break;
-                    }
-                }
-            }
-        }
-
-        if !changed {
-            break;
-        }
-    }
-
-    Reduction {
-        essential_rows,
-        active_rows: (0..nr).filter(|&r| st.row_active[r]).collect(),
-        active_cols: (0..nc).filter(|&c| st.col_active[c]).collect(),
         uncoverable_cols: uncoverable,
         log,
         iterations,
@@ -702,68 +469,6 @@ mod tests {
         let r = reduce(&mat, &ReducerConfig::default());
         assert_eq!(r.uncoverable_cols, vec![0]);
         assert!(!r.active_cols.contains(&0));
-    }
-
-    #[test]
-    fn sparse_matches_dense_reduction_everywhere() {
-        use crate::generate::{detection_shaped, random_instance};
-        let configs = [
-            ReducerConfig::default(),
-            ReducerConfig::all(),
-            ReducerConfig::none(),
-            ReducerConfig {
-                essentiality: false,
-                row_dominance: true,
-                col_dominance: false,
-            },
-            ReducerConfig {
-                essentiality: false,
-                row_dominance: false,
-                col_dominance: true,
-            },
-        ];
-        for seed in 0..8u64 {
-            let m = random_instance(35, 80, 0.05 + 0.02 * (seed % 4) as f64, seed);
-            for cfg in configs {
-                assert_eq!(
-                    reduce_with(&m, &cfg, Backend::Dense),
-                    reduce_with(&m, &cfg, Backend::Sparse),
-                    "random seed {seed}, cfg {cfg:?}"
-                );
-            }
-        }
-        for seed in 0..5u64 {
-            let m = detection_shaped(40, 110, seed);
-            for cfg in configs {
-                assert_eq!(
-                    reduce_with(&m, &cfg, Backend::Dense),
-                    reduce_with(&m, &cfg, Backend::Sparse),
-                    "shaped seed {seed}, cfg {cfg:?}"
-                );
-            }
-        }
-        // degenerate shapes: uncoverable columns, duplicate and empty rows
-        let m = m(&["10", "10"]);
-        assert_eq!(
-            reduce_with(&m, &ReducerConfig::default(), Backend::Dense),
-            reduce_with(&m, &ReducerConfig::default(), Backend::Sparse),
-        );
-        let m2 = DetectionMatrix::from_rows(
-            3,
-            vec![
-                "110".parse().unwrap(),
-                "110".parse().unwrap(),
-                "000".parse().unwrap(),
-                "001".parse().unwrap(),
-            ],
-        );
-        for cfg in configs {
-            assert_eq!(
-                reduce_with(&m2, &cfg, Backend::Dense),
-                reduce_with(&m2, &cfg, Backend::Sparse),
-                "degenerate, cfg {cfg:?}"
-            );
-        }
     }
 
     #[test]

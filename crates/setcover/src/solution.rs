@@ -3,11 +3,10 @@
 use std::fmt;
 
 use crate::exact::{ExactConfig, ExactSolver};
-use crate::greedy::greedy_cover_with;
+use crate::greedy::greedy_cover;
 use crate::local::{local_search_cover, LocalSearchConfig};
 use crate::matrix::DetectionMatrix;
-use crate::reduce::{reduce_with, ReducerConfig, Reduction};
-use crate::sparse::Backend;
+use crate::reduce::{reduce, Backend, ReducerConfig, Reduction};
 
 /// Which engine processes the residual matrix after reduction.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -31,10 +30,8 @@ pub struct SolveConfig {
     pub engine: Engine,
     /// Node budget for the exact engine.
     pub exact: ExactConfig,
-    /// Covering implementation (dense scans vs. the sparse incremental
-    /// engine) for the reducer and the engine. Purely a throughput knob:
-    /// every backend computes bit-identical results, and [`Backend::Auto`]
-    /// (the default) picks by instance size.
+    /// Selects nothing (see [`Backend`]); no code in this workspace
+    /// reads it.
     pub backend: Backend,
 }
 
@@ -113,7 +110,7 @@ impl fmt::Display for CoverSolution {
 /// Solves a Detection Matrix with the default configuration
 /// (essentiality + row dominance, then exact branch-and-bound).
 pub fn solve(matrix: &DetectionMatrix, config: &SolveConfig) -> CoverSolution {
-    let reduction = reduce_with(matrix, &config.reducer, config.backend);
+    let reduction = reduce(matrix, &config.reducer);
     solve_with(matrix, config, &reduction)
 }
 
@@ -131,9 +128,7 @@ pub fn solve_with(
         let (sub, map) = matrix.submatrix(&reduction.active_rows, &reduction.active_cols);
         match config.engine {
             Engine::Exact => {
-                let res = ExactSolver::with_config(config.exact)
-                    .with_backend(config.backend)
-                    .solve(&sub);
+                let res = ExactSolver::with_config(config.exact).solve(&sub);
                 (
                     res.rows.iter().map(|&r| map.row_map[r]).collect(),
                     res.optimal,
@@ -141,7 +136,7 @@ pub fn solve_with(
                 )
             }
             Engine::Greedy => {
-                let rows = greedy_cover_with(&sub, config.backend);
+                let rows = greedy_cover(&sub);
                 (rows.iter().map(|&r| map.row_map[r]).collect(), false, 0)
             }
             Engine::LocalSearch(cfg) => {

@@ -1,7 +1,7 @@
 //! Repo invariant lints, run as `cargo run -p xtask -- lint` (and as a
 //! plain `cargo test -p xtask`, so the tier-1 suite enforces them too).
 //!
-//! Four invariants, chosen because nothing else in the build would catch
+//! Five invariants, chosen because nothing else in the build would catch
 //! a quiet violation:
 //!
 //! 1. **`#![forbid(unsafe_code)]` in every first-party crate root.** The
@@ -29,6 +29,11 @@
 //!    test inputs. Every use of a hashed container in those crates must
 //!    carry a `determinism:` comment (same line or the comment block
 //!    directly above) arguing why iteration order is never observed.
+//! 5. **Every knob flag has a manifest entry.** Each flag in `fbist`'s
+//!    `KNOB_FLAGS` table (`crates/cli/src/main.rs`) must name a
+//!    `THROUGHPUT_KNOBS` entry, `--matrix-build` naming `matrix_build`
+//!    (or a nested `<stage>.matrix_build`). So a knob flag cannot come
+//!    back without the equivalence suite that pins it.
 
 #![forbid(unsafe_code)]
 
@@ -74,6 +79,7 @@ fn run_lints(root: &Path) -> Vec<String> {
     lint_no_thread_spawn(root, &mut failures);
     lint_throughput_manifest(root, &mut failures);
     lint_no_hash_iteration(root, &mut failures);
+    lint_knob_flags(root, &mut failures);
     failures
 }
 
@@ -275,28 +281,60 @@ fn preceding_comment_contains(lines: &[&str], i: usize, needle: &str) -> bool {
         .any(|l| l.contains(needle))
 }
 
+// ------------------------------------------- 5: knob flags are manifested
+
+fn lint_knob_flags(root: &Path, failures: &mut Vec<String>) {
+    let read = |file: &str| std::fs::read_to_string(root.join(file)).unwrap_or_default();
+    let manifest = parse_manifest(&read("crates/core/src/stage.rs"));
+    let flags = parse_knob_flags(&read("crates/cli/src/main.rs"));
+    if flags.is_empty() {
+        failures.push("crates/cli/src/main.rs: KNOB_FLAGS table missing or empty".into());
+    }
+    for flag in flags {
+        let knob = flag.trim_start_matches('-').replace('-', "_");
+        let nested = format!(".{knob}");
+        if !manifest
+            .iter()
+            .any(|(entry, _)| *entry == knob || entry.ends_with(&nested))
+        {
+            failures.push(format!(
+                "KNOB_FLAGS lists {flag:?}, but THROUGHPUT_KNOBS has no \
+                 {knob:?} entry — a knob flag needs the equivalence suite \
+                 that pins it result-neutral"
+            ));
+        }
+    }
+}
+
+/// The lines of the array declared on the first line that contains
+/// `decl` and a `[`, up to its closing `];`.
+fn table_lines<'a>(text: &'a str, decl: &'a str) -> impl Iterator<Item = &'a str> {
+    text.lines()
+        .skip_while(move |l| !(l.contains(decl) && l.contains('[')))
+        .skip(1)
+        .take_while(|l| !l.trim_start().starts_with("];"))
+}
+
+/// The `--flag` names in the `KNOB_FLAGS` table.
+fn parse_knob_flags(text: &str) -> Vec<String> {
+    table_lines(text, "const KNOB_FLAGS")
+        .flat_map(quoted_strings)
+        .filter(|s| s.starts_with("--"))
+        .collect()
+}
+
 /// Extracts the `(knob, suite)` pairs from the `THROUGHPUT_KNOBS` array
 /// by scanning the quoted string pairs between the declaration and the
 /// closing `];`.
 fn parse_manifest(text: &str) -> Vec<(String, String)> {
-    let mut pairs = Vec::new();
-    let mut in_manifest = false;
-    for line in text.lines() {
-        if line.contains("THROUGHPUT_KNOBS") && line.contains('[') {
-            in_manifest = true;
-            continue;
-        }
-        if in_manifest {
-            if line.trim_start().starts_with("];") {
-                break;
-            }
-            let strings: Vec<String> = quoted_strings(line);
-            if strings.len() == 2 {
-                pairs.push((strings[0].clone(), strings[1].clone()));
-            }
-        }
-    }
-    pairs
+    table_lines(text, "THROUGHPUT_KNOBS")
+        .map(quoted_strings)
+        .filter(|strings| strings.len() == 2)
+        .map(|mut strings| {
+            let suite = strings.pop().expect("two strings");
+            (strings.pop().expect("two strings"), suite)
+        })
+        .collect()
 }
 
 fn quoted_strings(line: &str) -> Vec<String> {
@@ -339,6 +377,35 @@ mod tests {
                 ("atpg.jobs".to_owned(), "atpg_equivalence".to_owned()),
             ]
         );
+    }
+
+    #[test]
+    fn knob_flag_without_manifest_entry_is_reported() {
+        let dir = std::env::temp_dir().join(format!("xtask-lint4-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("crates/core/src")).unwrap();
+        std::fs::create_dir_all(dir.join("crates/cli/src")).unwrap();
+        std::fs::write(
+            dir.join("crates/core/src/stage.rs"),
+            "pub const THROUGHPUT_KNOBS: &[(&str, &str)] = &[\n\
+             (\"jobs\", \"parallel_equivalence\"),\n\
+             (\"atpg.simd_width\", \"simd_width_equivalence\"),\n];\n",
+        )
+        .unwrap();
+        std::fs::write(
+            dir.join("crates/cli/src/main.rs"),
+            "const KNOB_FLAGS: &[Flag] = &[\n\
+             (\"--jobs\", true),\n\
+             (\"--simd-width\", true),\n\
+             (\"--backend\", true),\n];\n",
+        )
+        .unwrap();
+        let mut failures = Vec::new();
+        lint_knob_flags(&dir, &mut failures);
+        // --jobs and the nested simd_width entry pass; --backend has none
+        assert_eq!(failures.len(), 1, "{failures:#?}");
+        assert!(failures[0].contains("\"--backend\""), "{failures:#?}");
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

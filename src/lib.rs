@@ -59,9 +59,7 @@ pub mod prelude {
     pub use fbist_genbench::generate as genbench_generate;
     pub use fbist_genbench::profile as genbench_profile;
     pub use fbist_netlist::{bench, embedded, full_scan, GateKind, Netlist};
-    pub use fbist_setcover::{
-        solve, Backend, DetectionMatrix, FirstDetectionMatrix, SolveConfig, SparseMatrix,
-    };
+    pub use fbist_setcover::{solve, DetectionMatrix, FirstDetectionMatrix, SolveConfig};
     pub use fbist_sim::{Misr, PackedSimulator, SeqSimulator};
     pub use fbist_store::{ArtifactStore, StageKey};
     pub use fbist_tpg::{

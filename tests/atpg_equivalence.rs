@@ -7,8 +7,8 @@
 //! the engine
 //! must produce a **byte-for-byte identical** [`AtpgResult`] — patterns, detection flags, untestable and
 //! aborted lists, and every statistic. This is the ATPG-level sibling of
-//! the `parallel_equivalence` (flow jobs), `sparse_dense_equivalence`
-//! (backend) and `batched_matrix_equivalence` (matrix engine) contracts:
+//! the `parallel_equivalence` (flow jobs) and
+//! `batched_matrix_equivalence` (matrix engine) contracts:
 //! PODEM cube generation is a pure function of the fault and every
 //! don't-care fill comes from a per-fault RNG stream derived from the
 //! master seed, so the worker count may only change wall-clock time,

@@ -7,8 +7,7 @@
 //! and `τ ∈ {0, 3, 31}`, the batched engine must produce a Detection
 //! Matrix **byte-for-byte identical** to the per-row engine's, and the
 //! τ-sweep must trace the identical curve. This is the construction-side
-//! twin of the `parallel_equivalence` (jobs) and
-//! `sparse_dense_equivalence` (backend) contracts: the matrix-build
+//! twin of the `parallel_equivalence` (jobs) contract: the matrix-build
 //! engine may only change wall-clock time, never a single bit of any
 //! artefact.
 //!

@@ -12,8 +12,8 @@
 //!    simulation passes and never runs ATPG (`fully_warm`).
 //!
 //! This is the store-level sibling of the `sweep_equivalence` (sweep vs run),
-//! `parallel_equivalence` (jobs), `sparse_dense_equivalence` (backend)
-//! and `batched_matrix_equivalence` (matrix engine) contracts.
+//! `parallel_equivalence` (jobs) and `batched_matrix_equivalence`
+//! (matrix engine) contracts.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};

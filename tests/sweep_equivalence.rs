@@ -8,8 +8,8 @@
 //! derivation itself. The suite covers **every** genbench profile (scaled
 //! to a small, fast gate budget — the thresholding machinery is identical
 //! at every size), a TPG from each family (accumulator-based `add`,
-//! LFSR-based `lfsr`), `jobs ∈ {1, 4}` and both covering backends, on a τ
-//! list that is deliberately unsorted and duplicated.
+//! LFSR-based `lfsr`) and `jobs ∈ {1, 4}`, on a τ list that is
+//! deliberately unsorted and duplicated.
 //!
 //! It also pins the shared pass's reason to exist: on `mid256` at full
 //! scale with `--taus 0,3,7,15,31,63`, one sweep runs **exactly one**
@@ -55,23 +55,20 @@ fn point_of_run(flow: &ReseedingFlow, config: &FlowConfig, tau: usize) -> SweepP
     }
 }
 
-/// Every sweep point against `run` at its τ, across jobs × backend, for
-/// one profile and TPG.
+/// Every sweep point against `run` at its τ, across jobs, for one
+/// profile and TPG.
 fn assert_sweep_matches_runs(netlist: &Netlist, tpg: TpgKind, label: &str) {
     let flow = ReseedingFlow::new(netlist).unwrap();
     for jobs in [1usize, 4] {
-        for backend in [Backend::Dense, Backend::Sparse] {
-            let config = FlowConfig::new(tpg).with_jobs(jobs).with_backend(backend);
-            let curve = tradeoff_sweep(netlist, &config, &TAUS).unwrap();
-            assert_eq!(curve.len(), TAUS.len(), "{label}");
-            for (point, &tau) in curve.iter().zip(&TAUS) {
-                assert_eq!(
-                    *point,
-                    point_of_run(&flow, &config, tau),
-                    "{label} jobs={jobs} backend={backend:?} τ={tau}: sweep point \
-                     differs from run"
-                );
-            }
+        let config = FlowConfig::new(tpg).with_jobs(jobs);
+        let curve = tradeoff_sweep(netlist, &config, &TAUS).unwrap();
+        assert_eq!(curve.len(), TAUS.len(), "{label}");
+        for (point, &tau) in curve.iter().zip(&TAUS) {
+            assert_eq!(
+                *point,
+                point_of_run(&flow, &config, tau),
+                "{label} jobs={jobs} τ={tau}: sweep point differs from run"
+            );
         }
     }
 }
