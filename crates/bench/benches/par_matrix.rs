@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fbist_bench::build_circuit;
 use fbist_genbench::profile;
-use reseed_core::{FlowConfig, InitialReseedingBuilder, MatrixBuild, SimdWidth, TpgKind};
+use reseed_core::{FlowConfig, InitialReseedingBuilder, SimdWidth, TpgKind};
 
 fn bench_par_matrix(c: &mut Criterion) {
     let p = profile("s1238").expect("paper circuit").scaled(0.3);
@@ -27,7 +27,7 @@ fn bench_par_matrix(c: &mut Criterion) {
             cfg.tau,
             cfg.seed,
             jobs,
-            MatrixBuild::Auto,
+            cfg.matrix_build,
             SimdWidth::Auto,
         )
     };

@@ -18,7 +18,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fbist_bench::build_circuit;
 use fbist_genbench::profile;
-use reseed_core::{FlowConfig, InitialReseedingBuilder, MatrixBuild, SimdWidth, TpgKind};
+use reseed_core::{FlowConfig, InitialReseedingBuilder, SimdWidth, TpgKind};
 
 fn bench_simd_width(c: &mut Criterion) {
     let mut group = c.benchmark_group("simd_width");
@@ -31,8 +31,8 @@ fn bench_simd_width(c: &mut Criterion) {
         let base = builder.build(&cfg);
         let tpg = cfg.tpg.build(netlist.inputs().len());
 
-        // batched engine: the planner hands the full cross-row lane
-        // stream to the width resolver, so `auto` actually widens
+        // the planner hands the full cross-row lane stream to the width
+        // resolver, so `auto` actually widens
         let run = |width: SimdWidth| {
             builder.matrix_for(
                 tpg.as_ref(),
@@ -41,7 +41,7 @@ fn bench_simd_width(c: &mut Criterion) {
                 31,
                 cfg.seed,
                 1,
-                MatrixBuild::Batched,
+                cfg.matrix_build,
                 width,
             )
         };

@@ -234,14 +234,15 @@ impl SimdWidth {
     /// Resolves the knob to a concrete width in words for a workload of
     /// `total_lanes` packed pattern lanes.
     ///
-    /// `Auto` mirrors the `MatrixBuild::Auto` rule: walk the widths in
-    /// doubling order and keep widening only while the block count
-    /// *strictly* shrinks. Each kept doubling halves the number of sweep
-    /// passes at equal word-operation cost, so it is never a loss; a
-    /// doubling that leaves the block count unchanged would only pad dead
-    /// lanes (each block costs `W` word-ops per gate) and is rejected.
-    /// Small workloads — an ATPG round dictionary of 64 candidates, a
-    /// τ=31 per-row build — therefore stay at `W = 1`.
+    /// `Auto` walks the widths in doubling order and keeps widening only
+    /// while the block count *strictly* shrinks. Each kept doubling
+    /// halves the number of sweep passes at equal word-operation cost,
+    /// so it is never a loss; a doubling that leaves the block count
+    /// unchanged would only pad dead lanes (each block costs `W`
+    /// word-ops per gate) and is rejected. Small workloads — an ATPG
+    /// round dictionary of 64 candidates, a single 32-pattern stream —
+    /// therefore stay at `W = 1`, while a cross-row matrix build, which
+    /// resolves from the lane count of all rows together, widens.
     pub fn resolve(self, total_lanes: usize) -> usize {
         match self.words() {
             Some(w) => w,

@@ -22,9 +22,10 @@
 //! `FBIST_JOBS` environment variable) to size the worker pool the
 //! parallel stages run on. `atpg`, `reseed`, `sweep`, `compare` and `lp`
 //! also take `--simd-width auto|1|2|4|8` to pick the fault-simulation
-//! block width, and the last four `--matrix-build per-row|batched|auto`
-//! to pick the Detection-Matrix construction engine — results are
-//! identical for every job count, width and engine. Every subcommand
+//! block width — results are identical for every job count and width.
+//! The Detection Matrix has one build, the cross-row batched one, which
+//! expands each triplet's patterns only for the block range that
+//! simulates them, so it takes no engine flag. Every subcommand
 //! checks its arguments against one table of the flags it reads before
 //! it runs, so an unknown flag, a repeated flag or a flag missing its
 //! value is a usage error (exit status 2), never ignored. ATPG lets
@@ -57,7 +58,7 @@ use fbist_store::ArtifactStore;
 use reseed_core::flags::{check_flags, flag, parse_num, Flag};
 use reseed_core::{
     export, tradeoff_sweep_with, FlowConfig, Gatsby, GatsbyConfig, InitialReseedingBuilder,
-    MatrixBuild, ReseedingFlow, SimdWidth, TpgKind,
+    ReseedingFlow, SimdWidth, TpgKind,
 };
 
 /// `print!` to stdout, ending the process quietly once the reader has
@@ -148,13 +149,10 @@ Every subcommand also accepts --jobs N (worker threads; 0 = auto, also
 settable via the FBIST_JOBS environment variable). atpg, reseed, sweep,
 compare and lp accept --simd-width auto|1|2|4|8 (fault-simulation block
 width in 64-lane words; auto picks the widest that still shrinks the
-block count); reseed, sweep, compare and lp also accept --matrix-build
-per-row|batched|auto (Detection-Matrix construction engine; auto batches
-whenever sharing 64-lane blocks across rows saves block evaluations).
-Results are identical for every job count, SIMD width and engine. Any
-other flag a subcommand does not list is a usage error (exit 2), and so
-is a flag given twice or a flag missing its value; other failures exit
-1.
+block count). Results are identical for every job count and SIMD
+width. Any other flag a subcommand does not list is a usage error (exit
+2), and so is a flag given twice or a flag missing its value; other
+failures exit 1.
 check runs the static analyses only (no simulation): structural errors,
 floating nets, unobservable logic, dead constants, provably untestable
 stuck-at faults (including redundancies only a recursive-learning
@@ -222,17 +220,11 @@ fn run(args: &[String]) -> Result<(), String> {
 /// suite its `THROUGHPUT_KNOBS` entry names (`cargo run -p xtask --
 /// lint` checks that every flag here has one). A subcommand takes only
 /// the slice it reads, so the order matters: [`JOBS_FLAG`] everywhere,
-/// [`ATPG_KNOB_FLAGS`] for ATPG, all of them where a Detection Matrix
-/// is built and [`REQUEST_KNOB_FLAGS`] in a `fbist serve` request.
-const KNOB_FLAGS: &[Flag] = &[
-    ("--jobs", true),
-    ("--simd-width", true),
-    ("--matrix-build", true),
-];
+/// all of them where faults are simulated and [`REQUEST_KNOB_FLAGS`] in
+/// a `fbist serve` request.
+const KNOB_FLAGS: &[Flag] = &[("--jobs", true), ("--simd-width", true)];
 /// `--jobs`: sizes the worker pool of every subcommand.
 const JOBS_FLAG: &[Flag] = KNOB_FLAGS.split_at(1).0;
-/// `--jobs` and `--simd-width`: the knobs ATPG reads.
-const ATPG_KNOB_FLAGS: &[Flag] = KNOB_FLAGS.split_at(2).0;
 /// The knobs a `fbist serve` request reads: all but `--jobs`, which
 /// sizes the server's pool.
 pub(crate) const REQUEST_KNOB_FLAGS: &[Flag] = KNOB_FLAGS.split_at(1).1;
@@ -253,7 +245,7 @@ fn subcommand_flags(cmd: &str) -> Option<&'static [&'static [Flag]]> {
         "gen" => &[JOBS_FLAG, CIRCUIT_FLAGS, &[("--out", true)]],
         "stats" => &[JOBS_FLAG, CIRCUIT_FLAGS],
         "check" => &[JOBS_FLAG, CIRCUIT_FLAGS, &[("--json", false)]],
-        "atpg" => &[ATPG_KNOB_FLAGS, CIRCUIT_FLAGS],
+        "atpg" => &[KNOB_FLAGS, CIRCUIT_FLAGS],
         "reseed" => &[
             KNOB_FLAGS,
             CIRCUIT_FLAGS,
@@ -279,13 +271,6 @@ fn apply_jobs(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn parse_matrix_build(args: &[String]) -> Result<MatrixBuild, String> {
-    match flag(args, "--matrix-build") {
-        None => Ok(MatrixBuild::Auto),
-        Some(v) => MatrixBuild::parse(&v),
-    }
-}
-
 fn parse_simd_width(args: &[String]) -> Result<SimdWidth, String> {
     match flag(args, "--simd-width") {
         None => Ok(SimdWidth::Auto),
@@ -299,9 +284,7 @@ fn parse_simd_width(args: &[String]) -> Result<SimdWidth, String> {
 /// throughput knobs. The caller sets τ (`--tau`, or per point for
 /// `--taus`).
 pub(crate) fn flow_config(args: &[String]) -> Result<FlowConfig, String> {
-    Ok(FlowConfig::new(parse_tpg(args)?)
-        .with_matrix_build(parse_matrix_build(args)?)
-        .with_simd_width(parse_simd_width(args)?))
+    Ok(FlowConfig::new(parse_tpg(args)?).with_simd_width(parse_simd_width(args)?))
 }
 
 /// Resolves the artifact store: `--no-store` disables it outright,
@@ -450,6 +433,29 @@ fn circuit_and_config(args: &[String]) -> Result<(Netlist, FlowConfig), String> 
     Ok((n, cfg))
 }
 
+/// The most gates `--scale` may ask a profile for: about 14× the largest
+/// built-in profile, so a mistyped scale is an error instead of an
+/// allocation that exhausts memory.
+const MAX_SCALED_GATES: f64 = 100_000.0;
+
+/// Parses `--scale` for a profile of `gates` gates: a positive, finite
+/// factor that synthesises at most [`MAX_SCALED_GATES`] gates.
+fn parse_scale(args: &[String], gates: usize) -> Result<f64, String> {
+    let scale: f64 = parse_num(args, "--scale", 1.0)?;
+    if !(scale > 0.0 && scale.is_finite()) {
+        return Err(format!(
+            "invalid value for --scale: {scale} (expected a positive number)"
+        ));
+    }
+    if gates as f64 * scale > MAX_SCALED_GATES {
+        return Err(format!(
+            "invalid value for --scale: {scale} (a {gates}-gate profile may grow to at most \
+             {MAX_SCALED_GATES} gates)"
+        ));
+    }
+    Ok(scale)
+}
+
 /// Where a circuit argument resolves to, before anything is read or
 /// generated (the namespace order of [`load_circuit`]).
 pub(crate) enum CircuitSource<'a> {
@@ -470,12 +476,7 @@ impl CircuitSource<'_> {
         let Some(name) = args.first().filter(|a| !a.starts_with("--")) else {
             return Err("missing circuit argument".into());
         };
-        let scale: f64 = parse_num(args, "--scale", 1.0)?;
-        if !(scale > 0.0 && scale.is_finite()) {
-            return Err(format!(
-                "invalid value for --scale: {scale} (expected a positive number)"
-            ));
-        }
+        let scale = parse_scale(args, profile(name).map_or(0, |p| p.gates))?;
         let seed: u64 = parse_num(args, "--seed", 1)?;
         let explicit_path = name.ends_with(".bench")
             || name.contains('/')
@@ -559,7 +560,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
         return Err("gen: missing profile name".into());
     };
     let p = profile(name).ok_or_else(|| format!("no such profile {name:?}"))?;
-    let scale: f64 = parse_num(args, "--scale", 1.0)?;
+    let scale = parse_scale(args, p.gates)?;
     let seed: u64 = parse_num(args, "--seed", 1)?;
     let n = generate(&p.scaled(scale), seed);
     let text = bench::to_bench(&n);

@@ -865,7 +865,6 @@ mod tests {
         ("--seed", "1 2 7"),
         ("--scale", "1 0.5 0.01 1e-300"),
         ("--simd-width", "auto 1 4"),
-        ("--matrix-build", "auto per-row batched"),
     ];
     const OTHER_FLAGS: &[(&str, &str)] = &[
         ("--jobs", "1 0"),

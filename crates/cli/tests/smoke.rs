@@ -329,17 +329,13 @@ reseed c17 --tau 3
 
 #[test]
 fn knob_flags_fail_where_nothing_reads_them() {
-    // a subcommand that builds no Detection Matrix must not accept
-    // --matrix-build, and one that simulates nothing must not accept
-    // --simd-width: both would be silently ignored
+    // a subcommand that simulates nothing must not accept --simd-width:
+    // it would be silently ignored
     let mut cases = vec![
-        vec!["atpg", "c17", "--matrix-build", "per-row"],
         vec!["serve", "--simd-width", "4"],
-        vec!["serve", "--matrix-build", "batched"],
         vec!["profiles", "--simd-width", "4"],
     ];
     for cmd in ["gen", "stats", "check"] {
-        cases.push(vec![cmd, "c17", "--matrix-build", "per-row"]);
         cases.push(vec![cmd, "c17", "--simd-width", "4"]);
     }
     for args in cases {
@@ -370,45 +366,24 @@ fn atpg_simd_width_is_read_and_never_changes_results() {
 }
 
 #[test]
-fn matrix_build_flag_never_changes_results() {
-    let (ok_p, out_p, _) = fbist(&["reseed", "c17", "--tau", "7", "--matrix-build", "per-row"]);
-    let (ok_b, out_b, _) = fbist(&["reseed", "c17", "--tau", "7", "--matrix-build", "batched"]);
-    let (ok_a, out_a, _) = fbist(&["reseed", "c17", "--tau", "7", "--matrix-build", "auto"]);
-    assert!(ok_p && ok_b && ok_a);
-    assert_eq!(out_p, out_b, "--matrix-build must never change results");
-    assert_eq!(out_p, out_a, "--matrix-build must never change results");
-}
-
-#[test]
-fn matrix_build_flag_rejects_garbage_where_it_is_read() {
-    for args in [
-        ["reseed", "c17", "--matrix-build", "perrow"],
-        ["lp", "c17", "--matrix-build", "rowwise"],
-        ["sweep", "c17", "--matrix-build", "batch"],
-    ] {
-        let (ok, _, stderr) = fbist(&args);
-        assert!(!ok, "{args:?} must fail");
-        assert!(
-            stderr.contains("unknown matrix-build engine"),
-            "{args:?}: {stderr}"
-        );
-    }
-}
-
-#[test]
 fn unknown_flags_fail_on_reseed_sweep_and_serve() {
-    // the retired sweep engine knob (spelled in halves, so its name occurs
-    // nowhere in live code) and a made-up flag must both fail loudly,
-    // naming themselves, instead of being ignored
+    // the retired sweep and matrix engine knobs (spelled in halves, so
+    // their names occur nowhere in live code) and a made-up flag must all
+    // fail loudly, naming themselves, instead of being ignored
     let retired = ["--sweep", "-engine"].concat();
-    for args in [
+    let matrix = ["--matrix", "-build"].concat();
+    let mut cases = vec![
         ["sweep", "tiny64", retired.as_str(), "per-tau"],
         ["sweep", "tiny64", "--bogus-flag", "1"],
         ["reseed", "c17", retired.as_str(), "auto"],
         ["reseed", "c17", "--bogus-flag", "1"],
-    ] {
-        let (ok, stdout, stderr) = fbist(&args);
-        assert!(!ok, "{args:?} must fail");
+    ];
+    for cmd in ["reseed", "sweep", "compare", "lp", "atpg"] {
+        cases.push([cmd, "c17", matrix.as_str(), "batched"]);
+    }
+    for args in cases {
+        let (code, stdout, stderr) = fbist_code(&args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(stdout.is_empty(), "{args:?}: {stdout}");
         let named = format!("unknown flag \"{}\"", args[2]);
         assert!(
@@ -423,7 +398,8 @@ fn unknown_flags_fail_on_reseed_sweep_and_serve() {
     std::fs::write(
         &script,
         format!(
-            "reseed c17 {retired} auto\nsweep c17 --bogus-flag 1\nreseed c17 --tau 3\nsweep c17\nquit\n"
+            "reseed c17 {retired} auto\nsweep c17 --bogus-flag 1\nreseed c17 --tau 3\nsweep c17\n\
+             reseed c17 {matrix} batched\nquit\n"
         ),
     )
     .unwrap();
@@ -436,7 +412,7 @@ fn unknown_flags_fail_on_reseed_sweep_and_serve() {
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 4, "{stdout}");
+    assert_eq!(lines.len(), 5, "{stdout}");
     let retired_err = format!("err 0 unknown flag \"{retired}\"");
     assert!(lines[0].starts_with(&retired_err), "{stdout}");
     assert!(
@@ -445,6 +421,8 @@ fn unknown_flags_fail_on_reseed_sweep_and_serve() {
     );
     assert!(lines[2].starts_with("ok 2 reseed c17"), "{stdout}");
     assert!(lines[3].starts_with("ok 3 sweep c17"), "{stdout}");
+    let matrix_err = format!("err 4 unknown flag \"{matrix}\"");
+    assert!(lines[4].starts_with(&matrix_err), "{stdout}");
 }
 
 #[test]
@@ -702,14 +680,18 @@ fn lfsr_on_a_one_input_circuit_is_rejected_without_a_panic() {
 }
 
 #[test]
-fn a_scale_that_is_not_positive_is_rejected_without_a_panic() {
-    for scale in ["0", "-1", "nan", "inf"] {
-        let (code, _, stderr) = fbist_code(&["stats", "mid256", "--scale", scale]);
-        assert_eq!(code, Some(1), "--scale {scale}: {stderr}");
-        assert!(
-            stderr.contains("invalid value for --scale") && !stderr.contains("panicked"),
-            "--scale {scale}: {stderr}"
-        );
+fn a_scale_out_of_range_is_rejected_without_a_panic() {
+    // non-positive, non-finite, and so large that synthesis would
+    // exhaust memory
+    for scale in ["0", "-1", "nan", "inf", "16777216", "1e20"] {
+        for cmd in ["stats", "gen"] {
+            let (code, _, stderr) = fbist_code(&[cmd, "mid256", "--scale", scale]);
+            assert_eq!(code, Some(1), "{cmd} --scale {scale}: {stderr}");
+            assert!(
+                stderr.contains("invalid value for --scale") && !stderr.contains("panicked"),
+                "{cmd} --scale {scale}: {stderr}"
+            );
+        }
     }
 }
 

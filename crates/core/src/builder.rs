@@ -4,10 +4,11 @@
 //! the Detection Matrix by fault-simulating each triplet's expanded test
 //! set against the target fault list `F`.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fbist_atpg::{Atpg, AtpgResult};
-use fbist_bits::{pack, BitVec};
+use fbist_bits::BitVec;
 use fbist_fault::{BatchPlan, FaultList, FaultSimulator};
 use fbist_netlist::Netlist;
 use fbist_setcover::{DetectionMatrix, FirstDetectionMatrix};
@@ -155,16 +156,13 @@ impl InitialReseedingBuilder {
         }
     }
 
-    /// Triplets handed to one pool dispatch: large enough to amortise the
-    /// scheduling overhead, small enough to load-balance rows whose fanout
-    /// cones differ wildly in simulation cost.
-    const ROW_CHUNK: usize = 4;
-
-    /// Shared blocks handed to one pool dispatch of the batched engine. A
-    /// shared block is a full 64-lane fault-simulation unit (good-circuit
-    /// eval + one cone propagation per undropped fault), so a few of them
-    /// already amortise the dispatch; keeping the chunk small load-balances
-    /// blocks whose masked-dropping savings differ.
+    /// Shared blocks handed to one pool dispatch, at least. A shared block
+    /// is a full fault-simulation unit (good-circuit eval + one cone
+    /// propagation per undropped fault), so a few of them already
+    /// amortise the dispatch; keeping the chunk small load-balances
+    /// blocks whose masked-dropping savings differ. A range grows past
+    /// this only to hold one whole row (see
+    /// [`block_partials`](Self::block_partials)).
     const BLOCK_CHUNK: usize = 4;
 
     /// Builds triplets and the Detection Matrix for an explicit pattern
@@ -172,18 +170,22 @@ impl InitialReseedingBuilder {
     /// to build from a shared ATPG run).
     ///
     /// `jobs` fans the construction out across the pool (`0` = global
-    /// default) and `build` picks the engine. Every RNG draw happens in
-    /// the serial prologue below, so the triplet stream — and therefore
-    /// the matrix — is a pure function of `(seed, patterns, tau)`: the
-    /// result is bit-identical for every job count *and* every engine.
+    /// default); `build` selects nothing (see [`MatrixBuild`]). Every RNG
+    /// draw happens in the serial prologue below, so the triplet stream —
+    /// and therefore the matrix — is a pure function of
+    /// `(seed, patterns, tau)`: the result is bit-identical for every job
+    /// count and SIMD width.
     ///
-    /// The per-row engine fans triplet chunks out and fault-simulates each
-    /// row on its own. The batched engine plans the rows' expanded pattern
-    /// streams into shared 64-lane blocks ([`BatchPlan`]), fans the
-    /// *blocks* out, and reassembles rows in index order from the
-    /// partial detection sets each block range reports — the union over
-    /// any partition of the block axis is the same, so worker count and
-    /// scheduling can never change a bit.
+    /// The rows' expanded pattern streams are planned into shared blocks
+    /// ([`BatchPlan`]); *block ranges* fan out over the pool, each
+    /// expanding only the rows it touches, and rows are reassembled in
+    /// index order from the partial detection sets each range reports —
+    /// the union over any partition of the block axis is the same, so
+    /// worker count and scheduling can never change a bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `τ + 1` or the total lane count overflows `usize`.
     #[allow(clippy::too_many_arguments)]
     pub fn matrix_for(
         &self,
@@ -193,75 +195,78 @@ impl InitialReseedingBuilder {
         tau: usize,
         seed: u64,
         jobs: usize,
-        build: MatrixBuild,
+        _build: MatrixBuild,
         simd_width: SimdWidth,
     ) -> (Vec<Triplet>, DetectionMatrix) {
         self.matrix_passes.fetch_add(1, Ordering::Relaxed);
         let triplets = derive_triplets(tpg, patterns, tau, seed);
-
-        let matrix = if use_batched(build, patterns.len(), tau) {
-            // Batched engine: expand every row up front (workers address
-            // rows by block range, so the whole stream must be
-            // materialised), then fan shared blocks out.
-            let rows: Vec<Vec<BitVec>> =
-                mini_rayon::par_chunks_map(jobs, &triplets, Self::ROW_CHUNK, |t| tpg.expand(t));
-            self.batched_matrix(&rows, target_faults, jobs, simd_width)
-        } else {
-            // Per-row engine: expansion fused with the fault simulation,
-            // one call per triplet, rows assembled in triplet index order
-            // (only ROW_CHUNK rows of patterns live at a time). The SIMD
-            // width resolves per row (`τ + 1` lanes).
-            let bits = mini_rayon::par_chunks_map(jobs, &triplets, Self::ROW_CHUNK, |t| {
-                let expanded = tpg.expand(t);
-                let width = simd_width.resolve(expanded.len());
-                self.fsim.detects_wide(&expanded, target_faults, width)
-            });
-            DetectionMatrix::from_rows(target_faults.len(), bits)
-        };
+        let partials = self.block_partials(
+            tpg,
+            &triplets,
+            tau,
+            jobs,
+            simd_width,
+            |plan: &BatchPlan, range, rows: &[Vec<BitVec>]| {
+                self.fsim.detects_blocks(plan, range, rows, target_faults)
+            },
+        );
+        let matrix =
+            DetectionMatrix::from_partial_rows(triplets.len(), target_faults.len(), partials);
         (triplets, matrix)
     }
 
-    /// The shared half of both batched builds: plan shared blocks from
-    /// the row lengths, fan *block ranges* of [`Self::BLOCK_CHUNK`] out
-    /// over the pool, and concatenate the per-range `(row, partial)`
-    /// results. Keeping plan construction and range partitioning in one
-    /// place is what makes the "same plan, same partitioning" half of the
-    /// first-detection bit-identity contract hold by construction — the
-    /// detection and first-detection builds differ only in the simulator
-    /// call and the merge.
-    fn batched_partials<T: Send>(
+    /// The shared half of both builds: plan shared blocks from the row
+    /// lengths, fan *block ranges* out over the pool, and concatenate the
+    /// per-range `(row, partial)` results. Keeping plan construction and
+    /// range partitioning in one place is what makes the "same plan, same
+    /// partitioning" half of the first-detection bit-identity contract
+    /// hold by construction — the detection and first-detection builds
+    /// differ only in the simulator call and the merge.
+    ///
+    /// Each range expands only the rows
+    /// [`BatchPlan::row_span`] names, so memory holds the patterns of a
+    /// few ranges, not of the whole matrix. A range spans at least
+    /// [`Self::BLOCK_CHUNK`] blocks and at least one row's `τ + 1` lanes:
+    /// a row then touches at most two ranges, so no row is expanded more
+    /// than twice however large `τ` grows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `τ + 1` or the total lane count overflows `usize` —
+    /// callers going through [`FlowConfig::with_tau`] are bounded far
+    /// below this by [`FlowConfig::MAX_TAU`], but the builders take a raw
+    /// `usize`, so the arithmetic is checked instead of wrapping silently
+    /// in release builds.
+    fn block_partials<T: Send>(
         &self,
-        rows: &[Vec<BitVec>],
+        tpg: &dyn PatternGenerator,
+        triplets: &[Triplet],
+        tau: usize,
         jobs: usize,
         simd_width: SimdWidth,
-        simulate: &BlockRangeSim<'_, T>,
+        simulate: impl Fn(&BatchPlan, Range<usize>, &[Vec<BitVec>]) -> Vec<(usize, T)> + Sync,
     ) -> Vec<(usize, T)> {
-        let lengths: Vec<usize> = rows.iter().map(Vec::len).collect();
-        let total_lanes: usize = lengths.iter().sum();
-        let plan = BatchPlan::with_width(&lengths, simd_width.resolve(total_lanes));
-        let ranges = plan.block_count().div_ceil(Self::BLOCK_CHUNK);
+        // every triplet expands to τ + 1 patterns (PatternGenerator::expand)
+        let len = tau
+            .checked_add(1)
+            .expect("τ + 1 overflows usize — bound τ by FlowConfig::MAX_TAU");
+        let total_lanes = triplets
+            .len()
+            .checked_mul(len)
+            .expect("total lane count overflows usize");
+        let plan =
+            BatchPlan::with_width(&vec![len; triplets.len()], simd_width.resolve(total_lanes));
+        let chunk = Self::BLOCK_CHUNK.max(len.div_ceil(plan.lane_capacity()));
+        let ranges = plan.block_count().div_ceil(chunk);
         let partials = mini_rayon::par_map_indexed(jobs, ranges, |i| {
-            let lo = i * Self::BLOCK_CHUNK;
-            let hi = (lo + Self::BLOCK_CHUNK).min(plan.block_count());
-            simulate(&plan, lo..hi)
+            let range = i * chunk..((i + 1) * chunk).min(plan.block_count());
+            let rows: Vec<Vec<BitVec>> = triplets[plan.row_span(range.clone())]
+                .iter()
+                .map(|t| tpg.expand(t))
+                .collect();
+            simulate(&plan, range, &rows)
         });
         partials.into_iter().flatten().collect()
-    }
-
-    /// The cross-row batched build: plan shared blocks, fan *block ranges*
-    /// out over the pool, and OR the per-range row partials into the
-    /// matrix (any partition yields the same union).
-    fn batched_matrix(
-        &self,
-        rows: &[Vec<BitVec>],
-        target_faults: &FaultList,
-        jobs: usize,
-        simd_width: SimdWidth,
-    ) -> DetectionMatrix {
-        let partials = self.batched_partials(rows, jobs, simd_width, &|plan, range| {
-            self.fsim.detects_blocks(plan, range, rows, target_faults)
-        });
-        DetectionMatrix::from_partial_rows(rows.len(), target_faults.len(), partials)
     }
 
     /// Builds triplets at `tau_max` and the **first-detection matrix**:
@@ -270,15 +275,22 @@ impl InitialReseedingBuilder {
     /// of *every* `τ ≤ tau_max` is derivable by thresholding
     /// ([`FirstDetectionMatrix::at_tau`]).
     ///
-    /// The serial RNG prologue, the engine selection and the
-    /// block-range fan-out are exactly [`matrix_for`](Self::matrix_for)'s
-    /// — same seeds, same plan, same partitioning — so the triplets equal
-    /// `matrix_for(.., τ, ..)`'s up to their `τ` field, and
+    /// The serial RNG prologue and the block-range fan-out are exactly
+    /// [`matrix_for`](Self::matrix_for)'s — same seeds, same plan, same
+    /// partitioning — so the triplets equal `matrix_for(.., τ, ..)`'s up
+    /// to their `τ` field, and
     /// `first_detection_matrix_for(.., tau_max, ..).1.at_tau(τ)` is
-    /// bit-identical to `matrix_for(.., τ, ..).1` for every `τ ≤ tau_max`,
-    /// every job count and every engine. Per-range partials are merged
-    /// with an elementwise `min`, which is partition-invariant like the
-    /// detection union.
+    /// bit-identical to `matrix_for(.., τ, ..).1` for every
+    /// `τ ≤ tau_max` and every job count. Per-range partials are merged
+    /// with an elementwise `min` ([`merge_first_detections`]), which is
+    /// partition-invariant like the detection union and moves each row's
+    /// first partial in instead of copying it.
+    ///
+    /// [`merge_first_detections`]: fbist_fault::merge_first_detections
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tau_max + 1` or the total lane count overflows `usize`.
     #[allow(clippy::too_many_arguments)]
     pub fn first_detection_matrix_for(
         &self,
@@ -288,35 +300,24 @@ impl InitialReseedingBuilder {
         tau_max: usize,
         seed: u64,
         jobs: usize,
-        build: MatrixBuild,
+        _build: MatrixBuild,
         simd_width: SimdWidth,
     ) -> (Vec<Triplet>, FirstDetectionMatrix) {
         self.matrix_passes.fetch_add(1, Ordering::Relaxed);
         let triplets = derive_triplets(tpg, patterns, tau_max, seed);
-
-        let firsts: Vec<Vec<u32>> = if use_batched(build, patterns.len(), tau_max) {
-            let rows: Vec<Vec<BitVec>> =
-                mini_rayon::par_chunks_map(jobs, &triplets, Self::ROW_CHUNK, |t| tpg.expand(t));
-            let partials = self.batched_partials(&rows, jobs, simd_width, &|plan, range| {
+        let partials = self.block_partials(
+            tpg,
+            &triplets,
+            tau_max,
+            jobs,
+            simd_width,
+            |plan: &BatchPlan, range, rows: &[Vec<BitVec>]| {
                 self.fsim
-                    .first_detections_blocks(plan, range, &rows, target_faults)
-            });
-            let mut firsts =
-                vec![vec![FaultSimulator::NO_DETECTION; target_faults.len()]; rows.len()];
-            fbist_fault::merge_first_detections(&mut firsts, partials);
-            firsts
-        } else {
-            mini_rayon::par_chunks_map(jobs, &triplets, Self::ROW_CHUNK, |t| {
-                let expanded = tpg.expand(t);
-                let width = simd_width.resolve(expanded.len());
-                self.fsim
-                    .run_wide(&expanded, target_faults, width)
-                    .first_detection
-                    .iter()
-                    .map(|o| o.map_or(FaultSimulator::NO_DETECTION, |v| v))
-                    .collect()
-            })
-        };
+                    .first_detections_blocks(plan, range, rows, target_faults)
+            },
+        );
+        let firsts =
+            fbist_fault::merge_first_detections(triplets.len(), target_faults.len(), partials);
         let matrix = FirstDetectionMatrix::from_rows(target_faults.len(), firsts);
         (triplets, matrix)
     }
@@ -351,12 +352,6 @@ impl InitialReseedingBuilder {
     }
 }
 
-/// One block-range simulation call of the batched fan-out
-/// ([`InitialReseedingBuilder::batched_partials`]): maps the shared plan
-/// and a block range to per-row `(row, partial)` results.
-type BlockRangeSim<'a, T> =
-    dyn Fn(&BatchPlan, std::ops::Range<usize>) -> Vec<(usize, T)> + Sync + 'a;
-
 /// Serial triplet prologue shared by both matrix builds: derive every
 /// triplet (and thus consume the full RNG stream) before any worker
 /// starts, in pattern order. Worker identity and completion order can
@@ -376,36 +371,6 @@ pub(crate) fn derive_triplets(
         .iter()
         .map(|p| tpg.seed_for(p, &mut word).with_tau(tau))
         .collect()
-}
-
-/// Engine choice: [`MatrixBuild::Auto`] batches exactly when sharing
-/// blocks across rows evaluates fewer of them than the per-row build —
-/// always, unless every row fills whole 64-lane blocks exactly. Every
-/// triplet expands to `τ + 1` patterns
-/// ([`PatternGenerator::expand`]'s contract), so the decision needs only
-/// the row count and `τ`, not the expanded patterns.
-///
-/// # Panics
-///
-/// Panics if `τ + 1` or the total lane count overflows `usize` — callers
-/// going through [`FlowConfig::with_tau`] are bounded far below this by
-/// [`FlowConfig::MAX_TAU`], but `matrix_for` takes a raw `usize`, so the
-/// arithmetic is checked instead of wrapping silently in release builds.
-fn use_batched(build: MatrixBuild, row_count: usize, tau: usize) -> bool {
-    match build {
-        MatrixBuild::PerRow => false,
-        MatrixBuild::Batched => true,
-        MatrixBuild::Auto => {
-            let len = tau
-                .checked_add(1)
-                .expect("τ + 1 overflows usize — bound τ by FlowConfig::MAX_TAU");
-            let total = row_count
-                .checked_mul(len)
-                .expect("total lane count overflows usize");
-            let per_row = row_count * len.div_ceil(pack::BLOCK);
-            total.div_ceil(pack::BLOCK) < per_row
-        }
-    }
 }
 
 #[cfg(test)]
@@ -482,112 +447,160 @@ mod tests {
         assert_eq!(a.matrix.row_major(), b.matrix.row_major());
     }
 
+    /// c17's ATPG base, and both builds over it.
+    struct C17 {
+        b: InitialReseedingBuilder,
+        base: AtpgBase,
+        seed: u64,
+    }
+
+    impl C17 {
+        fn new() -> C17 {
+            let b = InitialReseedingBuilder::new(&embedded::c17()).unwrap();
+            let cfg = FlowConfig::new(TpgKind::Adder);
+            let base = b.atpg_base(&cfg);
+            C17 {
+                b,
+                base,
+                seed: cfg.seed,
+            }
+        }
+
+        fn adder(&self) -> Box<dyn PatternGenerator> {
+            TpgKind::Adder.build(self.b.netlist().inputs().len())
+        }
+
+        fn matrix(
+            &self,
+            tpg: &dyn PatternGenerator,
+            tau: usize,
+            jobs: usize,
+            width: SimdWidth,
+        ) -> (Vec<Triplet>, DetectionMatrix) {
+            let (patterns, faults) = (&self.base.atpg.patterns, &self.base.target_faults);
+            let build = MatrixBuild::Batched;
+            self.b
+                .matrix_for(tpg, patterns, faults, tau, self.seed, jobs, build, width)
+        }
+
+        fn firsts(
+            &self,
+            tpg: &dyn PatternGenerator,
+            tau: usize,
+            jobs: usize,
+            width: SimdWidth,
+        ) -> (Vec<Triplet>, FirstDetectionMatrix) {
+            let (patterns, faults) = (&self.base.atpg.patterns, &self.base.target_faults);
+            let build = MatrixBuild::Batched;
+            self.b.first_detection_matrix_for(
+                tpg, patterns, faults, tau, self.seed, jobs, build, width,
+            )
+        }
+    }
+
+    /// Counts the patterns [`PatternGenerator::expand`] hands out.
+    struct CountingTpg {
+        inner: Box<dyn PatternGenerator>,
+        expanded: AtomicU64,
+    }
+
+    impl PatternGenerator for CountingTpg {
+        fn width(&self) -> usize {
+            self.inner.width()
+        }
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn expand(&self, triplet: &Triplet) -> Vec<BitVec> {
+            let patterns = self.inner.expand(triplet);
+            self.expanded
+                .fetch_add(patterns.len() as u64, Ordering::Relaxed);
+            patterns
+        }
+        fn seed_for(&self, pattern: &BitVec, word_source: &mut dyn FnMut() -> u64) -> Triplet {
+            self.inner.seed_for(pattern, word_source)
+        }
+    }
+
     #[test]
-    fn matrix_is_bit_identical_for_every_engine() {
-        let n = embedded::c17();
-        let b = InitialReseedingBuilder::new(&n).unwrap();
-        for tau in [0, 3, 9, 63, 64, 100] {
-            let base = FlowConfig::new(TpgKind::Adder).with_tau(tau);
-            let per_row = b.build(&base.clone().with_matrix_build(MatrixBuild::PerRow));
-            for engine in [MatrixBuild::Batched, MatrixBuild::Auto] {
-                let other = b.build(&base.clone().with_matrix_build(engine));
-                assert_eq!(per_row.triplets, other.triplets, "τ={tau} {engine}");
-                assert_eq!(
-                    per_row.matrix.row_major(),
-                    other.matrix.row_major(),
-                    "τ={tau} {engine}: matrix differs from per-row"
-                );
+    fn large_tau_expands_each_row_at_most_twice() {
+        // at τ = 4095 and W = 1 one row spans sixteen 4-block ranges, so
+        // a build that re-expanded whole rows per range would blow far
+        // past 2 · rows · (τ + 1)
+        let c17 = C17::new();
+        let faults = &c17.base.target_faults;
+        let tau = 4095;
+        let tpg = CountingTpg {
+            inner: c17.adder(),
+            expanded: AtomicU64::new(0),
+        };
+        let bound = 2 * c17.base.atpg.patterns.len() as u64 * (tau as u64 + 1);
+        let expanded = || tpg.expanded.swap(0, Ordering::Relaxed);
+        for (jobs, width) in [(1, SimdWidth::W1), (4, SimdWidth::W1), (4, SimdWidth::Auto)] {
+            let (triplets, matrix) = c17.matrix(&tpg, tau, jobs, width);
+            let count = expanded();
+            assert!(count <= bound, "jobs={jobs} {width}: {count} > {bound}");
+            let (_, fdm) = c17.firsts(&tpg, tau, jobs, width);
+            let count = expanded();
+            assert!(count <= bound, "jobs={jobs} {width}: {count} > {bound}");
+
+            // the per-row oracle: each row's expansion simulated alone
+            let runs: Vec<_> = triplets
+                .iter()
+                .map(|t| c17.b.fault_simulator().run(&tpg.expand(t), faults))
+                .collect();
+            for (r, run) in runs.iter().enumerate() {
+                for c in 0..faults.len() {
+                    assert_eq!(matrix.get(r, c), run.detected.get(c), "jobs={jobs} {width}");
+                    assert_eq!(
+                        fdm.first(r, c),
+                        run.first_detection[c],
+                        "jobs={jobs} {width}"
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn auto_engine_batches_only_when_blocks_shrink() {
-        // τ+1 = 64 exactly: batching cannot reduce the block count
-        assert!(!use_batched(MatrixBuild::Auto, 10, 63));
-        // τ+1 = 4: 10 per-row blocks collapse into 1 shared block
-        assert!(use_batched(MatrixBuild::Auto, 10, 3));
-        // τ+1 = 65: the straddling lane makes sharing pay again
-        assert!(use_batched(MatrixBuild::Auto, 10, 64));
-        // explicit engines ignore the arithmetic
-        assert!(use_batched(MatrixBuild::Batched, 10, 63));
-        assert!(!use_batched(MatrixBuild::PerRow, 10, 3));
-    }
-
-    #[test]
     #[should_panic(expected = "τ + 1 overflows usize")]
-    fn auto_engine_rejects_tau_overflow() {
-        // pre-fix this wrapped to len = 0 in release builds and silently
-        // picked the batched engine for a nonsense τ
-        let _ = use_batched(MatrixBuild::Auto, 10, usize::MAX);
+    fn matrix_build_rejects_tau_overflow() {
+        // without the check this would wrap to len = 0 in release builds
+        // and plan empty rows for a nonsense τ
+        let c17 = C17::new();
+        let _ = c17.matrix(&*c17.adder(), usize::MAX, 1, SimdWidth::Auto);
     }
 
     #[test]
     fn first_detection_matrix_thresholds_to_every_tau() {
         // one first-detection pass at τ_max must reproduce matrix_for's
-        // triplets (up to the τ field) and matrix at every smaller τ, for
-        // every engine
-        let n = embedded::c17();
-        let b = InitialReseedingBuilder::new(&n).unwrap();
-        let cfg = FlowConfig::new(TpgKind::Adder);
-        let base = b.atpg_base(&cfg);
-        let tpg = cfg.tpg.build(n.inputs().len());
-        let tau_max = 9;
-        for engine in [MatrixBuild::PerRow, MatrixBuild::Batched, MatrixBuild::Auto] {
-            let (trip_max, fdm) = b.first_detection_matrix_for(
-                tpg.as_ref(),
-                &base.atpg.patterns,
-                &base.target_faults,
-                tau_max,
-                cfg.seed,
-                1,
-                engine,
-                SimdWidth::Auto,
+        // triplets (up to the τ field) and matrix at every smaller τ
+        let c17 = C17::new();
+        let tpg = c17.adder();
+        let (trip_max, fdm) = c17.firsts(&*tpg, 9, 1, SimdWidth::Auto);
+        for tau in [0usize, 1, 3, 9] {
+            let (trip, matrix) = c17.matrix(&*tpg, tau, 1, SimdWidth::Auto);
+            let derived: Vec<_> = trip_max.iter().map(|t| t.with_tau(tau)).collect();
+            assert_eq!(trip, derived, "τ={tau}: triplets");
+            assert_eq!(
+                matrix.row_major(),
+                fdm.at_tau(tau).row_major(),
+                "τ={tau}: thresholded matrix differs"
             );
-            for tau in [0usize, 1, 3, 9] {
-                let (trip, matrix) = b.matrix_for(
-                    tpg.as_ref(),
-                    &base.atpg.patterns,
-                    &base.target_faults,
-                    tau,
-                    cfg.seed,
-                    1,
-                    engine,
-                    SimdWidth::Auto,
-                );
-                let derived: Vec<_> = trip_max.iter().map(|t| t.with_tau(tau)).collect();
-                assert_eq!(trip, derived, "τ={tau} {engine}: triplets");
-                assert_eq!(
-                    matrix.row_major(),
-                    fdm.at_tau(tau).row_major(),
-                    "τ={tau} {engine}: thresholded matrix differs"
-                );
-            }
         }
     }
 
     #[test]
     fn first_detection_matrix_is_job_invariant() {
-        let n = embedded::c17();
-        let b = InitialReseedingBuilder::new(&n).unwrap();
-        let cfg = FlowConfig::new(TpgKind::Adder);
-        let base = b.atpg_base(&cfg);
-        let tpg = cfg.tpg.build(n.inputs().len());
-        let build = |jobs| {
-            b.first_detection_matrix_for(
-                tpg.as_ref(),
-                &base.atpg.patterns,
-                &base.target_faults,
-                9,
-                cfg.seed,
-                jobs,
-                MatrixBuild::Batched,
-                SimdWidth::Auto,
-            )
-        };
-        let serial = build(1);
+        let c17 = C17::new();
+        let tpg = c17.adder();
+        let serial = c17.firsts(&*tpg, 9, 1, SimdWidth::Auto);
         for jobs in [2, 4, 16] {
-            assert_eq!(build(jobs), serial, "jobs={jobs}");
+            assert_eq!(
+                c17.firsts(&*tpg, 9, jobs, SimdWidth::Auto),
+                serial,
+                "jobs={jobs}"
+            );
         }
     }
 
@@ -603,28 +616,14 @@ mod tests {
 
     #[test]
     fn matrix_pass_counter_counts_builds() {
-        let n = embedded::c17();
-        let b = InitialReseedingBuilder::new(&n).unwrap();
-        assert_eq!(b.matrix_sim_passes(), 0);
-        let cfg = FlowConfig::new(TpgKind::Adder).with_tau(3);
-        let _ = b.build(&cfg);
-        assert_eq!(b.matrix_sim_passes(), 1);
-        let base = b.atpg_base(&cfg);
-        assert_eq!(b.matrix_sim_passes(), 1, "ATPG alone is not a pass");
-        let tpg = cfg.tpg.build(n.inputs().len());
-        let _ = b.first_detection_matrix_for(
-            tpg.as_ref(),
-            &base.atpg.patterns,
-            &base.target_faults,
-            7,
-            cfg.seed,
-            1,
-            MatrixBuild::Auto,
-            SimdWidth::Auto,
-        );
-        assert_eq!(b.matrix_sim_passes(), 2);
-        b.reset_matrix_sim_passes();
-        assert_eq!(b.matrix_sim_passes(), 0);
+        let c17 = C17::new();
+        assert_eq!(c17.b.matrix_sim_passes(), 0, "ATPG alone is not a pass");
+        let _ = c17.b.build(&FlowConfig::new(TpgKind::Adder).with_tau(3));
+        assert_eq!(c17.b.matrix_sim_passes(), 1);
+        let _ = c17.firsts(&*c17.adder(), 7, 1, SimdWidth::Auto);
+        assert_eq!(c17.b.matrix_sim_passes(), 2);
+        c17.b.reset_matrix_sim_passes();
+        assert_eq!(c17.b.matrix_sim_passes(), 0);
     }
 
     #[test]

@@ -87,61 +87,17 @@ impl std::fmt::Display for TpgKind {
     }
 }
 
-/// Which engine fills the Detection Matrix.
-///
-/// Like `jobs`, this is purely a throughput knob: every
-/// engine produces a bit-identical matrix (pinned by the
-/// `batched_matrix_equivalence` suite), so the choice can never change a
-/// cover, a report, or a sweep point.
+/// Selects nothing: there is one Detection-Matrix build, the cross-row
+/// batched one (see `fbist_fault::BatchPlan`). The type stays only so
+/// that the benchmark harness, which passes [`FlowConfig::matrix_build`]
+/// to both matrix builders, still compiles; no code in this workspace
+/// reads it. It is deleted with `ROADMAP.md` item 5, once the harness
+/// calls only flow-level APIs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MatrixBuild {
-    /// One fault-simulation call per triplet: each row's `τ + 1` expanded
-    /// patterns get their own 64-lane blocks, leaving `63 − τ (mod 64)`
-    /// lanes of every final block dead.
-    PerRow,
-    /// The cross-row batch engine: many rows' pattern streams share
-    /// 64-lane blocks (see `fbist_fault::BatchPlan`), so the good circuit
-    /// is evaluated and every fault cone propagated once per *shared*
-    /// block — up to `64 / (τ + 1)`× fewer of both.
-    Batched,
-    /// Picks per instance: batched whenever sharing blocks across rows
-    /// actually reduces the total block count (i.e. unless every row
-    /// already fills whole blocks exactly).
+    /// The only build.
     #[default]
-    Auto,
-}
-
-impl MatrixBuild {
-    /// Short name used in reports and flags (`per-row`, `batched`, `auto`).
-    pub fn name(self) -> &'static str {
-        match self {
-            MatrixBuild::PerRow => "per-row",
-            MatrixBuild::Batched => "batched",
-            MatrixBuild::Auto => "auto",
-        }
-    }
-
-    /// Parses a flag value (`per-row`, `batched` or `auto`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the accepted values on anything else.
-    pub fn parse(s: &str) -> Result<MatrixBuild, String> {
-        match s {
-            "per-row" => Ok(MatrixBuild::PerRow),
-            "batched" => Ok(MatrixBuild::Batched),
-            "auto" => Ok(MatrixBuild::Auto),
-            other => Err(format!(
-                "unknown matrix-build engine {other:?} (expected per-row, batched or auto)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for MatrixBuild {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
+    Batched,
 }
 
 /// Validates one τ value against [`FlowConfig::MAX_TAU`], naming the
@@ -230,9 +186,8 @@ pub struct FlowConfig {
     /// [`mini_rayon::jobs`] default (`FBIST_JOBS` / available
     /// parallelism). Results are bit-identical for every value.
     pub jobs: usize,
-    /// Detection-Matrix construction engine (per-row, cross-row batched,
-    /// or auto). Purely a throughput knob: every engine fills the matrix
-    /// bit-identically.
+    /// Selects nothing (see [`MatrixBuild`]); no code in this workspace
+    /// reads it.
     pub matrix_build: MatrixBuild,
     /// SIMD block width for the packed fault simulator (`[u64; W]` lanes
     /// per net; [`SimdWidth::Auto`] picks the widest W whose block count
@@ -267,7 +222,7 @@ impl FlowConfig {
             solve: SolveConfig::default(),
             trim: true,
             jobs: 0,
-            matrix_build: MatrixBuild::Auto,
+            matrix_build: MatrixBuild::Batched,
             simd_width: SimdWidth::Auto,
         }
     }
@@ -324,18 +279,9 @@ impl FlowConfig {
         self
     }
 
-    /// Selects the Detection-Matrix construction engine
-    /// ([`MatrixBuild::Auto`] batches whenever sharing blocks across rows
-    /// saves block evaluations). Like `jobs`, purely a
-    /// throughput knob: every engine fills the matrix bit-identically.
-    pub fn with_matrix_build(mut self, matrix_build: MatrixBuild) -> FlowConfig {
-        self.matrix_build = matrix_build;
-        self
-    }
-
     /// Selects the packed simulator's SIMD block width
     /// ([`SimdWidth::Auto`] widens only while the block count shrinks).
-    /// Like `jobs` and the engines, purely a throughput knob: every width
+    /// Like `jobs`, purely a throughput knob: every width
     /// computes bit-identical matrices, detections and reports. Also
     /// reaches the ATPG's fault simulation ([`AtpgConfig::simd_width`]).
     pub fn with_simd_width(mut self, simd_width: SimdWidth) -> FlowConfig {
@@ -382,24 +328,6 @@ mod tests {
             let g = kind.build(24);
             assert_eq!(g.width(), 24, "{kind}");
         }
-    }
-
-    #[test]
-    fn matrix_build_parse_roundtrip() {
-        for mb in [MatrixBuild::PerRow, MatrixBuild::Batched, MatrixBuild::Auto] {
-            assert_eq!(MatrixBuild::parse(mb.name()), Ok(mb));
-        }
-        assert!(MatrixBuild::parse("perrow").is_err());
-        assert_eq!(
-            FlowConfig::new(TpgKind::Adder)
-                .with_matrix_build(MatrixBuild::Batched)
-                .matrix_build,
-            MatrixBuild::Batched
-        );
-        assert_eq!(
-            FlowConfig::new(TpgKind::Adder).matrix_build,
-            MatrixBuild::Auto
-        );
     }
 
     #[test]

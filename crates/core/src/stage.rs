@@ -18,14 +18,13 @@
 //! | `cover` | `first-detection` inputs + τ + solver settings + trim |
 //!
 //! Pure throughput knobs — `jobs` (both the flow-level count and
-//! [`AtpgConfig::jobs`], which gates the fault-parallel PODEM rounds),
-//! the [`MatrixBuild`] engine and the SIMD width — are **excluded** from
-//! every key: the workspace pins them bit-identical (the
-//! `parallel_equivalence`, `atpg_equivalence`,
-//! `batched_matrix_equivalence` and `simd_width_equivalence` suites), so
-//! an artifact computed under any of them answers all of them. That
-//! exclusion is what makes a store warmed by a 4-job batched run answer a
-//! 1-job per-row query byte-identically — asserted by
+//! [`AtpgConfig::jobs`], which gates the fault-parallel PODEM rounds)
+//! and the SIMD width — are **excluded** from every key: the workspace
+//! pins them bit-identical (the `parallel_equivalence`,
+//! `atpg_equivalence` and `simd_width_equivalence` suites), so an
+//! artifact computed under any of them answers all of them. That
+//! exclusion is what makes a store warmed by a 4-job W=8 run answer a
+//! 1-job W=1 query byte-identically — asserted by
 //! `tests/store_equivalence.rs` and the key-invariance tests below.
 //!
 //! The first-detection artifact is not keyed on τ because it *saturates*
@@ -38,8 +37,6 @@
 //! Invalidation is purely structural: changing a keyed input changes the
 //! key, so stale artifacts are never *read* — they are orphaned on disk
 //! (delete the store directory to reclaim the space).
-//!
-//! [`MatrixBuild`]: crate::MatrixBuild
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -109,7 +106,6 @@ pub const THROUGHPUT_KNOBS: &[(&str, &str)] = &[
     ("jobs", "parallel_equivalence"),
     ("atpg.jobs", "atpg_equivalence"),
     ("solve.engine.jobs", "parallel_equivalence"),
-    ("matrix_build", "batched_matrix_equivalence"),
     ("simd_width", "simd_width_equivalence"),
     ("atpg.simd_width", "simd_width_equivalence"),
 ];
@@ -554,7 +550,7 @@ impl StageCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{MatrixBuild, TpgKind};
+    use crate::config::TpgKind;
     use fbist_netlist::embedded;
 
     fn cfg() -> FlowConfig {
@@ -572,7 +568,7 @@ mod tests {
 
     #[test]
     fn throughput_knobs_never_change_any_stage_key() {
-        // jobs / matrix-build / SIMD width are pinned
+        // jobs / SIMD width are pinned
         // bit-identical by the equivalence suites, so no stage key may
         // depend on them — otherwise a warm store would go cold when a
         // user merely changes the worker count
@@ -580,8 +576,6 @@ mod tests {
         let base_keys = all_keys(&n, &cfg());
         let variants = [
             cfg().with_jobs(7),
-            cfg().with_matrix_build(MatrixBuild::PerRow),
-            cfg().with_matrix_build(MatrixBuild::Batched),
             cfg().with_simd_width(fbist_bits::SimdWidth::W1),
             cfg().with_simd_width(fbist_bits::SimdWidth::W4),
             cfg().with_simd_width(fbist_bits::SimdWidth::W8),
@@ -703,7 +697,7 @@ mod tests {
         let canonical = sweep_request_digest(&n, &base, &[0, 7]);
         for v in [
             base.clone().with_jobs(3),
-            base.clone().with_matrix_build(MatrixBuild::Batched),
+            base.clone().with_simd_width(fbist_bits::SimdWidth::W8),
         ] {
             assert_eq!(sweep_request_digest(&n, &v, &[0, 7]), canonical);
         }

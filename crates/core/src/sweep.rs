@@ -16,11 +16,11 @@
 //!    `τ`" ⇔ "the *earliest* detecting pattern index is `≤ τ`".
 //! 3. One simulation at `τ_max` recording that earliest index per
 //!    `(triplet, fault)` pair (free from the detection word's lowest set
-//!    lane — [`FaultSimulator::first_detections`]) therefore determines
-//!    every `τ ≤ τ_max` matrix by thresholding:
-//!    [`FirstDetectionMatrix::at_tau`]. No re-simulation, and *nothing to
-//!    approximate* — the thresholded matrix is the simulated one, bit for
-//!    bit.
+//!    lane — [`FaultSimulator::first_detections_blocks`]) therefore
+//!    determines every `τ ≤ τ_max` matrix by thresholding:
+//!    [`FirstDetectionMatrix::at_tau`]. No re-simulation, and *nothing
+//!    to approximate* — the thresholded matrix is the simulated one, bit
+//!    for bit.
 //!
 //! Everything per-point after the matrix (triplet `τ` fields, reduction,
 //! solving, trimming) runs from per-point configuration and seeds, so
@@ -32,7 +32,7 @@
 //! build that `run` uses.
 //!
 //! [`PatternGenerator`]: fbist_tpg::PatternGenerator
-//! [`FaultSimulator::first_detections`]: fbist_fault::FaultSimulator::first_detections
+//! [`FaultSimulator::first_detections_blocks`]: fbist_fault::FaultSimulator::first_detections_blocks
 //! [`FirstDetectionMatrix::at_tau`]: fbist_setcover::FirstDetectionMatrix::at_tau
 
 use fbist_netlist::Netlist;

@@ -1,8 +1,7 @@
 //! Cross-row batch planning: fill every simulation lane.
 //!
-//! The per-row Detection-Matrix build hands each triplet's `τ + 1`
-//! expanded patterns to the fault simulator on their own, so every row
-//! pays for full 64-lane blocks whether it fills them or not — at the
+//! Simulated on its own, each triplet's `τ + 1` expanded patterns pay
+//! for full 64-lane blocks whether they fill them or not — at the
 //! default `τ = 31` half of every block is dead, at `τ = 3` it is 94 %.
 //! A [`BatchPlan`] removes that waste by concatenating the pattern
 //! streams of many rows into *shared* blocks: each block carries up to
@@ -11,18 +10,21 @@
 //! [`LaneGroup`] records which lanes belong to which row. The good
 //! circuit is then evaluated once per shared block and each fault's cone
 //! is propagated once per shared block, cutting both counts by up to
-//! `64·W / (τ + 1)` versus the per-row build.
+//! `64·W / (τ + 1)` versus simulating each row alone.
 //!
 //! Detection attribution is exact: a row detects a fault iff *some* lane
 //! of *some* of its groups differs at a primary output, which is precisely
-//! the per-row criterion — so the batched matrix is bit-identical to the
-//! per-row one (see [`FaultSimulator::detects_batch`]). The same argument
-//! makes the result independent of `W`: a `W`-wide block is exactly `W`
-//! consecutive 64-lane blocks evaluated together, lanes keep their flat
-//! stream order, and detection ORs / first-detection minimums reduce in
-//! that order.
+//! the criterion of [`FaultSimulator::detects`] on the row alone — so the
+//! batched rows are bit-identical to per-row ones (see
+//! [`FaultSimulator::detects_blocks`]). The same argument makes the
+//! result independent of `W`: a `W`-wide block is exactly `W` consecutive
+//! 64-lane blocks evaluated together, lanes keep their flat stream order,
+//! and detection ORs / first-detection minimums reduce in that order.
 //!
-//! [`FaultSimulator::detects_batch`]: crate::FaultSimulator::detects_batch
+//! [`FaultSimulator::detects`]: crate::FaultSimulator::detects
+//! [`FaultSimulator::detects_blocks`]: crate::FaultSimulator::detects_blocks
+
+use std::ops::Range;
 
 use fbist_bits::{pack, SimWord, SIMD_WIDTHS};
 
@@ -193,6 +195,25 @@ impl BatchPlan {
         self.rows
     }
 
+    /// The rows with lane groups in the blocks `range`: one consecutive
+    /// span, because streams are concatenated in row order (empty for an
+    /// empty range). The block-range simulations take exactly these
+    /// rows' patterns, so a caller expands only what a range touches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is out of bounds for the plan.
+    pub fn row_span(&self, range: Range<usize>) -> Range<usize> {
+        let blocks = &self.blocks[range];
+        match (blocks.first(), blocks.last()) {
+            (Some(first), Some(last)) => {
+                let end = last.groups.last().expect("blocks are never empty").row;
+                first.groups[0].row as usize..end as usize + 1
+            }
+            _ => 0..0,
+        }
+    }
+
     /// Total occupied lanes across all blocks.
     pub fn total_lanes(&self) -> usize {
         self.total_lanes
@@ -339,6 +360,21 @@ mod tests {
         assert_eq!(plan.block_count(), 1);
         assert_eq!(plan.blocks()[0].groups.len(), 1);
         assert_eq!(plan.blocks()[0].groups[0].row, 1);
+    }
+
+    #[test]
+    fn row_span_names_the_rows_a_range_touches() {
+        // 60 + 10 + 0 + 70 lanes: block 0 holds rows 0-1, block 1 rows
+        // 1 and 3 (the empty row 2 sits inside the span), block 2 row 3
+        let plan = BatchPlan::new(&[60, 10, 0, 70]);
+        assert_eq!(plan.block_count(), 3);
+        assert_eq!(plan.row_span(0..1), 0..2);
+        assert_eq!(plan.row_span(1..2), 1..4);
+        assert_eq!(plan.row_span(2..3), 3..4);
+        assert_eq!(plan.row_span(0..3), 0..4);
+        assert_eq!(plan.row_span(1..1), 0..0);
+        // a leading empty row is outside every span
+        assert_eq!(BatchPlan::new(&[0, 3]).row_span(0..1), 1..2);
     }
 
     #[test]

@@ -18,43 +18,26 @@
 //!   fault ([`reference::ConeOracle`] keeps the per-fault path as the
 //!   oracle);
 //! * [`BatchPlan`] — the cross-row batch planner behind
-//!   [`FaultSimulator::detects_batch`], which fills every simulation lane
-//!   when many rows are simulated at once.
+//!   [`FaultSimulator::detects_blocks`] and
+//!   [`FaultSimulator::first_detections_blocks`], which fills every
+//!   simulation lane when many rows are simulated at once.
 //!
 //! # Cross-row batching: lane groups and masked dropping
 //!
-//! The matrix build hands the simulator one pattern stream per triplet
-//! row. Simulated per row, each stream occupies its own 64-lane blocks:
-//! a row of `τ + 1` patterns wastes `63 − τ (mod 64)` lanes of its last
-//! block — 50 % dead lanes at the default `τ = 31`, 94 % at `τ = 3` —
-//! and the good-circuit evaluation plus every fault's evaluation is
-//! repeated for every row.
-//!
-//! [`BatchPlan`] instead concatenates the streams of all rows (in row
-//! order) into *shared* blocks. Each block carries up to 64 consecutive
-//! patterns of the global stream, and a [`LaneGroup`] records which lanes
-//! belong to which row; a row whose stream crosses a block boundary simply
-//! splits into groups in consecutive blocks. Every block except possibly
-//! the last is completely full, so the good circuit is evaluated — and
-//! each fault's detection word computed — once per *shared* block: up to
-//! `64 / (τ + 1)`× fewer of both than the per-row build.
-//!
-//! Detection is attributed through the groups: fault `f`'s 64-bit
-//! detection word for a block is ANDed with each group's lane mask, and a
-//! nonzero intersection marks `(row, f)` detected. *Masked dropping*
-//! removes redundant work on top: once every row with lanes in a block has
-//! already detected `f`, the fault's evaluation is skipped for that
-//! block, and rows that already detected `f` are masked out of its
-//! detection word elsewhere. Dropping can never change a row's detected
-//! set, because a row detects `f` iff **some** lane of **some** of its
-//! groups differs at a primary output — a monotone OR over the row's
-//! lanes. Skipping a lane is only ever done when the `(row, f)` pair is
-//! already detected, i.e. when the OR is already 1, so the skipped lane
-//! could only have re-confirmed a known detection (the same argument that
-//! makes classical per-row fault dropping exact). The batched matrix is
-//! therefore bit-identical to the per-row one — pinned for every
-//! profile × TPG × `jobs` × `τ` combination by the
-//! `batched_matrix_equivalence` suite.
+//! A [`BatchPlan`] concatenates the `τ + 1`-pattern streams of all
+//! Detection-Matrix rows into shared blocks, with a [`LaneGroup`] per
+//! row segment in each block. A fault's detection word for a block is
+//! ANDed with each group's lane mask, and a nonzero intersection marks
+//! `(row, f)` detected. *Masked dropping* skips a
+//! fault's evaluation for a block once every row with lanes there has
+//! already detected it. That is exact, because a row detects `f` iff
+//! **some** lane of **some** of its groups differs at a primary output
+//! — a monotone OR, which a skipped lane could only re-confirm (the
+//! argument that makes classical per-row fault dropping exact). The
+//! batched matrix therefore equals per-row [`FaultSimulator::detects`]
+//! and [`FaultSimulator::run`] on each row's stream — pinned for every
+//! profile × TPG × `jobs` × `τ` by the `batched_matrix_equivalence`
+//! suite, which keeps those per-row calls as its oracle.
 //!
 //! # Example
 //!

@@ -424,53 +424,22 @@ impl FaultSimulator {
         }
     }
 
-    /// Cross-row batched fault simulation: simulates many rows' pattern
-    /// streams through shared 64-lane blocks (see [`BatchPlan`]) and
-    /// returns, per row, the set of detected faults.
+    /// Cross-row batched fault simulation over a consecutive range of a
+    /// [`BatchPlan`]'s blocks: simulates many rows' pattern streams
+    /// through shared blocks and returns `(row, detected)` partials for
+    /// the rows whose lane groups appear in the range.
     ///
-    /// The good circuit is evaluated once per *shared* block and every
-    /// fault is evaluated once per shared block — against the
-    /// per-row [`detects`](Self::detects) loop this cuts both counts by
-    /// up to `64 / (τ + 1)` while producing **bit-identical rows**:
-    /// `detects_batch(rows, f)[i] == detects(&rows[i], f)` for every `i`.
-    /// Detection of a row is the OR of its lanes' primary-output
-    /// differences, which does not depend on which block a lane lives in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pattern's width differs from the input count.
-    pub fn detects_batch(&self, rows: &[Vec<BitVec>], faults: &FaultList) -> Vec<BitVec> {
-        self.detects_batch_wide(rows, faults, 1)
-    }
-
-    /// [`detects_batch`](Self::detects_batch) over shared blocks of an
-    /// explicit SIMD width — bit-identical rows at every width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width_words` is unsupported or a pattern's width
-    /// differs from the input count.
-    pub fn detects_batch_wide(
-        &self,
-        rows: &[Vec<BitVec>],
-        faults: &FaultList,
-        width_words: usize,
-    ) -> Vec<BitVec> {
-        let lengths: Vec<usize> = rows.iter().map(|r| r.len()).collect();
-        let plan = BatchPlan::with_width(&lengths, width_words);
-        let mut out = vec![BitVec::zeros(faults.len()); rows.len()];
-        for (row, bits) in self.detects_blocks(&plan, 0..plan.block_count(), rows, faults) {
-            out[row].union_with(&bits);
-        }
-        out
-    }
-
-    /// Simulates a consecutive range of a [`BatchPlan`]'s blocks and
-    /// returns `(row, detected)` partials for the rows whose lane groups
-    /// appear in the range. Rows straddling the range boundary come back
-    /// partial; OR the partials of all ranges to recover
-    /// [`detects_batch`](Self::detects_batch) — any partition of the
-    /// block axis yields the same union, which is what lets callers fan
+    /// `rows` holds the patterns of exactly the rows
+    /// [`plan.row_span(range)`](BatchPlan::row_span) names, in order, so
+    /// a caller expands only what the range touches; the returned row
+    /// indices are the plan's. The good circuit is evaluated once per
+    /// *shared* block and every fault once per shared block — against
+    /// the per-row [`detects`](Self::detects) loop this cuts both counts
+    /// by up to `64·W / (τ + 1)` while producing **bit-identical rows**:
+    /// OR the partials of any partition of the block axis into ranges
+    /// and row `i` equals `detects(&row_i, f)`. Detection of a row is the
+    /// OR of its lanes' primary-output differences, which does not depend
+    /// on which block a lane lives in — which is what lets callers fan
     /// ranges out across a worker pool.
     ///
     /// Within the range, *masked dropping* is applied: once every row
@@ -483,8 +452,8 @@ impl FaultSimulator {
     ///
     /// # Panics
     ///
-    /// Panics if `range` is out of bounds for the plan, a row referenced
-    /// by the plan is missing from `rows`, or a pattern's width differs
+    /// Panics if `range` is out of bounds for the plan, `rows` does not
+    /// hold one stream per row of the span, or a pattern's width differs
     /// from the input count.
     pub fn detects_blocks(
         &self,
@@ -558,19 +527,15 @@ impl FaultSimulator {
             W,
             "plan width / monomorphisation mismatch"
         );
+        let span = plan.row_span(range.clone());
+        assert_eq!(
+            rows.len(),
+            span.len(),
+            "block range {range:?} touches rows {span:?}: pass exactly their streams"
+        );
         let blocks = &plan.blocks()[range];
-        if blocks.is_empty() {
-            return Vec::new();
-        }
-        // Streams are concatenated in row order, so a block range touches
-        // a consecutive row span.
-        let first_row = blocks[0].groups[0].row as usize;
-        let last_row = blocks[blocks.len() - 1]
-            .groups
-            .last()
-            .expect("nonempty")
-            .row as usize;
-        let mut partial: Vec<P> = (first_row..=last_row).map(|_| new_partial()).collect();
+        let first_row = span.start;
+        let mut partial: Vec<P> = span.map(|_| new_partial()).collect();
 
         let n = self.netlist().gate_count();
         let mut good = vec![SimWord::<W>::ZERO; n];
@@ -579,7 +544,7 @@ impl FaultSimulator {
         for block in blocks {
             pi_words.fill(SimWord::ZERO);
             for g in &block.groups {
-                let row = &rows[g.row as usize];
+                let row = &rows[g.row as usize - first_row];
                 let start = g.start as usize;
                 pack::pack_patterns_at_w(
                     &mut pi_words,
@@ -628,92 +593,40 @@ impl FaultSimulator {
 
     /// Sentinel first-detection index: the pair was never detected.
     ///
-    /// Used by [`first_detections`](Self::first_detections) and
-    /// [`first_detections_blocks`](Self::first_detections_blocks) instead
-    /// of `Option<u32>` so partials can be merged with a plain elementwise
-    /// `min` (the sentinel is the identity of `min`). Real pattern indices
+    /// Used by [`first_detections_blocks`](Self::first_detections_blocks)
+    /// and [`merge_first_detections`] instead of `Option<u32>` so
+    /// partials can be merged with a plain elementwise `min` (the
+    /// sentinel is the identity of `min`). Real pattern indices
     /// are always `< u32::MAX`; the flow layer bounds `τ` far below that
     /// (`FlowConfig::MAX_TAU`).
     pub const NO_DETECTION: u32 = u32::MAX;
 
-    /// Cross-row batched *first-detection* simulation: for every row and
-    /// every fault, the index (within the row's own pattern stream) of the
-    /// **earliest** pattern that detects the fault, or
-    /// [`NO_DETECTION`](Self::NO_DETECTION).
+    /// Cross-row batched *first-detection* simulation over a consecutive
+    /// range of a [`BatchPlan`]'s blocks: for each row with lane groups
+    /// in the range, the index (within the row's own pattern stream) of
+    /// the earliest detecting pattern *within the range* per fault, or
+    /// [`NO_DETECTION`](Self::NO_DETECTION) if the range detects nothing
+    /// for that pair. `rows` holds the patterns of the rows
+    /// [`plan.row_span(range)`](BatchPlan::row_span) names, exactly as
+    /// for [`detects_blocks`](Self::detects_blocks).
     ///
-    /// This is the engine behind the single-simulation τ-sweep: detection
-    /// at evolution length `τ` is a prefix property — row `i` detects
-    /// fault `j` at `τ` iff `first[i][j] ≤ τ` — so one pass at the largest
-    /// `τ` yields every smaller τ's detection matrix by thresholding.
+    /// This is the engine behind the single-simulation τ-sweep: row `i`
+    /// detects fault `j` at `τ` iff its first index is `≤ τ`, so one pass
+    /// at the largest `τ` yields every smaller τ's matrix by
+    /// thresholding. Lanes ascend in stream order, so the lowest set lane
+    /// of a group's masked detection word is its first detection.
     ///
-    /// The index costs nothing extra on top of
-    /// [`detects_batch`](Self::detects_batch): lanes of a [`LaneGroup`]
-    /// carry the row's patterns in ascending stream order and blocks are
-    /// visited in ascending stream order, so the *lowest set lane* of the
-    /// first nonzero masked detection word **is** the first detection —
-    /// exactly the lane masked dropping stops at anyway.
-    ///
-    /// Equivalence: `first_detections(rows, f)[i][j] != NO_DETECTION` iff
-    /// `detects_batch(rows, f)[i]` has bit `j` set, and the index equals
-    /// `run(&rows[i], f).first_detection[j]`.
-    ///
-    /// [`LaneGroup`]: crate::LaneGroup
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pattern's width differs from the input count.
-    pub fn first_detections(&self, rows: &[Vec<BitVec>], faults: &FaultList) -> Vec<Vec<u32>> {
-        self.first_detections_wide(rows, faults, 1)
-    }
-
-    /// [`first_detections`](Self::first_detections) over shared blocks of
-    /// an explicit SIMD width. First-detection indices are minimums over
-    /// the flat lane stream, which is the same stream at every width, so
-    /// every index is byte-identical.
+    /// [`merge_first_detections`] over the partials of **any** partition
+    /// of the block axis recovers, per row, `run(&row, f).first_detection`
+    /// (with `NO_DETECTION` for `None`): the global first detection is
+    /// the minimum over the per-range ones. Masked dropping is exact as
+    /// in `detects_blocks`: once a row's first index for a fault is fixed,
+    /// later blocks can only offer larger indices.
     ///
     /// # Panics
     ///
-    /// Panics if `width_words` is unsupported or a pattern's width
-    /// differs from the input count.
-    pub fn first_detections_wide(
-        &self,
-        rows: &[Vec<BitVec>],
-        faults: &FaultList,
-        width_words: usize,
-    ) -> Vec<Vec<u32>> {
-        let lengths: Vec<usize> = rows.iter().map(|r| r.len()).collect();
-        let plan = BatchPlan::with_width(&lengths, width_words);
-        let mut out = vec![vec![Self::NO_DETECTION; faults.len()]; rows.len()];
-        merge_first_detections(
-            &mut out,
-            self.first_detections_blocks(&plan, 0..plan.block_count(), rows, faults),
-        );
-        out
-    }
-
-    /// Simulates a consecutive range of a [`BatchPlan`]'s blocks and
-    /// returns `(row, first_indices)` partials: for each row with lane
-    /// groups in the range, the earliest detecting pattern index *within
-    /// the range* per fault ([`NO_DETECTION`](Self::NO_DETECTION) if the
-    /// range detects nothing for that pair).
-    ///
-    /// Merging partials with an elementwise `min` recovers
-    /// [`first_detections`](Self::first_detections) for **any** partition
-    /// of the block axis: the global first detection is the minimum over
-    /// the per-range first detections (`min` is associative, commutative
-    /// and has `NO_DETECTION` as identity), which is what lets callers fan
-    /// ranges out across a worker pool without changing a single index.
-    ///
-    /// Masked dropping applies exactly as in
-    /// [`detects_blocks`](Self::detects_blocks): once a row's first index
-    /// for a fault is fixed inside the range, later blocks can only offer
-    /// larger indices (lanes ascend in stream order), so skipping them
-    /// cannot change the minimum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is out of bounds for the plan, a row referenced
-    /// by the plan is missing from `rows`, or a pattern's width differs
+    /// Panics if `range` is out of bounds for the plan, `rows` does not
+    /// hold one stream per row of the span, or a pattern's width differs
     /// from the input count.
     pub fn first_detections_blocks(
         &self,
@@ -986,32 +899,43 @@ impl FaultSimulator {
     }
 }
 
-/// Merges `(row, partial)` first-detection results into `acc` by
-/// elementwise `min` — the one owner of the first-detection merge
-/// semantics, used by [`FaultSimulator::first_detections`] and by callers
-/// that fan [`FaultSimulator::first_detections_blocks`] ranges out across
-/// a worker pool themselves. `min` is associative and commutative with
-/// [`FaultSimulator::NO_DETECTION`] as identity, so any partition and any
-/// merge order yield the same indices.
+/// Merges `(row, partial)` first-detection results from
+/// [`FaultSimulator::first_detections_blocks`] into `rows` rows of
+/// `width` indices by elementwise `min` — the one owner of the
+/// first-detection merge semantics. `min` is associative and commutative
+/// with [`FaultSimulator::NO_DETECTION`] as identity, so any partition of
+/// the block axis and any merge order yield the same indices.
+///
+/// A row's first partial is moved in, not copied, so the merge holds no
+/// second `rows × width` buffer; a row no partial names detects nothing.
 ///
 /// # Panics
 ///
-/// Panics if a partial names a row `acc` does not have or differs from
-/// its `acc` row in width.
+/// Panics if a partial names a row out of range or is not `width` wide.
 pub fn merge_first_detections(
-    acc: &mut [Vec<u32>],
+    rows: usize,
+    width: usize,
     partials: impl IntoIterator<Item = (usize, Vec<u32>)>,
-) {
+) -> Vec<Vec<u32>> {
+    let mut acc: Vec<Option<Vec<u32>>> = vec![None; rows];
     for (row, partial) in partials {
         assert_eq!(
             partial.len(),
-            acc[row].len(),
-            "first-detection partial for row {row} differs from the accumulator in width"
+            width,
+            "first-detection partial for row {row} is not {width} wide"
         );
-        for (a, v) in acc[row].iter_mut().zip(&partial) {
-            *a = (*a).min(*v);
+        match &mut acc[row] {
+            Some(a) => {
+                for (a, v) in a.iter_mut().zip(&partial) {
+                    *a = (*a).min(*v);
+                }
+            }
+            slot => *slot = Some(partial),
         }
     }
+    acc.into_iter()
+        .map(|row| row.unwrap_or_else(|| vec![FaultSimulator::NO_DETECTION; width]))
+        .collect()
 }
 
 /// Evaluates a gate reading width-`W` values through `read`.
@@ -1226,14 +1150,37 @@ mod tests {
         );
     }
 
-    #[test]
-    fn detects_batch_matches_per_row() {
-        // rows of wildly different lengths — empty, sub-block, straddling
-        // a shared-block boundary, and multi-block — must come back
-        // bit-identical to the per-row path.
-        let n = embedded::adder4();
-        let sim = FaultSimulator::new(&n).unwrap();
-        let faults = FaultList::collapsed(&n);
+    /// Every row's detection set and first-detection indices from
+    /// [`detects_blocks`](FaultSimulator::detects_blocks) and
+    /// [`first_detections_blocks`](FaultSimulator::first_detections_blocks)
+    /// over the width-`w` plan, in ranges of `chunk` blocks, merged.
+    fn blocks_in_chunks(
+        sim: &FaultSimulator,
+        rows: &[Vec<BitVec>],
+        faults: &FaultList,
+        w: usize,
+        chunk: usize,
+    ) -> (Vec<BitVec>, Vec<Vec<u32>>) {
+        let plan = BatchPlan::with_width(&rows.iter().map(Vec::len).collect::<Vec<_>>(), w);
+        let mut detected = vec![BitVec::zeros(faults.len()); rows.len()];
+        let mut partials = Vec::new();
+        let mut lo = 0;
+        while lo < plan.block_count() {
+            let hi = plan.block_count().min(lo.saturating_add(chunk));
+            let span = &rows[plan.row_span(lo..hi)];
+            for (row, bits) in sim.detects_blocks(&plan, lo..hi, span, faults) {
+                detected[row].union_with(&bits);
+            }
+            partials.extend(sim.first_detections_blocks(&plan, lo..hi, span, faults));
+            lo = hi;
+        }
+        let firsts = merge_first_detections(rows.len(), faults.len(), partials);
+        (detected, firsts)
+    }
+
+    /// Rows of the given lengths of random adder4 patterns: empty,
+    /// sub-block, straddling a shared-block boundary and multi-block.
+    fn mixed_rows(lengths: &[usize]) -> Vec<Vec<BitVec>> {
         let mut state = 0x1234_5678_9ABC_DEF0u64;
         let mut pat = || {
             state ^= state << 13;
@@ -1241,78 +1188,28 @@ mod tests {
             state ^= state << 17;
             BitVec::from_u64(9, state)
         };
-        let rows: Vec<Vec<BitVec>> = [0usize, 4, 1, 60, 130, 7, 0, 64, 33]
+        lengths
             .iter()
             .map(|&len| (0..len).map(|_| pat()).collect())
-            .collect();
-        let batched = sim.detects_batch(&rows, &faults);
-        assert_eq!(batched.len(), rows.len());
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(batched[i], sim.detects(row, &faults), "row {i}");
-        }
+            .collect()
     }
 
     #[test]
-    fn first_detections_match_per_row_run() {
-        // same mixed row shapes as the detects_batch test: empty,
-        // sub-block, straddling and multi-block rows
+    fn blocks_match_per_row_run() {
+        // rows of wildly different lengths must come back bit-identical
+        // to the per-row path, detection sets and first indices alike
         let n = embedded::adder4();
         let sim = FaultSimulator::new(&n).unwrap();
         let faults = FaultList::collapsed(&n);
-        let mut state = 0x1234_5678_9ABC_DEF0u64;
-        let mut pat = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            BitVec::from_u64(9, state)
-        };
-        let rows: Vec<Vec<BitVec>> = [0usize, 4, 1, 60, 130, 7, 0, 64, 33]
-            .iter()
-            .map(|&len| (0..len).map(|_| pat()).collect())
-            .collect();
-        let batched = sim.first_detections(&rows, &faults);
-        assert_eq!(batched.len(), rows.len());
+        let rows = mixed_rows(&[0, 4, 1, 60, 130, 7, 0, 64, 33]);
+        let (detected, firsts) = blocks_in_chunks(&sim, &rows, &faults, 1, usize::MAX);
         for (i, row) in rows.iter().enumerate() {
             let per_row = sim.run(row, &faults);
-            for (fid, _f) in faults.iter() {
-                let expect = per_row.first_detection[fid.index()]
-                    .map_or(FaultSimulator::NO_DETECTION, |v| v);
-                assert_eq!(batched[i][fid.index()], expect, "row {i} fault {fid:?}");
+            assert_eq!(detected[i], sim.detects(row, &faults), "row {i}");
+            for (f, &first) in firsts[i].iter().enumerate() {
+                let expect = per_row.first_detection[f].unwrap_or(FaultSimulator::NO_DETECTION);
+                assert_eq!(first, expect, "row {i} fault {f}");
             }
-            // and the thresholded view agrees with plain detection
-            let detected = sim.detects(row, &faults);
-            for (f, &first) in batched[i].iter().enumerate() {
-                assert_eq!(
-                    first != FaultSimulator::NO_DETECTION,
-                    detected.get(f),
-                    "row {i} fault {f}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn first_detections_blocks_min_merge_is_partition_invariant() {
-        let n = embedded::c17();
-        let sim = FaultSimulator::new(&n).unwrap();
-        let faults = FaultList::collapsed(&n);
-        let rows: Vec<Vec<BitVec>> = (0..9)
-            .map(|r| (0..23u64).map(|v| BitVec::from_u64(5, v * 7 + r)).collect())
-            .collect();
-        let plan = BatchPlan::new(&[23; 9]);
-        let whole = sim.first_detections(&rows, &faults);
-        for chunk in [1usize, 2, 3] {
-            let mut out = vec![vec![FaultSimulator::NO_DETECTION; faults.len()]; rows.len()];
-            let mut lo = 0;
-            while lo < plan.block_count() {
-                let hi = (lo + chunk).min(plan.block_count());
-                merge_first_detections(
-                    &mut out,
-                    sim.first_detections_blocks(&plan, lo..hi, &rows, &faults),
-                );
-                lo = hi;
-            }
-            assert_eq!(out, whole, "chunk={chunk}");
         }
     }
 
@@ -1326,7 +1223,7 @@ mod tests {
         let rows: Vec<Vec<BitVec>> = (0..5)
             .map(|r| (0..13u64).map(|v| BitVec::from_u64(5, v * 3 + r)).collect())
             .collect();
-        let firsts = sim.first_detections(&rows, &faults);
+        let (_, firsts) = blocks_in_chunks(&sim, &rows, &faults, 1, usize::MAX);
         for (i, row) in rows.iter().enumerate() {
             let dict = sim.dictionary(row, &faults);
             for (fid, _f) in faults.iter() {
@@ -1341,26 +1238,22 @@ mod tests {
     }
 
     #[test]
-    fn detects_blocks_union_is_partition_invariant() {
+    fn block_partitions_are_invariant() {
+        // the union and min merges that let core fan block ranges across
+        // the pool must give the same rows for every partition, at every
+        // width
         let n = embedded::c17();
         let sim = FaultSimulator::new(&n).unwrap();
         let faults = FaultList::collapsed(&n);
         let rows: Vec<Vec<BitVec>> = (0..9)
-            .map(|r| (0..23u64).map(|v| BitVec::from_u64(5, v * 7 + r)).collect())
+            .map(|r| (0..43u64).map(|v| BitVec::from_u64(5, v * 7 + r)).collect())
             .collect();
-        let plan = BatchPlan::new(&[23; 9]);
-        let whole = sim.detects_batch(&rows, &faults);
-        for chunk in [1usize, 2, 3] {
-            let mut out = vec![BitVec::zeros(faults.len()); rows.len()];
-            let mut lo = 0;
-            while lo < plan.block_count() {
-                let hi = (lo + chunk).min(plan.block_count());
-                for (row, bits) in sim.detects_blocks(&plan, lo..hi, &rows, &faults) {
-                    out[row].union_with(&bits);
-                }
-                lo = hi;
+        let whole = blocks_in_chunks(&sim, &rows, &faults, 1, usize::MAX);
+        for w in [1usize, 2, 4, 8] {
+            for chunk in [1usize, 2, 3] {
+                let parts = blocks_in_chunks(&sim, &rows, &faults, w, chunk);
+                assert_eq!(parts, whole, "W={w} chunk={chunk}");
             }
-            assert_eq!(out, whole, "chunk={chunk}");
         }
     }
 
@@ -1371,22 +1264,11 @@ mod tests {
         let n = embedded::adder4();
         let sim = FaultSimulator::new(&n).unwrap();
         let faults = FaultList::collapsed(&n);
-        let mut state = 0x0DDB_A11C_0FFE_E000u64;
-        let mut pat = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            BitVec::from_u64(9, state)
-        };
-        let rows: Vec<Vec<BitVec>> = [0usize, 4, 1, 60, 130, 7, 0, 300, 33]
-            .iter()
-            .map(|&len| (0..len).map(|_| pat()).collect())
-            .collect();
+        let rows = mixed_rows(&[0, 4, 1, 60, 130, 7, 0, 300, 33]);
         let flat: Vec<BitVec> = rows.iter().flatten().cloned().collect();
         let run1 = sim.run(&flat, &faults);
         let dict1 = sim.dictionary(&flat, &faults);
-        let batch1 = sim.detects_batch(&rows, &faults);
-        let first1 = sim.first_detections(&rows, &faults);
+        let blocks1 = blocks_in_chunks(&sim, &rows, &faults, 1, usize::MAX);
         for w in [2usize, 4, 8] {
             let runw = sim.run_wide(&flat, &faults, w);
             assert_eq!(runw.detected, run1.detected, "run detected W={w}");
@@ -1395,45 +1277,8 @@ mod tests {
                 "run first detection W={w}"
             );
             assert_eq!(sim.dictionary_wide(&flat, &faults, w), dict1, "dict W={w}");
-            assert_eq!(
-                sim.detects_batch_wide(&rows, &faults, w),
-                batch1,
-                "batch W={w}"
-            );
-            assert_eq!(
-                sim.first_detections_wide(&rows, &faults, w),
-                first1,
-                "first detections W={w}"
-            );
-        }
-    }
-
-    #[test]
-    fn wide_blocks_min_merge_is_partition_invariant() {
-        // the partition-invariance that lets core fan block ranges across
-        // the pool must hold for wide plans too
-        let n = embedded::c17();
-        let sim = FaultSimulator::new(&n).unwrap();
-        let faults = FaultList::collapsed(&n);
-        let rows: Vec<Vec<BitVec>> = (0..9)
-            .map(|r| (0..43u64).map(|v| BitVec::from_u64(5, v * 7 + r)).collect())
-            .collect();
-        let whole = sim.first_detections(&rows, &faults);
-        for w in [2usize, 4, 8] {
-            let plan = BatchPlan::with_width(&[43; 9], w);
-            for chunk in [1usize, 2] {
-                let mut out = vec![vec![FaultSimulator::NO_DETECTION; faults.len()]; rows.len()];
-                let mut lo = 0;
-                while lo < plan.block_count() {
-                    let hi = (lo + chunk).min(plan.block_count());
-                    merge_first_detections(
-                        &mut out,
-                        sim.first_detections_blocks(&plan, lo..hi, &rows, &faults),
-                    );
-                    lo = hi;
-                }
-                assert_eq!(out, whole, "W={w} chunk={chunk}");
-            }
+            let blocks = blocks_in_chunks(&sim, &rows, &faults, w, usize::MAX);
+            assert_eq!(blocks, blocks1, "blocks W={w}");
         }
     }
 
@@ -1455,7 +1300,8 @@ mod tests {
         assert!(per_row.ratio() < 0.1, "per-row ratio {}", per_row.ratio());
 
         sim.good_simulator().reset_occupancy();
-        let _ = sim.detects_batch(&rows, &faults);
+        let plan = BatchPlan::new(&[4; 16]);
+        let _ = sim.detects_blocks(&plan, 0..1, &rows, &faults);
         let batched = sim.good_simulator().occupancy();
         assert_eq!(batched.blocks, 1);
         assert_eq!(batched.ratio(), 1.0);

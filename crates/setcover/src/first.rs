@@ -94,11 +94,14 @@ impl FirstDetectionMatrix {
             u32::try_from(cols).is_ok(),
             "FirstDetectionMatrix::from_rows: {cols} columns do not fit u32"
         );
-        let mut row_ptr = Vec::with_capacity(rows.len() + 1);
+        let row_count = rows.len();
+        let mut row_ptr = Vec::with_capacity(row_count + 1);
         let mut col_idx = Vec::new();
         let mut first = Vec::new();
         row_ptr.push(0);
-        for (r, row) in rows.iter().enumerate() {
+        // consume the dense rows as they are packed, so the dense and
+        // packed forms are never both whole in memory
+        for (r, row) in rows.into_iter().enumerate() {
             assert_eq!(
                 row.len(),
                 cols,
@@ -115,7 +118,7 @@ impl FirstDetectionMatrix {
             row_ptr.push(col_idx.len());
         }
         FirstDetectionMatrix {
-            rows: rows.len(),
+            rows: row_count,
             cols,
             row_ptr,
             col_idx,

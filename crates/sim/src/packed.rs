@@ -12,10 +12,10 @@ use crate::{sweep, sweep_w, SimError};
 /// Every evaluated block carries its full lane capacity (`64·W` lanes at
 /// SIMD width `W`) whether or not the lanes hold real patterns; the ratio
 /// of used lanes to available lanes is the direct measure of how much
-/// bit-parallel bandwidth a workload wastes. The per-row Detection-Matrix
-/// build occupies only `τ + 1 (mod 64)` lanes of each row's last block
-/// (6.25 % at `τ = 3`); the cross-row batch engine exists to push this
-/// toward 100 %. Capacity is counted per block rather than assumed, so
+/// bit-parallel bandwidth a workload wastes. A Detection-Matrix row
+/// simulated alone occupies only `τ + 1 (mod 64)` lanes of its last
+/// block (6.25 % at `τ = 3`); the cross-row batched build exists to push
+/// this toward 100 %. Capacity is counted per block rather than assumed, so
 /// the ratio stays truthful when blocks of different widths mix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneOccupancy {

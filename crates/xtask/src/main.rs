@@ -31,9 +31,9 @@
 //!    directly above) arguing why iteration order is never observed.
 //! 5. **Every knob flag has a manifest entry.** Each flag in `fbist`'s
 //!    `KNOB_FLAGS` table (`crates/cli/src/main.rs`) must name a
-//!    `THROUGHPUT_KNOBS` entry, `--matrix-build` naming `matrix_build`
-//!    (or a nested `<stage>.matrix_build`). So a knob flag cannot come
-//!    back without the equivalence suite that pins it.
+//!    `THROUGHPUT_KNOBS` entry, `--simd-width` naming `simd_width` (or
+//!    a nested `<stage>.simd_width`). So a knob flag cannot come back
+//!    without the equivalence suite that pins it.
 
 #![forbid(unsafe_code)]
 
@@ -307,17 +307,29 @@ fn lint_knob_flags(root: &Path, failures: &mut Vec<String>) {
 }
 
 /// The lines of the array declared on the first line that contains
-/// `decl` and a `[`, up to its closing `];`.
-fn table_lines<'a>(text: &'a str, decl: &'a str) -> impl Iterator<Item = &'a str> {
-    text.lines()
-        .skip_while(move |l| !(l.contains(decl) && l.contains('[')))
-        .skip(1)
-        .take_while(|l| !l.trim_start().starts_with("];"))
+/// `decl` and a `[`, up to its closing `];` — or, for an array that
+/// closes on its declaration line, that line's initializer.
+fn table_lines<'a>(text: &'a str, decl: &'a str) -> Vec<&'a str> {
+    let mut lines = text
+        .lines()
+        .skip_while(move |l| !(l.contains(decl) && l.contains('[')));
+    match lines.next() {
+        Some(first) if first.contains("];") => first
+            .split_once('=')
+            .map(|(_, init)| init)
+            .into_iter()
+            .collect(),
+        Some(_) => lines
+            .take_while(|l| !l.trim_start().starts_with("];"))
+            .collect(),
+        None => Vec::new(),
+    }
 }
 
 /// The `--flag` names in the `KNOB_FLAGS` table.
 fn parse_knob_flags(text: &str) -> Vec<String> {
     table_lines(text, "const KNOB_FLAGS")
+        .into_iter()
         .flat_map(quoted_strings)
         .filter(|s| s.starts_with("--"))
         .collect()
@@ -328,6 +340,7 @@ fn parse_knob_flags(text: &str) -> Vec<String> {
 /// closing `];`.
 fn parse_manifest(text: &str) -> Vec<(String, String)> {
     table_lines(text, "THROUGHPUT_KNOBS")
+        .into_iter()
         .map(quoted_strings)
         .filter(|strings| strings.len() == 2)
         .map(|mut strings| {
@@ -406,6 +419,15 @@ mod tests {
         assert_eq!(failures.len(), 1, "{failures:#?}");
         assert!(failures[0].contains("\"--backend\""), "{failures:#?}");
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn one_line_knob_table_is_read_alone() {
+        // a table that closes on its declaration line must not run on
+        // into the rest of the file
+        let src = "const KNOB_FLAGS: &[Flag] = &[(\"--jobs\", true), (\"--simd-width\", true)];\n\
+                   const CIRCUIT_FLAGS: &[Flag] = &[(\"--scale\", true)];\n";
+        assert_eq!(parse_knob_flags(src), vec!["--jobs", "--simd-width"]);
     }
 
     #[test]

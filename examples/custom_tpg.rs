@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         31,
         0xC0FFEE,
         0,
-        MatrixBuild::Auto,
+        MatrixBuild::default(),
         SimdWidth::Auto,
     );
     println!(

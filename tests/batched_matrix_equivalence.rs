@@ -1,21 +1,27 @@
-//! Differential suite pinning the cross-row batched matrix-build engine
-//! to the per-row one.
+//! Differential suite pinning the Detection-Matrix build — cross-row
+//! batched, with patterns expanded per block range — to the per-row
+//! fault-simulation oracle.
 //!
 //! For **every** genbench profile (scaled to a small, fast gate budget —
 //! the batching machinery is identical at every size), a TPG from each
 //! family (accumulator-based `add`, LFSR-based `lfsr`), `jobs ∈ {1, 4}`
-//! and `τ ∈ {0, 3, 31}`, the batched engine must produce a Detection
-//! Matrix **byte-for-byte identical** to the per-row engine's, and the
-//! τ-sweep must trace the identical curve. This is the construction-side
-//! twin of the `parallel_equivalence` (jobs) contract: the matrix-build
-//! engine may only change wall-clock time, never a single bit of any
-//! artefact.
+//! and `τ ∈ {0, 3, 31, 63}`, every row of `matrix_for`'s Detection
+//! Matrix must equal [`FaultSimulator::detects`] on that triplet's own
+//! expansion, and at `τ = 63` every index of
+//! `first_detection_matrix_for` must equal [`FaultSimulator::run`]'s
+//! first detection. The per-row calls share nothing with the build but
+//! the simulator's gate kernels: no plan, no lane groups, no masked
+//! dropping, no block-range partition — so the build may only change
+//! wall-clock time, never a single bit of any artefact.
 //!
-//! The suite also pins the engine's reason to exist: on every profile
+//! The suite also pins the build's reason to exist: on every profile
 //! scaled to a uniform instance size, the batched planner packs the τ=3
-//! pattern streams at ≥ 90 % lane occupancy (the per-row build is stuck
-//! at `(τ+1)/64 = 6.25 %`), and the `PackedSimulator` lane counters agree
-//! with the plan.
+//! pattern streams at ≥ 90 % lane occupancy (a row simulated alone is
+//! stuck at `(τ+1)/64 = 6.25 %`), and the `PackedSimulator` lane
+//! counters agree with the plan.
+//!
+//! [`FaultSimulator::detects`]: set_covering_reseeding::fault::FaultSimulator::detects
+//! [`FaultSimulator::run`]: set_covering_reseeding::fault::FaultSimulator::run
 
 use fbist_fault::BatchPlan;
 use fbist_genbench::{all_profiles, generate, CircuitProfile};
@@ -31,7 +37,8 @@ const GATE_BUDGET: f64 = 70.0;
 /// longer dominates the lane count.
 const OCCUPANCY_GATES: f64 = 600.0;
 
-const TAUS: [usize; 3] = [0, 3, 31];
+/// Below one block, half a block, and exactly one 64-lane block per row.
+const TAUS: [usize; 4] = [0, 3, 31, 63];
 
 fn circuit_at(p: &CircuitProfile, factor: f64) -> Netlist {
     let n = generate(&p.scaled(factor), 1);
@@ -46,40 +53,39 @@ fn small(p: &CircuitProfile) -> Netlist {
     circuit_at(p, (GATE_BUDGET / p.gates as f64).min(1.0))
 }
 
-/// Batched vs per-row `matrix_for`, byte-for-byte, across jobs × τ, on
-/// one shared ATPG run (exactly how the τ-sweep reuses it).
-fn assert_engines_equivalent(netlist: &Netlist, tpg_kind: TpgKind, label: &str) {
+/// `matrix_for` against per-row `detects` across jobs × τ, and
+/// `first_detection_matrix_for` at τ = 63 against per-row `run`, on one
+/// shared ATPG run (exactly how the τ-sweep reuses it).
+fn assert_build_matches_oracle(netlist: &Netlist, tpg_kind: TpgKind, label: &str) {
     let cfg = FlowConfig::new(tpg_kind);
     let builder = InitialReseedingBuilder::new(netlist).expect("combinational circuit");
-    let base = builder.build(&cfg);
+    let base = builder.atpg_base(&cfg);
+    let (patterns, faults) = (&base.atpg.patterns, &base.target_faults);
     let tpg = tpg_kind.build(netlist.inputs().len());
-
-    for tau in TAUS {
-        let build = |jobs: usize, engine: MatrixBuild| {
-            builder.matrix_for(
-                tpg.as_ref(),
-                &base.atpg.patterns,
-                &base.target_faults,
-                tau,
-                cfg.seed,
-                jobs,
-                engine,
-                SimdWidth::Auto,
-            )
-        };
-        let (ref_triplets, ref_matrix) = build(1, MatrixBuild::PerRow);
-        for jobs in [1, 4] {
-            for engine in [MatrixBuild::PerRow, MatrixBuild::Batched, MatrixBuild::Auto] {
-                let (triplets, matrix) = build(jobs, engine);
+    let fsim = builder.fault_simulator();
+    let (seed, build, width) = (cfg.seed, cfg.matrix_build, SimdWidth::Auto);
+    for jobs in [1, 4] {
+        for tau in TAUS {
+            let (triplets, matrix) =
+                builder.matrix_for(&*tpg, patterns, faults, tau, seed, jobs, build, width);
+            let rows = triplets
+                .iter()
+                .map(|t| fsim.detects(&tpg.expand(t), faults));
+            assert!(
+                matrix == DetectionMatrix::from_rows(faults.len(), rows.collect()),
+                "{label} τ={tau} jobs={jobs}: Detection Matrix differs from the per-row oracle"
+            );
+        }
+        let tau = TAUS[TAUS.len() - 1];
+        let (triplets, fdm) = builder
+            .first_detection_matrix_for(&*tpg, patterns, faults, tau, seed, jobs, build, width);
+        for (r, t) in triplets.iter().enumerate() {
+            let run = fsim.run(&tpg.expand(t), faults);
+            for (c, &first) in run.first_detection.iter().enumerate() {
                 assert_eq!(
-                    ref_triplets, triplets,
-                    "{label} τ={tau} jobs={jobs} {engine}: triplets differ"
-                );
-                assert_eq!(
-                    ref_matrix.row_major(),
-                    matrix.row_major(),
-                    "{label} τ={tau} jobs={jobs} {engine}: Detection Matrix \
-                     differs from per-row/jobs=1"
+                    fdm.first(r, c),
+                    first,
+                    "{label} τ={tau} jobs={jobs}: first detection ({r},{c})"
                 );
             }
         }
@@ -89,57 +95,19 @@ fn assert_engines_equivalent(netlist: &Netlist, tpg_kind: TpgKind, label: &str) 
 #[test]
 fn every_profile_matches_per_row_with_accumulator_tpg() {
     for p in all_profiles() {
-        assert_engines_equivalent(&small(&p), TpgKind::Adder, &p.name);
+        assert_build_matches_oracle(&small(&p), TpgKind::Adder, &p.name);
     }
 }
 
 #[test]
 fn every_profile_matches_per_row_with_lfsr_tpg() {
     for p in all_profiles() {
-        assert_engines_equivalent(&small(&p), TpgKind::Lfsr, &p.name);
+        assert_build_matches_oracle(&small(&p), TpgKind::Lfsr, &p.name);
     }
 }
 
-#[test]
-fn sweep_points_are_engine_invariant() {
-    // the τ-sweep drives matrix_for through its other public entry point;
-    // the whole curve (reports included) must be engine-invariant, for
-    // both a serial and a 4-worker pool
-    for p in [
-        genbench_profile("tiny64").unwrap(),
-        genbench_profile("mid256").unwrap(),
-    ] {
-        let n = small(&p);
-        for jobs in [1, 4] {
-            let curve = |engine: MatrixBuild| {
-                tradeoff_sweep(
-                    &n,
-                    &FlowConfig::new(TpgKind::Adder)
-                        .with_jobs(jobs)
-                        .with_matrix_build(engine),
-                    &TAUS,
-                )
-                .unwrap()
-            };
-            let per_row = curve(MatrixBuild::PerRow);
-            assert_eq!(
-                per_row,
-                curve(MatrixBuild::Batched),
-                "{} jobs={jobs}: batched sweep curve differs",
-                p.name
-            );
-            assert_eq!(
-                per_row,
-                curve(MatrixBuild::Auto),
-                "{} jobs={jobs}: auto sweep curve differs",
-                p.name
-            );
-        }
-    }
-}
-
-/// The batched planner must reach ≥ 90 % lane occupancy at τ = 3 (the
-/// per-row build occupies 4 of 64 lanes — 6.25 %), and the simulator's
+/// The batched planner must reach ≥ 90 % lane occupancy at τ = 3 (a
+/// row simulated alone occupies 4 of 64 lanes — 6.25 %), and the simulator's
 /// lane counters must agree with the plan exactly.
 fn assert_planner_occupancy(name: &str) {
     let p = genbench_profile(name).expect("profile registered");
@@ -151,7 +119,6 @@ fn assert_planner_occupancy(name: &str) {
     // width-aware counters are pinned by `simd_width_equivalence`)
     let cfg = FlowConfig::new(TpgKind::Adder)
         .with_tau(3)
-        .with_matrix_build(MatrixBuild::Batched)
         .with_simd_width(SimdWidth::W1);
     builder.fault_simulator().good_simulator().reset_occupancy();
     let init = builder.build(&cfg);

@@ -1,14 +1,23 @@
 //! No-panic property of the `.bench` front door: garbled text fed to
-//! [`bench::parse`] comes back as `Ok` or `Err`, never as a panic.
+//! [`bench::parse`] comes back as `Ok` or `Err`, never as a panic — and
+//! a text that parses to a combinational netlist runs through the whole
+//! flow without one.
 //!
 //! The inputs are the embedded circuits with random edits (cut ranges,
 //! inserted syntax fragments, duplicated lines, replaced characters) and
 //! fragment soups built from scratch, so they reach the parser's later
 //! checks (undefined and redefined signals, arities, cycles, flip-flops)
-//! as well as its tokenizer.
+//! as well as its tokenizer. What parses includes shapes a real file
+//! rarely has — no inputs, one input, constant outputs — and each
+//! combinational one runs through [`ReseedingFlow`] at τ ∈ {0, 3} with
+//! the adder TPG: its report must cover every target fault and replay to
+//! that coverage through [`verify_against`].
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
 use set_covering_reseeding::prelude::*;
+use set_covering_reseeding::reseed::verify_against;
 
 /// Syntax pieces the edits splice in, `|`-separated: keywords,
 /// punctuation, whole declarations and a few characters a tokenizer must
@@ -79,6 +88,38 @@ fn edit() -> impl Strategy<Value = Edit> {
     )
 }
 
+/// Why the flow fails on `text`, or `None` if it does not parse to a
+/// combinational netlist or the flow holds up: no panic, and at τ = 0
+/// and τ = 3 a report that covers every target fault and replays to
+/// full coverage of the target list.
+fn flow_failure(text: &str) -> Option<String> {
+    let netlist = match bench::parse(text) {
+        Ok(n) if n.is_combinational() => n,
+        _ => return None,
+    };
+    let run = || -> Result<(), String> {
+        let flow = ReseedingFlow::new(&netlist).map_err(|e| format!("ReseedingFlow::new: {e}"))?;
+        for tau in [0, 3] {
+            let cfg = FlowConfig::new(TpgKind::Adder).with_tau(tau).with_jobs(1);
+            let report = flow.run(&cfg);
+            if !report.covers_all_target_faults() {
+                return Err(format!("τ={tau}: report misses target faults"));
+            }
+            let target = flow.builder().atpg_base(&cfg).target_faults;
+            let replay = verify_against(&netlist, &report, cfg.tpg, &target)
+                .map_err(|e| format!("τ={tau}: verify_against: {e}"))?;
+            if !replay.passed() {
+                return Err(format!("τ={tau}: replay {replay:?}"));
+            }
+        }
+        Ok(())
+    };
+    match catch_unwind(AssertUnwindSafe(run)) {
+        Ok(result) => result.err(),
+        Err(_) => Some("the flow panicked".into()),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(768))]
 
@@ -88,8 +129,10 @@ proptest! {
         edits in proptest::collection::vec(edit(), 1..8),
     ) {
         let text = apply(BASES[base], &edits);
-        let outcome = std::panic::catch_unwind(|| bench::parse(&text).map(|_| ()));
+        let outcome = catch_unwind(|| bench::parse(&text).map(|_| ()));
         prop_assert!(outcome.is_ok(), "bench::parse panicked on {text:?}");
+        let failure = flow_failure(&text);
+        prop_assert!(failure.is_none(), "{failure:?} on {text:?}");
     }
 
     #[test]
@@ -97,7 +140,9 @@ proptest! {
         pieces in proptest::collection::vec(any::<usize>(), 0..40),
     ) {
         let text: String = pieces.iter().map(|&i| fragment(i)).collect();
-        let outcome = std::panic::catch_unwind(|| bench::parse(&text).map(|_| ()));
+        let outcome = catch_unwind(|| bench::parse(&text).map(|_| ()));
         prop_assert!(outcome.is_ok(), "bench::parse panicked on {text:?}");
+        let failure = flow_failure(&text);
+        prop_assert!(failure.is_none(), "{failure:?} on {text:?}");
     }
 }

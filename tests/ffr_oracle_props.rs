@@ -212,20 +212,19 @@ fn check_width<const W: usize>(
             }
         }
     }
-    let mut firsts = vec![vec![FaultSimulator::NO_DETECTION; faults.len()]; rows.len()];
+    let mut partials = Vec::new();
     let mut detects = vec![BitVec::zeros(faults.len()); rows.len()];
     let mut lo = 0;
     while lo < plan.block_count() {
         let hi = (lo + chunk).min(plan.block_count());
-        merge_first_detections(
-            &mut firsts,
-            fsim.first_detections_blocks(&plan, lo..hi, rows, &faults),
-        );
-        for (row, bits) in fsim.detects_blocks(&plan, lo..hi, rows, &faults) {
+        let span = &rows[plan.row_span(lo..hi)];
+        partials.extend(fsim.first_detections_blocks(&plan, lo..hi, span, &faults));
+        for (row, bits) in fsim.detects_blocks(&plan, lo..hi, span, &faults) {
             detects[row].union_with(&bits);
         }
         lo = hi;
     }
+    let firsts = merge_first_detections(rows.len(), faults.len(), partials);
     prop_assert_eq!(&firsts, &expect, "W={} chunk {}", W, chunk);
     for (r, row) in expect.iter().enumerate() {
         for (f, &first) in row.iter().enumerate() {

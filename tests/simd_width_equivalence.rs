@@ -7,11 +7,10 @@
 //! `jobs ∈ {1, 4}`, the narrow `W = 1` engine, the explicit `W = 4`
 //! engine and the `auto` width must produce **byte-for-byte identical**
 //! results at every layer that touches the packed fault simulator: the
-//! ATPG run, the Detection Matrix (both construction engines), the
-//! first-detection matrix, and the full reseeding report. This is the
-//! width twin of the `parallel_equivalence` (jobs),
-//! `batched_matrix_equivalence` (matrix engine) and `sweep_equivalence`
-//! (sweep engine) contracts —
+//! ATPG run, the Detection Matrix, the first-detection matrix, and the
+//! full reseeding report. This is the width twin of the
+//! `parallel_equivalence` (jobs) and `sweep_equivalence` (sweep engine)
+//! contracts —
 //! together they are the proof obligations behind the
 //! `THROUGHPUT_KNOBS` stage-key exclusion manifest that `xtask lint`
 //! cross-checks.
@@ -45,9 +44,9 @@ fn small(p: &CircuitProfile) -> Netlist {
     }
 }
 
-/// Every width must reproduce the `W = 1` ATPG run, Detection Matrix
-/// (per-row and batched engines), first-detection matrix and full
-/// reseeding report, for a serial and a 4-worker pool.
+/// Every width must reproduce the `W = 1` ATPG run, Detection Matrix,
+/// first-detection matrix and full reseeding report, for a serial and a
+/// 4-worker pool.
 fn assert_widths_equivalent(netlist: &Netlist, tpg_kind: TpgKind, label: &str) {
     let builder = InitialReseedingBuilder::new(netlist).expect("combinational circuit");
     let tpg = tpg_kind.build(netlist.inputs().len());
@@ -70,57 +69,54 @@ fn assert_widths_equivalent(netlist: &Netlist, tpg_kind: TpgKind, label: &str) {
             );
         }
 
-        // matrix + first-detection, under both construction engines and
-        // the τ regimes that matter (τ=3 packs many rows per wide block,
-        // τ=31 spans blocks within a row)
-        for engine in [MatrixBuild::PerRow, MatrixBuild::Batched] {
-            for tau in [3usize, 31] {
-                let matrix_at = |w: SimdWidth| {
-                    builder.matrix_for(
-                        tpg.as_ref(),
-                        &ref_base.atpg.patterns,
-                        &ref_base.target_faults,
-                        tau,
-                        cfg_at(w).seed,
-                        jobs,
-                        engine,
-                        w,
-                    )
-                };
-                let (ref_triplets, ref_matrix) = matrix_at(SimdWidth::W1);
-                let fdm_at = |w: SimdWidth| {
-                    builder.first_detection_matrix_for(
-                        tpg.as_ref(),
-                        &ref_base.atpg.patterns,
-                        &ref_base.target_faults,
-                        tau,
-                        cfg_at(w).seed,
-                        jobs,
-                        engine,
-                        w,
-                    )
-                };
-                let (_, ref_fdm) = fdm_at(SimdWidth::W1);
-                for w in WIDE {
-                    let (triplets, matrix) = matrix_at(w);
-                    assert_eq!(
-                        ref_triplets, triplets,
-                        "{label} jobs={jobs} τ={tau} {engine} {w}: triplets differ"
-                    );
-                    assert_eq!(
-                        ref_matrix.row_major(),
-                        matrix.row_major(),
-                        "{label} jobs={jobs} τ={tau} {engine} {w}: Detection Matrix \
-                         differs from W=1"
-                    );
-                    let (_, fdm) = fdm_at(w);
-                    assert_eq!(
-                        ref_fdm.csr_parts(),
-                        fdm.csr_parts(),
-                        "{label} jobs={jobs} τ={tau} {engine} {w}: first-detection \
-                         matrix differs from W=1"
-                    );
-                }
+        // matrix + first-detection in the τ regimes that matter (τ=3
+        // packs many rows per wide block, τ=31 spans blocks within a row)
+        for tau in [3usize, 31] {
+            let matrix_at = |w: SimdWidth| {
+                builder.matrix_for(
+                    tpg.as_ref(),
+                    &ref_base.atpg.patterns,
+                    &ref_base.target_faults,
+                    tau,
+                    cfg_at(w).seed,
+                    jobs,
+                    cfg_at(w).matrix_build,
+                    w,
+                )
+            };
+            let (ref_triplets, ref_matrix) = matrix_at(SimdWidth::W1);
+            let fdm_at = |w: SimdWidth| {
+                builder.first_detection_matrix_for(
+                    tpg.as_ref(),
+                    &ref_base.atpg.patterns,
+                    &ref_base.target_faults,
+                    tau,
+                    cfg_at(w).seed,
+                    jobs,
+                    cfg_at(w).matrix_build,
+                    w,
+                )
+            };
+            let (_, ref_fdm) = fdm_at(SimdWidth::W1);
+            for w in WIDE {
+                let (triplets, matrix) = matrix_at(w);
+                assert_eq!(
+                    ref_triplets, triplets,
+                    "{label} jobs={jobs} τ={tau} {w}: triplets differ"
+                );
+                assert_eq!(
+                    ref_matrix.row_major(),
+                    matrix.row_major(),
+                    "{label} jobs={jobs} τ={tau} {w}: Detection Matrix \
+                     differs from W=1"
+                );
+                let (_, fdm) = fdm_at(w);
+                assert_eq!(
+                    ref_fdm.csr_parts(),
+                    fdm.csr_parts(),
+                    "{label} jobs={jobs} τ={tau} {w}: first-detection \
+                     matrix differs from W=1"
+                );
             }
         }
 
