@@ -16,8 +16,10 @@
 //! global constants) are applied as additional implications.
 //!
 //! Queries are epoch-stamped overlays over a baseline computed once by
-//! constant propagation from `CONST0`/`CONST1` gates, so thousands of
-//! per-fault queries reuse the same allocation with O(changed) reset cost.
+//! constant propagation from `CONST0`/`CONST1` gates and from any proven
+//! constant nets the caller supplies ([`Implicator::with_constants`]), so
+//! thousands of per-fault queries reuse the same allocation with
+//! O(changed) reset cost.
 
 use fbist_netlist::{GateId, GateKind, Netlist, NetlistError};
 
@@ -89,6 +91,27 @@ impl Implicator {
     /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists —
     /// implications are only meaningful on a DAG.
     pub fn new(netlist: &Netlist) -> Result<Implicator, NetlistError> {
+        Implicator::with_constants(netlist, &[])
+    }
+
+    /// Builds the engine with `constants` in the baseline: each
+    /// `(net, value)` pair fixes the net, and the baseline also holds
+    /// every value the pairs imply. Every pair must hold under every
+    /// input pattern (a SAT-proven constant, say), or the engine's proofs
+    /// are unsound.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pairs imply a contradiction, which no set of true
+    /// constants does.
+    pub(crate) fn with_constants(
+        netlist: &Netlist,
+        constants: &[(GateId, bool)],
+    ) -> Result<Implicator, NetlistError> {
         let order = netlist.levelize()?;
         let n = netlist.gate_count();
         let kinds = netlist.kinds();
@@ -117,7 +140,7 @@ impl Implicator {
                 k => eval_gate(k, fanin[i].iter().map(|&f| base[f as usize])),
             };
         }
-        Ok(Implicator {
+        let mut imp = Implicator {
             kinds,
             fanin,
             fanout,
@@ -130,11 +153,29 @@ impl Implicator {
             queue: Vec::new(),
             touched: Vec::new(),
             contra: false,
-        })
+        };
+        // The given constants join the baseline with everything they
+        // imply, forwards and backwards. Forward evaluation from `CONST`
+        // gates leaves a baseline every rule already holds on; so does
+        // this fixpoint, and a query can then only ever narrow more than
+        // it would from a baseline without the constants.
+        if !constants.is_empty() {
+            imp.begin();
+            for &(net, v) in constants {
+                imp.set(net.index(), tv_from_bool(v));
+            }
+            imp.propagate(None);
+            assert!(!imp.contra, "the given constants contradict the circuit");
+            for &i in &imp.touched {
+                imp.base[i as usize] = imp.cur[i as usize];
+            }
+        }
+        Ok(imp)
     }
 
     /// The baseline constant value of every net: `Some(v)` where constant
-    /// propagation from `CONST` gates fixes the net, `None` otherwise.
+    /// propagation from `CONST` gates and the given constants fixes the
+    /// net, `None` otherwise.
     pub fn baseline_constants(&self) -> Vec<Option<bool>> {
         self.base.iter().map(|&v| tv_definite(v)).collect()
     }

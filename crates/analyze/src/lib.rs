@@ -46,7 +46,7 @@
 //! // OR(a, NOT a) is constant 1, so its output stuck-at-1 is untestable.
 //! let n = bench::parse("INPUT(a)\nOUTPUT(y)\nna = NOT(a)\ny = OR(a, na)\n")?;
 //! let faults = fbist_fault::FaultList::full(&n);
-//! let mask = fbist_analyze::untestable_faults(&n, &faults)?;
+//! let mask = fbist_analyze::untestable_faults(&n, &faults, &[])?;
 //! assert!(mask.iter().any(|&m| m));
 //!
 //! let report = fbist_analyze::analyze(&n);
@@ -216,7 +216,7 @@ pub fn analyze(netlist: &Netlist) -> AnalysisReport {
         push_capped(&mut findings, Severity::Info, "learned-constant", learned);
 
         let faults = FaultList::full(netlist);
-        let plain = untestable_faults(netlist, &faults).expect("acyclic");
+        let plain = untestable_faults(netlist, &faults, &[]).expect("acyclic");
         let mask = untestable_faults_with(netlist, &faults, Some(&db)).expect("acyclic");
         let proven: Vec<String> = faults
             .iter()

@@ -24,28 +24,43 @@
 //! [`crate::learning::fault_relations`] (an untestable dominator settles
 //! every fault it dominates).
 //!
+//! The caller may also hand the pass nets proven constant under every
+//! input (the ATPG engine proves them with its SAT fault miter, see
+//! `fbist_atpg::MiterSession::check_constant`). They join the implication
+//! baseline, so every query starts from them, and the observability pass
+//! treats them like `CONST`-driven nets: a constant at a gate's
+//! controlling value blocks the gate's other pins. Without constants the
+//! caller passes an empty slice.
+//!
 //! Everything proven here is sound; the pass is deliberately incomplete
 //! (a `false` entry means "not proven", not "testable").
 
 use fbist_fault::collapse::collapse;
 use fbist_fault::{FaultList, FaultSite};
-use fbist_netlist::{GateKind, Netlist, NetlistError};
+use fbist_netlist::{GateId, GateKind, Netlist, NetlistError};
 
 use crate::implication::Implicator;
 use crate::learning::{fault_relations, LearnedImplications};
 use crate::structure::Structure;
 
-/// Marks the faults of `faults` that are statically provably untestable.
+/// Marks the faults of `faults` that are statically provably untestable,
+/// given `constants`: `(net, value)` pairs that hold under every input
+/// pattern (pass `&[]` when none are known).
 ///
 /// Returns a mask parallel to the fault list: `mask[i]` is `true` iff
 /// fault `i` is proven untestable. Sound and conservative — `false`
-/// only means the cheap analysis could not decide.
+/// only means the cheap analysis could not decide. More constants only
+/// ever prove more faults.
 ///
 /// # Errors
 ///
 /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
-pub fn untestable_faults(netlist: &Netlist, faults: &FaultList) -> Result<Vec<bool>, NetlistError> {
-    untestable_faults_with(netlist, faults, None)
+pub fn untestable_faults(
+    netlist: &Netlist,
+    faults: &FaultList,
+    constants: &[(GateId, bool)],
+) -> Result<Vec<bool>, NetlistError> {
+    prove(netlist, faults, constants, None)
 }
 
 /// [`untestable_faults`], optionally strengthened by a learned-implication
@@ -61,7 +76,17 @@ pub fn untestable_faults_with(
     faults: &FaultList,
     db: Option<&LearnedImplications>,
 ) -> Result<Vec<bool>, NetlistError> {
-    let mut imp = Implicator::new(netlist)?;
+    prove(netlist, faults, &[], db)
+}
+
+/// The pass itself, over the given constants and optional database.
+fn prove(
+    netlist: &Netlist,
+    faults: &FaultList,
+    constants: &[(GateId, bool)],
+    db: Option<&LearnedImplications>,
+) -> Result<Vec<bool>, NetlistError> {
+    let mut imp = Implicator::with_constants(netlist, constants)?;
     let order = netlist.levelize()?;
     let structure = Structure::compute(netlist, &order, imp.baseline_constants());
     let mut mask = vec![false; faults.len()];
@@ -180,7 +205,7 @@ mod tests {
     fn proven(src: &str) -> (Vec<bool>, FaultList, Netlist) {
         let n = bench::parse(src).unwrap();
         let faults = FaultList::full(&n);
-        let mask = untestable_faults(&n, &faults).unwrap();
+        let mask = untestable_faults(&n, &faults, &[]).unwrap();
         (mask, faults, n)
     }
 
@@ -283,7 +308,7 @@ mod tests {
                    w = XOR(x2, x1)\nz = XOR(x1, x2)\nd = XOR(w, z)\n";
         let n = bench::parse(src).unwrap();
         let faults = FaultList::full(&n);
-        let plain = untestable_faults(&n, &faults).unwrap();
+        let plain = untestable_faults(&n, &faults, &[]).unwrap();
         let db = LearnedImplications::learn(&n).unwrap();
         let learned = untestable_faults_with(&n, &faults, Some(&db)).unwrap();
         for (i, &p) in plain.iter().enumerate() {
@@ -306,7 +331,7 @@ mod tests {
                    na = NOT(a)\nr = OR(a, na)\ny = AND(r, b)\nw = NAND(a, b)\n";
         let n = bench::parse(src).unwrap();
         let faults = FaultList::full(&n);
-        let mask = untestable_faults(&n, &faults).unwrap();
+        let mask = untestable_faults(&n, &faults, &[]).unwrap();
         assert!(mask.iter().any(|&m| m), "expected some proven faults");
         let order = n.levelize().unwrap();
         for (id, f) in faults.iter() {

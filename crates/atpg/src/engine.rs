@@ -9,13 +9,14 @@
 //! drop results and [`AtpgResult`] are bit-identical at any worker count —
 //! `jobs` is a pure throughput knob, pinned by `tests/atpg_equivalence.rs`.
 
-use fbist_bits::{BitVec, SimdWidth};
+use fbist_bits::{pack, BitVec, SimdWidth, Trit};
 use fbist_fault::{FaultId, FaultList, FaultSimulator};
-use fbist_netlist::Netlist;
+use fbist_netlist::{eval_trit, GateId, GateKind, Netlist};
 use fbist_sim::SimError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::miter::{ConstantVerdict, FaultMiter, CONFLICT_BUDGET};
 use crate::podem::{Podem, PodemConfig, PodemOutcome};
 
 /// Target faults PODEM'd per deterministic round — one packed simulation
@@ -70,7 +71,9 @@ pub struct AtpgConfig {
     ///
     /// * the static untestability pre-pass (`fbist-analyze`) removes
     ///   provably untestable faults from the random phase's survivors
-    ///   before PODEM targets them;
+    ///   before PODEM targets them. Its baseline holds the nets the
+    ///   random phase saw at only one value that the SAT fault miter
+    ///   proves constant;
     /// * a PODEM search that reaches [`ESCALATE_AT`](crate::ESCALATE_AT)
     ///   backtracks hands its fault to the SAT fault miter
     ///   ([`FaultMiter`](crate::FaultMiter)), within
@@ -207,6 +210,15 @@ impl Atpg {
         let mut remaining: Vec<FaultId> = faults.iter().map(|(id, _)| id).collect();
 
         // ---- Phase 1: random patterns with fault dropping -------------
+        //
+        // With the pre-pass on, the phase also records, per net, whether
+        // its good value was seen at 0 and at 1: the constant candidates
+        // of Phase 2.
+        let mut seen = Seen::new(if config.static_prepass {
+            self.netlist.gate_count()
+        } else {
+            0
+        });
         let mut stall = 0usize;
         for _ in 0..config.max_random_batches {
             if remaining.is_empty() || stall >= config.random_stall_batches {
@@ -215,6 +227,9 @@ impl Atpg {
             let batch: Vec<BitVec> = (0..config.random_batch)
                 .map(|_| BitVec::random_with(width, &mut || rng.gen::<u64>()))
                 .collect();
+            if config.static_prepass {
+                seen.observe(&self.fsim, &batch);
+            }
             let res = self.fsim.run_wide(
                 &batch,
                 &faults.subset(&remaining),
@@ -248,18 +263,40 @@ impl Atpg {
 
         // ---- Phase 2: static untestability pre-pass on the survivors ---
         //
+        // First the fault miter settles each net the random phase saw at
+        // only one value: UNSAT on "the net takes the other value" proves
+        // it constant. The proven constants join the pre-pass baseline,
+        // where they drive implications and observability blocking.
         // Statically-proven untestable faults are recorded and removed
         // from the target list, so PODEM spends no budget on them. Running
         // the pass after the random phase proves the same faults, in the
         // same index order, as running it on the full list: a provably
         // untestable fault is detected by no pattern, so the random phase
         // never drops one.
+        //
+        // A fault the constants let the pass prove would otherwise have
+        // reached Phase 3 and ended untestable there (or aborted, had the
+        // miter's budget run out). An untestable target adds no pattern,
+        // and the rounds of Phase 3 accept the same serial test sequence
+        // whichever untestable faults leave the queue. So the constants
+        // only move faults into this block of `untestable`.
+        let miter = config
+            .static_prepass
+            .then(|| FaultMiter::new(&self.netlist).expect("netlist already validated"));
         let mut untestable: Vec<FaultId> = Vec::new();
-        if config.static_prepass {
-            let mut proven =
-                fbist_analyze::untestable_faults(&self.netlist, &faults.subset(&remaining))
-                    .expect("netlist already validated")
-                    .into_iter();
+        if let Some(miter) = &miter {
+            let constants = if remaining.is_empty() {
+                Vec::new()
+            } else {
+                proven_constants(&self.netlist, &self.fsim, miter, &mut seen, CONFLICT_BUDGET)
+            };
+            let mut proven = fbist_analyze::untestable_faults(
+                &self.netlist,
+                &faults.subset(&remaining),
+                &constants,
+            )
+            .expect("netlist already validated")
+            .into_iter();
             remaining.retain(|&id| {
                 let untestable_here = proven.next().expect("one verdict per survivor");
                 if untestable_here {
@@ -285,8 +322,8 @@ impl Atpg {
             },
         )
         .expect("netlist already validated");
-        if config.static_prepass {
-            podem.escalate_to_sat();
+        if let Some(miter) = miter {
+            podem.escalate_to_sat(miter);
         }
         let mut aborted = Vec::new();
         let mut podem_tests = 0usize;
@@ -479,6 +516,107 @@ impl Atpg {
     }
 }
 
+/// Per net, whether the random phase saw its good value at 0 and at 1.
+struct Seen {
+    zero: Vec<bool>,
+    one: Vec<bool>,
+    /// Good-circuit value buffer, one word per net.
+    values: Vec<u64>,
+}
+
+impl Seen {
+    fn new(nets: usize) -> Seen {
+        Seen {
+            zero: vec![false; nets],
+            one: vec![false; nets],
+            values: vec![0; nets],
+        }
+    }
+
+    /// Records every net's good values under `patterns`: one good-circuit
+    /// evaluation per 64-pattern block.
+    fn observe(&mut self, fsim: &FaultSimulator, patterns: &[BitVec]) {
+        let sim = fsim.good_simulator();
+        for chunk in patterns.chunks(pack::BLOCK) {
+            let pi_words = pack::pack_patterns(sim.input_count(), chunk);
+            sim.eval_block_into(&pi_words, &mut self.values);
+            let mask = pack::lane_mask(chunk.len());
+            for (i, &v) in self.values.iter().enumerate() {
+                self.zero[i] |= !v & mask != 0;
+                self.one[i] |= v & mask != 0;
+            }
+        }
+    }
+
+    /// The value a net was seen at, if it was seen at exactly one.
+    fn only(&self, i: usize) -> Option<bool> {
+        (self.zero[i] != self.one[i]).then_some(self.one[i])
+    }
+}
+
+/// The non-source nets `seen` holds at one value that are constant at
+/// it, as `(net, value)` in net order. Candidates are visited in
+/// topological order: one whose gate the constants found so far (and
+/// `CONST` gates) already force is constant without a check, since a
+/// gate of constant inputs is constant; the miter settles every other
+/// one within `budget` conflicts, and a refuted or unknown candidate is
+/// left out. A refutation's model is an input pattern that drives its
+/// net to the other value; simulating it into `seen` drops every later
+/// candidate it toggles too, so one check can refute many candidates.
+/// Neither shortcut drops a constant the checks would prove; both only
+/// save SAT checks (over 80 % of them on c1908, big3500 and c7552). A pure
+/// function of the netlist and `seen`.
+fn proven_constants(
+    netlist: &Netlist,
+    fsim: &FaultSimulator,
+    miter: &FaultMiter,
+    seen: &mut Seen,
+    budget: u64,
+) -> Vec<(GateId, bool)> {
+    let mut known: Vec<Option<bool>> = vec![None; netlist.gate_count()];
+    let mut session = miter.session();
+    let mut pins = Vec::new();
+    for id in netlist.levelize().expect("netlist already validated") {
+        let g = netlist.gate(id);
+        let i = id.index();
+        match g.kind() {
+            GateKind::Const0 | GateKind::Const1 => known[i] = Some(g.kind() == GateKind::Const1),
+            kind if !kind.is_source() => {
+                let Some(v) = seen.only(i) else { continue };
+                pins.clear();
+                pins.extend(
+                    g.fanin()
+                        .iter()
+                        .map(|f| known[f.index()].map_or(Trit::X, Trit::from_bool)),
+                );
+                let forced = eval_trit(kind, &pins).to_bool();
+                debug_assert!(
+                    forced.is_none_or(|f| f == v),
+                    "a constant was seen at its other value"
+                );
+                if forced.is_some() {
+                    known[i] = Some(v);
+                    continue;
+                }
+                match session.check_constant_with_budget(id, v, budget) {
+                    ConstantVerdict::Constant => known[i] = Some(v),
+                    ConstantVerdict::Toggles => {
+                        seen.observe(fsim, &[session.model_cube().fill_const(false)]);
+                        debug_assert!(seen.only(i).is_none(), "the model toggles its net");
+                    }
+                    ConstantVerdict::Unknown => {}
+                }
+            }
+            _ => {}
+        }
+    }
+    netlist
+        .iter()
+        .filter(|(_, g)| !g.kind().is_source())
+        .filter_map(|(id, _)| Some((id, known[id.index()]?)))
+        .collect()
+}
+
 /// One target fault's round outcome: a filled candidate pattern, or the
 /// search verdict.
 enum RoundOutcome {
@@ -630,6 +768,29 @@ mod tests {
     }
 
     #[test]
+    fn only_proven_constants_reach_the_prepass() {
+        // under the all-zeros pattern every net but e is seen at 0 only;
+        // of the candidates w, z and d only d = XOR(w, z) of the twin
+        // XORs is constant, and e = NOT(d) is then forced. At a
+        // one-conflict budget d's check answers Unknown, which must leave
+        // both out
+        let src = "INPUT(a)\nINPUT(b)\nOUTPUT(e)\n\
+                   w = XOR(b, a)\nz = XOR(a, b)\nd = XOR(w, z)\ne = NOT(d)\n";
+        let n = bench::parse(src).unwrap();
+        let atpg = Atpg::new(&n).unwrap();
+        let miter = FaultMiter::new(&n).unwrap();
+        let d = n.find("d").unwrap();
+        let e = n.find("e").unwrap();
+        let prove = |budget| {
+            let mut seen = Seen::new(n.gate_count());
+            seen.observe(&atpg.fsim, &[BitVec::zeros(2)]);
+            proven_constants(&n, &atpg.fsim, &miter, &mut seen, budget)
+        };
+        assert_eq!(prove(CONFLICT_BUDGET), vec![(d, false), (e, true)]);
+        assert_eq!(prove(1), vec![]);
+    }
+
+    #[test]
     fn compaction_falls_back_when_coverage_would_change() {
         // the release-mode guard: handed an expected coverage the
         // compacted set cannot reach, the engine must keep the
@@ -756,7 +917,7 @@ mod tests {
         assert_eq!(a, b);
         assert!(!on.untestable.is_empty());
         // every statically pruned fault is reported untestable
-        let mask = fbist_analyze::untestable_faults(&n, &faults).unwrap();
+        let mask = fbist_analyze::untestable_faults(&n, &faults, &[]).unwrap();
         for (id, _) in faults.iter() {
             if mask[id.index()] {
                 assert!(on.untestable.contains(&id));
@@ -821,7 +982,7 @@ mod tests {
         let (off, on) = (run(false), run(true));
         assert_sat_contract(&off, &on);
         assert!(!off.aborted.is_empty() && on.aborted.is_empty());
-        let mask = fbist_analyze::untestable_faults(&n, &faults).unwrap();
+        let mask = fbist_analyze::untestable_faults(&n, &faults, &[]).unwrap();
         assert!(
             on.untestable.iter().any(|id| !mask[id.index()]),
             "no fault proven beyond the static pre-pass"

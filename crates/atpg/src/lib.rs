@@ -13,14 +13,16 @@
 //!   abort after a backtrack budget;
 //! * [`FaultMiter`] — a SAT fault miter over the crate's CDCL solver that
 //!   decides every fault within a conflict budget: a proof of
-//!   untestability, or a model whose test cube detects the fault;
+//!   untestability, or a model whose test cube detects the fault. It also
+//!   proves nets constant;
 //! * [`Atpg`] — the full engine: a random-pattern phase with fault
-//!   dropping, a static untestability pre-pass on the survivors, a
-//!   deterministic PODEM phase that hands every search reaching its first
-//!   backtrack to the fault miter, and reverse-order compaction. Its
-//!   output — the compacted pattern list plus the list of faults it
-//!   covers — is exactly the `(ATPGTS, F)` pair the reseeding flow starts
-//!   from.
+//!   dropping, a static untestability pre-pass on the survivors that
+//!   starts from the nets the random phase never toggled and the miter
+//!   proves constant, a deterministic PODEM phase that hands every search
+//!   reaching its first backtrack to the fault miter, and reverse-order
+//!   compaction. Its output — the compacted pattern list plus the list
+//!   of faults it covers — is exactly the `(ATPGTS, F)` pair the
+//!   reseeding flow starts from.
 //!
 //! # Example
 //!
@@ -49,5 +51,5 @@ pub use fbist_analyze::testability;
 
 pub use compact::{compact_cubes, compaction_ratio};
 pub use engine::{Atpg, AtpgConfig, AtpgResult, FillMode};
-pub use miter::{FaultMiter, MiterSession, SatVerdict, CONFLICT_BUDGET};
+pub use miter::{ConstantVerdict, FaultMiter, MiterSession, SatVerdict, CONFLICT_BUDGET};
 pub use podem::{Podem, PodemConfig, PodemOutcome, PodemSession, PodemStats, ESCALATE_AT};

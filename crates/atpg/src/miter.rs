@@ -24,10 +24,23 @@
 //! transitive fanin of the cone and the cone's own variables are decision
 //! variables, so the search never branches on logic that cannot influence
 //! the fault.
+//!
+//! The same session also proves constant nets
+//! ([`MiterSession::check_constant`]): the good circuit alone, plus the
+//! unit "the net takes the other value", decided over the net's
+//! transitive fanin. UNSAT proves the net constant under every input, and
+//! a model is an input pattern that drives it to the other value. The
+//! ATPG engine settles each net its random phase saw at only one value
+//! this way (unless constants it already proved force the net's gate),
+//! simulates each refuting model to drop further candidates, and hands
+//! the proven constants to the untestability pre-pass: the
+//! simulate-then-prove scheme of SAT sweeping (Kuehlmann et al., "Robust
+//! Boolean reasoning for equivalence checking and functional property
+//! verification", IEEE TCAD 2002).
 
 use fbist_bits::{Cube, Trit};
 use fbist_fault::{Fault, FaultSite};
-use fbist_netlist::{CsrAdjacency, GateKind, Netlist};
+use fbist_netlist::{CsrAdjacency, GateId, GateKind, Netlist};
 use fbist_sim::SimError;
 
 use crate::sat::{lit, Answer, Lit, Solver};
@@ -43,6 +56,17 @@ pub enum SatVerdict {
     Untestable,
     /// Some input pattern detects the fault.
     Testable,
+    /// The conflict budget ran out first.
+    Unknown,
+}
+
+/// The answer of the good-circuit check for one candidate constant net.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConstantVerdict {
+    /// The net holds the candidate value under every input pattern.
+    Constant,
+    /// Some input pattern drives the net to the other value.
+    Toggles,
     /// The conflict budget ran out first.
     Unknown,
 }
@@ -281,14 +305,7 @@ impl MiterSession<'_> {
 
     pub(crate) fn check_with_budget(&mut self, fault: Fault, budget: u64) -> SatVerdict {
         let m = self.miter;
-        self.work.restore(&m.base);
-        if self.epoch == u32::MAX {
-            self.mark.fill(0);
-            self.tfi.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        let epoch = self.epoch;
+        let epoch = self.begin();
         let stuck = fault.stuck_value();
         let (origin, branch) = match fault.site() {
             FaultSite::GateOutput(g) => (g.index(), None),
@@ -380,6 +397,62 @@ impl MiterSession<'_> {
         for &c in &self.cone {
             self.tfi[c as usize] = epoch;
         }
+        self.decide_fanin();
+
+        match self.work.solve(budget) {
+            Answer::Unsat => SatVerdict::Untestable,
+            Answer::Sat => SatVerdict::Testable,
+            Answer::Unknown => SatVerdict::Unknown,
+        }
+    }
+
+    /// Decides whether `net` holds `value` under every input pattern,
+    /// within [`CONFLICT_BUDGET`] conflicts: the good circuit plus the
+    /// unit `net = ¬value`, deciding only the net's transitive fanin.
+    /// Only [`ConstantVerdict::Constant`] is a proof. A pure function of
+    /// the netlist, the net and the value.
+    pub fn check_constant(&mut self, net: GateId, value: bool) -> ConstantVerdict {
+        self.check_constant_with_budget(net, value, CONFLICT_BUDGET)
+    }
+
+    pub(crate) fn check_constant_with_budget(
+        &mut self,
+        net: GateId,
+        value: bool,
+        budget: u64,
+    ) -> ConstantVerdict {
+        let epoch = self.begin();
+        let i = net.index();
+        self.unit(lit(i as u32, !value));
+        self.stack.clear();
+        self.stack.push(i as u32);
+        self.tfi[i] = epoch;
+        self.decide_fanin();
+        match self.work.solve(budget) {
+            Answer::Unsat => ConstantVerdict::Constant,
+            Answer::Sat => ConstantVerdict::Toggles,
+            Answer::Unknown => ConstantVerdict::Unknown,
+        }
+    }
+
+    /// Restores the work solver to the good circuit and opens a new
+    /// stamp epoch, which it returns.
+    fn begin(&mut self) -> u32 {
+        self.work.restore(&self.miter.base);
+        if self.epoch == u32::MAX {
+            self.mark.fill(0);
+            self.tfi.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.epoch
+    }
+
+    /// Makes the good values of the transitive fanin of the nets on the
+    /// stack (already stamped into `tfi`) decision variables.
+    fn decide_fanin(&mut self) {
+        let m = self.miter;
+        let epoch = self.epoch;
         while let Some(x) = self.stack.pop() {
             let x = x as usize;
             self.work.set_decision(x as u32);
@@ -390,12 +463,6 @@ impl MiterSession<'_> {
                     self.stack.push(f.index() as u32);
                 }
             }
-        }
-
-        match self.work.solve(budget) {
-            Answer::Unsat => SatVerdict::Untestable,
-            Answer::Sat => SatVerdict::Testable,
-            Answer::Unknown => SatVerdict::Unknown,
         }
     }
 
@@ -419,9 +486,11 @@ impl MiterSession<'_> {
         self.work.add_clause(&mut self.clause);
     }
 
-    /// The test cube of the last [`SatVerdict::Testable`] answer: each
-    /// primary input in the checked cone's transitive fanin takes its
-    /// model value, every other input stays X.
+    /// The input cube of the last satisfiable check: each primary input
+    /// in the checked cone's (or net's) transitive fanin takes its model
+    /// value, every other input stays X. After [`SatVerdict::Testable`]
+    /// every fill detects the fault; after [`ConstantVerdict::Toggles`]
+    /// every fill drives the net to the other value.
     pub fn model_cube(&self) -> Cube {
         let m = self.miter;
         let mut cube = Cube::all_x(m.inputs.len());
@@ -508,6 +577,46 @@ mod tests {
     }
 
     #[test]
+    fn constant_nets_are_proven_and_toggling_nets_refuted() {
+        // y = OR(a, NOT a) is constant 1; x = AND(a, b) takes both values
+        let src = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nOUTPUT(x)\n\
+                   na = NOT(a)\ny = OR(a, na)\nx = AND(a, b)\n";
+        let n = bench::parse(src).unwrap();
+        let miter = FaultMiter::new(&n).unwrap();
+        let mut session = miter.session();
+        let (y, x) = (n.find("y").unwrap(), n.find("x").unwrap());
+        assert_eq!(session.check_constant(y, true), ConstantVerdict::Constant);
+        assert_eq!(session.check_constant(y, false), ConstantVerdict::Toggles);
+        // a refutation's model cube drives the net to the other value
+        let sim = fbist_sim::PackedSimulator::new(&n).unwrap();
+        for v in [false, true] {
+            assert_eq!(session.check_constant(x, v), ConstantVerdict::Toggles);
+            let cube = session.model_cube();
+            for fill in [false, true] {
+                let (_, values) = sim.simulate_full(&cube.fill_const(fill));
+                assert_eq!(values[x.index()], !v, "cube {cube}, fill {fill}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_spent_budget_is_unknown_never_a_constant() {
+        // d = XOR(w, z) with twin XORs w and z is constant 0, but refuting
+        // d = 1 takes a conflict: one is the whole budget here
+        let src = "INPUT(a)\nINPUT(b)\nOUTPUT(d)\n\
+                   w = XOR(b, a)\nz = XOR(a, b)\nd = XOR(w, z)\n";
+        let n = bench::parse(src).unwrap();
+        let miter = FaultMiter::new(&n).unwrap();
+        let mut session = miter.session();
+        let d = n.find("d").unwrap();
+        assert_eq!(
+            session.check_constant_with_budget(d, false, 1),
+            ConstantVerdict::Unknown
+        );
+        assert_eq!(session.check_constant(d, false), ConstantVerdict::Constant);
+    }
+
+    #[test]
     fn c1908_quarter_verdicts_never_contradict_podem() {
         let profile = fbist_genbench::profile("c1908").unwrap().scaled(0.25);
         let n = fbist_genbench::generate(&profile, 1);
@@ -537,6 +646,16 @@ mod tests {
             .collect();
         backward.reverse();
         assert_eq!(forward, backward);
+        // a constant check between two fault checks changes neither
+        let interleaved: Vec<SatVerdict> = faults
+            .iter()
+            .enumerate()
+            .map(|(k, (_, f))| {
+                session.check_constant(GateId::from_index(k % n.gate_count()), k % 2 == 0);
+                session.check_with_budget(f, 30)
+            })
+            .collect();
+        assert_eq!(forward, interleaved);
         for (k, (_, f)) in faults.iter().enumerate().step_by(17) {
             assert_eq!(miter.session().check_with_budget(f, 30), forward[k]);
         }

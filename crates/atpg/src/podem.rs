@@ -439,12 +439,13 @@ impl Podem {
         })
     }
 
-    /// Makes every search of this engine's sessions hand its fault to the
-    /// SAT fault miter at [`ESCALATE_AT`] backtracks: a proof ends the
-    /// search `Untestable`, a model ends it with the model's cube, and an
-    /// `Unknown` verdict lets the search continue.
-    pub(crate) fn escalate_to_sat(&mut self) {
-        self.miter = Some(FaultMiter::new(&self.netlist).expect("netlist already validated"));
+    /// Makes every search of this engine's sessions hand its fault to
+    /// `miter`, the fault miter of this engine's netlist, at
+    /// [`ESCALATE_AT`] backtracks: a proof ends the search `Untestable`, a
+    /// model ends it with the model's cube, and an `Unknown` verdict lets
+    /// the search continue.
+    pub(crate) fn escalate_to_sat(&mut self, miter: FaultMiter) {
+        self.miter = Some(miter);
     }
 
     /// Gate `i`'s fanins (CSR slice).
@@ -1265,7 +1266,7 @@ z = OR(c, d, e, f, g, h)
         )
         .unwrap();
         let mut escalating = plain.clone();
-        escalating.escalate_to_sat();
+        escalating.escalate_to_sat(FaultMiter::new(&n).unwrap());
         let (mut p, mut e) = (plain.session(), escalating.session());
         let (mut sat_tests, mut settled_aborts) = (0, 0);
         for (_, fault) in FaultList::collapsed(&n).iter() {

@@ -13,7 +13,7 @@
 //!
 //! | stage | keyed on |
 //! |-------|----------|
-//! | `atpg` | circuit, ATPG settings (seed, batches, backtrack limit, fill, compaction, static pre-pass and, with it, the SAT escalation constants) |
+//! | `atpg` | circuit, ATPG settings (seed, batches, backtrack limit, fill, compaction, static pre-pass and, with it, the SAT escalation constants and a proven-constants marker) |
 //! | `first-detection` | `atpg` inputs + TPG kind + flow seed (**not** τ — see below) |
 //! | `cover` | `first-detection` inputs + τ + solver settings + trim |
 //!
@@ -93,6 +93,9 @@ fn hash_atpg_fragment(d: &mut Digest, atpg: &AtpgConfig) {
     if atpg.static_prepass {
         d.usize(fbist_atpg::ESCALATE_AT);
         d.u64(fbist_atpg::CONFLICT_BUDGET);
+        // the pre-pass starts from the SAT-proven constant nets, which
+        // reorders the untestable list
+        d.str("proven-constants");
     }
 }
 
@@ -664,10 +667,11 @@ mod tests {
     fn c17_default_atpg_key_is_pinned() {
         // The `atpg` artifact of a config is only reusable while the run
         // it caches is unchanged. A change to what ATPG computes for the
-        // same config (here: SAT completion at the first backtrack) must
-        // move this key, and re-pinning it is the deliberate bump.
+        // same config (here: SAT-proven constants in the pre-pass, which
+        // reorder the untestable list) must move this key, and re-pinning
+        // it is the deliberate bump.
         let key = atpg_stage_key(&embedded::c17(), &FlowConfig::new(TpgKind::Adder));
-        assert_eq!(key.digest.to_hex(), "1c6b397200ca61ea273b8e2c35ed4393");
+        assert_eq!(key.digest.to_hex(), "95c723cd2c1aeb10719304ebbe0585c1");
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //! 3. **Every pruned fault really is untestable.** With the knob on, the
 //!    pre-pass part of `untestable` is the full-list mask minus the
 //!    random-phase detections, in index order — and since no pattern
-//!    detects a proven fault, that is the mask itself. No pruned fault is
-//!    aborted or detected.
+//!    detects a proven fault, that is the mask itself. The mask is the
+//!    pass's with every SAT-proven constant net in its baseline, as the
+//!    engine runs it. No pruned fault is aborted or detected.
 //!
 //! A proptest half cross-checks soundness on random circuits: a fault
 //! proven untestable by [`untestable_faults`] is never detected by random
@@ -39,12 +40,16 @@
 //! The SAT fault miter that completes PODEM is held to the same
 //! exhaustive tables: it must prove exactly the faults no input pattern
 //! detects, never running out of budget on circuits this small, and
-//! every model cube it returns must detect its fault under any fill.
+//! every model cube it returns must detect its fault under any fill. Its
+//! constant-net check must prove exactly the nets the truth table holds
+//! constant, and the pre-pass handed those constants must prove a
+//! superset of the plain mask and still no detectable fault.
 
 use fbist_analyze::{fault_relations, untestable_faults_with, LearnedImplications};
-use fbist_atpg::{FaultMiter, SatVerdict};
+use fbist_atpg::{ConstantVerdict, FaultMiter, SatVerdict};
 use fbist_fault::FaultId;
 use fbist_genbench::{all_profiles, generate, CircuitProfile};
+use fbist_netlist::GateId;
 use proptest::prelude::*;
 use set_covering_reseeding::prelude::*;
 
@@ -87,7 +92,22 @@ fn assert_prepass_equivalent(netlist: &Netlist, label: &str) {
     let n = scanned(netlist);
     let atpg = Atpg::new(&n).unwrap();
     let faults = FaultList::collapsed(&n);
-    let statically_proven = untestable_faults(&n, &faults).unwrap();
+    // the engine's pre-pass starts from the nets the miter proves
+    // constant; a constant net is seen at one value only, so the random
+    // phase makes every one of them a candidate
+    let miter = FaultMiter::new(&n).unwrap();
+    let mut session = miter.session();
+    let constants: Vec<(GateId, bool)> = n
+        .iter()
+        .filter(|(_, g)| !g.kind().is_source())
+        .filter_map(|(id, _)| {
+            [false, true]
+                .into_iter()
+                .find(|&v| session.check_constant(id, v) == ConstantVerdict::Constant)
+                .map(|v| (id, v))
+        })
+        .collect();
+    let statically_proven = untestable_faults(&n, &faults, &constants).unwrap();
     let pruned: Vec<FaultId> = faults
         .iter()
         .map(|(id, _)| id)
@@ -158,9 +178,10 @@ fn assert_prepass_equivalent(netlist: &Netlist, label: &str) {
     }
 
     // the learned database only ever adds refutations to the plain pass
+    let plain = untestable_faults(&n, &faults, &[]).unwrap();
     let db = LearnedImplications::learn(&n).unwrap();
     let learned_proven = untestable_faults_with(&n, &faults, Some(&db)).unwrap();
-    for (i, &p) in statically_proven.iter().enumerate() {
+    for (i, &p) in plain.iter().enumerate() {
         assert!(
             !p || learned_proven[i],
             "{label}: learning dropped a plain untestability verdict"
@@ -451,7 +472,7 @@ proptest! {
             }
         }
 
-        let plain = untestable_faults(&netlist, &faults).unwrap();
+        let plain = untestable_faults(&netlist, &faults, &[]).unwrap();
         let learned = untestable_faults_with(&netlist, &faults, Some(&db)).unwrap();
         for (id, f) in faults.iter() {
             prop_assert!(
@@ -479,7 +500,7 @@ proptest! {
         pseed in any::<u64>(),
     ) {
         let faults = FaultList::full(&netlist);
-        let mask = untestable_faults(&netlist, &faults).unwrap();
+        let mask = untestable_faults(&netlist, &faults, &[]).unwrap();
         let fsim = FaultSimulator::new(&netlist).unwrap();
 
         // random pattern sets
@@ -538,6 +559,76 @@ proptest! {
                 if detectable { "detectable" } else { "undetectable" },
                 verdict
             );
+        }
+    }
+
+    /// Soundness of SAT-proven constants: the miter proves a net constant
+    /// exactly when the truth table holds it at that value, refutes every
+    /// other candidate with a table row at the other value, and the
+    /// pre-pass handed the proven constants proves a superset of the plain
+    /// mask and still no fault any input pattern detects.
+    #[test]
+    fn sat_proven_constants_hold_and_strengthen_the_prepass(netlist in arb_redundant_netlist()) {
+        let tables = truth_tables(&netlist);
+        let miter = FaultMiter::new(&netlist).unwrap();
+        let mut session = miter.session();
+        let mut constants = Vec::new();
+        for (id, g) in netlist.iter() {
+            if g.kind().is_source() {
+                continue;
+            }
+            for v in [false, true] {
+                let verdict = session.check_constant(id, v);
+                let constant = tables.iter().all(|row| row[id.index()] == v);
+                prop_assert!(
+                    verdict != ConstantVerdict::Unknown,
+                    "budget spent on {}={}", g.name(), v
+                );
+                prop_assert_eq!(
+                    verdict == ConstantVerdict::Constant,
+                    constant,
+                    "{}={} is {} in the truth table but the miter says {:?}",
+                    g.name(),
+                    v,
+                    if constant { "constant" } else { "not constant" },
+                    verdict
+                );
+                match verdict {
+                    ConstantVerdict::Constant => constants.push((id, v)),
+                    ConstantVerdict::Toggles => {
+                        // the model cube drives the net to the other value
+                        let cube = session.model_cube();
+                        for fill in [false, true] {
+                            let p = cube.fill_const(fill);
+                            let row = (0..p.width()).fold(0, |r, k| r | (p.get(k) as usize) << k);
+                            prop_assert_eq!(
+                                tables[row][id.index()], !v,
+                                "the model cube {} of {}={} misses the other value", cube, g.name(), v
+                            );
+                        }
+                    }
+                    ConstantVerdict::Unknown => {}
+                }
+            }
+        }
+
+        let faults = FaultList::full(&netlist);
+        let detected = detection_tables(&netlist, &faults);
+        let plain = untestable_faults(&netlist, &faults, &[]).unwrap();
+        let with_constants = untestable_faults(&netlist, &faults, &constants).unwrap();
+        for (id, f) in faults.iter() {
+            prop_assert!(
+                !plain[id.index()] || with_constants[id.index()],
+                "the constants dropped the plain verdict on {}",
+                f.describe(&netlist)
+            );
+            if with_constants[id.index()] {
+                prop_assert!(
+                    detected.iter().all(|det| !det.get(id.index())),
+                    "the pre-pass with constants claims {} untestable but a pattern detects it",
+                    f.describe(&netlist)
+                );
+            }
         }
     }
 

@@ -29,8 +29,12 @@
 //! full-scale profiles: the digest of the encoded pure-PODEM `AtpgResult`
 //! and the summed `PodemStats` of a search over every collapsed fault.
 //! Any change to decision order, backtracking or implication counting
-//! moves them. A digest of the default (SAT-completed) `AtpgResult` is
-//! pinned next to them.
+//! moves them. Three digests of the default (SAT-completed) `AtpgResult`
+//! are pinned next to them: the whole encoded result, everything but the
+//! order of its `untestable` list, and the sorted `untestable` set. A
+//! change that only moves faults between the pre-pass and the PODEM
+//! phase's verdicts (the pre-pass lists its faults first) moves the first
+//! alone.
 
 use fbist_atpg::{Podem, PodemConfig, PodemOutcome};
 use fbist_fault::FaultList;
@@ -269,6 +273,39 @@ fn result_digest(r: &AtpgResult) -> String {
     d.finish().to_hex()
 }
 
+/// The digest of everything an `AtpgResult` decides except the order of
+/// its `untestable` list: the patterns in order, the detection flags,
+/// `random_detected`, `podem_tests` and the `aborted` list.
+fn outcome_digest(r: &AtpgResult) -> String {
+    let mut d = Digest::new("atpg-outcome");
+    d.usize(r.patterns.len());
+    for p in &r.patterns {
+        d.usize(p.width());
+        d.u64_slice(p.as_words());
+    }
+    d.usize(r.detected.width());
+    d.u64_slice(r.detected.as_words());
+    d.usize(r.random_detected);
+    d.usize(r.podem_tests);
+    d.usize(r.aborted.len());
+    for id in &r.aborted {
+        d.usize(id.index());
+    }
+    d.finish().to_hex()
+}
+
+/// The digest of the sorted `untestable` set of an `AtpgResult`.
+fn untestable_digest(r: &AtpgResult) -> String {
+    let mut ids: Vec<usize> = r.untestable.iter().map(|id| id.index()).collect();
+    ids.sort_unstable();
+    let mut d = Digest::new("atpg-untestable");
+    d.usize(ids.len());
+    for id in ids {
+        d.usize(id);
+    }
+    d.finish().to_hex()
+}
+
 /// Summed search statistics and outcome counts of one PODEM search per
 /// collapsed fault, `[decisions, backtracks, implications, tests,
 /// untestable, aborted]`, plus a digest of every cube in fault order.
@@ -307,7 +344,7 @@ fn assert_matches_golden(
     totals: [usize; 6],
     cubes: &str,
     digest: &str,
-    sat_digest: &str,
+    sat_digests: [&str; 3],
 ) {
     let n = full(profile);
     let atpg = Atpg::new(&n).unwrap();
@@ -332,9 +369,20 @@ fn assert_matches_golden(
         "{profile}: pure-PODEM AtpgResult digest moved"
     );
     let on = atpg.run(&faults, &AtpgConfig::default());
+    let [full, outcome, untestable] = sat_digests;
+    assert_eq!(
+        outcome_digest(&on),
+        outcome,
+        "{profile}: a SAT-completed pattern, detection or count moved"
+    );
+    assert_eq!(
+        untestable_digest(&on),
+        untestable,
+        "{profile}: the SAT-completed untestable set moved"
+    );
     assert_eq!(
         result_digest(&on),
-        sat_digest,
+        full,
         "{profile}: SAT-completed AtpgResult digest moved"
     );
     assert_sat_contract(&off, &on, profile);
@@ -347,7 +395,11 @@ fn golden_search_mid256() {
         [29893, 21201, 51943, 791, 58, 29],
         "709907ea9a0e23f821991cf14b525c00",
         "766d89dfc392a69c543956d23fc30505",
-        "7d11fbd76e64f0dd4c06c62d6a41fedc",
+        [
+            "3d9aa44bdcd366ad9e87ea08bf288bb4",
+            "9cd4d9a61cdddb4ed2ccee0c73b12fec",
+            "91061aa58520685cf2e95e1d47938518",
+        ],
     );
 }
 
@@ -358,7 +410,11 @@ fn golden_search_s953() {
         [73425, 57007, 131826, 1323, 71, 113],
         "f98729c3aa9e739d4b8517253d9bbb4e",
         "6334fca8faa4c84cdbf4caf4ff1f4e29",
-        "aa3eb1c456d97f7b316bc408edf2a199",
+        [
+            "1e66f608337467aba5acc382cdfa3562",
+            "2d300afbceb6c240b4168a2afd562c2c",
+            "b634b2bb428030daf9fcf4b996759c46",
+        ],
     );
 }
 
@@ -369,6 +425,10 @@ fn golden_search_c880() {
         [86636, 70863, 158752, 1183, 70, 142],
         "6b7a2f6e08793cc9f73e29c0ee4e6aa8",
         "a7f369e4a2391b75ce5147ce6b461a06",
-        "f896e8c4683d320cd9fdf0f2408aea0b",
+        [
+            "648933f1fe257f70cb60b179447dc2f9",
+            "64f00e07e684dc462bd6079acbd9b519",
+            "5edea97a70c05e9964c377fdec392481",
+        ],
     );
 }
