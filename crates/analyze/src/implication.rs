@@ -6,14 +6,11 @@
 //! assumed scenario impossible in the fault-free circuit. The engine
 //! propagates *direct* implications — forward gate evaluation plus the
 //! classical backward rules (all-inputs forced, last-free-input forced,
-//! parity completion) — to a fixpoint. On its own it is deliberately
-//! incomplete (no learning, no recursion): everything it proves is sound,
-//! cheap, and fault-independent, which is exactly what the FIRE-style
-//! untestability pre-pass in [`crate::untestable`] needs. The
-//! [`crate::learning`] layer closes part of the gap: queries can be handed
-//! a [`LearnedImplications`] database, and whenever a net settles to a
-//! definite value during propagation its learned consequences (and learned
-//! global constants) are applied as additional implications.
+//! parity completion) — to a fixpoint. It is deliberately incomplete (no
+//! learning, no recursion): everything it proves is sound, cheap, and
+//! fault-independent, which is exactly what the FIRE-style untestability
+//! pre-pass in [`crate::untestable`] needs. What it cannot prove, the SAT
+//! fault miter of `fbist-atpg` decides.
 //!
 //! Queries are epoch-stamped overlays over a baseline computed once by
 //! constant propagation from `CONST0`/`CONST1` gates and from any proven
@@ -23,19 +20,17 @@
 
 use fbist_netlist::{GateId, GateKind, Netlist, NetlistError};
 
-use crate::learning::LearnedImplications;
-
 /// Two-bit value set: bit 0 = "can be 0", bit 1 = "can be 1".
-pub(crate) type Tv = u8;
+type Tv = u8;
 /// Definitely logic 0.
-pub(crate) const TV_ZERO: Tv = 0b01;
+const TV_ZERO: Tv = 0b01;
 /// Definitely logic 1.
-pub(crate) const TV_ONE: Tv = 0b10;
+const TV_ONE: Tv = 0b10;
 /// Unknown: either value possible.
-pub(crate) const TV_X: Tv = 0b11;
+const TV_X: Tv = 0b11;
 
 #[inline]
-pub(crate) fn tv_from_bool(b: bool) -> Tv {
+fn tv_from_bool(b: bool) -> Tv {
     if b {
         TV_ONE
     } else {
@@ -50,7 +45,7 @@ fn tv_not(v: Tv) -> Tv {
 }
 
 #[inline]
-pub(crate) fn tv_definite(v: Tv) -> Option<bool> {
+fn tv_definite(v: Tv) -> Option<bool> {
     match v {
         TV_ZERO => Some(false),
         TV_ONE => Some(true),
@@ -70,15 +65,10 @@ pub struct Implicator {
     stamp: Vec<u32>,
     /// "In worklist" marker, valid where `queued == epoch`.
     queued: Vec<u32>,
-    /// "Learned row already applied" marker, valid where `== epoch`:
-    /// a net's learned consequences join the fixpoint the first time it
-    /// is popped definite, and a worklist revisit must not rescan the
-    /// row (rows are static per query, so one application saturates).
-    row_done: Vec<u32>,
     epoch: u32,
     queue: Vec<u32>,
-    /// Nets written for the first time in the current epoch (all definite
-    /// unless the query contradicted) — the query's consequence set.
+    /// Nets written for the first time in the current epoch: the nets
+    /// [`Implicator::with_constants`] copies into the baseline.
     touched: Vec<u32>,
     contra: bool,
 }
@@ -148,7 +138,6 @@ impl Implicator {
             base,
             stamp: vec![0; n],
             queued: vec![0; n],
-            row_done: vec![0; n],
             epoch: 0,
             queue: Vec::new(),
             touched: Vec::new(),
@@ -164,7 +153,7 @@ impl Implicator {
             for &(net, v) in constants {
                 imp.set(net.index(), tv_from_bool(v));
             }
-            imp.propagate(None);
+            imp.propagate();
             assert!(!imp.contra, "the given constants contradict the circuit");
             for &i in &imp.touched {
                 imp.base[i as usize] = imp.cur[i as usize];
@@ -184,23 +173,11 @@ impl Implicator {
     /// a contradiction in the fault-free circuit — i.e. the scenario is
     /// provably impossible.
     pub fn contradicts(&mut self, assumptions: &[(GateId, bool)]) -> bool {
-        self.contradicts_with(assumptions, None)
-    }
-
-    /// [`Implicator::contradicts`] strengthened by a learned-implication
-    /// database: whenever a net settles to a definite value, its learned
-    /// consequences are applied too, so strictly more scenarios are
-    /// refutable (everything the direct engine proves is still proved).
-    pub fn contradicts_with(
-        &mut self,
-        assumptions: &[(GateId, bool)],
-        db: Option<&LearnedImplications>,
-    ) -> bool {
         self.begin();
         for &(g, v) in assumptions {
             self.set(g.index(), tv_from_bool(v));
         }
-        self.propagate(db);
+        self.propagate();
         self.contra
     }
 
@@ -220,139 +197,11 @@ impl Implicator {
         }
     }
 
-    /// Assumes the encoded literals, propagates to a fixpoint (db-aware
-    /// when `db` is given) and returns the nets that settled to a definite
-    /// value, encoded as sorted literals (`2·net + value`). `None` means
-    /// the assumption set is contradictory. This is the primitive the
-    /// [`crate::learning`] builder runs once per candidate literal.
-    pub(crate) fn consequences_with(
-        &mut self,
-        assumptions: &[(u32, bool)],
-        db: Option<&LearnedImplications>,
-    ) -> Option<Vec<u32>> {
-        self.begin();
-        for &(g, v) in assumptions {
-            self.set(g as usize, tv_from_bool(v));
-        }
-        self.propagate(db);
-        if self.contra {
-            return None;
-        }
-        let mut lits: Vec<u32> = self
-            .touched
-            .iter()
-            .map(|&i| {
-                let v = tv_definite(self.cur[i as usize]).expect("touched nets are definite");
-                i * 2 + v as u32
-            })
-            .collect();
-        lits.sort_unstable();
-        Some(lits)
-    }
-
-    /// The definite value net `i` holds right now (valid until the next
-    /// query begins). Used by the learning builder to inspect the fixpoint
-    /// reached by the last [`Implicator::consequences_with`] call.
-    pub(crate) fn definite(&self, i: usize) -> Option<bool> {
-        tv_definite(self.value(i))
-    }
-
-    // --- incremental sessions -------------------------------------------
-    //
-    // The learning builder case-splits *on top of* an existing fixpoint
-    // thousands of times per netlist. Re-propagating the base assumptions
-    // for every case would dominate the build, so these four methods run a
-    // query as a live session instead: values only ever narrow (X to
-    // definite — a definite-to-definite change is a contradiction), so the
-    // `touched` list is a chronological trail and rewinding is a stamp
-    // reset plus truncate. Each case then costs only its own delta.
-
-    /// Starts an incremental session: assumes the encoded literals and
-    /// propagates to a fixpoint. Returns `false` on contradiction. The
-    /// session stays live until the next `begin`-style query.
-    pub(crate) fn begin_fixpoint(
-        &mut self,
-        assumptions: &[(u32, bool)],
-        db: Option<&LearnedImplications>,
-    ) -> bool {
-        self.begin();
-        for &(g, v) in assumptions {
-            self.set(g as usize, tv_from_bool(v));
-        }
-        self.propagate(db);
-        !self.contra
-    }
-
-    /// The current trail position, for [`Implicator::undo_to`].
-    pub(crate) fn mark(&self) -> usize {
-        self.touched.len()
-    }
-
-    /// Additionally assumes `net = v` on the live fixpoint and propagates
-    /// the consequences. Returns `false` on contradiction (the caller is
-    /// expected to rewind with [`Implicator::undo_to`]).
-    pub(crate) fn assume(&mut self, net: u32, v: bool, db: Option<&LearnedImplications>) -> bool {
-        self.assume_budgeted(net, v, db, usize::MAX)
-    }
-
-    /// [`Implicator::assume`] with a deterministic cap on worklist pops.
-    /// An exhausted budget stops the sweep early and reports "feasible":
-    /// the partial trail is still a sound consequence set (values only
-    /// ever narrow), so a caller intersecting case deltas merely learns
-    /// less, and a contradiction past the horizon is conservatively
-    /// missed. This bounds the cost of case splits whose assumption
-    /// floods a huge forward cone the intersection would discard anyway.
-    pub(crate) fn assume_budgeted(
-        &mut self,
-        net: u32,
-        v: bool,
-        db: Option<&LearnedImplications>,
-        budget: usize,
-    ) -> bool {
-        self.set(net as usize, tv_from_bool(v));
-        self.propagate_budgeted(db, budget);
-        !self.contra
-    }
-
-    /// Rewinds the live session to `mark`: every net settled after it
-    /// reverts to its baseline value and any contradiction is forgotten.
-    pub(crate) fn undo_to(&mut self, mark: usize) {
-        for &i in &self.touched[mark..] {
-            self.stamp[i as usize] = 0;
-            // Rewound nets lose their settled value, so their learned rows
-            // must fire again if a later case resettles them. (Nets that
-            // settled *before* the mark had their rows applied before it
-            // too — propagate always reaches a fixpoint first — so those
-            // markers stay valid.)
-            self.row_done[i as usize] = 0;
-        }
-        self.touched.truncate(mark);
-        self.contra = false;
-    }
-
-    /// The nets settled since `mark`, as encoded literals, in settlement
-    /// order. Only meaningful while the session is contradiction-free.
-    pub(crate) fn trail_lits(&self, mark: usize) -> impl Iterator<Item = u32> + '_ {
-        self.touched[mark..].iter().map(|&i| {
-            let v = tv_definite(self.cur[i as usize]).expect("touched nets are definite");
-            i * 2 + v as u32
-        })
-    }
-
-    pub(crate) fn gate_kind(&self, i: usize) -> GateKind {
-        self.kinds[i]
-    }
-
-    pub(crate) fn gate_fanin(&self, i: usize) -> &[u32] {
-        &self.fanin[i]
-    }
-
     fn begin(&mut self) {
         if self.epoch == u32::MAX - 1 {
             // Practically unreachable; reset the stamps rather than wrap.
             self.stamp.fill(0);
             self.queued.fill(0);
-            self.row_done.fill(0);
             self.epoch = 0;
         }
         self.epoch += 1;
@@ -405,51 +254,14 @@ impl Implicator {
         }
     }
 
-    fn propagate(&mut self, db: Option<&LearnedImplications>) {
-        self.propagate_budgeted(db, usize::MAX);
-    }
-
-    fn propagate_budgeted(&mut self, db: Option<&LearnedImplications>, mut budget: usize) {
+    fn propagate(&mut self) {
         while !self.contra {
-            if budget == 0 {
-                break;
-            }
-            budget -= 1;
             let g = match self.queue.pop() {
                 Some(g) => g as usize,
                 None => break,
             };
             self.queued[g] = 0; // allow re-scheduling if new info arrives
-            if let Some(db) = db {
-                if let Some(v) = tv_definite(self.value(g)) {
-                    if self.row_done[g] != self.epoch {
-                        self.row_done[g] = self.epoch;
-                        // A learned global constant of the opposite polarity
-                        // refutes the scenario outright; otherwise every
-                        // learned consequence of `g = v` joins the fixpoint.
-                        if db.constant_index(g) == Some(!v) {
-                            self.contra = true;
-                            break;
-                        }
-                        for &lit in db.implied_lits(g, v) {
-                            self.set((lit >> 1) as usize, tv_from_bool(lit & 1 == 1));
-                            if self.contra {
-                                break;
-                            }
-                        }
-                        if self.contra {
-                            break;
-                        }
-                    }
-                }
-            }
             self.process(g);
-        }
-        // On a contradiction or budget abort, unprocessed entries keep
-        // their "in worklist" stamp; clear it so a rewound incremental
-        // session can re-schedule them within the same epoch.
-        while let Some(g) = self.queue.pop() {
-            self.queued[g as usize] = 0;
         }
     }
 
@@ -548,7 +360,7 @@ impl Implicator {
 }
 
 /// Kleene evaluation of one gate over two-bit values.
-pub(crate) fn eval_gate(kind: GateKind, vals: impl Iterator<Item = Tv>) -> Tv {
+fn eval_gate(kind: GateKind, vals: impl Iterator<Item = Tv>) -> Tv {
     match kind {
         GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
             let ctrl = tv_from_bool(kind.controlling_value().expect("and/or family"));

@@ -5,8 +5,9 @@
 //! 1. **Is the circuit structurally sane?** [`analyze`] produces an
 //!    [`AnalysisReport`] of combinational cycles (full paths, via the
 //!    shared SCC pass in `fbist-netlist`), unconnected flip-flops,
-//!    floating nets, statically unobservable logic, and dead logic behind
-//!    constant inputs — the diagnostics surfaced by `fbist check`.
+//!    floating nets, statically unobservable logic, dead logic behind
+//!    constant inputs, and nets the implication engine proves constant —
+//!    the static half of `fbist check`.
 //! 2. **Which stuck-at faults are provably untestable?**
 //!    [`untestable_faults`] runs a FIRE-style fault-independent pass over
 //!    the [`Implicator`], a direct-implication engine on the two-bit
@@ -14,29 +15,20 @@
 //!    prune hopeless targets among the random phase's survivors before
 //!    spending PODEM backtrack budget on them.
 //!
-//! On top of the direct engine, the [`learning`] module computes a
-//! SOCRATES-style **learned-implication database**
-//! ([`LearnedImplications`]): contrapositives of every forward-implication
-//! sweep plus bounded recursive learning (a complete case split on each
-//! queried gate left unjustified at its fixpoint, default depth
-//! [`learning::DEFAULT_RECURSION_DEPTH`]). The database is a CSR table
-//! mapping each literal `2·net + value` to the closed, sorted set of
-//! literals it implies, plus learned global constants — so consumers query
-//! it with a slice lookup. [`untestable_faults_with`] uses it to prove
-//! strictly more faults untestable and to close verdicts over
-//! implication-proved fault equivalence and dominance
-//! ([`fault_relations`]); `fbist check` reports the redundancies only
-//! the learned pass proves.
+//! The pass is deliberately incomplete. Exact answers come from the SAT
+//! fault miter of `fbist-atpg`, which depends on this crate:
+//! `fbist_atpg::prove_redundancy` classifies every fault and proves the
+//! constant nets, and `fbist check` adds its findings to the report.
 //!
 //! The crate is also the shared home for fault-independent netlist
 //! *measures*: [`testability`] holds the SCOAP
 //! controllability/observability estimates (`fbist-atpg` re-exports it).
 //!
 //! Everything proven here is *sound*: a fault marked untestable has no
-//! test, a learned implication holds in every consistent assignment, and a
-//! gate marked unobservable has no sensitisable path to any observation
-//! point. The analyses are deliberately incomplete — they trade
-//! completeness for a cost that is a small fraction of one ATPG run.
+//! test, an implied constant holds under every input, and a gate marked
+//! unobservable has no sensitisable path to any observation point. The
+//! analyses trade completeness for a cost that is a small fraction of one
+//! ATPG run.
 //!
 //! # Example
 //!
@@ -50,7 +42,7 @@
 //! assert!(mask.iter().any(|&m| m));
 //!
 //! let report = fbist_analyze::analyze(&n);
-//! assert!(!report.has_findings()); // untestable faults are Info, not Warning
+//! assert!(!report.has_findings()); // an implied constant is Info, not Warning
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -58,19 +50,16 @@
 #![warn(missing_docs)]
 
 mod implication;
-pub mod learning;
 mod report;
 mod structure;
 pub mod testability;
 mod untestable;
 
 pub use implication::Implicator;
-pub use learning::{fault_relations, FaultRelations, LearnedImplications};
 pub use report::{AnalysisReport, Finding, Severity, TestabilityEntry};
 pub use testability::Testability;
-pub use untestable::{untestable_faults, untestable_faults_with};
+pub use untestable::untestable_faults;
 
-use fbist_fault::FaultList;
 use fbist_netlist::{GateKind, Netlist};
 
 use report::TestabilityEntry as Entry;
@@ -118,7 +107,6 @@ pub fn analyze(netlist: &Netlist) -> AnalysisReport {
         let mut imp = Implicator::new(netlist).expect("acyclic: levelize succeeds");
         let order = netlist.levelize().expect("acyclic");
         let s = Structure::compute(netlist, &order, imp.baseline_constants());
-        let db = LearnedImplications::learn(netlist).expect("acyclic");
 
         push_capped(
             &mut findings,
@@ -174,15 +162,12 @@ pub fn analyze(netlist: &Netlist) -> AnalysisReport {
             }
             m
         };
-        let baseline = imp.baseline_constants();
         let mut implied = Vec::new();
-        let mut direct_constant = vec![false; netlist.gate_count()];
         for (id, g) in netlist.iter() {
             if g.kind().is_source() || g.kind().is_state() {
                 continue;
             }
             if let Some(v) = imp.implied_constant(id) {
-                direct_constant[id.index()] = true;
                 if !already[id.index()] {
                     implied.push(format!(
                         "net {:?} is provably constant {}",
@@ -193,71 +178,6 @@ pub fn analyze(netlist: &Netlist) -> AnalysisReport {
             }
         }
         push_capped(&mut findings, Severity::Info, "implied-constant", implied);
-
-        // Redundancies only static learning can see: constants needing
-        // recursive case splits or indirect-implication chains.
-        let mut learned = Vec::new();
-        for (id, g) in netlist.iter() {
-            if g.kind().is_source()
-                || g.kind().is_state()
-                || baseline[id.index()].is_some()
-                || direct_constant[id.index()]
-            {
-                continue;
-            }
-            if let Some(v) = db.constant(id) {
-                learned.push(format!(
-                    "net {:?} is constant {} by static learning",
-                    name(netlist, id),
-                    v as u8
-                ));
-            }
-        }
-        push_capped(&mut findings, Severity::Info, "learned-constant", learned);
-
-        let faults = FaultList::full(netlist);
-        let plain = untestable_faults(netlist, &faults, &[]).expect("acyclic");
-        let mask = untestable_faults_with(netlist, &faults, Some(&db)).expect("acyclic");
-        let proven: Vec<String> = faults
-            .iter()
-            .filter(|(fid, _)| mask[fid.index()])
-            .map(|(_, f)| f.describe(netlist))
-            .collect();
-        if !proven.is_empty() {
-            let sample: Vec<&str> = proven.iter().take(5).map(String::as_str).collect();
-            let more = if proven.len() > sample.len() {
-                ", ..."
-            } else {
-                ""
-            };
-            findings.push(Finding {
-                severity: Severity::Info,
-                code: "untestable-faults",
-                message: format!(
-                    "{} of {} stuck-at faults are provably untestable ({}{more})",
-                    proven.len(),
-                    faults.len(),
-                    sample.join(", ")
-                ),
-            });
-        }
-        let extra = mask.iter().zip(&plain).filter(|&(&m, &p)| m && !p).count();
-        if extra > 0 {
-            let samples: Vec<String> = faults
-                .iter()
-                .filter(|(fid, _)| mask[fid.index()] && !plain[fid.index()])
-                .take(5)
-                .map(|(_, f)| f.describe(netlist))
-                .collect();
-            findings.push(Finding {
-                severity: Severity::Info,
-                code: "learned-untestable",
-                message: format!(
-                    "static learning proves {extra} additional faults untestable ({})",
-                    samples.join(", ")
-                ),
-            });
-        }
 
         testability = hard_to_test(netlist);
     }
@@ -314,9 +234,10 @@ fn name(netlist: &Netlist, g: fbist_netlist::GateId) -> &str {
     netlist.gate(g).name()
 }
 
-/// Pushes one finding per item up to [`MAX_LISTED`], folding the overflow
-/// into a single "and N more" finding of the same code.
-fn push_capped(
+/// Pushes one finding per item, up to 20, folding the overflow into a
+/// single "and N more" finding of the same code: how [`analyze`] lists
+/// per-net findings, for callers that add their own.
+pub fn push_capped(
     findings: &mut Vec<Finding>,
     severity: Severity,
     code: &'static str,
@@ -369,7 +290,6 @@ mod tests {
         assert!(codes.contains(&"floating-net"), "{codes:?}");
         assert!(codes.contains(&"unobservable"), "{codes:?}");
         assert!(codes.contains(&"constant-net"), "{codes:?}");
-        assert!(codes.contains(&"untestable-faults"), "{codes:?}");
     }
 
     #[test]
@@ -380,7 +300,6 @@ mod tests {
         assert!(!r.has_findings(), "{}", r.render_text());
         let codes: Vec<&str> = r.findings.iter().map(|f| f.code).collect();
         assert!(codes.contains(&"implied-constant"), "{codes:?}");
-        assert!(codes.contains(&"untestable-faults"), "{codes:?}");
     }
 
     #[test]

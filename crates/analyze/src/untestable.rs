@@ -14,15 +14,8 @@
 //! A contradiction proves no test exists, so the fault is untestable. The
 //! verdicts are then closed over structural equivalence classes from
 //! [`fbist_fault::collapse`]: equivalent faults share their exact test
-//! sets, so one proven member settles the whole class.
-//!
-//! With a [`LearnedImplications`] database
-//! ([`untestable_faults_with`]) the pass proves strictly more: every
-//! implication query additionally applies learned indirect implications
-//! and learned global constants, and the closure also runs over the
-//! implication-proved equivalence classes and dominance pairs of
-//! [`crate::learning::fault_relations`] (an untestable dominator settles
-//! every fault it dominates).
+//! sets, so one proven member settles the whole class, and the pass
+//! queries no further member of a class it has proven.
 //!
 //! The caller may also hand the pass nets proven constant under every
 //! input (the ATPG engine proves them with its SAT fault miter, see
@@ -33,14 +26,15 @@
 //! caller passes an empty slice.
 //!
 //! Everything proven here is sound; the pass is deliberately incomplete
-//! (a `false` entry means "not proven", not "testable").
+//! (a `false` entry means "not proven", not "testable"). The ATPG engine
+//! runs it before PODEM, whose searches the SAT fault miter completes:
+//! `fbist_atpg::prove_redundancy` classifies every fault exactly.
 
 use fbist_fault::collapse::collapse;
 use fbist_fault::{FaultList, FaultSite};
 use fbist_netlist::{GateId, GateKind, Netlist, NetlistError};
 
 use crate::implication::Implicator;
-use crate::learning::{fault_relations, LearnedImplications};
 use crate::structure::Structure;
 
 /// Marks the faults of `faults` that are statically provably untestable,
@@ -60,39 +54,18 @@ pub fn untestable_faults(
     faults: &FaultList,
     constants: &[(GateId, bool)],
 ) -> Result<Vec<bool>, NetlistError> {
-    prove(netlist, faults, constants, None)
-}
-
-/// [`untestable_faults`], optionally strengthened by a learned-implication
-/// database. Everything the plain pass proves is still proven (learning
-/// only ever *adds* refutations), so the learned mask is a superset of
-/// the plain one.
-///
-/// # Errors
-///
-/// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
-pub fn untestable_faults_with(
-    netlist: &Netlist,
-    faults: &FaultList,
-    db: Option<&LearnedImplications>,
-) -> Result<Vec<bool>, NetlistError> {
-    prove(netlist, faults, &[], db)
-}
-
-/// The pass itself, over the given constants and optional database.
-fn prove(
-    netlist: &Netlist,
-    faults: &FaultList,
-    constants: &[(GateId, bool)],
-    db: Option<&LearnedImplications>,
-) -> Result<Vec<bool>, NetlistError> {
     let mut imp = Implicator::with_constants(netlist, constants)?;
     let order = netlist.levelize()?;
     let structure = Structure::compute(netlist, &order, imp.baseline_constants());
-    let mut mask = vec![false; faults.len()];
+    let collapsed = collapse(netlist, faults);
+    let mut class_proven = vec![false; collapsed.representatives.len()];
 
     let mut assumptions = Vec::with_capacity(8);
     for (id, fault) in faults.iter() {
+        let class = collapsed.class_of[id.index()];
+        if class_proven[class] {
+            continue;
+        }
         let v = fault.stuck_value();
         assumptions.clear();
         let proven = match fault.site() {
@@ -102,7 +75,7 @@ fn prove(
                     true
                 } else {
                     assumptions.push((s, !v));
-                    imp.contradicts_with(&assumptions, db)
+                    imp.contradicts(&assumptions)
                 }
             }
             FaultSite::GateInput { gate, pin } => {
@@ -136,64 +109,19 @@ fn prove(
                             // pins likewise get excitation only.
                         }
                     }
-                    imp.contradicts_with(&assumptions, db)
+                    imp.contradicts(&assumptions)
                 }
             }
         };
-        mask[id.index()] = proven;
+        class_proven[class] |= proven;
     }
 
-    // Close the verdicts over structural equivalence classes — and, with a
-    // database, over implication-proved equivalences and dominances too.
-    // Dominance can prove a fault whose class then proves further faults,
-    // so iterate to a fixpoint (monotone, hence terminating).
-    let collapsed = collapse(netlist, faults);
-    let relations = db.map(|db| fault_relations(netlist, faults, db));
-    let mut class_proven = vec![false; collapsed.representatives.len()];
-    let mut learned_class_proven = relations
-        .as_ref()
-        .map(|_| vec![false; faults.len()])
-        .unwrap_or_default();
-    loop {
-        let mut changed = false;
-        for (i, &m) in mask.iter().enumerate() {
-            if m && !class_proven[collapsed.class_of[i]] {
-                class_proven[collapsed.class_of[i]] = true;
-                changed = true;
-            }
-        }
-        for (i, m) in mask.iter_mut().enumerate() {
-            if class_proven[collapsed.class_of[i]] && !*m {
-                *m = true;
-                changed = true;
-            }
-        }
-        if let Some(rel) = &relations {
-            for (i, &m) in mask.iter().enumerate() {
-                let c = rel.class_of[i] as usize;
-                if m && !learned_class_proven[c] {
-                    learned_class_proven[c] = true;
-                    changed = true;
-                }
-            }
-            for (i, m) in mask.iter_mut().enumerate() {
-                if learned_class_proven[rel.class_of[i] as usize] && !*m {
-                    *m = true;
-                    changed = true;
-                }
-            }
-            for &(dom, sub) in &rel.dominances {
-                if mask[dom as usize] && !mask[sub as usize] {
-                    mask[sub as usize] = true;
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    Ok(mask)
+    // Close the verdicts over structural equivalence classes.
+    Ok(collapsed
+        .class_of
+        .iter()
+        .map(|&class| class_proven[class])
+        .collect())
 }
 
 #[cfg(test)]
@@ -293,34 +221,6 @@ mod tests {
         for f in ["s/0", "h/0"] {
             assert!(named.contains(&f.to_owned()), "{f} missing: {named:?}");
         }
-    }
-
-    #[test]
-    fn learning_proves_strictly_more_than_the_plain_pass() {
-        // d = XOR(w, z) where w and z compute the same function through
-        // twin XOR gates, so d is identically 0. No direct rule sees it:
-        // every single-literal query leaves two free pins on every gate,
-        // and d is a primary output so nothing is observability-blocked.
-        // Only the learned database (w ≡ z from the pass-1 case splits,
-        // then the pass-2 re-split of d's gate over those rows) proves d
-        // constant, settling d stuck-at-0.
-        let src = "INPUT(x1)\nINPUT(x2)\nOUTPUT(d)\n\
-                   w = XOR(x2, x1)\nz = XOR(x1, x2)\nd = XOR(w, z)\n";
-        let n = bench::parse(src).unwrap();
-        let faults = FaultList::full(&n);
-        let plain = untestable_faults(&n, &faults, &[]).unwrap();
-        let db = LearnedImplications::learn(&n).unwrap();
-        let learned = untestable_faults_with(&n, &faults, Some(&db)).unwrap();
-        for (i, &p) in plain.iter().enumerate() {
-            assert!(!p || learned[i], "learning dropped a plain verdict");
-        }
-        let plain_named = describe_proven(&plain, &faults, &n);
-        let learned_named = describe_proven(&learned, &faults, &n);
-        assert!(!plain_named.contains(&"d/0".to_owned()), "{plain_named:?}");
-        assert!(
-            learned_named.contains(&"d/0".to_owned()),
-            "{learned_named:?}"
-        );
     }
 
     #[test]

@@ -478,6 +478,28 @@ impl Atpg {
         }
     }
 
+    /// The non-source nets the SAT fault miter proves constant within
+    /// [`CONFLICT_BUDGET`] conflicts, as `(net, value)` in net order: the
+    /// proof [`Atpg::run`]'s pre-pass starts from, over every net. The
+    /// all-zeros pattern and `patterns` pick the candidates, and a
+    /// candidate whose check runs out of budget is left out. Patterns only
+    /// save checks (a net they drive to both values needs none), so any
+    /// set gives the same answer; a test set such as
+    /// [`AtpgResult::patterns`] toggles most nets that are not constant.
+    pub fn constant_nets(&self, patterns: &[BitVec]) -> Vec<(GateId, bool)> {
+        let mut seen = Seen::new(self.netlist.gate_count());
+        seen.observe(&self.fsim, &[BitVec::zeros(self.netlist.inputs().len())]);
+        seen.observe(&self.fsim, patterns);
+        let miter = FaultMiter::new(&self.netlist).expect("netlist already validated");
+        proven_constants(
+            &self.netlist,
+            &self.fsim,
+            &miter,
+            &mut seen,
+            CONFLICT_BUDGET,
+        )
+    }
+
     /// Reverse-order compaction with a real (release-mode) coverage check:
     /// keeps each pattern that first-detects some fault when the set is
     /// replayed in reverse. If the compacted set were ever to cover a

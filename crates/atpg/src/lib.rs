@@ -15,6 +15,9 @@
 //!   decides every fault within a conflict budget: a proof of
 //!   untestability, or a model whose test cube detects the fault. It also
 //!   proves nets constant;
+//! * [`prove_redundancy`] — every fault of a circuit classified as
+//!   detected, untestable or unknown by one [`Atpg`] run, plus its
+//!   constant nets: the redundancy report of `fbist check`;
 //! * [`Atpg`] — the full engine: a random-pattern phase with fault
 //!   dropping, a static untestability pre-pass on the survivors that
 //!   starts from the nets the random phase never toggled and the miter
@@ -46,6 +49,7 @@ mod compact;
 mod engine;
 mod miter;
 mod podem;
+mod redundancy;
 mod sat;
 pub use fbist_analyze::testability;
 
@@ -53,3 +57,4 @@ pub use compact::{compact_cubes, compaction_ratio};
 pub use engine::{Atpg, AtpgConfig, AtpgResult, FillMode};
 pub use miter::{ConstantVerdict, FaultMiter, MiterSession, SatVerdict, CONFLICT_BUDGET};
 pub use podem::{Podem, PodemConfig, PodemOutcome, PodemSession, PodemStats, ESCALATE_AT};
+pub use redundancy::{prove_redundancy, Redundancy};

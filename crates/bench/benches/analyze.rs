@@ -1,18 +1,20 @@
 //! Cost of the static analyses against the ATPG wall clock they amortise.
 //!
-//! Two cheap passes — the full `fbist check` report and the untestability
-//! pre-pass (`AtpgConfig::static_prepass`'s Phase 2 implication pass,
-//! here over the whole fault list and without proven constants) — are
-//! timed on the `mid256` and `big3500` mimics, next to the `big3500`
-//! deterministic ATPG run with the knob off (`atpg_wall/full`, pure
-//! PODEM) and on (`atpg_wall/prepass`). The knob-on run is the whole
-//! default engine: it proves the nets its random phase never toggled
-//! constant with the SAT fault miter, runs the pre-pass on the survivors
-//! with those constants in its baseline, and completes PODEM with SAT, so
-//! the constant proofs are timed inside `atpg_wall/prepass`, not in
-//! `prepass/*`. CI's push-gated `analyze-bench` job bounds the pre-pass at
-//! ≤5 % of the pure-PODEM ATPG wall clock from the `BENCH_results.json`
-//! the criterion shim writes.
+//! Two cheap passes — `analyze`, the static half of `fbist check`
+//! (structural diagnostics, implied constants and the SCOAP report; the
+//! SAT half is an ATPG run like `atpg_wall/prepass`), and the
+//! untestability pre-pass (`AtpgConfig::static_prepass`'s Phase 2
+//! implication pass, here over the whole fault list and without proven
+//! constants) — are timed on the `mid256` and `big3500` mimics, next to
+//! the `big3500` deterministic ATPG run with the knob off
+//! (`atpg_wall/full`, pure PODEM) and on (`atpg_wall/prepass`). The
+//! knob-on run is the whole default engine: it proves the nets its random
+//! phase never toggled constant with the SAT fault miter, runs the
+//! pre-pass on the survivors with those constants in its baseline, and
+//! completes PODEM with SAT, so the constant proofs are timed inside
+//! `atpg_wall/prepass`, not in `prepass/*`. CI's push-gated
+//! `analyze-bench` job bounds the pre-pass at ≤5 % of the pure-PODEM ATPG
+//! wall clock from the `BENCH_results.json` the criterion shim writes.
 //!
 //! Before timing, the bench asserts the semantic contract pinned for every
 //! profile by `tests/analyze_equivalence.rs`: the same random phase with

@@ -48,8 +48,9 @@
 
 use std::process::ExitCode;
 
-use fbist_atpg::{Atpg, AtpgConfig};
-use fbist_fault::{ConeSweeps, FaultList};
+use fbist_analyze::{push_capped, Finding, Implicator, Severity};
+use fbist_atpg::{Atpg, AtpgConfig, Redundancy, CONFLICT_BUDGET};
+use fbist_fault::{ConeSweeps, FaultId, FaultList};
 use fbist_genbench::{all_profiles, generate, profile};
 use fbist_netlist::{bench, full_scan, Netlist, NetlistStats};
 use fbist_setcover::lp;
@@ -153,14 +154,18 @@ block count). Results are identical for every job count and SIMD
 width. Any other flag a subcommand does not list is a usage error (exit
 2), and so is a flag given twice or a flag missing its value; other
 failures exit 1.
-check runs the static analyses only (no simulation): structural errors,
-floating nets, unobservable logic, dead constants, provably untestable
-stuck-at faults (including redundancies only a recursive-learning
-implication database proves), and a SCOAP hard-to-test-region report.
-It exits 0 when clean, 1 when anything of warning severity or worse was
-found, 2 on a usage error; --json emits the report as stable
-machine-readable JSON on stdout (the \"testability\" section lists the
-hardest fault sites by SCOAP difficulty).
+check runs the static analyses (structural errors, floating nets,
+unobservable logic, dead and implied constants, a SCOAP
+hard-to-test-region report), then classifies every stuck-at fault of
+the circuit (of its full-scan core if sequential) with the ATPG below:
+untestable-faults counts the proven untestable faults, sat-untestable
+those beyond the implication pass, unknown-faults those whose SAT check
+spent its budget, and sat-constant lists the nets SAT proves constant
+beyond the implied ones. It exits 0 when clean, 1 when anything of
+warning severity or worse was found, 2 on a usage error; --json emits
+the report as stable machine-readable JSON on stdout (the
+\"testability\" section lists the hardest fault sites by SCOAP
+difficulty).
 ATPG prunes statically-proven-untestable faults among those the random
 phase leaves before any PODEM effort is spent on them, and a PODEM
 search that backtracks hands its fault to a SAT fault miter (within
@@ -593,18 +598,99 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `fbist check`: the static analyses, no simulation. Returns whether
-/// the report contains warning-or-worse findings (the exit-1 condition);
-/// `main` maps that onto the documented exit codes.
+/// `fbist check`: the static analyses plus the redundancy the
+/// SAT-completed ATPG proves, on `--jobs` workers. Returns whether the
+/// report contains warning-or-worse findings (the exit-1 condition);
+/// `main` maps that and every error onto the documented exit codes.
 fn cmd_check(args: &[String]) -> Result<bool, String> {
+    apply_jobs(args)?;
     let n = load_circuit_raw(args)?;
-    let report = fbist_analyze::analyze(&n);
+    let mut report = fbist_analyze::analyze(&n);
+    // a circuit with structural errors has no full-scan core to prove on
+    if n.validate().is_ok() {
+        let r = fbist_atpg::prove_redundancy(&n, 0).map_err(|e| e.to_string())?;
+        push_redundancy(&mut report.findings, &r);
+    }
     if args.iter().any(|a| a == "--json") {
         outln!("{}", report.to_json());
     } else {
         out!("{}", report.render_text());
     }
     Ok(report.has_findings())
+}
+
+/// The findings `check` adds from the SAT-completed ATPG, all of info
+/// severity: one `sat-constant` per constant net the implication engine
+/// cannot prove, then `untestable-faults` (the exact count),
+/// `sat-untestable` (those beyond the implication pass) and
+/// `unknown-faults` (budget spent). A count of zero adds nothing.
+fn push_redundancy(findings: &mut Vec<Finding>, r: &Redundancy) {
+    let n = &r.netlist;
+    let mut imp = Implicator::new(n).expect("validated netlist");
+    let constants: Vec<String> = r
+        .constants
+        .iter()
+        .filter(|&&(id, _)| imp.implied_constant(id).is_none())
+        .map(|&(id, v)| format!("net {:?} is constant {} by SAT", n.gate(id).name(), v as u8))
+        .collect();
+    push_capped(findings, Severity::Info, "sat-constant", constants);
+    // the implication pass proves no testable fault, so running it on the
+    // untestable ones alone (whole equivalence classes, which it closes
+    // over) finds everything it proves, at a fraction of the cost
+    let plain = fbist_analyze::untestable_faults(n, &r.faults.subset(&r.untestable), &[])
+        .expect("validated netlist");
+    let beyond: Vec<FaultId> = r
+        .untestable
+        .iter()
+        .zip(plain)
+        .filter(|&(_, proven)| !proven)
+        .map(|(&id, _)| id)
+        .collect();
+    let total = r.faults.len();
+    let mut push = |code, ids: &[FaultId], what: String| {
+        if ids.is_empty() {
+            return;
+        }
+        let sample: Vec<String> = ids
+            .iter()
+            .take(5)
+            .map(|&id| r.faults.get(id).describe(n))
+            .collect();
+        let more = if ids.len() > sample.len() {
+            ", ..."
+        } else {
+            ""
+        };
+        findings.push(Finding {
+            severity: Severity::Info,
+            code,
+            message: format!("{what} ({}{more})", sample.join(", ")),
+        });
+    };
+    push(
+        "untestable-faults",
+        &r.untestable,
+        format!(
+            "{} of {total} stuck-at faults are provably untestable",
+            r.untestable.len()
+        ),
+    );
+    push(
+        "sat-untestable",
+        &beyond,
+        format!(
+            "SAT proves {} faults untestable beyond the implication pass",
+            beyond.len()
+        ),
+    );
+    push(
+        "unknown-faults",
+        &r.unknown,
+        format!(
+            "{} of {total} faults are unknown: their SAT check spent its {CONFLICT_BUDGET}-conflict budget",
+            r.unknown.len()
+        ),
+    );
 }
 
 /// The ATPG configuration an `atpg` invocation describes: `--seed` and

@@ -172,8 +172,8 @@ fn check_json_testability_schema_is_stable() {
 fn check_json_reports_findings_with_severities() {
     let dir = unique_temp_dir("cli-check");
     let path = dir.join("redundant.bench");
-    // OR(a, NOT a) is constant 1: an info-level untestable-fault finding,
-    // which must NOT flip the exit code
+    // OR(a, NOT a) is constant 1: info-level redundancy findings, which
+    // must NOT flip the exit code
     std::fs::write(&path, "INPUT(a)\nOUTPUT(y)\nna = NOT(a)\ny = OR(a, na)\n").unwrap();
     let (code, stdout, _) = fbist_code(&["check", path.to_str().unwrap(), "--json"]);
     let _ = std::fs::remove_dir_all(&dir);
@@ -182,11 +182,70 @@ fn check_json_reports_findings_with_severities() {
         Some(0),
         "info findings must not fail the check: {stdout}"
     );
+    // the implication engine proves y constant, so SAT adds no constant
+    // of its own; it still proves a's faults, which y masks, untestable
+    for (code, message) in [
+        ("implied-constant", "net \\\"y\\\" is provably constant 1"),
+        (
+            "untestable-faults",
+            "7 of 12 stuck-at faults are provably untestable",
+        ),
+        (
+            "sat-untestable",
+            "SAT proves 2 faults untestable beyond the implication pass (a/0, a/1)",
+        ),
+    ] {
+        let entry = format!("{{\"severity\":\"info\",\"code\":\"{code}\",\"message\":\"{message}");
+        assert!(stdout.contains(&entry), "missing {entry}: {stdout}");
+    }
     assert!(
-        stdout.contains("\"code\":\"untestable-faults\""),
+        stdout.contains("\"summary\":{\"errors\":0,\"warnings\":0,\"infos\":3}"),
         "{stdout}"
     );
-    assert!(stdout.contains("\"severity\":\"info\""), "{stdout}");
+}
+
+#[test]
+fn check_proves_the_twin_xor_constant_with_sat() {
+    // d = XOR(XOR(a, b), XOR(b, a)) is constant 0, which no direct
+    // implication sees: SAT proves the constant and d/0, and with d
+    // constant, no fault on a or b reaches the output either
+    let dir = unique_temp_dir("cli-check");
+    let path = dir.join("twin-xor.bench");
+    let src = "INPUT(a)\nINPUT(b)\nOUTPUT(d)\nw = XOR(a, b)\nz = XOR(b, a)\nd = XOR(w, z)\n";
+    std::fs::write(&path, src).unwrap();
+    let (code, stdout, stderr) = fbist_code(&["check", path.to_str().unwrap()]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(code, Some(0), "{stdout}{stderr}");
+    assert!(!stdout.contains("[implied-constant]"), "{stdout}");
+    assert!(
+        stdout.contains("info: [sat-constant] net \"d\" is constant 0 by SAT"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains(
+            "info: [sat-untestable] SAT proves 5 faults untestable beyond the implication pass \
+             (a/0, a/1, b/0, b/1, d/0)"
+        ),
+        "{stdout}"
+    );
+    assert!(stdout.contains("0 errors, 0 warnings, 3 infos"), "{stdout}");
+}
+
+#[test]
+fn check_applies_and_validates_jobs() {
+    let (code, stdout, stderr) = fbist_code(&["check", "c17", "--jobs", "abc"]);
+    assert_eq!(code, Some(2), "{stdout}{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(stderr.contains("--jobs"), "{stderr}");
+    // check runs the parallel PODEM rounds, whose results never depend on
+    // the worker count
+    for circuit in ["big3500", "s953"] {
+        let (ok_1, out_1, err_1) = fbist(&["check", circuit, "--jobs", "1"]);
+        let (ok_4, out_4, err_4) = fbist(&["check", circuit, "--jobs", "4"]);
+        assert!(ok_1 && ok_4, "{circuit}: {err_1}{err_4}");
+        assert!(out_1.contains("[untestable-faults]"), "{circuit}: {out_1}");
+        assert_eq!(out_1, out_4, "{circuit}: --jobs changed the check report");
+    }
 }
 
 #[test]
@@ -329,8 +388,8 @@ reseed c17 --tau 3
 
 #[test]
 fn knob_flags_fail_where_nothing_reads_them() {
-    // a subcommand that simulates nothing must not accept --simd-width:
-    // it would be silently ignored
+    // a subcommand that does not read --simd-width must not accept it
+    // (check's ATPG runs at the auto width): it would be silently ignored
     let mut cases = vec![
         vec!["serve", "--simd-width", "4"],
         vec!["profiles", "--simd-width", "4"],

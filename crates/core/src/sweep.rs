@@ -64,9 +64,9 @@ pub struct SweepPoint {
 ///
 /// The ATPG run is shared across all τ values, and so is the
 /// Detection-Matrix fault simulation: one first-detection pass at
-/// `max(taus)` from which every point's matrix is derived by thresholding
-/// (see the [module docs](self)). Duplicate τ values are computed once and
-/// share their point.
+/// `max(taus)` from which every point's matrix is derived by
+/// thresholding. Duplicate τ values are computed once and share their
+/// point.
 ///
 /// The per-point work is independent, so points evaluate in parallel on
 /// the workspace pool (`config.jobs`; `0` = global default). Each point's

@@ -29,24 +29,19 @@
 //! proven untestable by [`untestable_faults`] is never detected by random
 //! pattern sets nor by the full ATPG-generated test set.
 //!
-//! Static learning (used by `fbist check`) is held to the same tables:
-//!
-//! * the learned pre-pass proves everything the plain one proves;
-//! * proptests validate every learned implication, learned constant,
-//!   implication-proved fault equivalence, and dominance edge against
-//!   exhaustive truth-table simulation of the random circuit (≤ 4 inputs,
-//!   so ≤ 16 patterns enumerate the whole input space).
-//!
-//! The SAT fault miter that completes PODEM is held to the same
-//! exhaustive tables: it must prove exactly the faults no input pattern
-//! detects, never running out of budget on circuits this small, and
-//! every model cube it returns must detect its fault under any fill. Its
-//! constant-net check must prove exactly the nets the truth table holds
-//! constant, and the pre-pass handed those constants must prove a
-//! superset of the plain mask and still no detectable fault.
+//! The SAT fault miter that completes PODEM is held to exhaustive
+//! truth tables of the random circuit (≤ 4 inputs, so ≤ 16 patterns
+//! enumerate the whole input space): it must prove exactly the faults no
+//! input pattern detects, never running out of budget on circuits this
+//! small, and every model cube it returns must detect its fault under any
+//! fill. Its constant-net check must prove exactly the nets the truth
+//! table holds constant, and the pre-pass handed those constants must
+//! prove a superset of the plain mask and still no detectable fault.
+//! [`prove_redundancy`], the prover behind `fbist check`, is held to the
+//! same tables: exactly the undetectable faults, exactly the constant
+//! nets, and no unknowns.
 
-use fbist_analyze::{fault_relations, untestable_faults_with, LearnedImplications};
-use fbist_atpg::{ConstantVerdict, FaultMiter, SatVerdict};
+use fbist_atpg::{prove_redundancy, ConstantVerdict, FaultMiter, SatVerdict};
 use fbist_fault::FaultId;
 use fbist_genbench::{all_profiles, generate, CircuitProfile};
 use fbist_netlist::GateId;
@@ -174,17 +169,6 @@ fn assert_prepass_equivalent(netlist: &Netlist, label: &str) {
         assert!(
             on.untestable.len() >= off.untestable.len(),
             "{label} jobs={jobs}: prepass lost untestable classifications"
-        );
-    }
-
-    // the learned database only ever adds refutations to the plain pass
-    let plain = untestable_faults(&n, &faults, &[]).unwrap();
-    let db = LearnedImplications::learn(&n).unwrap();
-    let learned_proven = untestable_faults_with(&n, &faults, Some(&db)).unwrap();
-    for (i, &p) in plain.iter().enumerate() {
-        assert!(
-            !p || learned_proven[i],
-            "{label}: learning dropped a plain untestability verdict"
         );
     }
 }
@@ -406,92 +390,6 @@ fn detection_tables(n: &Netlist, faults: &FaultList) -> Vec<BitVec> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Soundness of the learned database itself: every learned implication
-    /// and every learned constant holds on every input pattern.
-    #[test]
-    fn learned_implications_hold_exhaustively(netlist in arb_redundant_netlist()) {
-        let db = LearnedImplications::learn(&netlist).unwrap();
-        let tables = truth_tables(&netlist);
-        for (gid, g) in netlist.iter() {
-            if let Some(b) = db.constant(gid) {
-                for row in &tables {
-                    prop_assert_eq!(
-                        row[gid.index()], b,
-                        "learned constant {}={} violated", g.name(), b
-                    );
-                }
-            }
-            for v in [false, true] {
-                for (w, c) in db.implied(gid, v) {
-                    for row in &tables {
-                        if row[gid.index()] == v {
-                            prop_assert_eq!(
-                                row[w.index()], c,
-                                "learned {}={} => {}={} violated",
-                                g.name(), v, netlist.gate(w).name(), c
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Soundness of the implication-derived fault relations: equivalent
-    /// faults share their exact test set, every test of a dominated fault
-    /// also detects its dominator, and the learned untestability mask
-    /// (which closes over both) never covers a detectable fault.
-    #[test]
-    fn learned_fault_relations_hold_exhaustively(netlist in arb_redundant_netlist()) {
-        let faults = FaultList::full(&netlist);
-        let db = LearnedImplications::learn(&netlist).unwrap();
-        let rel = fault_relations(&netlist, &faults, &db);
-        let detected = detection_tables(&netlist, &faults);
-        let names: Vec<String> = faults.iter().map(|(_, f)| f.describe(&netlist)).collect();
-
-        for (id, _) in faults.iter() {
-            let rep = rel.class_of[id.index()] as usize;
-            if rep == id.index() {
-                continue;
-            }
-            for (pat, det) in detected.iter().enumerate() {
-                prop_assert_eq!(
-                    det.get(id.index()), det.get(rep),
-                    "pattern {:b} splits claimed-equivalent faults {} and {}",
-                    pat, &names[id.index()], &names[rep]
-                );
-            }
-        }
-        for &(dom, sub) in &rel.dominances {
-            for (pat, det) in detected.iter().enumerate() {
-                prop_assert!(
-                    !det.get(sub as usize) || det.get(dom as usize),
-                    "pattern {:b} detects dominated fault {} but not dominator {}",
-                    pat, names[sub as usize], names[dom as usize]
-                );
-            }
-        }
-
-        let plain = untestable_faults(&netlist, &faults, &[]).unwrap();
-        let learned = untestable_faults_with(&netlist, &faults, Some(&db)).unwrap();
-        for (id, f) in faults.iter() {
-            prop_assert!(
-                !plain[id.index()] || learned[id.index()],
-                "learning dropped the plain verdict on {}",
-                f.describe(&netlist)
-            );
-            if learned[id.index()] {
-                for det in &detected {
-                    prop_assert!(
-                        !det.get(id.index()),
-                        "learned pass claims {} untestable but a pattern detects it",
-                        f.describe(&netlist)
-                    );
-                }
-            }
-        }
-    }
-
     /// Soundness: a statically-proven untestable fault is never detected —
     /// not by random patterns, not by the full ATPG test set.
     #[test]
@@ -538,10 +436,21 @@ proptest! {
 
     /// Soundness and completeness of the SAT fault miter: for every fault
     /// of the full list, UNSAT exactly when no input pattern detects it.
+    /// `prove_redundancy` classifies the same list the same way, with no
+    /// fault left unknown.
     #[test]
     fn sat_miter_proves_exactly_the_undetectable_faults(netlist in arb_redundant_netlist()) {
         let faults = FaultList::full(&netlist);
         let detected = detection_tables(&netlist, &faults);
+        let undetectable: Vec<FaultId> = faults
+            .iter()
+            .map(|(id, _)| id)
+            .filter(|id| detected.iter().all(|d| !d.get(id.index())))
+            .collect();
+        let r = prove_redundancy(&netlist, 1).unwrap();
+        prop_assert_eq!(r.faults.as_slice(), faults.as_slice());
+        prop_assert_eq!(&r.untestable, &undetectable);
+        prop_assert!(r.unknown.is_empty(), "unknown faults {:?}", r.unknown);
         let miter = FaultMiter::new(&netlist).unwrap();
         let mut session = miter.session();
         for (id, f) in faults.iter() {
@@ -566,7 +475,8 @@ proptest! {
     /// exactly when the truth table holds it at that value, refutes every
     /// other candidate with a table row at the other value, and the
     /// pre-pass handed the proven constants proves a superset of the plain
-    /// mask and still no fault any input pattern detects.
+    /// mask and still no fault any input pattern detects. `prove_redundancy`
+    /// proves the same constants.
     #[test]
     fn sat_proven_constants_hold_and_strengthen_the_prepass(netlist in arb_redundant_netlist()) {
         let tables = truth_tables(&netlist);
@@ -611,6 +521,7 @@ proptest! {
                 }
             }
         }
+        prop_assert_eq!(&prove_redundancy(&netlist, 1).unwrap().constants, &constants);
 
         let faults = FaultList::full(&netlist);
         let detected = detection_tables(&netlist, &faults);
