@@ -1,4 +1,4 @@
-//! A static implication engine over the two-bit Kleene domain.
+//! A static implication engine over the two-bit Kleene domain ([`Tv`]).
 //!
 //! Each net holds a two-bit set of the binary values it may still take:
 //! `0b01` = only 0, `0b10` = only 1, `0b11` = unknown (X). Assumptions
@@ -18,31 +18,10 @@
 //! thousands of per-fault queries reuse the same allocation with
 //! O(changed) reset cost.
 
-use fbist_netlist::{GateId, GateKind, Netlist, NetlistError};
-
-/// Two-bit value set: bit 0 = "can be 0", bit 1 = "can be 1".
-type Tv = u8;
-/// Definitely logic 0.
-const TV_ZERO: Tv = 0b01;
-/// Definitely logic 1.
-const TV_ONE: Tv = 0b10;
-/// Unknown: either value possible.
-const TV_X: Tv = 0b11;
-
-#[inline]
-fn tv_from_bool(b: bool) -> Tv {
-    if b {
-        TV_ONE
-    } else {
-        TV_ZERO
-    }
-}
-
-/// Kleene negation: swaps the two bits (X stays X).
-#[inline]
-fn tv_not(v: Tv) -> Tv {
-    ((v << 1) | (v >> 1)) & 0b11
-}
+use fbist_netlist::{
+    eval_tv, tv_from_bool, tv_not, GateId, GateKind, Netlist, NetlistError, Tv, TV_ONE, TV_X,
+    TV_ZERO,
+};
 
 #[inline]
 fn tv_definite(v: Tv) -> Option<bool> {
@@ -127,7 +106,7 @@ impl Implicator {
                 GateKind::Input | GateKind::Dff => TV_X,
                 GateKind::Const0 => TV_ZERO,
                 GateKind::Const1 => TV_ONE,
-                k => eval_gate(k, fanin[i].iter().map(|&f| base[f as usize])),
+                k => eval_tv(k, fanin[i].len(), |p| base[fanin[i][p] as usize]),
             };
         }
         let mut imp = Implicator {
@@ -274,7 +253,7 @@ impl Implicator {
         }
         // Forward: the output is compatible with evaluating current pins.
         let np = self.fanin[g].len();
-        let fwd = eval_gate(kind, (0..np).map(|p| self.value(self.fanin[g][p] as usize)));
+        let fwd = eval_tv(kind, np, |p| self.value(self.fanin[g][p] as usize));
         self.set(g, fwd);
         if self.contra {
             return;
@@ -356,48 +335,6 @@ impl Implicator {
             }
             GateKind::Input | GateKind::Const0 | GateKind::Const1 | GateKind::Dff => {}
         }
-    }
-}
-
-/// Kleene evaluation of one gate over two-bit values.
-fn eval_gate(kind: GateKind, vals: impl Iterator<Item = Tv>) -> Tv {
-    match kind {
-        GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
-            let ctrl = tv_from_bool(kind.controlling_value().expect("and/or family"));
-            let mut has_x = false;
-            let mut res = tv_not(ctrl);
-            for v in vals {
-                if v == ctrl {
-                    res = ctrl;
-                    has_x = false;
-                    break;
-                }
-                if v == TV_X {
-                    has_x = true;
-                }
-            }
-            let res = if has_x { TV_X } else { res };
-            if kind.is_inverting() {
-                tv_not(res)
-            } else {
-                res
-            }
-        }
-        GateKind::Xor | GateKind::Xnor => {
-            let mut acc = false;
-            for v in vals {
-                match tv_definite(v) {
-                    Some(b) => acc ^= b,
-                    None => return TV_X,
-                }
-            }
-            tv_from_bool(acc != (kind == GateKind::Xnor))
-        }
-        GateKind::Not => tv_not(vals.into_iter().next().expect("one fanin")),
-        GateKind::Buff => vals.into_iter().next().expect("one fanin"),
-        GateKind::Const0 => TV_ZERO,
-        GateKind::Const1 => TV_ONE,
-        GateKind::Input | GateKind::Dff => TV_X,
     }
 }
 

@@ -9,7 +9,7 @@
 //! drop results and [`AtpgResult`] are bit-identical at any worker count —
 //! `jobs` is a pure throughput knob, pinned by `tests/atpg_equivalence.rs`.
 
-use fbist_bits::{pack, BitVec, SimdWidth, Trit};
+use fbist_bits::{pack, BitVec, Trit};
 use fbist_fault::{FaultId, FaultList, FaultSimulator};
 use fbist_netlist::{eval_trit, GateId, GateKind, Netlist};
 use fbist_sim::SimError;
@@ -31,19 +31,6 @@ const PODEM_ROUND: usize = 64;
 /// chunking only groups work, results are position-ordered either way.
 const PODEM_CHUNK: usize = 8;
 
-/// How the don't-care positions of PODEM cubes are filled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FillMode {
-    /// Fill with pseudo-random values (default; best for fortuitous
-    /// detection of other faults).
-    #[default]
-    Random,
-    /// Fill with zeros.
-    Zeros,
-    /// Fill with ones.
-    Ones,
-}
-
 /// Configuration of an [`Atpg`] run.
 #[derive(Debug, Clone)]
 pub struct AtpgConfig {
@@ -58,8 +45,6 @@ pub struct AtpgConfig {
     pub random_stall_batches: usize,
     /// PODEM backtrack budget per fault.
     pub backtrack_limit: usize,
-    /// Fill mode for cube don't-cares.
-    pub fill: FillMode,
     /// Run the reverse-order compaction pass.
     pub compact: bool,
     /// Worker threads for the PODEM phase (`0` = the process-wide pool
@@ -88,13 +73,6 @@ pub struct AtpgConfig {
     /// untestable. Unlike `jobs`, the flag is therefore part of the `atpg`
     /// stage key.
     pub static_prepass: bool,
-    /// SIMD block width for the packed fault simulations behind
-    /// dictionaries, drop passes and compaction checks
-    /// ([`SimdWidth::Auto`] widens only while the block count shrinks).
-    /// Like `jobs`, a pure throughput knob: every width computes
-    /// bit-identical detections (pinned by
-    /// `tests/simd_width_equivalence.rs`).
-    pub simd_width: SimdWidth,
 }
 
 impl Default for AtpgConfig {
@@ -105,11 +83,9 @@ impl Default for AtpgConfig {
             max_random_batches: 64,
             random_stall_batches: 3,
             backtrack_limit: 400,
-            fill: FillMode::Random,
             compact: true,
             jobs: 0,
             static_prepass: true,
-            simd_width: SimdWidth::Auto,
         }
     }
 }
@@ -230,11 +206,7 @@ impl Atpg {
             if config.static_prepass {
                 seen.observe(&self.fsim, &batch);
             }
-            let res = self.fsim.run_wide(
-                &batch,
-                &faults.subset(&remaining),
-                config.simd_width.resolve(batch.len()),
-            );
+            let res = self.fsim.run(&batch, &faults.subset(&remaining));
             if res.detected_count() == 0 {
                 stall += 1;
                 continue;
@@ -360,13 +332,7 @@ impl Atpg {
                             PodemOutcome::Test(cube) => {
                                 let mut fill_rng =
                                     StdRng::seed_from_u64(fill_stream_seed(config.seed, fid));
-                                RoundOutcome::Test(match config.fill {
-                                    FillMode::Random => {
-                                        cube.fill_with(&mut || fill_rng.gen::<u64>())
-                                    }
-                                    FillMode::Zeros => cube.fill_const(false),
-                                    FillMode::Ones => cube.fill_const(true),
-                                })
+                                RoundOutcome::Test(cube.fill_with(&mut || fill_rng.gen::<u64>()))
                             }
                             PodemOutcome::Untestable => RoundOutcome::Untestable,
                             PodemOutcome::Aborted => RoundOutcome::Aborted,
@@ -387,13 +353,8 @@ impl Atpg {
                     _ => None,
                 })
                 .collect();
-            let dict = (!candidates.is_empty()).then(|| {
-                self.fsim.dictionary_wide(
-                    &candidates,
-                    &faults.subset(&targets),
-                    config.simd_width.resolve(candidates.len()),
-                )
-            });
+            let dict = (!candidates.is_empty())
+                .then(|| self.fsim.dictionary(&candidates, &faults.subset(&targets)));
             let mut row = 0usize;
             let round_start = patterns.len();
             for (j, &fid) in targets.iter().enumerate() {
@@ -441,11 +402,7 @@ impl Atpg {
             // still undetected, instead of one `detects` call per test.
             if patterns.len() > round_start {
                 let round = &patterns[round_start..];
-                let det = self.fsim.detects_wide(
-                    round,
-                    &faults.subset(&remaining),
-                    config.simd_width.resolve(round.len()),
-                );
+                let det = self.fsim.detects(round, &faults.subset(&remaining));
                 for (sub, &orig) in remaining.iter().enumerate() {
                     if det.get(sub) {
                         detected.set(orig.index(), true);
@@ -464,7 +421,7 @@ impl Atpg {
 
         // ---- Phase 4: reverse-order compaction --------------------------
         if config.compact && patterns.len() > 1 {
-            patterns = self.compacted_or_fallback(patterns, faults, detected.count_ones(), config);
+            patterns = self.compacted_or_fallback(patterns, faults, detected.count_ones());
         }
 
         AtpgResult {
@@ -511,12 +468,9 @@ impl Atpg {
         patterns: Vec<BitVec>,
         faults: &FaultList,
         expected_detected: usize,
-        config: &AtpgConfig,
     ) -> Vec<BitVec> {
         let reversed: Vec<BitVec> = patterns.iter().rev().cloned().collect();
-        let res = self
-            .fsim
-            .run_wide(&reversed, faults, config.simd_width.resolve(reversed.len()));
+        let res = self.fsim.run(&reversed, faults);
         if res.detected.count_ones() != expected_detected {
             eprintln!(
                 "fbist-atpg: compaction changed coverage ({} != {} faults); \
@@ -738,22 +692,6 @@ mod tests {
     }
 
     #[test]
-    fn fill_modes_affect_patterns_not_coverage() {
-        let n = embedded::majority();
-        let atpg = Atpg::new(&n).unwrap();
-        let faults = FaultList::collapsed(&n);
-        for fill in [FillMode::Random, FillMode::Zeros, FillMode::Ones] {
-            let cfg = AtpgConfig {
-                fill,
-                max_random_batches: 0, // force PODEM-only
-                ..AtpgConfig::default()
-            };
-            let r = atpg.run(&faults, &cfg);
-            assert!((r.coverage() - 1.0).abs() < 1e-12, "{fill:?}");
-        }
-    }
-
-    #[test]
     fn podem_only_run_works() {
         let n = embedded::c17();
         let atpg = Atpg::new(&n).unwrap();
@@ -828,12 +766,11 @@ mod tests {
             },
         );
         let impossible = r.detected.count_ones() + 1;
-        let cfg = AtpgConfig::default();
-        let kept = atpg.compacted_or_fallback(r.patterns.clone(), &faults, impossible, &cfg);
+        let kept = atpg.compacted_or_fallback(r.patterns.clone(), &faults, impossible);
         assert_eq!(kept, r.patterns, "mismatch must return the input set");
         // and with the true coverage the pass compacts as usual
         let compacted =
-            atpg.compacted_or_fallback(r.patterns.clone(), &faults, r.detected.count_ones(), &cfg);
+            atpg.compacted_or_fallback(r.patterns.clone(), &faults, r.detected.count_ones());
         assert!(compacted.len() <= r.patterns.len());
         let check = atpg.fsim.detects(&compacted, &faults);
         assert_eq!(check.count_ones(), r.detected.count_ones());

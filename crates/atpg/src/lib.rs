@@ -54,7 +54,7 @@ mod sat;
 pub use fbist_analyze::testability;
 
 pub use compact::{compact_cubes, compaction_ratio};
-pub use engine::{Atpg, AtpgConfig, AtpgResult, FillMode};
+pub use engine::{Atpg, AtpgConfig, AtpgResult};
 pub use miter::{ConstantVerdict, FaultMiter, MiterSession, SatVerdict, CONFLICT_BUDGET};
 pub use podem::{Podem, PodemConfig, PodemOutcome, PodemSession, PodemStats, ESCALATE_AT};
 pub use redundancy::{prove_redundancy, Redundancy};

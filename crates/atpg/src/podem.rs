@@ -26,7 +26,7 @@
 
 use fbist_bits::{Cube, Trit};
 use fbist_fault::{Fault, FaultSite};
-use fbist_netlist::{CsrAdjacency, GateId, GateKind, Netlist};
+use fbist_netlist::{eval_tv, tv_from_bool, CsrAdjacency, GateId, GateKind, Netlist, Tv, TV_X};
 use fbist_sim::SimError;
 
 use crate::miter::{FaultMiter, MiterSession, SatVerdict};
@@ -125,97 +125,6 @@ pub struct Podem {
     baseline: Vec<Tv>,
     /// The SAT fault miter searches escalate to, if any.
     miter: Option<FaultMiter>,
-}
-
-/// Two-bit Kleene encoding of a three-valued net value: bit 0 = "can be
-/// 0", bit 1 = "can be 1". `Zero = 0b01`, `One = 0b10`, `X = 0b11`
-/// (`0b00` is never constructed).
-///
-/// The encoding exists for one reason: it makes the three-valued gate
-/// evaluation in the implication sweep **branchless** ([`eval_tv`] folds
-/// plain AND/OR words over the fanins), where the [`Trit`] `match`
-/// version costs an unpredictable branch per fanin read. The
-/// `tv_eval_matches_eval_trit` test pins the two evaluations against each
-/// other for every gate kind and value combination.
-type Tv = u8;
-const TV_ZERO: Tv = 0b01;
-const TV_ONE: Tv = 0b10;
-const TV_X: Tv = 0b11;
-
-#[cfg(test)]
-fn tv_of(t: Trit) -> Tv {
-    match t {
-        Trit::Zero => TV_ZERO,
-        Trit::One => TV_ONE,
-        Trit::X => TV_X,
-    }
-}
-
-#[inline]
-fn tv_from_bool(b: bool) -> Tv {
-    if b {
-        TV_ONE
-    } else {
-        TV_ZERO
-    }
-}
-
-/// Kleene NOT: swap the can-be-0 and can-be-1 bits.
-#[inline]
-fn tv_not(v: Tv) -> Tv {
-    ((v & 1) << 1) | (v >> 1)
-}
-
-/// Branchless three-valued gate evaluation over fanin *positions*
-/// (`read(p)` returns the encoded value of fanin `p`). Equals
-/// [`eval_trit`](fbist_netlist::eval_trit) under the encoding for every
-/// gate kind.
-///
-/// AND: can-be-0 = OR of fanin can-be-0 bits, can-be-1 = AND of can-be-1
-/// bits — one `|=` and one `&=` per fanin, no branches. OR is the dual;
-/// XOR composes pairwise with the 4-term product rule.
-#[inline]
-fn eval_tv(kind: GateKind, arity: usize, read: impl Fn(usize) -> Tv) -> Tv {
-    #[inline]
-    fn xor2(a: Tv, b: Tv) -> Tv {
-        // c0 = a0 b0 | a1 b1 ; c1 = a0 b1 | a1 b0
-        (((a & b) | ((a >> 1) & (b >> 1))) & 1) | ((((a & (b >> 1)) | ((a >> 1) & b)) & 1) << 1)
-    }
-    match kind {
-        GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
-            let mut or_acc: Tv = 0;
-            let mut and_acc: Tv = 0b11;
-            for p in 0..arity {
-                let v = read(p);
-                or_acc |= v;
-                and_acc &= v;
-            }
-            match kind {
-                GateKind::And => (or_acc & 0b01) | (and_acc & 0b10),
-                GateKind::Nand => tv_not((or_acc & 0b01) | (and_acc & 0b10)),
-                GateKind::Or => (or_acc & 0b10) | (and_acc & 0b01),
-                _ => tv_not((or_acc & 0b10) | (and_acc & 0b01)),
-            }
-        }
-        GateKind::Xor | GateKind::Xnor => {
-            let mut r = TV_ZERO;
-            for p in 0..arity {
-                r = xor2(r, read(p));
-            }
-            if kind == GateKind::Xnor {
-                tv_not(r)
-            } else {
-                r
-            }
-        }
-        GateKind::Not => tv_not(read(0)),
-        GateKind::Buff => read(0),
-        GateKind::Const0 => TV_ZERO,
-        GateKind::Const1 => TV_ONE,
-        GateKind::Input | GateKind::Dff => {
-            panic!("{kind} is a source; its value is assigned, not evaluated")
-        }
-    }
 }
 
 struct Planes {
@@ -665,7 +574,8 @@ impl Podem {
                     .netlist
                     .input_position(id)
                     .expect("combinational input");
-                (tv_of(pi[pos]), tv_of(pi[pos]))
+                let v = fbist_netlist::tv_of(pi[pos]);
+                (v, v)
             } else {
                 let good = eval_tv(kind, fanin.len(), |k| p.good[fanin[k].index()]);
                 let faulty = eval_tv(kind, fanin.len(), |k| match fault.site() {
@@ -1061,44 +971,7 @@ impl<'p> PodemSession<'p> {
 mod tests {
     use super::*;
     use fbist_fault::{reference, FaultList};
-    use fbist_netlist::{bench, embedded, eval_trit};
-
-    #[test]
-    fn tv_eval_matches_eval_trit() {
-        // the branchless two-bit evaluation must agree with the reference
-        // three-valued evaluation on every (kind, values) combination of
-        // up to 3 fanins
-        let kinds = [
-            GateKind::And,
-            GateKind::Nand,
-            GateKind::Or,
-            GateKind::Nor,
-            GateKind::Xor,
-            GateKind::Xnor,
-        ];
-        let trits = [Trit::Zero, Trit::One, Trit::X];
-        for kind in kinds {
-            for n in 1..=3usize {
-                for combo in 0..3usize.pow(n as u32) {
-                    let vals: Vec<Trit> = (0..n)
-                        .map(|i| trits[(combo / 3usize.pow(i as u32)) % 3])
-                        .collect();
-                    let expect = tv_of(eval_trit(kind, &vals));
-                    let got = eval_tv(kind, n, |p| tv_of(vals[p]));
-                    assert_eq!(got, expect, "{kind} {vals:?}");
-                }
-            }
-        }
-        for v in [Trit::Zero, Trit::One, Trit::X] {
-            assert_eq!(
-                eval_tv(GateKind::Not, 1, |_| tv_of(v)),
-                tv_of(eval_trit(GateKind::Not, &[v]))
-            );
-            assert_eq!(eval_tv(GateKind::Buff, 1, |_| tv_of(v)), tv_of(v));
-        }
-        assert_eq!(eval_tv(GateKind::Const0, 0, |_| TV_X), TV_ZERO);
-        assert_eq!(eval_tv(GateKind::Const1, 0, |_| TV_X), TV_ONE);
-    }
+    use fbist_netlist::{bench, embedded};
 
     /// Every cube PODEM returns must detect its fault under both constant
     /// fills (the X-positions are genuinely don't-care).

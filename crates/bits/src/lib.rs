@@ -13,8 +13,8 @@
 //!   of the paper's *Detection Matrix*;
 //! * [`pack`] — helpers to transpose pattern sets into the 64-way packed
 //!   ("bit-parallel") layout used by the logic and fault simulators;
-//! * [`SimWord`] / [`SimdWidth`] — the width-parametric `[u64; W]`
-//!   simulation block word and the throughput knob that selects `W`.
+//! * [`SimWord`] / [`simd::width_for`] — the width-parametric `[u64; W]`
+//!   simulation block word and the rule that picks `W` for a workload.
 //!
 //! # Example
 //!

@@ -164,110 +164,44 @@ impl<const W: usize> Not for SimWord<W> {
     }
 }
 
-/// The simulation-block width knob: how many `u64` words per block.
+/// The simulation-block width, in words, for a workload of `total_lanes`
+/// packed pattern lanes: the narrowest width with the fewest blocks.
 ///
-/// A pure *throughput* knob, pinned like `jobs`: every
-/// width produces byte-identical matrices, first-detection indices, ATPG
-/// results and reports (`tests/simd_width_equivalence.rs`), so it is
-/// excluded from content-addressed stage keys via the `THROUGHPUT_KNOBS`
-/// manifest in `crates/core/src/stage.rs`.
+/// The widths are tried in doubling order, and each doubling is kept only
+/// while the block count *strictly* shrinks. A kept doubling halves the
+/// number of sweep passes at equal word-operation cost, so it never
+/// loses; one that leaves the block count unchanged would only pad dead
+/// lanes (each block costs `W` word-ops per gate). Small workloads (an
+/// ATPG round's 64 candidates, one 32-pattern triplet stream) therefore
+/// stay at `W = 1`, while a cross-row matrix build, planned from the lane
+/// count of all its rows together, widens. Every width computes the same
+/// detections (see the module docs), so this is the fault simulator's
+/// only width policy and no caller sets a width.
+pub fn width_for(total_lanes: usize) -> usize {
+    let mut best = 1usize;
+    let mut blocks = total_lanes.div_ceil(64);
+    for cand in [2usize, 4, 8] {
+        let b = total_lanes.div_ceil(64 * cand);
+        if b < blocks {
+            blocks = b;
+            best = cand;
+        } else {
+            break;
+        }
+    }
+    best
+}
+
+/// Selects nothing: the fault simulator picks its block width itself
+/// ([`width_for`]). The type stays only so that the benchmark harness,
+/// which passes `FlowConfig::simd_width` to both matrix builders, still
+/// compiles; no code in this workspace reads it. It is deleted with
+/// `ROADMAP.md` item 5, once the harness calls only flow-level APIs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimdWidth {
-    /// Pick the widest width whose block count actually shrinks for the
-    /// workload at hand (see [`SimdWidth::resolve`]).
+    /// The only value.
     #[default]
     Auto,
-    /// One `u64` per block (64 lanes) — the pre-SIMD baseline.
-    W1,
-    /// Two words per block (128 lanes).
-    W2,
-    /// Four words per block (256 lanes).
-    W4,
-    /// Eight words per block (512 lanes).
-    W8,
-}
-
-impl SimdWidth {
-    /// Every variant, for exhaustive sweeps in tests.
-    pub const ALL: [SimdWidth; 5] = [
-        SimdWidth::Auto,
-        SimdWidth::W1,
-        SimdWidth::W2,
-        SimdWidth::W4,
-        SimdWidth::W8,
-    ];
-
-    /// The canonical CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SimdWidth::Auto => "auto",
-            SimdWidth::W1 => "1",
-            SimdWidth::W2 => "2",
-            SimdWidth::W4 => "4",
-            SimdWidth::W8 => "8",
-        }
-    }
-
-    /// Parses a CLI name (`auto`, `1`, `2`, `4`, `8`).
-    pub fn parse(s: &str) -> Option<SimdWidth> {
-        match s {
-            "auto" => Some(SimdWidth::Auto),
-            "1" => Some(SimdWidth::W1),
-            "2" => Some(SimdWidth::W2),
-            "4" => Some(SimdWidth::W4),
-            "8" => Some(SimdWidth::W8),
-            _ => None,
-        }
-    }
-
-    /// The pinned width in words, or `None` for `Auto`.
-    pub fn words(self) -> Option<usize> {
-        match self {
-            SimdWidth::Auto => None,
-            SimdWidth::W1 => Some(1),
-            SimdWidth::W2 => Some(2),
-            SimdWidth::W4 => Some(4),
-            SimdWidth::W8 => Some(8),
-        }
-    }
-
-    /// Resolves the knob to a concrete width in words for a workload of
-    /// `total_lanes` packed pattern lanes.
-    ///
-    /// `Auto` walks the widths in doubling order and keeps widening only
-    /// while the block count *strictly* shrinks. Each kept doubling
-    /// halves the number of sweep passes at equal word-operation cost,
-    /// so it is never a loss; a doubling that leaves the block count
-    /// unchanged would only pad dead lanes (each block costs `W`
-    /// word-ops per gate) and is rejected. Small workloads — an ATPG
-    /// round dictionary of 64 candidates, a single 32-pattern stream —
-    /// therefore stay at `W = 1`, while a cross-row matrix build, which
-    /// resolves from the lane count of all rows together, widens.
-    pub fn resolve(self, total_lanes: usize) -> usize {
-        match self.words() {
-            Some(w) => w,
-            None => {
-                let mut best = 1usize;
-                let mut blocks = total_lanes.div_ceil(64);
-                for cand in [2usize, 4, 8] {
-                    let b = total_lanes.div_ceil(64 * cand);
-                    if b < blocks {
-                        blocks = b;
-                        best = cand;
-                    } else {
-                        break;
-                    }
-                }
-                best
-            }
-        }
-    }
-}
-
-impl fmt::Display for SimdWidth {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 #[cfg(test)]
@@ -317,42 +251,18 @@ mod tests {
     }
 
     #[test]
-    fn simd_width_names_roundtrip() {
-        for w in SimdWidth::ALL {
-            assert_eq!(SimdWidth::parse(w.name()), Some(w));
-            assert_eq!(format!("{w}"), w.name());
-        }
-        assert_eq!(SimdWidth::parse("0"), None);
-        assert_eq!(SimdWidth::parse("16"), None);
-        assert_eq!(SimdWidth::parse("wide"), None);
-    }
-
-    #[test]
-    fn pinned_widths_resolve_to_themselves() {
-        for (knob, want) in [
-            (SimdWidth::W1, 1),
-            (SimdWidth::W2, 2),
-            (SimdWidth::W4, 4),
-            (SimdWidth::W8, 8),
-        ] {
-            assert_eq!(knob.resolve(0), want);
-            assert_eq!(knob.resolve(1_000_000), want);
-        }
-    }
-
-    #[test]
-    fn auto_widens_only_while_blocks_shrink() {
+    fn width_widens_only_while_blocks_shrink() {
         // tiny workloads stay narrow
-        assert_eq!(SimdWidth::Auto.resolve(0), 1);
-        assert_eq!(SimdWidth::Auto.resolve(1), 1);
-        assert_eq!(SimdWidth::Auto.resolve(64), 1);
+        assert_eq!(width_for(0), 1);
+        assert_eq!(width_for(1), 1);
+        assert_eq!(width_for(64), 1);
         // 128 lanes: 2 blocks -> 1 at W=2, no further shrink at W=4
-        assert_eq!(SimdWidth::Auto.resolve(128), 2);
-        assert_eq!(SimdWidth::Auto.resolve(65), 2);
+        assert_eq!(width_for(128), 2);
+        assert_eq!(width_for(65), 2);
         // 256 lanes: shrinks through W=4, not W=8
-        assert_eq!(SimdWidth::Auto.resolve(256), 4);
+        assert_eq!(width_for(256), 4);
         // >= 512 lanes: every doubling shrinks
-        assert_eq!(SimdWidth::Auto.resolve(512), 8);
-        assert_eq!(SimdWidth::Auto.resolve(1 << 20), 8);
+        assert_eq!(width_for(512), 8);
+        assert_eq!(width_for(1 << 20), 8);
     }
 }

@@ -4,7 +4,7 @@
 //! fbist gen <profile> [--scale F] [--seed N] [--out FILE]
 //! fbist stats <file.bench>
 //! fbist check <file.bench|profile> [--json]
-//! fbist atpg <file.bench|profile> [--seed N] [--simd-width W]
+//! fbist atpg <file.bench|profile> [--seed N]
 //! fbist reseed <file.bench|profile> [--tpg add|sub|mul|lfsr|mplfsr|wrand] [--tau N]
 //! fbist sweep <file.bench|profile> [--tpg KIND] [--taus 0,7,31,...]
 //! fbist compare <file.bench|profile> [--tpg KIND] [--tau N]
@@ -20,11 +20,10 @@
 //! a profile name. All subcommands are thin wrappers over the workspace
 //! libraries, and all accept `--jobs N` (0 = auto; also via the
 //! `FBIST_JOBS` environment variable) to size the worker pool the
-//! parallel stages run on. `atpg`, `reseed`, `sweep`, `compare` and `lp`
-//! also take `--simd-width auto|1|2|4|8` to pick the fault-simulation
-//! block width — results are identical for every job count and width.
-//! The Detection Matrix has one build, the cross-row batched one, which
-//! expands each triplet's patterns only for the block range that
+//! parallel stages run on; results are identical for every job count.
+//! The fault simulator picks its block width itself, so no flag sets
+//! it. The Detection Matrix has one build, the cross-row batched one,
+//! which expands each triplet's patterns only for the block range that
 //! simulates them, so it takes no engine flag. Every subcommand
 //! checks its arguments against one table of the flags it reads before
 //! it runs, so an unknown flag, a repeated flag or a flag missing its
@@ -59,7 +58,7 @@ use fbist_store::ArtifactStore;
 use reseed_core::flags::{check_flags, flag, parse_num, Flag};
 use reseed_core::{
     export, tradeoff_sweep_with, FlowConfig, Gatsby, GatsbyConfig, InitialReseedingBuilder,
-    ReseedingFlow, SimdWidth, TpgKind,
+    ReseedingFlow, TpgKind,
 };
 
 /// `print!` to stdout, ending the process quietly once the reader has
@@ -132,7 +131,7 @@ usage:
   fbist gen <profile> [--scale F] [--seed N] [--out FILE]
   fbist stats <circuit>
   fbist check <circuit> [--json]
-  fbist atpg <circuit> [--seed N] [--simd-width W]
+  fbist atpg <circuit> [--seed N]
   fbist reseed <circuit> [--tpg KIND] [--tau N] [--seed N] [--scale F]
                [--csv FILE] [--rom FILE]
   fbist sweep <circuit> [--tpg KIND] [--taus 0,7,31] [--scale F]
@@ -147,13 +146,10 @@ KIND is one of add, sub, mul, lfsr, mplfsr, wrand.
 computed once, order is preserved, and every τ (like --tau) must not
 exceed 16777215.
 Every subcommand also accepts --jobs N (worker threads; 0 = auto, also
-settable via the FBIST_JOBS environment variable). atpg, reseed, sweep,
-compare and lp accept --simd-width auto|1|2|4|8 (fault-simulation block
-width in 64-lane words; auto picks the widest that still shrinks the
-block count). Results are identical for every job count and SIMD
-width. Any other flag a subcommand does not list is a usage error (exit
-2), and so is a flag given twice or a flag missing its value; other
-failures exit 1.
+settable via the FBIST_JOBS environment variable); results are
+identical for every job count. Any other flag a subcommand does not
+list is a usage error (exit 2), and so is a flag given twice or a flag
+missing its value; other failures exit 1.
 check runs the static analyses (structural errors, floating nets,
 unobservable logic, dead and implied constants, a SCOAP
 hard-to-test-region report), then classifies every stuck-at fault of
@@ -221,18 +217,12 @@ fn run(args: &[String]) -> Result<(), String> {
 
 // ---------------------------------------------------------------- helpers
 
-/// The throughput knobs, each pinned result-neutral by the equivalence
-/// suite its `THROUGHPUT_KNOBS` entry names (`cargo run -p xtask --
-/// lint` checks that every flag here has one). A subcommand takes only
-/// the slice it reads, so the order matters: [`JOBS_FLAG`] everywhere,
-/// all of them where faults are simulated and [`REQUEST_KNOB_FLAGS`] in
-/// a `fbist serve` request.
-const KNOB_FLAGS: &[Flag] = &[("--jobs", true), ("--simd-width", true)];
-/// `--jobs`: sizes the worker pool of every subcommand.
-const JOBS_FLAG: &[Flag] = KNOB_FLAGS.split_at(1).0;
-/// The knobs a `fbist serve` request reads: all but `--jobs`, which
-/// sizes the server's pool.
-pub(crate) const REQUEST_KNOB_FLAGS: &[Flag] = KNOB_FLAGS.split_at(1).1;
+/// The throughput knobs every subcommand takes, each pinned
+/// result-neutral by the equivalence suite its `THROUGHPUT_KNOBS` entry
+/// names (`cargo run -p xtask -- lint` checks that every flag here has
+/// one). `--jobs` sizes the worker pool; a `fbist serve` request takes
+/// none, since the server's pool is sized once.
+const KNOB_FLAGS: &[Flag] = &[("--jobs", true)];
 /// Profile synthesis in [`load_circuit`].
 pub(crate) const CIRCUIT_FLAGS: &[Flag] = &[("--scale", true), ("--seed", true)];
 /// A `reseed` request, one-shot or as a `fbist serve` line.
@@ -246,10 +236,10 @@ const STORE_FLAGS: &[Flag] = &[("--store", true), ("--no-store", false)];
 /// subcommand.
 fn subcommand_flags(cmd: &str) -> Option<&'static [&'static [Flag]]> {
     Some(match cmd {
-        "profiles" => &[JOBS_FLAG],
-        "gen" => &[JOBS_FLAG, CIRCUIT_FLAGS, &[("--out", true)]],
-        "stats" => &[JOBS_FLAG, CIRCUIT_FLAGS],
-        "check" => &[JOBS_FLAG, CIRCUIT_FLAGS, &[("--json", false)]],
+        "profiles" => &[KNOB_FLAGS],
+        "gen" => &[KNOB_FLAGS, CIRCUIT_FLAGS, &[("--out", true)]],
+        "stats" => &[KNOB_FLAGS, CIRCUIT_FLAGS],
+        "check" => &[KNOB_FLAGS, CIRCUIT_FLAGS, &[("--json", false)]],
         "atpg" => &[KNOB_FLAGS, CIRCUIT_FLAGS],
         "reseed" => &[
             KNOB_FLAGS,
@@ -260,7 +250,7 @@ fn subcommand_flags(cmd: &str) -> Option<&'static [&'static [Flag]]> {
         ],
         "sweep" => &[KNOB_FLAGS, CIRCUIT_FLAGS, SWEEP_FLAGS, STORE_FLAGS],
         "compare" | "lp" => &[KNOB_FLAGS, CIRCUIT_FLAGS, RESEED_FLAGS],
-        "serve" => &[JOBS_FLAG, STORE_FLAGS],
+        "serve" => &[KNOB_FLAGS, STORE_FLAGS],
         _ => return None,
     })
 }
@@ -276,20 +266,11 @@ fn apply_jobs(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn parse_simd_width(args: &[String]) -> Result<SimdWidth, String> {
-    match flag(args, "--simd-width") {
-        None => Ok(SimdWidth::Auto),
-        Some(v) => SimdWidth::parse(&v)
-            .ok_or_else(|| format!("unknown SIMD width {v:?} (expected auto, 1, 2, 4 or 8)")),
-    }
-}
-
 /// The flow configuration a `reseed`, `sweep`, `compare` or `lp`
-/// invocation or a `fbist serve` request describes: `--tpg` plus the
-/// throughput knobs. The caller sets τ (`--tau`, or per point for
-/// `--taus`).
+/// invocation or a `fbist serve` request describes: `--tpg` over the
+/// defaults. The caller sets τ (`--tau`, or per point for `--taus`).
 pub(crate) fn flow_config(args: &[String]) -> Result<FlowConfig, String> {
-    Ok(FlowConfig::new(parse_tpg(args)?).with_simd_width(parse_simd_width(args)?))
+    Ok(FlowConfig::new(parse_tpg(args)?))
 }
 
 /// Resolves the artifact store: `--no-store` disables it outright,
@@ -330,7 +311,7 @@ fn flow_for(args: &[String], netlist: &Netlist) -> Result<ReseedingFlow, String>
 
 /// Per-run store statistics, on stderr so stdout stays diffable between
 /// cold and warm runs. Silent when no store is attached.
-fn print_store_stats(flow: &ReseedingFlow, simd_width: SimdWidth) {
+fn print_store_stats(flow: &ReseedingFlow) {
     let stages = flow.stages();
     if let Some(store) = stages.store() {
         let s = stages.stats();
@@ -347,7 +328,7 @@ fn print_store_stats(flow: &ReseedingFlow, simd_width: SimdWidth) {
         );
         eprintln!(
             "fbist: {}",
-            simd_stats_line(occupancy(flow), cone_sweeps(flow), simd_width)
+            simd_stats_line(occupancy(flow), cone_sweeps(flow))
         );
     }
 }
@@ -367,14 +348,13 @@ fn cone_sweeps(flow: &ReseedingFlow) -> ConeSweeps {
     flow.builder().fault_simulator().cone_sweeps()
 }
 
-/// One-line SIMD summary for stderr stats: the configured width knob,
-/// the simulator's width-aware lane-occupancy counters (a wide block
-/// contributes `64·W` lanes of capacity, so the ratio stays honest at
-/// every width) and its region-root sweeps against fault evaluations.
-fn simd_stats_line(occ: LaneOccupancy, sweeps: ConeSweeps, simd_width: SimdWidth) -> String {
+/// One-line SIMD summary for stderr stats: the simulator's width-aware
+/// lane-occupancy counters (a wide block contributes `64·W` lanes of
+/// capacity, so the ratio stays honest at every width) and its
+/// region-root sweeps against fault evaluations.
+fn simd_stats_line(occ: LaneOccupancy, sweeps: ConeSweeps) -> String {
     format!(
-        "simd_width={} sim_blocks={} sim_lanes={}/{} occupancy={:.3} cone_sweeps={}/{}",
-        simd_width,
+        "sim_blocks={} sim_lanes={}/{} occupancy={:.3} cone_sweeps={}/{}",
         occ.blocks,
         occ.lanes,
         occ.capacity,
@@ -693,17 +673,9 @@ fn push_redundancy(findings: &mut Vec<Finding>, r: &Redundancy) {
     );
 }
 
-/// The ATPG configuration an `atpg` invocation describes: `--seed` and
-/// `--simd-width` over the defaults.
-fn atpg_config(args: &[String]) -> Result<AtpgConfig, String> {
+fn cmd_atpg(args: &[String]) -> Result<(), String> {
     let mut cfg = AtpgConfig::default();
     cfg.seed = parse_num(args, "--seed", cfg.seed)?;
-    cfg.simd_width = parse_simd_width(args)?;
-    Ok(cfg)
-}
-
-fn cmd_atpg(args: &[String]) -> Result<(), String> {
-    let cfg = atpg_config(args)?;
     let n = load_circuit(args)?;
     let faults = FaultList::collapsed(&n);
     let atpg = Atpg::new(&n).map_err(|e| e.to_string())?;
@@ -727,7 +699,7 @@ fn cmd_reseed(args: &[String]) -> Result<(), String> {
     let cfg = cfg.with_tau(parse_tau(args, 31)?);
     let flow = flow_for(args, &n)?;
     let report = flow.run(&cfg);
-    print_store_stats(&flow, cfg.simd_width);
+    print_store_stats(&flow);
     if let Some(path) = flag(args, "--csv") {
         std::fs::write(&path, export::to_csv(&report))
             .map_err(|e| format!("writing {path}: {e}"))?;
@@ -785,7 +757,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let taus = parse_taus(args)?;
     let flow = flow_for(args, &n)?;
     let curve = tradeoff_sweep_with(&flow, &cfg, &taus);
-    print_store_stats(&flow, cfg.simd_width);
+    print_store_stats(&flow);
     outln!(
         "{} [{}] — reseedings vs. test length (Figure 2)",
         n.name(),
@@ -866,41 +838,6 @@ mod tests {
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn simd_width_flag_parses_every_width_and_defaults_to_auto() {
-        assert_eq!(parse_simd_width(&args(&[])), Ok(SimdWidth::Auto));
-        for (v, w) in [
-            ("auto", SimdWidth::Auto),
-            ("1", SimdWidth::W1),
-            ("2", SimdWidth::W2),
-            ("4", SimdWidth::W4),
-            ("8", SimdWidth::W8),
-        ] {
-            assert_eq!(parse_simd_width(&args(&["--simd-width", v])), Ok(w));
-        }
-    }
-
-    #[test]
-    fn simd_width_flag_rejects_garbage_with_a_clear_error() {
-        for bad in ["16", "0", "wide", "3", ""] {
-            let err = parse_simd_width(&args(&["--simd-width", bad])).unwrap_err();
-            assert!(
-                err.contains("unknown SIMD width") && err.contains("expected auto, 1, 2, 4 or 8"),
-                "{bad:?}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn atpg_reads_the_simd_width() {
-        let cfg = atpg_config(&args(&["c17", "--simd-width", "4", "--seed", "9"])).unwrap();
-        assert_eq!((cfg.simd_width, cfg.seed), (SimdWidth::W4, 9));
-        assert_eq!(
-            atpg_config(&args(&["c17"])).unwrap().simd_width,
-            SimdWidth::Auto
-        );
     }
 
     #[test]

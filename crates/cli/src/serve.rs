@@ -42,8 +42,8 @@
 //! repeated or value-less flag answers `err`. Once the reader closes
 //! stdout, the server exits quietly. Per-request statistics go to stderr
 //! as `stats <id> ...`: stage hits/misses, `matrix_sim_passes`, the
-//! configured SIMD width with the simulator's lane-occupancy and
-//! cone-sweep counters, plus `coalesced=1` for requests that shared another's evaluation. They
+//! simulator's lane-occupancy and cone-sweep counters, plus
+//! `coalesced=1` for requests that shared another's evaluation. They
 //! are the changes of the resident flow's counters over that request
 //! alone, which stay exact because no other request uses the flow
 //! meanwhile.
@@ -60,8 +60,7 @@ use reseed_core::{circuit_digest, tradeoff_sweep_with, FlowConfig, ReseedingFlow
 
 use crate::{
     check_flags, cone_sweeps, exit_if_pipe_closed, flow_config, occupancy, parse_tau, parse_taus,
-    resolve_store, simd_stats_line, CircuitSource, Flag, CIRCUIT_FLAGS, REQUEST_KNOB_FLAGS,
-    RESEED_FLAGS, SWEEP_FLAGS,
+    resolve_store, simd_stats_line, CircuitSource, Flag, CIRCUIT_FLAGS, RESEED_FLAGS, SWEEP_FLAGS,
 };
 
 /// How many circuits a server keeps resident.
@@ -209,8 +208,8 @@ fn parse_line(line: &str, residents: &mut Residents) -> Result<Parsed, String> {
         );
     }
     let flags: &[&[Flag]] = match kind.as_str() {
-        "reseed" => &[REQUEST_KNOB_FLAGS, CIRCUIT_FLAGS, RESEED_FLAGS],
-        "sweep" => &[REQUEST_KNOB_FLAGS, CIRCUIT_FLAGS, SWEEP_FLAGS],
+        "reseed" => &[CIRCUIT_FLAGS, RESEED_FLAGS],
+        "sweep" => &[CIRCUIT_FLAGS, SWEEP_FLAGS],
         other => {
             return Err(format!(
                 "unknown request {other:?} (expected `reseed` or `sweep`)"
@@ -329,7 +328,7 @@ fn evaluate(p: &Parsed) -> Evaluated {
         s.atpg_hits,
         s.atpg_misses,
         c.matrix_sim_passes,
-        simd_stats_line(c.occupancy, c.sweeps, p.config.simd_width)
+        simd_stats_line(c.occupancy, c.sweeps)
     );
     Evaluated { summary, stats }
 }
@@ -864,10 +863,10 @@ mod tests {
         ("--taus", "0,3 7,0,7 3"),
         ("--seed", "1 2 7"),
         ("--scale", "1 0.5 0.01 1e-300"),
-        ("--simd-width", "auto 1 4"),
     ];
     const OTHER_FLAGS: &[(&str, &str)] = &[
         ("--jobs", "1 0"),
+        (concat!("--simd", "-width"), "auto 4"),
         ("--store", "/tmp"),
         ("--no-store", ""),
         ("--csv", "out.csv"),

@@ -387,58 +387,25 @@ reseed c17 --tau 3
 }
 
 #[test]
-fn knob_flags_fail_where_nothing_reads_them() {
-    // a subcommand that does not read --simd-width must not accept it
-    // (check's ATPG runs at the auto width): it would be silently ignored
-    let mut cases = vec![
-        vec!["serve", "--simd-width", "4"],
-        vec!["profiles", "--simd-width", "4"],
-    ];
-    for cmd in ["gen", "stats", "check"] {
-        cases.push(vec![cmd, "c17", "--simd-width", "4"]);
-    }
-    for args in cases {
-        let (code, stdout, stderr) = fbist_code(&args);
-        assert_eq!(code, Some(2), "{args:?}: {stderr}");
-        assert!(stdout.is_empty(), "{args:?}: {stdout}");
-        let named = format!(
-            "unknown flag \"{}\" for `{}`",
-            args[args.len() - 2],
-            args[0]
-        );
-        assert!(stderr.contains(&named), "{args:?}: {stderr}");
-    }
-}
-
-#[test]
-fn atpg_simd_width_is_read_and_never_changes_results() {
-    let (ok_1, out_1, err_1) = fbist(&["atpg", "c17", "--simd-width", "1"]);
-    let (ok_4, out_4, err_4) = fbist(&["atpg", "c17", "--simd-width", "4"]);
-    let (ok_a, out_a, _) = fbist(&["atpg", "c17"]);
-    assert!(ok_1 && ok_4 && ok_a, "{err_1}{err_4}");
-    assert_eq!(out_1, out_4, "--simd-width must never change ATPG results");
-    assert_eq!(out_1, out_a, "--simd-width must never change ATPG results");
-    // read, so a bad value is a failure of its own, not an ignored flag
-    let (code, _, stderr) = fbist_code(&["atpg", "c17", "--simd-width", "16"]);
-    assert_eq!(code, Some(1), "{stderr}");
-    assert!(stderr.contains("unknown SIMD width"), "{stderr}");
-}
-
-#[test]
 fn unknown_flags_fail_on_reseed_sweep_and_serve() {
-    // the retired sweep and matrix engine knobs (spelled in halves, so
-    // their names occur nowhere in live code) and a made-up flag must all
-    // fail loudly, naming themselves, instead of being ignored
+    // the retired sweep engine, matrix build and SIMD width knobs
+    // (spelled in halves, so their names occur nowhere in live code) and
+    // a made-up flag must all fail loudly, naming themselves, instead of
+    // being ignored
     let retired = ["--sweep", "-engine"].concat();
     let matrix = ["--matrix", "-build"].concat();
+    let width = ["--simd", "-width"].concat();
     let mut cases = vec![
         ["sweep", "tiny64", retired.as_str(), "per-tau"],
         ["sweep", "tiny64", "--bogus-flag", "1"],
         ["reseed", "c17", retired.as_str(), "auto"],
         ["reseed", "c17", "--bogus-flag", "1"],
     ];
-    for cmd in ["reseed", "sweep", "compare", "lp", "atpg"] {
+    for cmd in [
+        "reseed", "sweep", "compare", "lp", "atpg", "gen", "stats", "check",
+    ] {
         cases.push([cmd, "c17", matrix.as_str(), "batched"]);
+        cases.push([cmd, "c17", width.as_str(), "4"]);
     }
     for args in cases {
         let (code, stdout, stderr) = fbist_code(&args);
@@ -458,7 +425,7 @@ fn unknown_flags_fail_on_reseed_sweep_and_serve() {
         &script,
         format!(
             "reseed c17 {retired} auto\nsweep c17 --bogus-flag 1\nreseed c17 --tau 3\nsweep c17\n\
-             reseed c17 {matrix} batched\nquit\n"
+             reseed c17 {matrix} batched\nsweep c17 {width} auto\nquit\n"
         ),
     )
     .unwrap();
@@ -471,7 +438,7 @@ fn unknown_flags_fail_on_reseed_sweep_and_serve() {
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 5, "{stdout}");
+    assert_eq!(lines.len(), 6, "{stdout}");
     let retired_err = format!("err 0 unknown flag \"{retired}\"");
     assert!(lines[0].starts_with(&retired_err), "{stdout}");
     assert!(
@@ -482,6 +449,8 @@ fn unknown_flags_fail_on_reseed_sweep_and_serve() {
     assert!(lines[3].starts_with("ok 3 sweep c17"), "{stdout}");
     let matrix_err = format!("err 4 unknown flag \"{matrix}\"");
     assert!(lines[4].starts_with(&matrix_err), "{stdout}");
+    let width_err = format!("err 5 unknown flag \"{width}\"");
+    assert!(lines[5].starts_with(&width_err), "{stdout}");
 }
 
 #[test]
@@ -768,29 +737,18 @@ fn cone_sweep_counter_is_identical_at_every_job_count() {
     // counted per block range with a per-range memo, so the pool's
     // scheduling never moves it; the sim_blocks token CI greps for keeps
     // its place in front of it
-    for width in ["1", "auto"] {
-        let run = |jobs: &str| {
-            let dir = unique_temp_dir("cone-sweeps");
-            let store = dir.to_str().unwrap().to_owned();
-            let (ok, _, err) = fbist(&[
-                "reseed",
-                "mid256",
-                "--tau",
-                "7",
-                "--jobs",
-                jobs,
-                "--simd-width",
-                width,
-                "--store",
-                &store,
-            ]);
-            let _ = std::fs::remove_dir_all(&dir);
-            assert!(ok, "{err}");
-            assert!(err.contains(" sim_blocks="), "{err}");
-            cone_sweeps_token(&err)
-        };
-        let one = run("1");
-        assert_ne!(one, "cone_sweeps=0/0", "width {width}");
-        assert_eq!(one, run("4"), "width {width}");
-    }
+    let run = |jobs: &str| {
+        let dir = unique_temp_dir("cone-sweeps");
+        let store = dir.to_str().unwrap().to_owned();
+        let (ok, _, err) = fbist(&[
+            "reseed", "mid256", "--tau", "7", "--jobs", jobs, "--store", &store,
+        ]);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(ok, "{err}");
+        assert!(err.contains(" sim_blocks="), "{err}");
+        cone_sweeps_token(&err)
+    };
+    let one = run("1");
+    assert_ne!(one, "cone_sweeps=0/0");
+    assert_eq!(one, run("4"));
 }

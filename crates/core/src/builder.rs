@@ -170,11 +170,11 @@ impl InitialReseedingBuilder {
     /// to build from a shared ATPG run).
     ///
     /// `jobs` fans the construction out across the pool (`0` = global
-    /// default); `build` selects nothing (see [`MatrixBuild`]). Every RNG
-    /// draw happens in the serial prologue below, so the triplet stream —
-    /// and therefore the matrix — is a pure function of
-    /// `(seed, patterns, tau)`: the result is bit-identical for every job
-    /// count and SIMD width.
+    /// default); `build` and `simd_width` select nothing (see
+    /// [`MatrixBuild`] and [`SimdWidth`]). Every RNG draw happens in the
+    /// serial prologue below, so the triplet stream — and therefore the
+    /// matrix — is a pure function of `(seed, patterns, tau)`: the result
+    /// is bit-identical for every job count.
     ///
     /// The rows' expanded pattern streams are planned into shared blocks
     /// ([`BatchPlan`]); *block ranges* fan out over the pool, each
@@ -196,7 +196,7 @@ impl InitialReseedingBuilder {
         seed: u64,
         jobs: usize,
         _build: MatrixBuild,
-        simd_width: SimdWidth,
+        _simd_width: SimdWidth,
     ) -> (Vec<Triplet>, DetectionMatrix) {
         self.matrix_passes.fetch_add(1, Ordering::Relaxed);
         let triplets = derive_triplets(tpg, patterns, tau, seed);
@@ -205,7 +205,6 @@ impl InitialReseedingBuilder {
             &triplets,
             tau,
             jobs,
-            simd_width,
             |plan: &BatchPlan, range, rows: &[Vec<BitVec>]| {
                 self.fsim.detects_blocks(plan, range, rows, target_faults)
             },
@@ -243,19 +242,13 @@ impl InitialReseedingBuilder {
         triplets: &[Triplet],
         tau: usize,
         jobs: usize,
-        simd_width: SimdWidth,
         simulate: impl Fn(&BatchPlan, Range<usize>, &[Vec<BitVec>]) -> Vec<(usize, T)> + Sync,
     ) -> Vec<(usize, T)> {
         // every triplet expands to τ + 1 patterns (PatternGenerator::expand)
         let len = tau
             .checked_add(1)
             .expect("τ + 1 overflows usize — bound τ by FlowConfig::MAX_TAU");
-        let total_lanes = triplets
-            .len()
-            .checked_mul(len)
-            .expect("total lane count overflows usize");
-        let plan =
-            BatchPlan::with_width(&vec![len; triplets.len()], simd_width.resolve(total_lanes));
+        let plan = BatchPlan::new(&vec![len; triplets.len()]);
         let chunk = Self::BLOCK_CHUNK.max(len.div_ceil(plan.lane_capacity()));
         let ranges = plan.block_count().div_ceil(chunk);
         let partials = mini_rayon::par_map_indexed(jobs, ranges, |i| {
@@ -301,7 +294,7 @@ impl InitialReseedingBuilder {
         seed: u64,
         jobs: usize,
         _build: MatrixBuild,
-        simd_width: SimdWidth,
+        _simd_width: SimdWidth,
     ) -> (Vec<Triplet>, FirstDetectionMatrix) {
         self.matrix_passes.fetch_add(1, Ordering::Relaxed);
         let triplets = derive_triplets(tpg, patterns, tau_max, seed);
@@ -310,7 +303,6 @@ impl InitialReseedingBuilder {
             &triplets,
             tau_max,
             jobs,
-            simd_width,
             |plan: &BatchPlan, range, rows: &[Vec<BitVec>]| {
                 self.fsim
                     .first_detections_blocks(plan, range, rows, target_faults)
@@ -475,10 +467,9 @@ mod tests {
             tpg: &dyn PatternGenerator,
             tau: usize,
             jobs: usize,
-            width: SimdWidth,
         ) -> (Vec<Triplet>, DetectionMatrix) {
             let (patterns, faults) = (&self.base.atpg.patterns, &self.base.target_faults);
-            let build = MatrixBuild::Batched;
+            let (build, width) = (MatrixBuild::Batched, SimdWidth::Auto);
             self.b
                 .matrix_for(tpg, patterns, faults, tau, self.seed, jobs, build, width)
         }
@@ -488,10 +479,9 @@ mod tests {
             tpg: &dyn PatternGenerator,
             tau: usize,
             jobs: usize,
-            width: SimdWidth,
         ) -> (Vec<Triplet>, FirstDetectionMatrix) {
             let (patterns, faults) = (&self.base.atpg.patterns, &self.base.target_faults);
-            let build = MatrixBuild::Batched;
+            let (build, width) = (MatrixBuild::Batched, SimdWidth::Auto);
             self.b.first_detection_matrix_for(
                 tpg, patterns, faults, tau, self.seed, jobs, build, width,
             )
@@ -524,9 +514,9 @@ mod tests {
 
     #[test]
     fn large_tau_expands_each_row_at_most_twice() {
-        // at τ = 4095 and W = 1 one row spans sixteen 4-block ranges, so
-        // a build that re-expanded whole rows per range would blow far
-        // past 2 · rows · (τ + 1)
+        // at τ = 4095 one row spans eight 512-lane blocks, so a build
+        // that re-expanded whole rows per block would blow far past
+        // 2 · rows · (τ + 1)
         let c17 = C17::new();
         let faults = &c17.base.target_faults;
         let tau = 4095;
@@ -536,13 +526,13 @@ mod tests {
         };
         let bound = 2 * c17.base.atpg.patterns.len() as u64 * (tau as u64 + 1);
         let expanded = || tpg.expanded.swap(0, Ordering::Relaxed);
-        for (jobs, width) in [(1, SimdWidth::W1), (4, SimdWidth::W1), (4, SimdWidth::Auto)] {
-            let (triplets, matrix) = c17.matrix(&tpg, tau, jobs, width);
+        for jobs in [1, 4] {
+            let (triplets, matrix) = c17.matrix(&tpg, tau, jobs);
             let count = expanded();
-            assert!(count <= bound, "jobs={jobs} {width}: {count} > {bound}");
-            let (_, fdm) = c17.firsts(&tpg, tau, jobs, width);
+            assert!(count <= bound, "jobs={jobs}: {count} > {bound}");
+            let (_, fdm) = c17.firsts(&tpg, tau, jobs);
             let count = expanded();
-            assert!(count <= bound, "jobs={jobs} {width}: {count} > {bound}");
+            assert!(count <= bound, "jobs={jobs}: {count} > {bound}");
 
             // the per-row oracle: each row's expansion simulated alone
             let runs: Vec<_> = triplets
@@ -551,12 +541,8 @@ mod tests {
                 .collect();
             for (r, run) in runs.iter().enumerate() {
                 for c in 0..faults.len() {
-                    assert_eq!(matrix.get(r, c), run.detected.get(c), "jobs={jobs} {width}");
-                    assert_eq!(
-                        fdm.first(r, c),
-                        run.first_detection[c],
-                        "jobs={jobs} {width}"
-                    );
+                    assert_eq!(matrix.get(r, c), run.detected.get(c), "jobs={jobs}");
+                    assert_eq!(fdm.first(r, c), run.first_detection[c], "jobs={jobs}");
                 }
             }
         }
@@ -568,7 +554,7 @@ mod tests {
         // without the check this would wrap to len = 0 in release builds
         // and plan empty rows for a nonsense τ
         let c17 = C17::new();
-        let _ = c17.matrix(&*c17.adder(), usize::MAX, 1, SimdWidth::Auto);
+        let _ = c17.matrix(&*c17.adder(), usize::MAX, 1);
     }
 
     #[test]
@@ -577,9 +563,9 @@ mod tests {
         // triplets (up to the τ field) and matrix at every smaller τ
         let c17 = C17::new();
         let tpg = c17.adder();
-        let (trip_max, fdm) = c17.firsts(&*tpg, 9, 1, SimdWidth::Auto);
+        let (trip_max, fdm) = c17.firsts(&*tpg, 9, 1);
         for tau in [0usize, 1, 3, 9] {
-            let (trip, matrix) = c17.matrix(&*tpg, tau, 1, SimdWidth::Auto);
+            let (trip, matrix) = c17.matrix(&*tpg, tau, 1);
             let derived: Vec<_> = trip_max.iter().map(|t| t.with_tau(tau)).collect();
             assert_eq!(trip, derived, "τ={tau}: triplets");
             assert_eq!(
@@ -594,13 +580,9 @@ mod tests {
     fn first_detection_matrix_is_job_invariant() {
         let c17 = C17::new();
         let tpg = c17.adder();
-        let serial = c17.firsts(&*tpg, 9, 1, SimdWidth::Auto);
+        let serial = c17.firsts(&*tpg, 9, 1);
         for jobs in [2, 4, 16] {
-            assert_eq!(
-                c17.firsts(&*tpg, 9, jobs, SimdWidth::Auto),
-                serial,
-                "jobs={jobs}"
-            );
+            assert_eq!(c17.firsts(&*tpg, 9, jobs), serial, "jobs={jobs}");
         }
     }
 
@@ -620,7 +602,7 @@ mod tests {
         assert_eq!(c17.b.matrix_sim_passes(), 0, "ATPG alone is not a pass");
         let _ = c17.b.build(&FlowConfig::new(TpgKind::Adder).with_tau(3));
         assert_eq!(c17.b.matrix_sim_passes(), 1);
-        let _ = c17.firsts(&*c17.adder(), 7, 1, SimdWidth::Auto);
+        let _ = c17.firsts(&*c17.adder(), 7, 1);
         assert_eq!(c17.b.matrix_sim_passes(), 2);
         c17.b.reset_matrix_sim_passes();
         assert_eq!(c17.b.matrix_sim_passes(), 0);

@@ -189,13 +189,8 @@ pub struct FlowConfig {
     /// Selects nothing (see [`MatrixBuild`]); no code in this workspace
     /// reads it.
     pub matrix_build: MatrixBuild,
-    /// SIMD block width for the packed fault simulator (`[u64; W]` lanes
-    /// per net; [`SimdWidth::Auto`] picks the widest W whose block count
-    /// actually shrinks). Purely a throughput knob: lane `k` of a W-wide
-    /// block is lane `k` of the flat 64·W lane space and every reduction
-    /// runs in flat-lane order, so each width fills bit-identical
-    /// matrices, detections and reports (pinned by
-    /// `tests/simd_width_equivalence.rs`).
+    /// Selects nothing (see [`SimdWidth`]): the fault simulator picks its
+    /// block width itself. No code in this workspace reads it.
     pub simd_width: SimdWidth,
 }
 
@@ -278,17 +273,6 @@ impl FlowConfig {
         self.jobs = jobs;
         self
     }
-
-    /// Selects the packed simulator's SIMD block width
-    /// ([`SimdWidth::Auto`] widens only while the block count shrinks).
-    /// Like `jobs`, purely a throughput knob: every width
-    /// computes bit-identical matrices, detections and reports. Also
-    /// reaches the ATPG's fault simulation ([`AtpgConfig::simd_width`]).
-    pub fn with_simd_width(mut self, simd_width: SimdWidth) -> FlowConfig {
-        self.simd_width = simd_width;
-        self.atpg.simd_width = simd_width;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -328,18 +312,6 @@ mod tests {
             let g = kind.build(24);
             assert_eq!(g.width(), 24, "{kind}");
         }
-    }
-
-    #[test]
-    fn simd_width_parse_roundtrip() {
-        for sw in SimdWidth::ALL {
-            assert_eq!(SimdWidth::parse(sw.name()), Some(sw));
-        }
-        assert_eq!(SimdWidth::parse("16"), None);
-        assert_eq!(FlowConfig::new(TpgKind::Adder).simd_width, SimdWidth::Auto);
-        let cfg = FlowConfig::new(TpgKind::Adder).with_simd_width(SimdWidth::W4);
-        assert_eq!(cfg.simd_width, SimdWidth::W4);
-        assert_eq!(cfg.atpg.simd_width, SimdWidth::W4);
     }
 
     #[test]

@@ -130,11 +130,12 @@ impl ReseedingFlow {
         let tpg = config.tpg.build(netlist.inputs().len());
         let reports = match *uniq {
             // A single point has nothing to amortise first-detection
-            // indices over, and they cost memory: at τ = 31, jobs = 1
-            // (release build, x86-64 Linux), the first-detection build
-            // raised the flow's peak VmHWM from 5.4 MB to 10.6 MB on
-            // c1908 and from 3.7 MB to 4.7 MB on mid256, with
-            // byte-identical reports.
+            // indices over, and they cost memory. Whole-process peak RSS
+            // (`ru_maxrss`, release build, x86-64 Linux, jobs = 1) of
+            // `fbist reseed <c> --tau 31`, which builds here, against
+            // `fbist sweep <c> --taus 30,31`, which builds first
+            // detections: c1908 5.4 vs 8.8 MB, mid256 3.7 vs 4.4 MB,
+            // s953 4.2 vs 5.8 MB, c7552 14.0 vs 69.6 MB.
             [tau] if !self.stages.is_enabled() => {
                 let (triplets, matrix) = self.builder.matrix_for(
                     &*tpg,

@@ -13,19 +13,20 @@
 //!
 //! | stage | keyed on |
 //! |-------|----------|
-//! | `atpg` | circuit, ATPG settings (seed, batches, backtrack limit, fill, compaction, static pre-pass and, with it, the SAT escalation constants and a proven-constants marker) |
+//! | `atpg` | circuit, ATPG settings (seed, batches, backtrack limit, compaction, static pre-pass and, with it, the SAT escalation constants and a proven-constants marker) |
 //! | `first-detection` | `atpg` inputs + TPG kind + flow seed (**not** τ — see below) |
 //! | `cover` | `first-detection` inputs + τ + solver settings + trim |
 //!
-//! Pure throughput knobs — `jobs` (both the flow-level count and
-//! [`AtpgConfig::jobs`], which gates the fault-parallel PODEM rounds)
-//! and the SIMD width — are **excluded** from every key: the workspace
-//! pins them bit-identical (the `parallel_equivalence`,
-//! `atpg_equivalence` and `simd_width_equivalence` suites), so an
-//! artifact computed under any of them answers all of them. That
-//! exclusion is what makes a store warmed by a 4-job W=8 run answer a
-//! 1-job W=1 query byte-identically — asserted by
-//! `tests/store_equivalence.rs` and the key-invariance tests below.
+//! Pure throughput knobs — `jobs`, both the flow-level count and
+//! [`AtpgConfig::jobs`], which gates the fault-parallel PODEM rounds —
+//! are **excluded** from every key: the workspace pins them
+//! bit-identical (the `parallel_equivalence` and `atpg_equivalence`
+//! suites), so an artifact computed under any of them answers all of
+//! them. That exclusion is what makes a store warmed by a 4-job run
+//! answer a 1-job query byte-identically — asserted by
+//! `tests/store_equivalence.rs` and the key-invariance tests below. The
+//! SIMD block width is no knob at all: the fault simulator picks it
+//! ([`fbist_bits::simd::width_for`]).
 //!
 //! The first-detection artifact is not keyed on τ because it *saturates*
 //! instead: one pass at `τ_max` determines every `τ ≤ τ_max` matrix by
@@ -41,7 +42,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use fbist_atpg::{AtpgConfig, FillMode};
+use fbist_atpg::AtpgConfig;
 use fbist_netlist::Netlist;
 use fbist_setcover::{Engine, FirstDetectionMatrix, SolveConfig};
 use fbist_store::{
@@ -77,11 +78,9 @@ fn hash_atpg_fragment(d: &mut Digest, atpg: &AtpgConfig) {
     d.usize(atpg.max_random_batches);
     d.usize(atpg.random_stall_batches);
     d.usize(atpg.backtrack_limit);
-    d.u8(match atpg.fill {
-        FillMode::Random => 0,
-        FillMode::Zeros => 1,
-        FillMode::Ones => 2,
-    });
+    // where a fill mode was once hashed: cubes are always filled from
+    // the fault's own RNG stream, and the constant keeps existing keys
+    d.u8(0);
     d.bool(atpg.compact);
     // static_prepass IS keyed, unlike the throughput knobs: it turns on
     // the untestability pre-pass and SAT completion, which reclassify
@@ -109,8 +108,6 @@ pub const THROUGHPUT_KNOBS: &[(&str, &str)] = &[
     ("jobs", "parallel_equivalence"),
     ("atpg.jobs", "atpg_equivalence"),
     ("solve.engine.jobs", "parallel_equivalence"),
-    ("simd_width", "simd_width_equivalence"),
-    ("atpg.simd_width", "simd_width_equivalence"),
 ];
 
 /// Hashes the solver-relevant fragment of [`SolveConfig`]: reductions,
@@ -571,21 +568,12 @@ mod tests {
 
     #[test]
     fn throughput_knobs_never_change_any_stage_key() {
-        // jobs / SIMD width are pinned
-        // bit-identical by the equivalence suites, so no stage key may
-        // depend on them — otherwise a warm store would go cold when a
-        // user merely changes the worker count
+        // jobs is pinned bit-identical by the equivalence suites, so no
+        // stage key may depend on it — otherwise a warm store would go
+        // cold when a user merely changes the worker count
         let n = embedded::c17();
         let base_keys = all_keys(&n, &cfg());
-        let variants = [
-            cfg().with_jobs(7),
-            cfg().with_simd_width(fbist_bits::SimdWidth::W1),
-            cfg().with_simd_width(fbist_bits::SimdWidth::W4),
-            cfg().with_simd_width(fbist_bits::SimdWidth::W8),
-        ];
-        for v in &variants {
-            assert_eq!(all_keys(&n, v), base_keys, "config: {v:?}");
-        }
+        assert_eq!(all_keys(&n, &cfg().with_jobs(7)), base_keys, "jobs leaked");
         // the ATPG engine's own worker count is a throughput knob too
         // (fault-parallel PODEM rounds, pinned by atpg_equivalence)
         let mut atpg_jobs = cfg();
@@ -699,12 +687,10 @@ mod tests {
         let n = embedded::c17();
         let base = cfg();
         let canonical = sweep_request_digest(&n, &base, &[0, 7]);
-        for v in [
-            base.clone().with_jobs(3),
-            base.clone().with_simd_width(fbist_bits::SimdWidth::W8),
-        ] {
-            assert_eq!(sweep_request_digest(&n, &v, &[0, 7]), canonical);
-        }
+        assert_eq!(
+            sweep_request_digest(&n, &base.with_jobs(3), &[0, 7]),
+            canonical
+        );
     }
 
     #[test]

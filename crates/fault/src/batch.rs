@@ -6,7 +6,7 @@
 //! A [`BatchPlan`] removes that waste by concatenating the pattern
 //! streams of many rows into *shared* blocks: each block carries up to
 //! `64·W` consecutive patterns of the global stream (`W` is the plan's
-//! SIMD width in words, see [`fbist_bits::SimdWidth`]), and a
+//! SIMD width in words, see [`fbist_bits::simd::width_for`]), and a
 //! [`LaneGroup`] records which lanes belong to which row. The good
 //! circuit is then evaluated once per shared block and each fault's cone
 //! is propagated once per shared block, cutting both counts by up to
@@ -26,7 +26,7 @@
 
 use std::ops::Range;
 
-use fbist_bits::{pack, SimWord, SIMD_WIDTHS};
+use fbist_bits::{pack, simd, SimWord, SIMD_WIDTHS};
 
 /// One row's contiguous run of lanes within one shared block.
 ///
@@ -48,14 +48,6 @@ pub struct LaneGroup {
 }
 
 impl LaneGroup {
-    /// The block lanes this group occupies, as a 64-bit mask. Only valid
-    /// for groups of a width-1 plan; wider plans use
-    /// [`mask_w`](Self::mask_w).
-    #[inline]
-    pub fn mask(&self) -> u64 {
-        pack::lane_group_mask(self.lane_offset as usize, self.len as usize)
-    }
-
     /// The flat block lanes this group occupies, as a width-`W` mask.
     #[inline]
     pub fn mask_w<const W: usize>(&self) -> SimWord<W> {
@@ -77,11 +69,12 @@ pub struct BatchBlock {
 
 /// The shared-block layout for a batch of rows.
 ///
-/// Built from the row lengths and the SIMD width alone: lane assignment
-/// is a pure function of `(row_lengths, width)`, so a plan computed once
-/// can drive any number of simulations and any partition of its blocks
-/// across workers. The width is carried by the plan, which is how the
-/// batched fault-simulation engines know which monomorphised sweep to
+/// Built from the row lengths alone: the SIMD width is the one rule's
+/// pick for the total lane count ([`simd::width_for`]), so lane
+/// assignment is a pure function of `row_lengths`, and a plan computed
+/// once can drive any number of simulations and any partition of its
+/// blocks across workers. The width is carried by the plan, which is how
+/// the batched fault-simulation engines know which monomorphised sweep to
 /// dispatch to.
 ///
 /// # Example
@@ -89,20 +82,20 @@ pub struct BatchBlock {
 /// ```
 /// use fbist_fault::BatchPlan;
 ///
-/// // 20 rows of 6 patterns each (τ = 5): 120 lanes in 2 blocks instead
-/// // of the 20 blocks the per-row build would evaluate.
+/// // 20 rows of 6 patterns each (τ = 5): 120 lanes in one 128-lane
+/// // (W = 2) block instead of the 20 blocks the per-row build would
+/// // evaluate.
 /// let plan = BatchPlan::new(&[6; 20]);
-/// assert_eq!(plan.block_count(), 2);
+/// assert_eq!(plan.width_words(), 2);
+/// assert_eq!(plan.block_count(), 1);
 /// assert_eq!(plan.total_lanes(), 120);
 /// assert!(plan.occupancy() > 0.9);
-/// // one row straddles the block boundary and splits into two lane groups
+/// // 90 rows (540 lanes) widen to 512-lane blocks; one row straddles
+/// // the block boundary and splits into two lane groups
+/// let plan = BatchPlan::new(&[6; 90]);
+/// assert_eq!((plan.width_words(), plan.block_count()), (8, 2));
 /// let groups: usize = plan.blocks().iter().map(|b| b.groups.len()).sum();
-/// assert_eq!(groups, 21);
-/// // at width 2 (128-lane blocks) the same rows fit one block whole
-/// let wide = BatchPlan::with_width(&[6; 20], 2);
-/// assert_eq!(wide.block_count(), 1);
-/// let groups: usize = wide.blocks().iter().map(|b| b.groups.len()).sum();
-/// assert_eq!(groups, 20);
+/// assert_eq!(groups, 91);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchPlan {
@@ -113,34 +106,35 @@ pub struct BatchPlan {
 }
 
 impl BatchPlan {
-    /// Plans shared 64-lane (`W = 1`) blocks for rows of the given
-    /// pattern-stream lengths — [`with_width`](Self::with_width) at the
-    /// classic one-`u64` width.
-    pub fn new(row_lengths: &[usize]) -> BatchPlan {
-        BatchPlan::with_width(row_lengths, 1)
-    }
-
-    /// Plans shared `64·width_words`-lane blocks for rows of the given
-    /// pattern-stream lengths, concatenating streams in row order.
-    /// Zero-length rows occupy no lanes (they simply detect nothing).
+    /// Plans shared blocks for rows of the given pattern-stream lengths,
+    /// concatenating streams in row order, at the width
+    /// [`simd::width_for`] picks for their total lane count. Zero-length
+    /// rows occupy no lanes (they simply detect nothing).
     ///
     /// # Panics
     ///
-    /// Panics if `width_words` is not one of `1, 2, 4, 8`, or if the
-    /// total lane count overflows `usize` (callers building rows from
-    /// `τ + 1`-pattern expansions are bounded long before this by
-    /// `FlowConfig::MAX_TAU`, but the planner checks rather than wrapping
-    /// silently in release builds).
-    pub fn with_width(row_lengths: &[usize], width_words: usize) -> BatchPlan {
+    /// Panics if the total lane count overflows `usize` (callers building
+    /// rows from `τ + 1`-pattern expansions are bounded long before this
+    /// by `FlowConfig::MAX_TAU`, but the planner checks rather than
+    /// wrapping silently in release builds).
+    pub fn new(row_lengths: &[usize]) -> BatchPlan {
+        BatchPlan::with_width(row_lengths, simd::width_for(total_lanes(row_lengths)))
+    }
+
+    /// [`new`](Self::new) at a forced width, for the in-crate tests that
+    /// pin every width against the others.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width_words` is not one of `1, 2, 4, 8`, or as
+    /// [`new`](Self::new) does.
+    pub(crate) fn with_width(row_lengths: &[usize], width_words: usize) -> BatchPlan {
         assert!(
             SIMD_WIDTHS.contains(&width_words),
             "BatchPlan: unsupported SIMD width {width_words} (expected one of {SIMD_WIDTHS:?})"
         );
         let capacity = pack::BLOCK * width_words;
-        let total_lanes: usize = row_lengths
-            .iter()
-            .try_fold(0usize, |acc, &len| acc.checked_add(len))
-            .expect("BatchPlan: total lane count overflows usize");
+        let total_lanes = total_lanes(row_lengths);
         let mut blocks = Vec::with_capacity(total_lanes.div_ceil(capacity));
         let mut cur = BatchBlock {
             groups: Vec::new(),
@@ -243,6 +237,14 @@ impl BatchPlan {
     }
 }
 
+/// The summed row lengths, checked against `usize` overflow.
+fn total_lanes(row_lengths: &[usize]) -> usize {
+    row_lengths
+        .iter()
+        .try_fold(0usize, |acc, &len| acc.checked_add(len))
+        .expect("BatchPlan: total lane count overflows usize")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,13 +261,13 @@ mod tests {
         assert_eq!(b.groups[1].row, 1);
         assert_eq!(b.groups[1].lane_offset, 4);
         assert_eq!(b.groups[2].lane_offset, 8);
-        assert_eq!(b.groups[1].mask(), 0b1111_0000);
+        assert_eq!(b.groups[1].mask_w::<1>().0, [0b1111_0000]);
     }
 
     #[test]
     fn straddling_rows_split_into_groups() {
         // 60 + 10: the second row spans the block boundary
-        let plan = BatchPlan::new(&[60, 10]);
+        let plan = BatchPlan::with_width(&[60, 10], 1);
         assert_eq!(plan.block_count(), 2);
         let b0 = &plan.blocks()[0];
         let b1 = &plan.blocks()[1];
@@ -294,7 +296,7 @@ mod tests {
 
     #[test]
     fn long_rows_fill_whole_blocks() {
-        let plan = BatchPlan::new(&[130]);
+        let plan = BatchPlan::with_width(&[130], 1);
         assert_eq!(plan.block_count(), 3);
         assert_eq!(plan.blocks()[2].lanes_used, 2);
         let starts: Vec<u32> = plan
@@ -310,7 +312,7 @@ mod tests {
         // the flat lane stream is identical at every width: group (row,
         // start, len) runs agree once narrow blocks are re-chunked
         let lengths = [0usize, 4, 1, 60, 130, 7, 0, 64, 33];
-        let narrow = BatchPlan::new(&lengths);
+        let narrow = BatchPlan::with_width(&lengths, 1);
         for &w in &[2usize, 4, 8] {
             let wide = BatchPlan::with_width(&lengths, w);
             assert_eq!(wide.width_words(), w);
@@ -366,7 +368,7 @@ mod tests {
     fn row_span_names_the_rows_a_range_touches() {
         // 60 + 10 + 0 + 70 lanes: block 0 holds rows 0-1, block 1 rows
         // 1 and 3 (the empty row 2 sits inside the span), block 2 row 3
-        let plan = BatchPlan::new(&[60, 10, 0, 70]);
+        let plan = BatchPlan::with_width(&[60, 10, 0, 70], 1);
         assert_eq!(plan.block_count(), 3);
         assert_eq!(plan.row_span(0..1), 0..2);
         assert_eq!(plan.row_span(1..2), 1..4);
@@ -387,11 +389,12 @@ mod tests {
     #[test]
     fn occupancy_improves_on_per_row() {
         // per-row at τ = 3: 4/64 = 6.25 %; batched with 32 rows: 100 %
-        let plan = BatchPlan::new(&[4; 32]);
+        let plan = BatchPlan::with_width(&[4; 32], 1);
         assert_eq!(plan.block_count(), 2);
         assert_eq!(plan.occupancy(), 1.0);
-        // and a width-2 plan fits them in one 128-lane block
-        let wide = BatchPlan::with_width(&[4; 32], 2);
+        // and the rule's width-2 plan fits them in one 128-lane block
+        let wide = BatchPlan::new(&[4; 32]);
+        assert_eq!(wide.width_words(), 2);
         assert_eq!(wide.block_count(), 1);
         assert_eq!(wide.occupancy(), 1.0);
     }

@@ -35,7 +35,7 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use fbist_bits::{pack, BitMatrix, BitVec, SimWord, SIMD_WIDTHS};
+use fbist_bits::{pack, simd, BitMatrix, BitVec, SimWord, SIMD_WIDTHS};
 use fbist_netlist::{CsrAdjacency, GateId, GateKind, Netlist};
 use fbist_sim::{PackedSimulator, SimError};
 
@@ -335,30 +335,15 @@ impl FaultSimulator {
         self.run(patterns, faults).detected
     }
 
-    /// [`detects`](Self::detects) at an explicit SIMD width (`1`, `2`,
-    /// `4` or `8` words per block) — bit-identical at every width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width_words` is unsupported or a pattern's width
-    /// differs from the input count.
-    pub fn detects_wide(
-        &self,
-        patterns: &[BitVec],
-        faults: &FaultList,
-        width_words: usize,
-    ) -> BitVec {
-        self.run_wide(patterns, faults, width_words).detected
-    }
-
     /// Simulates the pattern set against the fault list with dropping,
-    /// recording each fault's first detecting pattern.
+    /// recording each fault's first detecting pattern. The block width is
+    /// [`simd::width_for`]'s pick for the pattern count.
     ///
     /// # Panics
     ///
     /// Panics if a pattern's width differs from the input count.
     pub fn run(&self, patterns: &[BitVec], faults: &FaultList) -> FaultSimResult {
-        self.run_wide(patterns, faults, 1)
+        self.run_wide(patterns, faults, simd::width_for(patterns.len()))
     }
 
     /// [`run`](Self::run) at an explicit SIMD width. Pattern lanes keep
@@ -370,7 +355,7 @@ impl FaultSimulator {
     ///
     /// Panics if `width_words` is unsupported or a pattern's width
     /// differs from the input count.
-    pub fn run_wide(
+    fn run_wide(
         &self,
         patterns: &[BitVec],
         faults: &FaultList,
@@ -650,13 +635,14 @@ impl FaultSimulator {
     /// cell `(p, f)` is 1 iff pattern `p` detects fault `f`.
     ///
     /// With the paper's triplet-expansion convention and `τ = 0`, this *is*
-    /// the initial Detection Matrix.
+    /// the initial Detection Matrix. The block width is
+    /// [`simd::width_for`]'s pick for the pattern count.
     ///
     /// # Panics
     ///
     /// Panics if a pattern's width differs from the input count.
     pub fn dictionary(&self, patterns: &[BitVec], faults: &FaultList) -> BitMatrix {
-        self.dictionary_wide(patterns, faults, 1)
+        self.dictionary_wide(patterns, faults, simd::width_for(patterns.len()))
     }
 
     /// [`dictionary`](Self::dictionary) at an explicit SIMD width —
@@ -667,7 +653,7 @@ impl FaultSimulator {
     ///
     /// Panics if `width_words` is unsupported or a pattern's width
     /// differs from the input count.
-    pub fn dictionary_wide(
+    fn dictionary_wide(
         &self,
         patterns: &[BitVec],
         faults: &FaultList,
@@ -1266,8 +1252,8 @@ mod tests {
         let faults = FaultList::collapsed(&n);
         let rows = mixed_rows(&[0, 4, 1, 60, 130, 7, 0, 300, 33]);
         let flat: Vec<BitVec> = rows.iter().flatten().cloned().collect();
-        let run1 = sim.run(&flat, &faults);
-        let dict1 = sim.dictionary(&flat, &faults);
+        let run1 = sim.run_wide(&flat, &faults, 1);
+        let dict1 = sim.dictionary_wide(&flat, &faults, 1);
         let blocks1 = blocks_in_chunks(&sim, &rows, &faults, 1, usize::MAX);
         for w in [2usize, 4, 8] {
             let runw = sim.run_wide(&flat, &faults, w);
@@ -1279,6 +1265,37 @@ mod tests {
             assert_eq!(sim.dictionary_wide(&flat, &faults, w), dict1, "dict W={w}");
             let blocks = blocks_in_chunks(&sim, &rows, &faults, w, usize::MAX);
             assert_eq!(blocks, blocks1, "blocks W={w}");
+        }
+    }
+
+    #[test]
+    fn every_engine_takes_its_width_from_the_one_rule() {
+        // 64, 65, 256 and 512 patterns make the rule pick W = 1, 2, 4
+        // and 8: one block of 64·W lanes each, whichever engine runs it
+        let n = embedded::c17();
+        let sim = FaultSimulator::new(&n).unwrap();
+        let faults = FaultList::collapsed(&n);
+        for (count, w) in [(64usize, 1usize), (65, 2), (256, 4), (512, 8)] {
+            assert_eq!(simd::width_for(count), w);
+            let patterns: Vec<BitVec> = (0..count as u64).map(|v| BitVec::from_u64(5, v)).collect();
+            let plan = BatchPlan::new(&[count]);
+            assert_eq!(plan.width_words(), w, "plan at {count}");
+            let engines: [&dyn Fn(); 4] = [
+                &|| drop(sim.run(&patterns, &faults)),
+                &|| drop(sim.detects(&patterns, &faults)),
+                &|| drop(sim.dictionary(&patterns, &faults)),
+                &|| drop(sim.detects_blocks(&plan, 0..1, std::slice::from_ref(&patterns), &faults)),
+            ];
+            for (e, engine) in engines.iter().enumerate() {
+                sim.good_simulator().reset_occupancy();
+                engine();
+                let occ = sim.good_simulator().occupancy();
+                assert_eq!(
+                    (occ.blocks, occ.lanes, occ.capacity),
+                    (1, count as u64, 64 * w as u64),
+                    "engine {e} at {count} patterns"
+                );
+            }
         }
     }
 

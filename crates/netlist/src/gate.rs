@@ -287,9 +287,149 @@ pub fn eval_trit(kind: GateKind, fanin: &[Trit]) -> Trit {
     }
 }
 
+/// Two-bit Kleene encoding of a three-valued net value: bit 0 = "can be
+/// 0", bit 1 = "can be 1". [`TV_ZERO`] = `0b01`, [`TV_ONE`] = `0b10`,
+/// [`TV_X`] = `0b11`; `0b00`, the empty set, is a contradiction that
+/// the implication engine detects and never stores.
+///
+/// The encoding makes three-valued gate evaluation **branchless**
+/// ([`eval_tv`] folds plain AND/OR words over the fanins), where the
+/// [`Trit`] `match` of [`eval_trit`] costs an unpredictable branch per
+/// fanin read. PODEM's implication sweep and the static implication
+/// engine both run on it.
+pub type Tv = u8;
+/// Definitely logic 0.
+pub const TV_ZERO: Tv = 0b01;
+/// Definitely logic 1.
+pub const TV_ONE: Tv = 0b10;
+/// Unknown: either value possible.
+pub const TV_X: Tv = 0b11;
+
+/// The encoding of a [`Trit`].
+#[inline]
+pub fn tv_of(t: Trit) -> Tv {
+    match t {
+        Trit::Zero => TV_ZERO,
+        Trit::One => TV_ONE,
+        Trit::X => TV_X,
+    }
+}
+
+/// The encoding of a binary value.
+#[inline]
+pub fn tv_from_bool(b: bool) -> Tv {
+    if b {
+        TV_ONE
+    } else {
+        TV_ZERO
+    }
+}
+
+/// Kleene NOT: swap the can-be-0 and can-be-1 bits (X stays X).
+#[inline]
+pub fn tv_not(v: Tv) -> Tv {
+    ((v & 1) << 1) | (v >> 1)
+}
+
+/// Branchless three-valued gate evaluation over fanin *positions*
+/// (`read(p)` returns the encoded value of fanin `p`). Equals
+/// [`eval_trit`] under the encoding for every gate kind.
+///
+/// AND: can-be-0 = OR of fanin can-be-0 bits, can-be-1 = AND of can-be-1
+/// bits — one `|=` and one `&=` per fanin, no branches. OR is the dual;
+/// XOR composes pairwise with the 4-term product rule.
+///
+/// # Panics
+///
+/// Panics like [`eval_packed`] on sources.
+#[inline]
+pub fn eval_tv(kind: GateKind, arity: usize, read: impl Fn(usize) -> Tv) -> Tv {
+    #[inline]
+    fn xor2(a: Tv, b: Tv) -> Tv {
+        // c0 = a0 b0 | a1 b1 ; c1 = a0 b1 | a1 b0
+        (((a & b) | ((a >> 1) & (b >> 1))) & 1) | ((((a & (b >> 1)) | ((a >> 1) & b)) & 1) << 1)
+    }
+    match kind {
+        GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
+            let mut or_acc: Tv = 0;
+            let mut and_acc: Tv = 0b11;
+            for p in 0..arity {
+                let v = read(p);
+                or_acc |= v;
+                and_acc &= v;
+            }
+            match kind {
+                GateKind::And => (or_acc & 0b01) | (and_acc & 0b10),
+                GateKind::Nand => tv_not((or_acc & 0b01) | (and_acc & 0b10)),
+                GateKind::Or => (or_acc & 0b10) | (and_acc & 0b01),
+                _ => tv_not((or_acc & 0b10) | (and_acc & 0b01)),
+            }
+        }
+        GateKind::Xor | GateKind::Xnor => {
+            let mut r = TV_ZERO;
+            for p in 0..arity {
+                r = xor2(r, read(p));
+            }
+            if kind == GateKind::Xnor {
+                tv_not(r)
+            } else {
+                r
+            }
+        }
+        GateKind::Not => tv_not(read(0)),
+        GateKind::Buff => read(0),
+        GateKind::Const0 => TV_ZERO,
+        GateKind::Const1 => TV_ONE,
+        GateKind::Input | GateKind::Dff => {
+            panic!("{kind} is a source; its value is assigned, not evaluated")
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tv_eval_matches_eval_trit() {
+        // the branchless two-bit evaluation must agree with the reference
+        // three-valued evaluation on every (kind, values) combination of
+        // up to 3 fanins
+        let kinds = [
+            GateKind::And,
+            GateKind::Nand,
+            GateKind::Or,
+            GateKind::Nor,
+            GateKind::Xor,
+            GateKind::Xnor,
+        ];
+        let trits = [Trit::Zero, Trit::One, Trit::X];
+        for kind in kinds {
+            for n in 1..=3usize {
+                for combo in 0..3usize.pow(n as u32) {
+                    let vals: Vec<Trit> = (0..n)
+                        .map(|i| trits[(combo / 3usize.pow(i as u32)) % 3])
+                        .collect();
+                    let expect = tv_of(eval_trit(kind, &vals));
+                    let got = eval_tv(kind, n, |p| tv_of(vals[p]));
+                    assert_eq!(got, expect, "{kind} {vals:?}");
+                }
+            }
+        }
+        for v in trits {
+            assert_eq!(
+                eval_tv(GateKind::Not, 1, |_| tv_of(v)),
+                tv_of(eval_trit(GateKind::Not, &[v]))
+            );
+            assert_eq!(eval_tv(GateKind::Buff, 1, |_| tv_of(v)), tv_of(v));
+            assert_eq!(tv_not(tv_of(v)), tv_of(eval_trit(GateKind::Not, &[v])));
+        }
+        for b in [false, true] {
+            assert_eq!(tv_from_bool(b), tv_of(Trit::from_bool(b)));
+        }
+        assert_eq!(eval_tv(GateKind::Const0, 0, |_| TV_X), TV_ZERO);
+        assert_eq!(eval_tv(GateKind::Const1, 0, |_| TV_X), TV_ONE);
+    }
 
     #[test]
     fn packed_truth_tables() {

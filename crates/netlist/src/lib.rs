@@ -47,7 +47,10 @@ pub mod scan;
 pub mod stats;
 pub mod topo;
 
-pub use gate::{eval_packed, eval_trit, GateKind};
+pub use gate::{
+    eval_packed, eval_trit, eval_tv, tv_from_bool, tv_not, tv_of, GateKind, Tv, TV_ONE, TV_X,
+    TV_ZERO,
+};
 pub use netlist::{CsrAdjacency, Gate, GateId, Netlist, NetlistError};
 pub use scan::{full_scan, ScanView};
 pub use stats::NetlistStats;

@@ -31,9 +31,9 @@
 //!    directly above) arguing why iteration order is never observed.
 //! 5. **Every knob flag has a manifest entry.** Each flag in `fbist`'s
 //!    `KNOB_FLAGS` table (`crates/cli/src/main.rs`) must name a
-//!    `THROUGHPUT_KNOBS` entry, `--simd-width` naming `simd_width` (or
-//!    a nested `<stage>.simd_width`). So a knob flag cannot come back
-//!    without the equivalence suite that pins it.
+//!    `THROUGHPUT_KNOBS` entry, `--jobs` naming `jobs` (or a nested
+//!    `<stage>.jobs`). So a knob flag cannot come back without the
+//!    equivalence suite that pins it.
 
 #![forbid(unsafe_code)]
 
@@ -401,21 +401,19 @@ mod tests {
         std::fs::write(
             dir.join("crates/core/src/stage.rs"),
             "pub const THROUGHPUT_KNOBS: &[(&str, &str)] = &[\n\
-             (\"jobs\", \"parallel_equivalence\"),\n\
-             (\"atpg.simd_width\", \"simd_width_equivalence\"),\n];\n",
+             (\"atpg.jobs\", \"atpg_equivalence\"),\n];\n",
         )
         .unwrap();
         std::fs::write(
             dir.join("crates/cli/src/main.rs"),
             "const KNOB_FLAGS: &[Flag] = &[\n\
              (\"--jobs\", true),\n\
-             (\"--simd-width\", true),\n\
              (\"--backend\", true),\n];\n",
         )
         .unwrap();
         let mut failures = Vec::new();
         lint_knob_flags(&dir, &mut failures);
-        // --jobs and the nested simd_width entry pass; --backend has none
+        // --jobs passes on the nested atpg.jobs entry; --backend has none
         assert_eq!(failures.len(), 1, "{failures:#?}");
         assert!(failures[0].contains("\"--backend\""), "{failures:#?}");
         let _ = std::fs::remove_dir_all(dir);
@@ -425,9 +423,9 @@ mod tests {
     fn one_line_knob_table_is_read_alone() {
         // a table that closes on its declaration line must not run on
         // into the rest of the file
-        let src = "const KNOB_FLAGS: &[Flag] = &[(\"--jobs\", true), (\"--simd-width\", true)];\n\
+        let src = "const KNOB_FLAGS: &[Flag] = &[(\"--jobs\", true), (\"--backend\", true)];\n\
                    const CIRCUIT_FLAGS: &[Flag] = &[(\"--scale\", true)];\n";
-        assert_eq!(parse_knob_flags(src), vec!["--jobs", "--simd-width"]);
+        assert_eq!(parse_knob_flags(src), vec!["--jobs", "--backend"]);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! serial self.
 //!
 //! For **every** genbench profile (scaled to a small, fast gate budget —
-//! the round/dictionary machinery is identical at every size), every fill
-//! mode, SAT completion on *and* off (pure PODEM), and `jobs ∈ {1, 4}`,
-//! the engine
+//! the round/dictionary machinery is identical at every size), SAT
+//! completion on *and* off (pure PODEM), and `jobs ∈ {1, 4}`, the engine
 //! must produce a **byte-for-byte identical** [`AtpgResult`] — patterns, detection flags, untestable and
 //! aborted lists, and every statistic. This is the ATPG-level sibling of
 //! the `parallel_equivalence` (flow jobs) and
@@ -56,42 +55,37 @@ fn small(p: &CircuitProfile) -> Netlist {
     }
 }
 
-/// Serial vs 4-worker ATPG, byte-for-byte, across every fill mode and
-/// with SAT completion both on and off, for one netlist — plus the
+/// Serial vs 4-worker ATPG, byte-for-byte, with SAT completion both on
+/// and off, for one netlist — plus the
 /// reconciliation invariant (no fault may be reported both given-up and
 /// detected). SAT cubes are a pure function of the fault, like PODEM's,
 /// so they must not introduce any worker-count dependence.
 fn assert_atpg_equivalent(netlist: &Netlist, label: &str) {
     let atpg = Atpg::new(netlist).unwrap();
     let faults = FaultList::collapsed(netlist);
-    for fill in [FillMode::Random, FillMode::Zeros, FillMode::Ones] {
-        for static_prepass in [true, false] {
-            let run = |jobs: usize| {
-                atpg.run(
-                    &faults,
-                    &AtpgConfig {
-                        jobs,
-                        fill,
-                        static_prepass,
-                        ..AtpgConfig::default()
-                    },
-                )
-            };
-            let serial = run(1);
-            let parallel = run(4);
-            assert_eq!(
-                serial, parallel,
-                "{label} fill={fill:?} sat={static_prepass}: \
-                 jobs=4 AtpgResult differs from serial"
+    for static_prepass in [true, false] {
+        let run = |jobs: usize| {
+            atpg.run(
+                &faults,
+                &AtpgConfig {
+                    jobs,
+                    static_prepass,
+                    ..AtpgConfig::default()
+                },
+            )
+        };
+        let serial = run(1);
+        let parallel = run(4);
+        assert_eq!(
+            serial, parallel,
+            "{label} sat={static_prepass}: jobs=4 AtpgResult differs from serial"
+        );
+        for id in serial.aborted.iter().chain(&serial.untestable) {
+            assert!(
+                !serial.detected.get(id.index()),
+                "{label} sat={static_prepass}: fault {} double-counted",
+                id.index()
             );
-            for id in serial.aborted.iter().chain(&serial.untestable) {
-                assert!(
-                    !serial.detected.get(id.index()),
-                    "{label} fill={fill:?} sat={static_prepass}: \
-                     fault {} double-counted",
-                    id.index()
-                );
-            }
         }
     }
 }

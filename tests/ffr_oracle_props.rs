@@ -1,5 +1,8 @@
 //! The fanout-free-region fault simulator against the per-fault cone
 //! oracle ([`reference::ConeOracle`]), word for word, at every SIMD width.
+//! The simulator picks its width from the pattern count
+//! ([`simd::width_for`]), so each case draws one flat pattern count per
+//! width, in the range the rule maps to it.
 //!
 //! Every random netlist carries the shapes that stress a region tree: a
 //! gate driving two pins of one gate (a stem inside what would otherwise
@@ -9,15 +12,15 @@
 //! nothing). The three engine surfaces are checked against detection words
 //! the oracle computes one fault cone at a time:
 //!
-//! * `dictionary_wide` — every lane of every word, no dropping;
-//! * `run_wide` — fault dropping across blocks, first detection indices;
+//! * `dictionary` — every lane of every word, no dropping;
+//! * `run` — fault dropping across blocks, first detection indices;
 //! * `first_detections_blocks` / `detects_blocks` — masked dropping over
 //!   shared blocks whose lane groups only partly fill a block, merged
 //!   over random partitions of the block axis.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use set_covering_reseeding::bits::SimWord;
+use set_covering_reseeding::bits::{simd, SimWord};
 use set_covering_reseeding::fault::{merge_first_detections, reference::ConeOracle, BatchPlan};
 use set_covering_reseeding::netlist::GateId;
 use set_covering_reseeding::prelude::*;
@@ -110,17 +113,19 @@ fn arb_region_netlist() -> impl Strategy<Value = Netlist> {
     })
 }
 
-fn random_rows(width: usize, seed: u64) -> Vec<Vec<BitVec>> {
+/// Up to seven rows of `total` patterns in all: random cut points give
+/// empty, sub-block, block-straddling and multi-block rows.
+fn random_rows(width: usize, seed: u64, total: usize) -> Vec<Vec<BitVec>> {
     let mut next = xorshift(seed);
-    let rows = 1 + (next() % 7) as usize;
-    (0..rows)
-        .map(|_| {
-            // empty, sub-block, block-straddling and multi-block rows
-            let len = match next() % 4 {
-                0 => (next() % 3) as usize,
-                1 => (next() % 70) as usize,
-                _ => (next() % 300) as usize,
-            };
+    let mut cuts: Vec<usize> = (0..next() % 7)
+        .map(|_| (next() % (total as u64 + 1)) as usize)
+        .collect();
+    cuts.push(total);
+    cuts.sort_unstable();
+    let mut start = 0;
+    cuts.into_iter()
+        .map(|end| {
+            let len = end - std::mem::replace(&mut start, end);
             (0..len)
                 .map(|_| BitVec::random_with(width, &mut next))
                 .collect()
@@ -128,12 +133,16 @@ fn random_rows(width: usize, seed: u64) -> Vec<Vec<BitVec>> {
         .collect()
 }
 
-/// Checks the three engine surfaces at width `W` against the oracle.
+/// Checks the three engine surfaces against the oracle on `total`
+/// patterns, a count the width rule maps to `W`.
 fn check_width<const W: usize>(
     netlist: &Netlist,
-    rows: &[Vec<BitVec>],
+    pseed: u64,
+    total: usize,
     chunk: usize,
 ) -> Result<(), TestCaseError> {
+    prop_assert_eq!(simd::width_for(total), W, "{} patterns", total);
+    let rows = random_rows(netlist.inputs().len(), pseed, total);
     let faults = FaultList::full(netlist);
     let fsim = FaultSimulator::new(netlist).unwrap();
     let flat: Vec<BitVec> = rows.iter().flatten().cloned().collect();
@@ -143,7 +152,7 @@ fn check_width<const W: usize>(
     let lanes = SimWord::<W>::LANES;
 
     // dictionary: every lane of every word
-    let dict = fsim.dictionary_wide(&flat, &faults, W);
+    let dict = fsim.dictionary(&flat, &faults);
     for (b, block) in words.iter().enumerate() {
         for (fid, _) in faults.iter() {
             let mut word = SimWord::<W>::ZERO;
@@ -165,7 +174,7 @@ fn check_width<const W: usize>(
 
     // run: dropping across blocks, first detection = lowest lane of the
     // first nonzero word
-    let run = fsim.run_wide(&flat, &faults, W);
+    let run = fsim.run(&flat, &faults);
     for (fid, _) in faults.iter() {
         let expect = words.iter().enumerate().find_map(|(b, block)| {
             let w = block[fid.index()];
@@ -184,7 +193,8 @@ fn check_width<const W: usize>(
     // shared blocks: masked dropping over partial lane groups, merged
     // over a partition of the block axis
     let lengths: Vec<usize> = rows.iter().map(Vec::len).collect();
-    let plan = BatchPlan::with_width(&lengths, W);
+    let plan = BatchPlan::new(&lengths);
+    prop_assert_eq!(plan.width_words(), W);
     let row_base: Vec<usize> = lengths
         .iter()
         .scan(0, |acc, &l| {
@@ -244,11 +254,11 @@ proptest! {
         netlist in arb_region_netlist(),
         pseed in any::<u64>(),
         chunk in 1usize..4,
+        totals in (0usize..=64, 65usize..=128, 129usize..=256, 257usize..=1100),
     ) {
-        let rows = random_rows(netlist.inputs().len(), pseed);
-        check_width::<1>(&netlist, &rows, chunk)?;
-        check_width::<2>(&netlist, &rows, chunk)?;
-        check_width::<4>(&netlist, &rows, chunk)?;
-        check_width::<8>(&netlist, &rows, chunk)?;
+        check_width::<1>(&netlist, pseed, totals.0, chunk)?;
+        check_width::<2>(&netlist, pseed, totals.1, chunk)?;
+        check_width::<4>(&netlist, pseed, totals.2, chunk)?;
+        check_width::<8>(&netlist, pseed, totals.3, chunk)?;
     }
 }

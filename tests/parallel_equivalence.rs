@@ -115,27 +115,24 @@ fn simulation_counters_are_jobs_invariant() {
     // its own memo, so the pool's scheduling cannot move a count
     let p = genbench_profile("mid256").unwrap();
     let n = circuit(&p);
-    for width in [SimdWidth::W1, SimdWidth::Auto] {
-        let counters = |jobs| {
-            let flow = ReseedingFlow::new(&n).expect("combinational circuit");
-            let cfg = FlowConfig::new(TpgKind::Adder)
-                .with_tau(TAU)
-                .with_jobs(jobs)
-                .with_simd_width(width);
-            flow.run(&cfg);
-            tradeoff_sweep_with(&flow, &cfg, &[0, 7, 31]);
-            let fsim = flow.builder().fault_simulator();
-            (fsim.good_simulator().occupancy(), fsim.cone_sweeps())
-        };
-        let (occupancy, sweeps) = counters(1);
-        assert_eq!(
-            (occupancy, sweeps),
-            counters(4),
-            "{width}: counters differ between jobs=1 and jobs=4"
-        );
-        assert!(
-            0 < sweeps.roots && sweeps.roots < sweeps.faults,
-            "{width}: {sweeps:?}"
-        );
-    }
+    let counters = |jobs| {
+        let flow = ReseedingFlow::new(&n).expect("combinational circuit");
+        let cfg = FlowConfig::new(TpgKind::Adder)
+            .with_tau(TAU)
+            .with_jobs(jobs);
+        flow.run(&cfg);
+        tradeoff_sweep_with(&flow, &cfg, &[0, 7, 31]);
+        let fsim = flow.builder().fault_simulator();
+        (fsim.good_simulator().occupancy(), fsim.cone_sweeps())
+    };
+    let (occupancy, sweeps) = counters(1);
+    assert_eq!(
+        (occupancy, sweeps),
+        counters(4),
+        "counters differ between jobs=1 and jobs=4"
+    );
+    assert!(
+        0 < sweeps.roots && sweeps.roots < sweeps.faults,
+        "{sweeps:?}"
+    );
 }
