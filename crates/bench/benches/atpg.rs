@@ -8,12 +8,22 @@
 //! single-core host, pure round/dictionary overhead, which CI's `bench`
 //! job bounds at ≤8 % over serial from the `BENCH_results.json` the
 //! criterion shim writes.
+//!
+//! The two variants are timed in one interleaved loop of [`PAIRS`]
+//! pairs, alternating which runs first, rather than as two batches one
+//! after the other: a change in host load then slows both alike instead
+//! of deciding the ratio.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::time::{Duration, Instant};
+
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fbist_atpg::{Atpg, AtpgConfig};
 use fbist_bench::build_circuit;
 use fbist_fault::FaultList;
 use fbist_genbench::profile;
+
+/// Interleaved (serial, parallel) pairs timed per run.
+const PAIRS: usize = 200;
 
 fn bench_atpg(c: &mut Criterion) {
     let p = profile("mid256").expect("paper-scale mimic");
@@ -38,11 +48,20 @@ fn bench_atpg(c: &mut Criterion) {
 
     // fixed IDs so BENCH_results.json keys stay comparable across
     // machines with different core counts
+    let variants = [("serial", 1), ("parallel", 4)];
+    let mut times: [Vec<Duration>; 2] = [Vec::new(), Vec::new()];
+    for pair in 0..PAIRS {
+        for v in [pair % 2, 1 - pair % 2] {
+            let start = Instant::now();
+            black_box(run(variants[v].1));
+            times[v].push(start.elapsed());
+        }
+    }
     let mut group = c.benchmark_group("atpg");
-    group.sample_size(10);
-    for (label, jobs) in [("serial", 1), ("parallel", 4)] {
-        group.bench_with_input(BenchmarkId::new("jobs", label), &jobs, |b, &jobs| {
-            b.iter(|| run(jobs));
+    group.sample_size(PAIRS);
+    for ((label, jobs), times) in variants.into_iter().zip(&times) {
+        group.bench_with_input(BenchmarkId::new("jobs", label), &jobs, |b, _| {
+            b.iter_custom(|iters| times[..iters as usize].iter().sum())
         });
     }
     group.finish();

@@ -52,6 +52,10 @@ fn main() {
         .unwrap_or_else(|| panic!("unknown profile {circuit:?}"))
         .scaled(scale);
     let netlist = build_circuit(&p, seed);
+    let tau_max = taus.iter().copied().max().unwrap_or(0);
+    let workers = mini_rayon::max_workers(0);
+    reseed_core::admit_tau(tau_max, netlist.inputs().len(), workers)
+        .unwrap_or_else(|e| args.fail(&e));
     let cfg = FlowConfig::new(tpg).with_seed(seed);
     let curve = tradeoff_sweep(&netlist, &cfg, &taus).expect("combinational mimic");
 

@@ -73,3 +73,22 @@ pub const fn tail_mask(bits: usize) -> u64 {
         (1u64 << rem) - 1
     }
 }
+
+/// Calls `f` with the index of each set bit of `words` (bit `i % 64` of
+/// word `i / 64`), in ascending order, without allocating.
+///
+/// ```
+/// let mut seen = Vec::new();
+/// fbist_bits::for_each_set_bit(&[0b101, 1 << 63], |i| seen.push(i));
+/// assert_eq!(seen, [0, 2, 127]);
+/// ```
+#[inline]
+pub fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
+    for (wi, &w) in words.iter().enumerate() {
+        let mut bits = w;
+        while bits != 0 {
+            f(wi * WORD_BITS + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}

@@ -45,6 +45,38 @@ impl BitMatrix {
         }
     }
 
+    /// Builds a matrix from its packed row-major words: row `r` is
+    /// `data[r * words_for(cols)..][..words_for(cols)]`, column `c` bit
+    /// `c % 64` of word `c / 64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` does not hold exactly `rows` rows of words, or a
+    /// row sets a bit at or beyond `cols`.
+    pub fn from_words(rows: usize, cols: usize, data: Vec<u64>) -> Self {
+        let words_per_row = words_for(cols);
+        assert_eq!(
+            data.len(),
+            rows * words_per_row,
+            "{rows}x{cols} matrix needs {} words",
+            rows * words_per_row
+        );
+        if words_per_row > 0 {
+            let tail = tail_mask(cols);
+            assert!(
+                data.chunks_exact(words_per_row)
+                    .all(|row| row[words_per_row - 1] & !tail == 0),
+                "a row sets a bit beyond column {cols}"
+            );
+        }
+        BitMatrix {
+            rows,
+            cols,
+            words_per_row,
+            data,
+        }
+    }
+
     /// Builds a matrix from per-row [`BitVec`]s.
     ///
     /// # Panics
@@ -221,15 +253,8 @@ impl BitMatrix {
     /// Calls `f` with each set column of `row`, in ascending order, without
     /// allocating.
     #[inline]
-    pub fn for_each_col_of_row(&self, row: usize, mut f: impl FnMut(usize)) {
-        for (wi, &w) in self.row_words(row).iter().enumerate() {
-            let mut bits = w;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                f(wi * WORD_BITS + b);
-                bits &= bits - 1;
-            }
-        }
+    pub fn for_each_col_of_row(&self, row: usize, f: impl FnMut(usize)) {
+        crate::for_each_set_bit(self.row_words(row), f);
     }
 
     /// The transposed matrix (columns become rows). Used to accelerate

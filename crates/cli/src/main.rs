@@ -113,7 +113,27 @@ fn main() -> ExitCode {
     }
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => fail(&msg, 1),
+        Err(Failure::Run(msg)) => fail(&msg, 1),
+        Err(Failure::Refused(msg)) => {
+            eprintln!("fbist: {msg}");
+            ExitCode::from(2)
+        }
+    }
+}
+
+/// Why a command failed, and so its exit status.
+#[derive(Debug)]
+enum Failure {
+    /// The run failed (exit 1).
+    Run(String),
+    /// The request was refused before any work, like a usage error
+    /// (exit 2): its τ is over the memory budget ([`admit`]).
+    Refused(String),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Failure {
+        Failure::Run(msg)
     }
 }
 
@@ -144,7 +164,9 @@ path separator), else a built-in profile name, else an embedded circuit.
 KIND is one of add, sub, mul, lfsr, mplfsr, wrand.
 --taus takes a non-empty comma-separated list; duplicate values are
 computed once, order is preserved, and every τ (like --tau) must not
-exceed 16777215.
+exceed 16777215. A τ whose matrix build would hold more than 1 GiB of
+expanded patterns (estimated from τ, the input count and --jobs) is
+refused before any work, with exit status 2.
 Every subcommand also accepts --jobs N (worker threads; 0 = auto, also
 settable via the FBIST_JOBS environment variable); results are
 identical for every job count. Any other flag a subcommand does not
@@ -192,27 +214,28 @@ fn check_usage(args: &[String]) -> Result<(), String> {
 }
 
 /// Runs a command line whose flags [`check_usage`] accepted.
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String]) -> Result<(), Failure> {
     let Some(cmd) = args.first() else {
-        return Err("missing subcommand".into());
+        return Err("missing subcommand".to_string().into());
     };
     let rest = &args[1..];
     apply_jobs(args)?;
     match cmd.as_str() {
-        "profiles" => cmd_profiles(),
-        "gen" => cmd_gen(rest),
-        "stats" => cmd_stats(rest),
+        "profiles" => cmd_profiles()?,
+        "gen" => cmd_gen(rest)?,
+        "stats" => cmd_stats(rest)?,
         // reachable only via run()'s tests: main() intercepts `check`
         // before run() so it can map the report onto its exit codes
-        "check" => cmd_check(rest).map(|_| ()),
-        "atpg" => cmd_atpg(rest),
-        "reseed" => cmd_reseed(rest),
-        "sweep" => cmd_sweep(rest),
-        "compare" => cmd_compare(rest),
-        "lp" => cmd_lp(rest),
-        "serve" => serve::cmd_serve(rest),
-        other => Err(format!("unknown subcommand {other:?}")),
+        "check" => cmd_check(rest).map(|_| ())?,
+        "atpg" => cmd_atpg(rest)?,
+        "reseed" => cmd_reseed(rest)?,
+        "sweep" => cmd_sweep(rest)?,
+        "compare" => cmd_compare(rest)?,
+        "lp" => cmd_lp(rest)?,
+        "serve" => serve::cmd_serve(rest)?,
+        other => return Err(format!("unknown subcommand {other:?}").into()),
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------- helpers
@@ -362,6 +385,15 @@ fn simd_stats_line(occ: LaneOccupancy, sweeps: ConeSweeps) -> String {
         sweeps.roots,
         sweeps.faults
     )
+}
+
+/// Refuses, before any work, a request whose largest τ would make the
+/// matrix build hold more expanded patterns than
+/// [`reseed_core::PATTERN_MEMORY_BUDGET`] on this circuit and the
+/// installed worker count.
+fn admit(netlist: &Netlist, tau: usize) -> Result<(), Failure> {
+    let workers = mini_rayon::max_workers(0);
+    reseed_core::admit_tau(tau, netlist.inputs().len(), workers).map_err(Failure::Refused)
 }
 
 /// Parses `--tau` with a default, rejecting values over the bound via
@@ -694,9 +726,10 @@ fn cmd_atpg(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_reseed(args: &[String]) -> Result<(), String> {
+fn cmd_reseed(args: &[String]) -> Result<(), Failure> {
     let (n, cfg) = circuit_and_config(args)?;
     let cfg = cfg.with_tau(parse_tau(args, 31)?);
+    admit(&n, cfg.tau)?;
     let flow = flow_for(args, &n)?;
     let report = flow.run(&cfg);
     print_store_stats(&flow);
@@ -752,9 +785,10 @@ fn cmd_reseed(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sweep(args: &[String]) -> Result<(), String> {
+fn cmd_sweep(args: &[String]) -> Result<(), Failure> {
     let (n, cfg) = circuit_and_config(args)?;
     let taus = parse_taus(args)?;
+    admit(&n, taus.iter().copied().max().unwrap_or(0))?;
     let flow = flow_for(args, &n)?;
     let curve = tradeoff_sweep_with(&flow, &cfg, &taus);
     print_store_stats(&flow);
@@ -782,9 +816,10 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compare(args: &[String]) -> Result<(), String> {
+fn cmd_compare(args: &[String]) -> Result<(), Failure> {
     let (n, cfg) = circuit_and_config(args)?;
     let cfg = cfg.with_tau(parse_tau(args, 31)?);
+    admit(&n, cfg.tau)?;
     let (tpg, tau) = (cfg.tpg, cfg.tau);
     let flow = ReseedingFlow::new(&n).map_err(|e| e.to_string())?;
     let report = flow.run(&cfg);
@@ -823,9 +858,10 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_lp(args: &[String]) -> Result<(), String> {
+fn cmd_lp(args: &[String]) -> Result<(), Failure> {
     let (n, cfg) = circuit_and_config(args)?;
     let cfg = cfg.with_tau(parse_tau(args, 31)?);
+    admit(&n, cfg.tau)?;
     let builder = InitialReseedingBuilder::new(&n).map_err(|e| e.to_string())?;
     let init = builder.build(&cfg);
     out!("{}", lp::to_lp(&init.matrix));

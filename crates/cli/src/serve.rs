@@ -39,7 +39,9 @@
 //! `ok <id> <summary>` or `err <id> <message>` — so the stream stays
 //! diffable between cold and warm stores. A request line is checked
 //! against the same flag tables as the one-shot subcommands: an unknown,
-//! repeated or value-less flag answers `err`. Once the reader closes
+//! repeated or value-less flag answers `err`, and so does a τ whose
+//! matrix build would exceed the pattern-memory budget
+//! ([`reseed_core::admit_tau`]), before any work. Once the reader closes
 //! stdout, the server exits quietly. Per-request statistics go to stderr
 //! as `stats <id> ...`: stage hits/misses, `matrix_sim_passes`, the
 //! simulator's lane-occupancy and cone-sweep counters, plus
@@ -56,7 +58,9 @@ use std::sync::Arc;
 use fbist_fault::ConeSweeps;
 use fbist_sim::LaneOccupancy;
 use fbist_store::{ArtifactStore, DigestBytes};
-use reseed_core::{circuit_digest, tradeoff_sweep_with, FlowConfig, ReseedingFlow, StageStats};
+use reseed_core::{
+    admit_tau, circuit_digest, tradeoff_sweep_with, FlowConfig, ReseedingFlow, StageStats,
+};
 
 use crate::{
     check_flags, cone_sweeps, exit_if_pipe_closed, flow_config, occupancy, parse_tau, parse_taus,
@@ -91,6 +95,9 @@ enum CircuitKey {
 struct Residents {
     store: Option<ArtifactStore>,
     entries: Vec<(CircuitKey, Arc<ReseedingFlow>)>,
+    /// The server's worker count, resolved once for the admission check
+    /// (resolving reads the environment and the CPU set).
+    workers: usize,
 }
 
 impl Residents {
@@ -98,6 +105,7 @@ impl Residents {
         Residents {
             store,
             entries: Vec::new(),
+            workers: mini_rayon::max_workers(0),
         }
     }
 
@@ -222,8 +230,10 @@ fn parse_line(line: &str, residents: &mut Residents) -> Result<Parsed, String> {
     config
         .tpg
         .check_inputs(flow.builder().netlist().inputs().len())?;
+    let inputs = flow.builder().netlist().inputs().len();
     if kind.as_str() == "reseed" {
         let config = config.with_tau(parse_tau(rest, 31)?);
+        admit_tau(config.tau, inputs, residents.workers)?;
         let digest = flow.cover_key(&config).to_string();
         Ok(Parsed {
             flow,
@@ -233,6 +243,11 @@ fn parse_line(line: &str, residents: &mut Residents) -> Result<Parsed, String> {
         })
     } else {
         let taus = parse_taus(rest)?;
+        admit_tau(
+            taus.iter().copied().max().unwrap_or(0),
+            inputs,
+            residents.workers,
+        )?;
         let digest = format!("sweep/{}", flow.sweep_digest(&config, &taus));
         Ok(Parsed {
             flow,

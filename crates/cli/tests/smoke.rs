@@ -591,6 +591,69 @@ fn tau_values_over_the_bound_are_rejected() {
 }
 
 #[test]
+fn a_tau_over_the_memory_budget_is_refused_at_once() {
+    // c17 at the largest valid τ would expand 16 Mi patterns per row
+    // range: refused before ATPG, with exit 2 and the estimate named
+    let start = std::time::Instant::now();
+    for args in [
+        &["reseed", "c17", "--tau", "16777215"][..],
+        &["reseed", "c17", "--tau", "16777215", "--jobs", "1"],
+        &["sweep", "c17", "--taus", "0,7,16777215"],
+        &["compare", "c17", "--tau", "16777215"],
+        &["lp", "c17", "--tau", "16777215"],
+    ] {
+        let (code, stdout, stderr) = fbist_code(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        assert!(
+            stderr.contains("τ = 16777215 needs an estimated ") && stderr.contains(" MiB"),
+            "{args:?}: {stderr}"
+        );
+    }
+    assert!(
+        start.elapsed() < std::time::Duration::from_secs(20),
+        "refusals must not run the flow ({:?})",
+        start.elapsed()
+    );
+    // a τ well inside the budget still runs
+    let (code, _, stderr) = fbist_code(&["reseed", "c17", "--tau", "4095"]);
+    assert_eq!(code, Some(0), "{stderr}");
+}
+
+#[test]
+fn serve_refuses_a_tau_over_the_budget_and_keeps_serving() {
+    let dir = unique_temp_dir("cli-admission");
+    let script = dir.join("requests");
+    std::fs::write(
+        &script,
+        "reseed c17 --tau 16777215\nsweep c17 --taus 0,16777215\nreseed c17 --tau 7\n",
+    )
+    .unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_fbist"))
+        .args(["serve", "--no-store"])
+        .stdin(std::fs::File::open(&script).unwrap())
+        .output()
+        .expect("binary runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 3, "{stdout}");
+    assert!(
+        lines[0].starts_with("err 0 τ = 16777215 needs an estimated "),
+        "{stdout}"
+    );
+    assert!(
+        lines[1].starts_with("err 1 τ = 16777215 needs an estimated "),
+        "{stdout}"
+    );
+    assert!(
+        lines[2].starts_with("ok 2 reseed c17 tpg=add tau=7 "),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn jobs_flag_accepts_zero_as_auto() {
     let (ok, stdout, stderr) = fbist(&["reseed", "c17", "--tau", "3", "--jobs", "0"]);
     assert!(ok, "{stderr}");

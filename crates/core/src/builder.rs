@@ -6,6 +6,7 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use fbist_atpg::{Atpg, AtpgResult};
 use fbist_bits::BitVec;
@@ -162,8 +163,31 @@ impl InitialReseedingBuilder {
     /// amortise the dispatch; keeping the chunk small load-balances
     /// blocks whose masked-dropping savings differ. A range grows past
     /// this only to hold one whole row (see
-    /// [`block_partials`](Self::block_partials)).
+    /// [`block_ranges`](Self::block_ranges)).
     const BLOCK_CHUNK: usize = 4;
+
+    /// An upper bound, in bytes, on the expanded patterns one matrix build
+    /// at `tau` holds at once, for `inputs`-input patterns on `workers`
+    /// threads ([`mini_rayon::max_workers`]) — the build's memory that
+    /// grows with `τ`, checked at the front door by
+    /// [`admit_tau`](crate::admit_tau) before any work.
+    ///
+    /// A block range spans `max(BLOCK_CHUNK, ⌈(τ + 1) / C⌉)` blocks of at
+    /// most `C = 512` lanes, so its lanes are at most
+    /// `max(BLOCK_CHUNK · C, τ + 1 + C)`, and it expands every row it
+    /// touches whole: at most two more partial rows of `τ + 1` patterns.
+    /// Each pattern is a [`BitVec`] of `⌈inputs / 64⌉` words. Saturates
+    /// instead of overflowing.
+    pub fn pattern_memory(tau: usize, inputs: usize, workers: usize) -> usize {
+        const MAX_LANES: usize = 64 * 8;
+        let len = tau.saturating_add(1);
+        let range_lanes = (Self::BLOCK_CHUNK * MAX_LANES).max(len.saturating_add(MAX_LANES));
+        let patterns = range_lanes.saturating_add(len.saturating_mul(2));
+        let pattern_bytes = std::mem::size_of::<BitVec>() + 8 * fbist_bits::words_for(inputs);
+        patterns
+            .saturating_mul(pattern_bytes)
+            .saturating_mul(workers.max(1))
+    }
 
     /// Builds triplets and the Detection Matrix for an explicit pattern
     /// list and fault list (used by [`ReseedingFlow`](crate::ReseedingFlow)
@@ -200,7 +224,7 @@ impl InitialReseedingBuilder {
     ) -> (Vec<Triplet>, DetectionMatrix) {
         self.matrix_passes.fetch_add(1, Ordering::Relaxed);
         let triplets = derive_triplets(tpg, patterns, tau, seed);
-        let partials = self.block_partials(
+        let partials = self.block_ranges(
             tpg,
             &triplets,
             tau,
@@ -209,18 +233,22 @@ impl InitialReseedingBuilder {
                 self.fsim.detects_blocks(plan, range, rows, target_faults)
             },
         );
-        let matrix =
-            DetectionMatrix::from_partial_rows(triplets.len(), target_faults.len(), partials);
+        let matrix = DetectionMatrix::from_partial_rows(
+            triplets.len(),
+            target_faults.len(),
+            partials.into_iter().flatten(),
+        );
         (triplets, matrix)
     }
 
     /// The shared half of both builds: plan shared blocks from the row
-    /// lengths, fan *block ranges* out over the pool, and concatenate the
-    /// per-range `(row, partial)` results. Keeping plan construction and
-    /// range partitioning in one place is what makes the "same plan, same
-    /// partitioning" half of the first-detection bit-identity contract
-    /// hold by construction — the detection and first-detection builds
-    /// differ only in the simulator call and the merge.
+    /// lengths, fan *block ranges* out over the pool, and return each
+    /// range's `simulate` result in range order. Keeping plan
+    /// construction and range partitioning in one place is what makes the
+    /// "same plan, same partitioning" half of the first-detection
+    /// bit-identity contract hold by construction — the detection and
+    /// first-detection builds differ only in the simulator call and the
+    /// merge.
     ///
     /// Each range expands only the rows
     /// [`BatchPlan::row_span`] names, so memory holds the patterns of a
@@ -236,14 +264,14 @@ impl InitialReseedingBuilder {
     /// below this by [`FlowConfig::MAX_TAU`], but the builders take a raw
     /// `usize`, so the arithmetic is checked instead of wrapping silently
     /// in release builds.
-    fn block_partials<T: Send>(
+    fn block_ranges<U: Send>(
         &self,
         tpg: &dyn PatternGenerator,
         triplets: &[Triplet],
         tau: usize,
         jobs: usize,
-        simulate: impl Fn(&BatchPlan, Range<usize>, &[Vec<BitVec>]) -> Vec<(usize, T)> + Sync,
-    ) -> Vec<(usize, T)> {
+        simulate: impl Fn(&BatchPlan, Range<usize>, &[Vec<BitVec>]) -> U + Sync,
+    ) -> Vec<U> {
         // every triplet expands to τ + 1 patterns (PatternGenerator::expand)
         let len = tau
             .checked_add(1)
@@ -251,15 +279,14 @@ impl InitialReseedingBuilder {
         let plan = BatchPlan::new(&vec![len; triplets.len()]);
         let chunk = Self::BLOCK_CHUNK.max(len.div_ceil(plan.lane_capacity()));
         let ranges = plan.block_count().div_ceil(chunk);
-        let partials = mini_rayon::par_map_indexed(jobs, ranges, |i| {
+        mini_rayon::par_map_indexed(jobs, ranges, |i| {
             let range = i * chunk..((i + 1) * chunk).min(plan.block_count());
             let rows: Vec<Vec<BitVec>> = triplets[plan.row_span(range.clone())]
                 .iter()
                 .map(|t| tpg.expand(t))
                 .collect();
             simulate(&plan, range, &rows)
-        });
-        partials.into_iter().flatten().collect()
+        })
     }
 
     /// Builds triplets at `tau_max` and the **first-detection matrix**:
@@ -274,12 +301,11 @@ impl InitialReseedingBuilder {
     /// to their `τ` field, and
     /// `first_detection_matrix_for(.., tau_max, ..).1.at_tau(τ)` is
     /// bit-identical to `matrix_for(.., τ, ..).1` for every
-    /// `τ ≤ tau_max` and every job count. Per-range partials are merged
-    /// with an elementwise `min` ([`merge_first_detections`]), which is
-    /// partition-invariant like the detection union and moves each row's
-    /// first partial in instead of copying it.
-    ///
-    /// [`merge_first_detections`]: fbist_fault::merge_first_detections
+    /// `τ ≤ tau_max` and every job count. Each range's partials are
+    /// merged into the narrow cells as the range finishes, with an
+    /// elementwise `min` ([`FirstDetectionMatrix::merge_min`]), which is
+    /// partition- and order-invariant like the detection union; only the
+    /// ranges in flight hold `u32` partials.
     ///
     /// # Panics
     ///
@@ -298,19 +324,27 @@ impl InitialReseedingBuilder {
     ) -> (Vec<Triplet>, FirstDetectionMatrix) {
         self.matrix_passes.fetch_add(1, Ordering::Relaxed);
         let triplets = derive_triplets(tpg, patterns, tau_max, seed);
-        let partials = self.block_partials(
+        let matrix = Mutex::new(FirstDetectionMatrix::undetected(
+            triplets.len(),
+            target_faults.len(),
+            tau_max,
+        ));
+        self.block_ranges(
             tpg,
             &triplets,
             tau_max,
             jobs,
             |plan: &BatchPlan, range, rows: &[Vec<BitVec>]| {
-                self.fsim
-                    .first_detections_blocks(plan, range, rows, target_faults)
+                let partials = self
+                    .fsim
+                    .first_detections_blocks(plan, range, rows, target_faults);
+                let mut matrix = matrix.lock().expect("first-detection cells poisoned");
+                for (row, partial) in partials {
+                    matrix.merge_min(row, &partial);
+                }
             },
         );
-        let firsts =
-            fbist_fault::merge_first_detections(triplets.len(), target_faults.len(), partials);
-        let matrix = FirstDetectionMatrix::from_rows(target_faults.len(), firsts);
+        let matrix = matrix.into_inner().expect("first-detection cells poisoned");
         (triplets, matrix)
     }
 

@@ -100,6 +100,38 @@ pub enum MatrixBuild {
     Batched,
 }
 
+/// The most expanded-pattern memory one matrix build may hold
+/// ([`InitialReseedingBuilder::pattern_memory`]): 1 GiB.
+///
+/// [`InitialReseedingBuilder::pattern_memory`]: crate::InitialReseedingBuilder::pattern_memory
+pub const PATTERN_MEMORY_BUDGET: usize = 1 << 30;
+
+/// Admits a request at evolution length `tau` (a sweep's largest τ) on a
+/// circuit with `inputs` inputs and `workers` threads
+/// ([`mini_rayon::max_workers`], resolved once per process: it reads the
+/// environment and the CPU set) only if its matrix build's pattern memory
+/// stays within [`PATTERN_MEMORY_BUDGET`]. Front ends call it before any
+/// work, so an oversized τ is refused at once instead of exhausting
+/// memory; the check itself is a few multiplications.
+///
+/// # Errors
+///
+/// A message naming τ, the estimate and the budget.
+pub fn admit_tau(tau: usize, inputs: usize, workers: usize) -> Result<(), String> {
+    let need = crate::InitialReseedingBuilder::pattern_memory(tau, inputs, workers);
+    if need <= PATTERN_MEMORY_BUDGET {
+        return Ok(());
+    }
+    const MIB: usize = 1 << 20;
+    Err(format!(
+        "τ = {tau} needs an estimated {} MiB of expanded patterns ({inputs} inputs, {} workers), \
+         over the {} MiB budget; use a smaller τ or fewer --jobs",
+        need.div_ceil(MIB),
+        workers.max(1),
+        PATTERN_MEMORY_BUDGET / MIB
+    ))
+}
+
 /// Validates one τ value against [`FlowConfig::MAX_TAU`], naming the
 /// originating flag in the error — the single owner of the user-facing
 /// bound diagnostic, shared by `--tau`, `--taus` and every front end.
@@ -278,6 +310,32 @@ impl FlowConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn admission_bounds_pattern_memory_by_tau_inputs_and_jobs() {
+        use crate::InitialReseedingBuilder as B;
+        // the estimate grows with τ, the input count and the workers
+        assert!(B::pattern_memory(1 << 20, 5, 1) > B::pattern_memory(1 << 10, 5, 1));
+        assert!(B::pattern_memory(4095, 200, 1) > B::pattern_memory(4095, 5, 1));
+        assert_eq!(
+            B::pattern_memory(4095, 5, 2),
+            2 * B::pattern_memory(4095, 5, 1)
+        );
+        assert_eq!(B::pattern_memory(4095, 5, 0), B::pattern_memory(4095, 5, 1));
+        // it never overflows
+        assert_eq!(
+            B::pattern_memory(usize::MAX, usize::MAX / 64, 1),
+            usize::MAX
+        );
+        // the largest valid τ is refused on the smallest circuit, even on
+        // one worker, and the message names τ and the estimate
+        let err = admit_tau(FlowConfig::MAX_TAU, 5, 1).unwrap_err();
+        assert!(err.starts_with("τ = 16777215 needs an estimated "), "{err}");
+        assert!(err.contains("MiB") && err.contains("1 workers"), "{err}");
+        // the default sweep on the widest profile is admitted
+        assert_eq!(admit_tau(255, 2048, 1), Ok(()));
+        assert_eq!(admit_tau(65_535, 200, 1), Ok(()));
+    }
 
     #[test]
     fn builders_chain() {

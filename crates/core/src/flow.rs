@@ -1,7 +1,9 @@
 //! The end-to-end reseeding flow (paper Figure 1).
 
+use fbist_bits::{for_each_set_bit, BitVec};
+use fbist_fault::FaultId;
 use fbist_netlist::Netlist;
-use fbist_setcover::{reduce, solve_with, ReductionEvent};
+use fbist_setcover::{reduce, solve_with, DetectionMatrix, ReductionEvent};
 use fbist_sim::SimError;
 use fbist_store::{ArtifactStore, DigestBytes, StageKey};
 use fbist_tpg::Triplet;
@@ -112,14 +114,18 @@ impl ReseedingFlow {
     ///   at `max(uniq)`, thresholded per point
     ///   ([`FirstDetectionMatrix::at_tau`]). With a store the pass
     ///   resolves through the saturating `first-detection` stage, which
-    ///   then answers every later τ up to its `τ_max`.
+    ///   then answers every later τ up to its `τ_max`. Trimming reads the
+    ///   same first indices ([`FirstDetectionMatrix::max_first_in`]), so
+    ///   a point simulates nothing.
     /// * **exactly one τ and no store:** the detection-only
-    ///   [`InitialReseedingBuilder::matrix_for`] build.
+    ///   [`InitialReseedingBuilder::matrix_for`] build, trimmed by
+    ///   [`finish`](Self::finish).
     ///
     /// Both builds give byte-identical reports
     /// (`tests/sweep_equivalence.rs`), so no option selects between them.
     ///
     /// [`FirstDetectionMatrix::at_tau`]: fbist_setcover::FirstDetectionMatrix::at_tau
+    /// [`FirstDetectionMatrix::max_first_in`]: fbist_setcover::FirstDetectionMatrix::max_first_in
     pub(crate) fn covers_from_base(
         &self,
         base: AtpgBase,
@@ -133,9 +139,9 @@ impl ReseedingFlow {
             // indices over, and they cost memory. Whole-process peak RSS
             // (`ru_maxrss`, release build, x86-64 Linux, jobs = 1) of
             // `fbist reseed <c> --tau 31`, which builds here, against
-            // `fbist sweep <c> --taus 30,31`, which builds first
-            // detections: c1908 5.4 vs 8.8 MB, mid256 3.7 vs 4.4 MB,
-            // s953 4.2 vs 5.8 MB, c7552 14.0 vs 69.6 MB.
+            // `fbist sweep <c> --taus 30,31`, which builds narrow first
+            // detections: c1908 5.5 vs 5.8 MB, mid256 3.7 vs 3.9 MB,
+            // s953 4.2 vs 4.2 MB, c7552 14.0 vs 20.3 MB.
             [tau] if !self.stages.is_enabled() => {
                 let (triplets, matrix) = self.builder.matrix_for(
                     &*tpg,
@@ -161,19 +167,24 @@ impl ReseedingFlow {
                 let (triplets_max, fdm) =
                     self.stages
                         .first_detection(&self.builder, &*tpg, &base, config, tau_max);
+                let sizes = Sizes {
+                    target_faults: base.target_faults.len(),
+                    universe: base.universe_size,
+                    atpg_coverage: base.atpg.coverage(),
+                };
                 mini_rayon::par_map_indexed(config.jobs, uniq.len(), |i| {
-                    let tau = uniq[i];
                     // derived instead of re-simulated: same δ/θ (the RNG
                     // prologue never reads τ), same matrix (prefix
-                    // property + thresholding)
-                    let initial = InitialReseeding {
-                        triplets: triplets_max.iter().map(|t| t.with_tau(tau)).collect(),
-                        matrix: fdm.at_tau(tau),
-                        target_faults: base.target_faults.clone(),
-                        universe_size: base.universe_size,
-                        atpg: base.atpg.clone(),
-                    };
-                    self.finish(&config.clone().with_tau(tau), &initial)
+                    // property + thresholding), same trim (prefix
+                    // property again)
+                    let tau = uniq[i];
+                    self.cover(
+                        &config.clone().with_tau(tau),
+                        &fdm.at_tau(tau),
+                        sizes,
+                        |row| triplets_max[row].with_tau(tau),
+                        |row, new| fdm.max_first_in(row, new).map_or(0, |f| f as usize + 1),
+                    )
                 })
             }
         };
@@ -186,11 +197,53 @@ impl ReseedingFlow {
 
     /// Runs reduction, solving and trimming on a prebuilt initial
     /// reseeding (lets the τ-sweep share one ATPG run and one matrix
-    /// pass across its points).
+    /// pass across its points). Each selected triplet's useful prefix
+    /// comes from one fault simulation of its expansion against the
+    /// faults it newly covers.
     pub fn finish(&self, config: &FlowConfig, initial: &InitialReseeding) -> ReseedingReport {
+        let tpg = config.tpg.build(self.builder.netlist().inputs().len());
+        let fsim = self.builder.fault_simulator();
+        let sizes = Sizes {
+            target_faults: initial.target_faults.len(),
+            universe: initial.universe_size,
+            atpg_coverage: initial.atpg.coverage(),
+        };
+        self.cover(
+            config,
+            &initial.matrix,
+            sizes,
+            |row| initial.triplets[row].clone(),
+            |row, new| {
+                let mut ids = Vec::new();
+                for_each_set_bit(new.as_words(), |i| ids.push(FaultId::from_index(i)));
+                let patterns = tpg.expand(&initial.triplets[row]);
+                fsim.run(&patterns, &initial.target_faults.subset(&ids))
+                    .useful_prefix_len()
+            },
+        )
+    }
+
+    /// Reduction, solving, and the paper's §4 trimming and incremental
+    /// accounting over `matrix` — the one accounting loop behind every
+    /// report.
+    ///
+    /// Selected rows are applied necessary-first. A row's new faults are
+    /// its matrix row minus the faults earlier rows covered; with
+    /// trimming, its test length is `useful_len(row, new)`, the index one
+    /// past the last pattern that first-detects one of them (at least 1),
+    /// and its triplet's `τ` shrinks to match. Untrimmed, the triplet
+    /// keeps all of its patterns.
+    fn cover(
+        &self,
+        config: &FlowConfig,
+        matrix: &DetectionMatrix,
+        sizes: Sizes,
+        triplet: impl Fn(usize) -> Triplet,
+        useful_len: impl Fn(usize, &BitVec) -> usize,
+    ) -> ReseedingReport {
         // ---- Matrix Reducer + solver (LINGO stand-in) -------------------
-        let reduction = reduce(&initial.matrix, &config.solve.reducer);
-        let solution = solve_with(&initial.matrix, &config.solve, &reduction);
+        let reduction = reduce(matrix, &config.solve.reducer);
+        let solution = solve_with(matrix, &config.solve, &reduction);
         let dominated_rows = reduction
             .log
             .iter()
@@ -198,45 +251,33 @@ impl ReseedingFlow {
             .count();
 
         // ---- order: necessary triplets first, then solver triplets ------
-        let mut order: Vec<(usize, bool)> = Vec::new();
-        for &r in solution.necessary() {
-            order.push((r, true));
-        }
-        for &r in solution.solver_chosen() {
-            order.push((r, false));
-        }
+        let necessary = solution.necessary().iter().map(|&r| (r, true));
+        let order = necessary.chain(solution.solver_chosen().iter().map(|&r| (r, false)));
 
         // ---- trimming & incremental accounting (paper §4) ---------------
-        let tpg = config.tpg.build(self.builder.netlist().inputs().len());
-        let fsim = self.builder.fault_simulator();
-        let mut remaining_ids: Vec<fbist_fault::FaultId> =
-            initial.target_faults.iter().map(|(id, _)| id).collect();
-        let mut selected = Vec::with_capacity(order.len());
+        let cols = matrix.cols();
+        let mut remaining = BitVec::ones(cols).as_words().to_vec();
+        let mut selected = Vec::new();
         let mut covered = 0usize;
         for (row, necessary) in order {
-            let triplet = &initial.triplets[row];
-            let ts = tpg.expand(triplet);
-            let remaining = initial.target_faults.subset(&remaining_ids);
-            let res = fsim.run(&ts, &remaining);
-            let new_faults = res.detected_count();
-            let (kept_triplet, test_length): (Triplet, usize) = if config.trim {
-                let useful = res.useful_prefix_len();
+            let words = matrix.row_major().row_words(row);
+            let new: Vec<u64> = words.iter().zip(&remaining).map(|(w, r)| w & r).collect();
+            for (r, n) in remaining.iter_mut().zip(&new) {
+                *r &= !n;
+            }
+            let new = BitVec::from_word_vec(cols, new);
+            let new_faults = new.count_ones();
+            let triplet = triplet(row);
+            let (kept_triplet, test_length) = if config.trim {
                 // a solver-selected triplet always adds coverage, but be
                 // defensive: keep at least pattern 0
-                let len = useful.max(1);
+                let len = useful_len(row, &new).max(1);
                 (triplet.with_tau(len - 1), len)
             } else {
-                (triplet.clone(), ts.len())
+                let len = triplet.pattern_count();
+                (triplet, len)
             };
             covered += new_faults;
-            // drop the newly covered faults from the remaining list
-            let mut next_remaining = Vec::with_capacity(remaining_ids.len() - new_faults);
-            for (sub, &orig) in remaining_ids.iter().enumerate() {
-                if !res.detected.get(sub) {
-                    next_remaining.push(orig);
-                }
-            }
-            remaining_ids = next_remaining;
             selected.push(SelectedTriplet {
                 triplet: kept_triplet,
                 necessary,
@@ -250,18 +291,26 @@ impl ReseedingFlow {
             tpg: config.tpg.name().to_owned(),
             tau: config.tau,
             selected,
-            initial_triplets: initial.triplet_count(),
-            target_faults: initial.target_faults.len(),
-            fault_universe: initial.universe_size,
+            initial_triplets: matrix.rows(),
+            target_faults: sizes.target_faults,
+            fault_universe: sizes.universe,
             residual: solution.residual_size(),
             reduction_iterations: solution.reduction_iterations(),
             dominated_rows,
             solution_optimal: solution.is_optimal(),
             solver_nodes: solution.solver_nodes(),
             covered_faults: covered,
-            atpg_coverage: initial.atpg.coverage(),
+            atpg_coverage: sizes.atpg_coverage,
         }
     }
+}
+
+/// The report fields a cover takes from its ATPG base.
+#[derive(Clone, Copy)]
+struct Sizes {
+    target_faults: usize,
+    universe: usize,
+    atpg_coverage: f64,
 }
 
 #[cfg(test)]
@@ -373,6 +422,45 @@ mod tests {
                 report.selected[pos..].iter().all(|t| !t.necessary),
                 "necessary triplets must precede solver triplets"
             );
+        }
+    }
+
+    #[test]
+    fn index_accounting_matches_simulation_row_by_row() {
+        // multi-τ sweeps trim from first-detection indices and run()
+        // without a store re-simulates; on both, every selected triplet's
+        // kept prefix, simulated against the faults still uncovered,
+        // detects exactly its new faults and first-detects one on its
+        // last pattern
+        let tiny = generate(&profile("tiny64").unwrap(), 1);
+        for netlist in [embedded::c17(), tiny] {
+            let flow = ReseedingFlow::new(&netlist).unwrap();
+            let config = FlowConfig::new(TpgKind::Adder);
+            let taus = [0usize, 7, 31, 100];
+            let swept = crate::tradeoff_sweep_with(&flow, &config, &taus);
+            let tpg = config.tpg.build(netlist.inputs().len());
+            let base = flow.builder().atpg_base(&config);
+            let fsim = flow.builder().fault_simulator();
+            for (point, &tau) in swept.iter().zip(&taus) {
+                let run = flow.run(&config.clone().with_tau(tau));
+                assert_eq!(point.report, run, "{} τ={tau}", netlist.name());
+                let mut remaining = base.target_faults.clone();
+                for (i, t) in run.selected.iter().enumerate() {
+                    let res = fsim.run(&tpg.expand(&t.triplet), &remaining);
+                    let label = format!("{} τ={tau} row {i}", netlist.name());
+                    assert_eq!(res.detected_count(), t.new_faults, "{label}");
+                    assert_eq!(res.useful_prefix_len(), t.test_length, "{label}");
+                    assert!(t.test_length <= tau + 1, "{label}");
+                    let left: Vec<FaultId> = remaining
+                        .iter()
+                        .filter(|(id, _)| !res.detected.get(id.index()))
+                        .map(|(id, _)| id)
+                        .collect();
+                    remaining = remaining.subset(&left);
+                }
+                assert!(remaining.is_empty(), "{} τ={tau}", netlist.name());
+                assert!(run.covers_all_target_faults());
+            }
         }
     }
 

@@ -54,7 +54,9 @@ mod verify;
 
 pub use area::{rom_bits_per_triplet, solution_rom_bits, AreaModel};
 pub use builder::{AtpgBase, InitialReseeding, InitialReseedingBuilder};
-pub use config::{check_tau, parse_tau_list, FlowConfig, MatrixBuild, TpgKind};
+pub use config::{
+    admit_tau, check_tau, parse_tau_list, FlowConfig, MatrixBuild, TpgKind, PATTERN_MEMORY_BUDGET,
+};
 pub use fbist_bits::SimdWidth;
 pub use fbist_setcover::FirstDetectionMatrix;
 pub use flow::ReseedingFlow;

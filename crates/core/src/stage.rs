@@ -245,7 +245,9 @@ impl Artifact for AtpgBase {
 }
 
 /// The stored `first-detection` artifact: the matrix plus the `τ_max` it
-/// was simulated at, which bounds the τ range it can answer exactly.
+/// was simulated at, which bounds the τ range it can answer exactly. The
+/// two must agree (`tau_max == matrix.tau_max()`, which sets the cell
+/// width); an artifact where they differ does not decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CachedFirstDetection {
     /// Evolution length the recorded pass simulated to.
@@ -266,6 +268,12 @@ impl Artifact for CachedFirstDetection {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let tau_max = r.usize()?;
         let matrix = FirstDetectionMatrix::decode(r)?;
+        if matrix.tau_max() != tau_max {
+            return Err(DecodeError::Invalid(format!(
+                "first-detection artifact for τ_max = {tau_max} holds a matrix for τ_max = {}",
+                matrix.tau_max()
+            )));
+        }
         Ok(CachedFirstDetection { tau_max, matrix })
     }
 }

@@ -69,4 +69,4 @@ mod sim;
 pub use batch::{BatchBlock, BatchPlan, LaneGroup};
 pub use checkpoint::checkpoint_faults;
 pub use model::{Fault, FaultId, FaultList, FaultSite};
-pub use sim::{merge_first_detections, ConeSweeps, FaultSimResult, FaultSimulator};
+pub use sim::{ConeSweeps, FaultSimResult, FaultSimulator};

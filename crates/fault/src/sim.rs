@@ -579,9 +579,9 @@ impl FaultSimulator {
     /// Sentinel first-detection index: the pair was never detected.
     ///
     /// Used by [`first_detections_blocks`](Self::first_detections_blocks)
-    /// and [`merge_first_detections`] instead of `Option<u32>` so
-    /// partials can be merged with a plain elementwise `min` (the
-    /// sentinel is the identity of `min`). Real pattern indices
+    /// instead of `Option<u32>` so partials can be merged with a plain
+    /// elementwise `min` (the sentinel is the identity of `min`; the
+    /// flow's `FirstDetectionMatrix::merge_min`). Real pattern indices
     /// are always `< u32::MAX`; the flow layer bounds `τ` far below that
     /// (`FlowConfig::MAX_TAU`).
     pub const NO_DETECTION: u32 = u32::MAX;
@@ -601,7 +601,7 @@ impl FaultSimulator {
     /// thresholding. Lanes ascend in stream order, so the lowest set lane
     /// of a group's masked detection word is its first detection.
     ///
-    /// [`merge_first_detections`] over the partials of **any** partition
+    /// An elementwise `min` over the partials of **any** partition
     /// of the block axis recovers, per row, `run(&row, f).first_detection`
     /// (with `NO_DETECTION` for `None`): the global first detection is
     /// the minimum over the per-range ones. Masked dropping is exact as
@@ -885,45 +885,6 @@ impl FaultSimulator {
     }
 }
 
-/// Merges `(row, partial)` first-detection results from
-/// [`FaultSimulator::first_detections_blocks`] into `rows` rows of
-/// `width` indices by elementwise `min` — the one owner of the
-/// first-detection merge semantics. `min` is associative and commutative
-/// with [`FaultSimulator::NO_DETECTION`] as identity, so any partition of
-/// the block axis and any merge order yield the same indices.
-///
-/// A row's first partial is moved in, not copied, so the merge holds no
-/// second `rows × width` buffer; a row no partial names detects nothing.
-///
-/// # Panics
-///
-/// Panics if a partial names a row out of range or is not `width` wide.
-pub fn merge_first_detections(
-    rows: usize,
-    width: usize,
-    partials: impl IntoIterator<Item = (usize, Vec<u32>)>,
-) -> Vec<Vec<u32>> {
-    let mut acc: Vec<Option<Vec<u32>>> = vec![None; rows];
-    for (row, partial) in partials {
-        assert_eq!(
-            partial.len(),
-            width,
-            "first-detection partial for row {row} is not {width} wide"
-        );
-        match &mut acc[row] {
-            Some(a) => {
-                for (a, v) in a.iter_mut().zip(&partial) {
-                    *a = (*a).min(*v);
-                }
-            }
-            slot => *slot = Some(partial),
-        }
-    }
-    acc.into_iter()
-        .map(|row| row.unwrap_or_else(|| vec![FaultSimulator::NO_DETECTION; width]))
-        .collect()
-}
-
 /// Evaluates a gate reading width-`W` values through `read`.
 #[inline]
 fn eval_mixed<const W: usize>(
@@ -1149,7 +1110,7 @@ mod tests {
     ) -> (Vec<BitVec>, Vec<Vec<u32>>) {
         let plan = BatchPlan::with_width(&rows.iter().map(Vec::len).collect::<Vec<_>>(), w);
         let mut detected = vec![BitVec::zeros(faults.len()); rows.len()];
-        let mut partials = Vec::new();
+        let mut firsts = vec![vec![FaultSimulator::NO_DETECTION; faults.len()]; rows.len()];
         let mut lo = 0;
         while lo < plan.block_count() {
             let hi = plan.block_count().min(lo.saturating_add(chunk));
@@ -1157,10 +1118,13 @@ mod tests {
             for (row, bits) in sim.detects_blocks(&plan, lo..hi, span, faults) {
                 detected[row].union_with(&bits);
             }
-            partials.extend(sim.first_detections_blocks(&plan, lo..hi, span, faults));
+            for (row, partial) in sim.first_detections_blocks(&plan, lo..hi, span, faults) {
+                for (first, index) in firsts[row].iter_mut().zip(partial) {
+                    *first = (*first).min(index);
+                }
+            }
             lo = hi;
         }
-        let firsts = merge_first_detections(rows.len(), faults.len(), partials);
         (detected, firsts)
     }
 

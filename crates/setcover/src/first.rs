@@ -2,13 +2,13 @@
 
 use std::fmt;
 
-use fbist_bits::BitMatrix;
+use fbist_bits::{for_each_set_bit, words_for, BitMatrix, BitVec, WORD_BITS};
 
 use crate::matrix::DetectionMatrix;
 
 /// A Detection Matrix augmented with *when*: for every `(triplet, fault)`
-/// pair that is ever detected, the index of the earliest expanded pattern
-/// of the triplet's stream that detects the fault.
+/// pair, the index of the earliest expanded pattern of the triplet's
+/// stream that detects the fault, or "never" within `τ_max`.
 ///
 /// # Why thresholding is exact
 ///
@@ -30,18 +30,22 @@ use crate::matrix::DetectionMatrix;
 /// `tests/sweep_equivalence.rs` across every profile × TPG × jobs
 /// combination).
 ///
+/// The same prefix argument gives the paper's §4 trimming: a triplet kept
+/// for a set of faults needs exactly `1 + max first[i][j]` patterns over
+/// those faults ([`max_first_in`]), so the flow trims without simulating.
+///
 /// [`at_tau`]: FirstDetectionMatrix::at_tau
+/// [`max_first_in`]: FirstDetectionMatrix::max_first_in
 ///
 /// # Storage
 ///
-/// Detected pairs only, in CSR form: per row a sorted slice of
-/// `(column, first_index)` entries. Never-detected pairs are simply
-/// absent, so the sentinel used by the fault simulator (`u32::MAX`, see
-/// [`NO_DETECTION`]) never needs storing, and [`at_tau`]'s derivation
-/// work is `O(nnz)` threshold comparisons on top of allocating the
-/// (inherently dense) output `DetectionMatrix`.
-///
-/// [`NO_DETECTION`]: FirstDetectionMatrix::NO_DETECTION
+/// One dense cell per `(row, column)`, row-major, in the narrowest
+/// unsigned type that holds every index `≤ τ_max` plus a "never detected"
+/// sentinel (the type's maximum): `u8` for `τ_max < 255`, `u16` for
+/// `τ_max < 65535`, `u32` beyond ([`Cells`]). The flow's matrices are
+/// 23–87 % dense, so a byte or two per cell is smaller than any sparse
+/// form, and [`at_tau`] is one compare per cell packed straight into
+/// words.
 ///
 /// # Example
 ///
@@ -64,44 +68,191 @@ use crate::matrix::DetectionMatrix;
 pub struct FirstDetectionMatrix {
     rows: usize,
     cols: usize,
-    /// CSR row boundaries: row `r`'s entries live at
-    /// `row_ptr[r]..row_ptr[r + 1]` in `col_idx`/`first`.
-    row_ptr: Vec<usize>,
-    /// Column (fault) index per entry, ascending within each row.
-    col_idx: Vec<u32>,
-    /// Earliest detecting pattern index per entry.
-    first: Vec<u32>,
+    tau_max: usize,
+    cells: Cells,
+}
+
+/// The row-major cells of a [`FirstDetectionMatrix`]. Each variant's
+/// maximum value is the "never detected" sentinel; every other cell is a
+/// first-detection index `≤ τ_max`.
+#[derive(Clone, PartialEq, Eq)]
+pub enum Cells {
+    /// For `τ_max < 255`.
+    U8(Vec<u8>),
+    /// For `255 ≤ τ_max < 65535`.
+    U16(Vec<u16>),
+    /// For `65535 ≤ τ_max < u32::MAX`.
+    U32(Vec<u32>),
+}
+
+/// Runs `$body` with `$v` bound to the cell vector of whichever width
+/// `$cells` holds.
+macro_rules! with_cells {
+    ($cells:expr, $v:ident => $body:expr) => {
+        match $cells {
+            Cells::U8($v) => $body,
+            Cells::U16($v) => $body,
+            Cells::U32($v) => $body,
+        }
+    };
+}
+
+/// A cell type: its maximum is the sentinel.
+trait Cell: Copy + Ord {
+    const NONE: Self;
+
+    /// `index` (a pattern index below the sentinel, or
+    /// [`FirstDetectionMatrix::NO_DETECTION`]) in this width.
+    fn narrow(index: u32) -> Self;
+
+    fn widen(self) -> u32;
+
+    /// The largest cell value `≤ tau` that is not the sentinel, so that
+    /// `cell <= threshold(tau)` ⇔ the cell is an index `≤ tau`.
+    fn threshold(tau: usize) -> Self {
+        let below_none = Self::NONE.widen() - 1;
+        Self::narrow(u32::try_from(tau).map_or(below_none, |t| t.min(below_none)))
+    }
+}
+
+macro_rules! impl_cell {
+    ($($t:ty),*) => {$(
+        impl Cell for $t {
+            const NONE: $t = <$t>::MAX;
+
+            #[inline]
+            fn narrow(index: u32) -> $t {
+                if index == FirstDetectionMatrix::NO_DETECTION {
+                    Self::NONE
+                } else {
+                    index as $t
+                }
+            }
+
+            #[inline]
+            fn widen(self) -> u32 {
+                u32::from(self)
+            }
+        }
+    )*};
+}
+
+impl_cell!(u8, u16, u32);
+
+impl Cells {
+    /// Bytes per cell for a matrix simulated to `tau_max`: the narrowest
+    /// width whose maximum (the sentinel) exceeds every index `≤ tau_max`.
+    pub fn bytes_for(tau_max: usize) -> usize {
+        if tau_max < usize::from(u8::MAX) {
+            1
+        } else if tau_max < usize::from(u16::MAX) {
+            2
+        } else {
+            4
+        }
+    }
+
+    /// Bytes per cell of this storage (1, 2 or 4).
+    pub fn bytes_per_cell(&self) -> usize {
+        match self {
+            Cells::U8(_) => 1,
+            Cells::U16(_) => 2,
+            Cells::U32(_) => 4,
+        }
+    }
+
+    /// Number of cells.
+    pub fn len(&self) -> usize {
+        with_cells!(self, v => v.len())
+    }
+
+    /// `true` when there are no cells.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// `len` sentinel cells of the width `tau_max` needs.
+    fn undetected(len: usize, tau_max: usize) -> Cells {
+        match Cells::bytes_for(tau_max) {
+            1 => Cells::U8(vec![u8::NONE; len]),
+            2 => Cells::U16(vec![u16::NONE; len]),
+            _ => Cells::U32(vec![u32::NONE; len]),
+        }
+    }
 }
 
 impl FirstDetectionMatrix {
-    /// Sentinel "never detected" index accepted by [`from_rows`] — the
-    /// same value `fbist_fault::FaultSimulator::NO_DETECTION` reports, so
-    /// simulator output feeds in unchanged.
+    /// Sentinel "never detected" index accepted by [`from_rows`] and
+    /// [`merge_min`] — the same value
+    /// `fbist_fault::FaultSimulator::NO_DETECTION` reports, so simulator
+    /// output feeds in unchanged. Stored cells use their own width's
+    /// maximum instead ([`Cells`]).
     ///
     /// [`from_rows`]: FirstDetectionMatrix::from_rows
+    /// [`merge_min`]: FirstDetectionMatrix::merge_min
     pub const NO_DETECTION: u32 = u32::MAX;
 
-    /// Builds the matrix from dense per-row first-detection indices
-    /// ([`NO_DETECTION`](Self::NO_DETECTION) = the pair is never
-    /// detected), compressing to CSR.
+    /// A `rows × cols` matrix for a pass simulated to `tau_max` in which
+    /// nothing is detected yet; [`merge_min`](Self::merge_min) fills it.
     ///
     /// # Panics
     ///
-    /// Panics if a row's length differs from `cols` (naming the offending
-    /// row and both widths) or `cols` does not fit `u32`.
-    pub fn from_rows(cols: usize, rows: Vec<Vec<u32>>) -> FirstDetectionMatrix {
+    /// Panics if `rows × cols` overflows `usize` or `tau_max` is not
+    /// below [`NO_DETECTION`](Self::NO_DETECTION).
+    pub fn undetected(rows: usize, cols: usize, tau_max: usize) -> FirstDetectionMatrix {
+        let len = rows
+            .checked_mul(cols)
+            .unwrap_or_else(|| panic!("{rows} × {cols} first-detection cells overflow usize"));
         assert!(
-            u32::try_from(cols).is_ok(),
-            "FirstDetectionMatrix::from_rows: {cols} columns do not fit u32"
+            tau_max < Self::NO_DETECTION as usize,
+            "τ_max = {tau_max} collides with the NO_DETECTION sentinel"
         );
-        let row_count = rows.len();
-        let mut row_ptr = Vec::with_capacity(row_count + 1);
-        let mut col_idx = Vec::new();
-        let mut first = Vec::new();
-        row_ptr.push(0);
-        // consume the dense rows as they are packed, so the dense and
-        // packed forms are never both whole in memory
-        for (r, row) in rows.into_iter().enumerate() {
+        FirstDetectionMatrix {
+            rows,
+            cols,
+            tau_max,
+            cells: Cells::undetected(len, tau_max),
+        }
+    }
+
+    /// Lowers row `row`'s cells to the elementwise minimum with
+    /// `partial` ([`NO_DETECTION`](Self::NO_DETECTION) = no detection
+    /// there). `min` is associative and commutative with the sentinel as
+    /// identity, so partials of any partition of a row's patterns merge
+    /// to the same cells in any order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range, `partial` is not `cols` wide, or
+    /// an index exceeds `τ_max`.
+    pub fn merge_min(&mut self, row: usize, partial: &[u32]) {
+        assert!(
+            row < self.rows,
+            "row {row} out of range ({} rows)",
+            self.rows
+        );
+        assert_eq!(
+            partial.len(),
+            self.cols,
+            "first-detection partial for row {row} is not {} wide",
+            self.cols
+        );
+        let tau_max = self.tau_max;
+        let (lo, hi) = (row * self.cols, (row + 1) * self.cols);
+        with_cells!(&mut self.cells, v => merge_row(&mut v[lo..hi], partial, tau_max));
+    }
+
+    /// Builds the matrix from dense per-row first-detection indices
+    /// ([`NO_DETECTION`](Self::NO_DETECTION) = the pair is never
+    /// detected). `τ_max` is taken to be the largest index given (0 if
+    /// there is none).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row's length differs from `cols`, naming the offending
+    /// row and both widths.
+    pub fn from_rows(cols: usize, rows: Vec<Vec<u32>>) -> FirstDetectionMatrix {
+        for (r, row) in rows.iter().enumerate() {
             assert_eq!(
                 row.len(),
                 cols,
@@ -109,104 +260,77 @@ impl FirstDetectionMatrix {
                  the matrix has {cols} columns",
                 row.len()
             );
-            for (c, &idx) in row.iter().enumerate() {
-                if idx != Self::NO_DETECTION {
-                    col_idx.push(c as u32);
-                    first.push(idx);
-                }
-            }
-            row_ptr.push(col_idx.len());
         }
-        FirstDetectionMatrix {
-            rows: row_count,
-            cols,
-            row_ptr,
-            col_idx,
-            first,
+        let tau_max = rows
+            .iter()
+            .flatten()
+            .filter(|&&i| i != Self::NO_DETECTION)
+            .max()
+            .map_or(0, |&i| i as usize);
+        let mut m = FirstDetectionMatrix::undetected(rows.len(), cols, tau_max);
+        for (r, row) in rows.into_iter().enumerate() {
+            m.merge_min(r, &row);
         }
+        m
     }
 
-    /// Rebuilds a matrix from raw CSR parts — the inverse of
-    /// [`csr_parts`](Self::csr_parts), used by the artifact store to
-    /// deserialise without densifying. Every structural invariant is
-    /// validated, so untrusted (on-disk) bytes fail with a message
-    /// instead of corrupting downstream thresholding.
+    /// Rebuilds a matrix from its parts — the inverse of
+    /// [`cells`](Self::cells), used by the artifact store. Every
+    /// invariant is validated, so untrusted (on-disk) cells fail with a
+    /// message instead of corrupting downstream thresholding.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first violated invariant: wrong
-    /// `row_ptr` length or endpoints, non-monotone `row_ptr`, mismatched
-    /// `col_idx`/`first` lengths, columns out of range or not strictly
-    /// ascending within a row, or a stored
-    /// [`NO_DETECTION`](Self::NO_DETECTION) sentinel (never-detected
-    /// pairs must be absent, not stored).
-    pub fn from_csr(
+    /// Returns a description of the first violated invariant: `rows ×
+    /// cols` overflows, `τ_max` reaches the sentinel, the cell width is
+    /// not the one `τ_max` needs ([`Cells::bytes_for`]), the cell count
+    /// is not `rows × cols`, or a cell exceeds `τ_max` without being the
+    /// sentinel.
+    pub fn from_cells(
         rows: usize,
         cols: usize,
-        row_ptr: Vec<usize>,
-        col_idx: Vec<u32>,
-        first: Vec<u32>,
+        tau_max: usize,
+        cells: Cells,
     ) -> Result<FirstDetectionMatrix, String> {
-        if u32::try_from(cols).is_err() {
-            return Err(format!("{cols} columns do not fit u32"));
+        let len = rows
+            .checked_mul(cols)
+            .ok_or_else(|| format!("{rows} × {cols} cells overflow usize"))?;
+        if tau_max >= Self::NO_DETECTION as usize {
+            return Err(format!("τ_max = {tau_max} reaches the sentinel"));
         }
-        if row_ptr.len() != rows + 1 {
+        if cells.bytes_per_cell() != Cells::bytes_for(tau_max) {
             return Err(format!(
-                "row_ptr has {} entries for {rows} rows (need rows + 1)",
-                row_ptr.len()
+                "{}-byte cells for τ_max = {tau_max}, which needs {}-byte cells",
+                cells.bytes_per_cell(),
+                Cells::bytes_for(tau_max)
             ));
         }
-        if row_ptr[0] != 0 {
-            return Err(format!("row_ptr must start at 0, found {}", row_ptr[0]));
-        }
-        if *row_ptr.last().expect("non-empty: rows + 1 ≥ 1") != col_idx.len() {
+        if cells.len() != len {
             return Err(format!(
-                "row_ptr ends at {} but there are {} entries",
-                row_ptr.last().expect("non-empty"),
-                col_idx.len()
+                "{} cells for a {rows} × {cols} matrix",
+                cells.len()
             ));
         }
-        if col_idx.len() != first.len() {
+        let bad = with_cells!(&cells, v => first_out_of_range(v, tau_max));
+        if let Some((i, value)) = bad {
             return Err(format!(
-                "{} columns vs {} first-detection indices",
-                col_idx.len(),
-                first.len()
+                "cell ({}, {}) holds {value}, beyond τ_max = {tau_max}",
+                i / cols,
+                i % cols
             ));
-        }
-        for r in 0..rows {
-            let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
-            if lo > hi {
-                return Err(format!("row_ptr not monotone at row {r} ({lo} > {hi})"));
-            }
-            let mut prev: Option<u32> = None;
-            for i in lo..hi {
-                let c = col_idx[i];
-                if c as usize >= cols {
-                    return Err(format!("row {r}: column {c} out of range ({cols} columns)"));
-                }
-                if prev.is_some_and(|p| p >= c) {
-                    return Err(format!("row {r}: columns not strictly ascending at {c}"));
-                }
-                if first[i] == Self::NO_DETECTION {
-                    return Err(format!("row {r}, column {c}: stored NO_DETECTION sentinel"));
-                }
-                prev = Some(c);
-            }
         }
         Ok(FirstDetectionMatrix {
             rows,
             cols,
-            row_ptr,
-            col_idx,
-            first,
+            tau_max,
+            cells,
         })
     }
 
-    /// The raw CSR storage `(row_ptr, col_idx, first)` — the exact
-    /// internal representation, for serialisation.
-    /// [`from_csr`](Self::from_csr) round-trips it.
-    pub fn csr_parts(&self) -> (&[usize], &[u32], &[u32]) {
-        (&self.row_ptr, &self.col_idx, &self.first)
+    /// The row-major cells, for serialisation;
+    /// [`from_cells`](Self::from_cells) round-trips them.
+    pub fn cells(&self) -> &Cells {
+        &self.cells
     }
 
     /// Number of rows (triplets).
@@ -219,21 +343,15 @@ impl FirstDetectionMatrix {
         self.cols
     }
 
-    /// Number of stored (ever-detected) cells.
-    pub fn nnz(&self) -> usize {
-        self.col_idx.len()
+    /// The evolution length the matrix answers exactly up to: every
+    /// stored index is `≤ τ_max`.
+    pub fn tau_max(&self) -> usize {
+        self.tau_max
     }
 
-    /// Row `r`'s CSR slices: `(columns, first_indices)`, columns
-    /// ascending.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range row.
-    pub fn row_entries(&self, row: usize) -> (&[u32], &[u32]) {
-        let lo = self.row_ptr[row];
-        let hi = self.row_ptr[row + 1];
-        (&self.col_idx[lo..hi], &self.first[lo..hi])
+    /// Number of ever-detected cells.
+    pub fn nnz(&self) -> usize {
+        with_cells!(&self.cells, v => v.iter().filter_map(|&c| found(c)).count())
     }
 
     /// The earliest pattern index at which `row` detects `col`, or `None`
@@ -243,49 +361,133 @@ impl FirstDetectionMatrix {
     ///
     /// Panics on out-of-range indices.
     pub fn first(&self, row: usize, col: usize) -> Option<u32> {
+        assert!(row < self.rows, "row {row} out of range");
         assert!(col < self.cols, "column {col} out of range");
-        let (cols, firsts) = self.row_entries(row);
-        cols.binary_search(&(col as u32)).ok().map(|i| firsts[i])
+        let i = row * self.cols + col;
+        with_cells!(&self.cells, v => found(v[i]))
     }
 
-    /// The largest stored first-detection index (`None` for an all-zero
+    /// The largest first-detection index (`None` for an all-zero
     /// matrix). `at_tau(max_first())` is the densest derivable matrix;
     /// larger `τ` cannot add a cell.
     pub fn max_first(&self) -> Option<u32> {
-        self.first.iter().copied().max()
+        with_cells!(&self.cells, v => v.iter().filter_map(|&c| found(c)).max())
+    }
+
+    /// The largest first-detection index of `row` over the columns set in
+    /// `cols` that the row detects, or `None` if it detects none of them.
+    /// For the faults a selected triplet newly covers, `1 +` this is the
+    /// triplet's useful prefix: the paper's trimmed test length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range or `cols` is not
+    /// [`cols()`](Self::cols) wide.
+    pub fn max_first_in(&self, row: usize, cols: &BitVec) -> Option<u32> {
+        assert!(row < self.rows, "row {row} out of range");
+        assert_eq!(cols.width(), self.cols, "column mask width");
+        let (lo, hi) = (row * self.cols, (row + 1) * self.cols);
+        with_cells!(&self.cells, v => max_over(&v[lo..hi], cols))
     }
 
     /// Derives the Detection Matrix at evolution length `tau` by
     /// thresholding: cell `(i, j)` is set iff the stored first-detection
     /// index is `≤ tau`. No simulation happens — see the type-level docs
     /// for why this is exactly the matrix a fresh simulation at `tau`
-    /// would produce, provided `tau` does not exceed the `τ_max` the
-    /// matrix was simulated at (entries beyond `τ_max` were never
-    /// observed, so larger `tau` silently saturates at the `τ_max`
-    /// matrix).
+    /// would produce, provided `tau` does not exceed
+    /// [`tau_max`](Self::tau_max) (larger `tau` silently saturates at the
+    /// `τ_max` matrix). Both the row-major matrix and its transpose are
+    /// packed straight from the cells, 64 compares per word.
     pub fn at_tau(&self, tau: usize) -> DetectionMatrix {
-        let mut m = BitMatrix::new(self.rows, self.cols);
-        for row in 0..self.rows {
-            let (cols, firsts) = self.row_entries(row);
-            for (&c, &f) in cols.iter().zip(firsts) {
-                if f as usize <= tau {
-                    m.set(row, c as usize, true);
-                }
-            }
-        }
-        DetectionMatrix::from_bit_matrix(m)
+        let (rows, cols) = (self.rows, self.cols);
+        let (row_major, col_major) = with_cells!(&self.cells, v => threshold(v, rows, cols, tau));
+        DetectionMatrix::from_both(
+            BitMatrix::from_words(rows, cols, row_major),
+            BitMatrix::from_words(cols, rows, col_major),
+        )
     }
+}
+
+fn found<T: Cell>(cell: T) -> Option<u32> {
+    (cell != T::NONE).then(|| cell.widen())
+}
+
+fn merge_row<T: Cell>(cells: &mut [T], partial: &[u32], tau_max: usize) {
+    for (c, (cell, &index)) in cells.iter_mut().zip(partial).enumerate() {
+        assert!(
+            index == FirstDetectionMatrix::NO_DETECTION || index as usize <= tau_max,
+            "column {c}: first index {index} exceeds τ_max = {tau_max}"
+        );
+        *cell = (*cell).min(T::narrow(index));
+    }
+}
+
+fn first_out_of_range<T: Cell>(cells: &[T], tau_max: usize) -> Option<(usize, u32)> {
+    cells
+        .iter()
+        .position(|&c| c != T::NONE && c.widen() as usize > tau_max)
+        .map(|i| (i, cells[i].widen()))
+}
+
+fn max_over<T: Cell>(row: &[T], cols: &BitVec) -> Option<u32> {
+    let mut best: Option<T> = None;
+    for_each_set_bit(cols.as_words(), |c| {
+        let cell = row[c];
+        if cell != T::NONE && best.is_none_or(|b| cell > b) {
+            best = Some(cell);
+        }
+    });
+    best.map(Cell::widen)
+}
+
+/// Packs `cell <= threshold(tau)` for every cell, row-major and
+/// column-major. The column-major pass walks 64 rows at a time, so each
+/// row's cache lines serve 64 consecutive columns.
+fn threshold<T: Cell>(cells: &[T], rows: usize, cols: usize, tau: usize) -> (Vec<u64>, Vec<u64>) {
+    let t = T::threshold(tau);
+    let bit = |k: usize, cell: T| u64::from(cell <= t) << k;
+    let per_row = words_for(cols);
+    let mut row_major = vec![0u64; rows * per_row];
+    let per_col = words_for(rows);
+    let mut col_major = vec![0u64; cols * per_col];
+    if cols == 0 {
+        return (row_major, col_major);
+    }
+    for (r, row) in cells.chunks_exact(cols).enumerate() {
+        for (w, chunk) in row.chunks(WORD_BITS).enumerate() {
+            row_major[r * per_row + w] = chunk
+                .iter()
+                .enumerate()
+                .fold(0, |acc, (k, &c)| acc | bit(k, c));
+        }
+    }
+    for (w, block) in cells.chunks(WORD_BITS * cols).enumerate() {
+        for c in 0..cols {
+            col_major[c * per_col + w] = block
+                .chunks_exact(cols)
+                .enumerate()
+                .fold(0, |acc, (k, row)| acc | bit(k, row[c]));
+        }
+    }
+    (row_major, col_major)
 }
 
 impl fmt::Debug for FirstDetectionMatrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "FirstDetectionMatrix {}x{} ({} detected cells)",
+            "FirstDetectionMatrix {}x{} (τ_max {}, {}-byte cells)",
             self.rows,
             self.cols,
-            self.nnz()
+            self.tau_max,
+            self.cells.bytes_per_cell()
         )
+    }
+}
+
+impl fmt::Debug for Cells {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} {}-byte cells", self.len(), self.bytes_per_cell())
     }
 }
 
@@ -307,13 +509,16 @@ mod tests {
     }
 
     #[test]
-    fn csr_shape_and_lookups() {
+    fn shape_and_lookups() {
         let m = sample();
         assert_eq!(m.rows(), 3);
         assert_eq!(m.cols(), 4);
+        assert_eq!(m.tau_max(), 7);
         assert_eq!(m.nnz(), 5);
-        assert_eq!(m.row_entries(0), (&[0u32, 1, 3][..], &[0u32, 3, 7][..]));
-        assert_eq!(m.row_entries(1), (&[][..], &[][..]));
+        assert_eq!(
+            m.cells(),
+            &Cells::U8(vec![0, 3, 255, 7, 255, 255, 255, 255, 2, 255, 0, 255])
+        );
         assert_eq!(m.first(0, 1), Some(3));
         assert_eq!(m.first(0, 2), None);
         assert_eq!(m.first(2, 2), Some(0));
@@ -331,12 +536,105 @@ mod tests {
                     assert_eq!(d.get(r, c), expect, "τ={tau} ({r},{c})");
                 }
             }
+            assert_eq!(*d.col_major(), d.row_major().transposed(), "τ={tau}");
         }
         // τ beyond max_first saturates: no new cells can appear
         assert_eq!(
             m.at_tau(7).row_major(),
             m.at_tau(1_000_000).row_major(),
             "saturated matrices must be identical"
+        );
+    }
+
+    #[test]
+    fn thresholding_spans_word_and_row_block_boundaries() {
+        // 130 × 70: three row blocks of 64 and two column words
+        let (rows, cols) = (130usize, 70usize);
+        let dense: Vec<Vec<u32>> = (0..rows)
+            .map(|r| {
+                (0..cols)
+                    .map(|c| match (r * 31 + c * 17) % 11 {
+                        0 => NONE,
+                        k => (k * 40) as u32,
+                    })
+                    .collect()
+            })
+            .collect();
+        let m = FirstDetectionMatrix::from_rows(cols, dense.clone());
+        assert_eq!(m.tau_max(), 400);
+        assert_eq!(m.cells().bytes_per_cell(), 2);
+        for tau in [0usize, 39, 40, 200, 399, 400, 70_000] {
+            let d = m.at_tau(tau);
+            for (r, row) in dense.iter().enumerate() {
+                for (c, &f) in row.iter().enumerate() {
+                    assert_eq!(d.get(r, c), f != NONE && f as usize <= tau, "τ={tau}");
+                }
+            }
+            assert_eq!(*d.col_major(), d.row_major().transposed(), "τ={tau}");
+        }
+    }
+
+    #[test]
+    fn cell_width_follows_tau_max() {
+        for (tau_max, bytes) in [
+            (0, 1),
+            (254, 1),
+            (255, 2),
+            (65534, 2),
+            (65535, 4),
+            (1 << 24, 4),
+        ] {
+            assert_eq!(Cells::bytes_for(tau_max), bytes, "τ_max={tau_max}");
+            let mut m = FirstDetectionMatrix::undetected(2, 3, tau_max);
+            assert_eq!(m.cells().bytes_per_cell(), bytes);
+            // the largest index still fits below the sentinel
+            m.merge_min(1, &[NONE, tau_max as u32, 0]);
+            assert_eq!(m.first(1, 1), Some(tau_max as u32));
+            assert_eq!(m.first(1, 0), None);
+            assert_eq!(m.at_tau(tau_max).row_weight(1), 2);
+            assert_eq!(m.at_tau(usize::MAX).row_weight(1), 2);
+            if tau_max > 0 {
+                assert_eq!(m.at_tau(tau_max - 1).row_weight(1), 1);
+            }
+        }
+    }
+
+    #[test]
+    fn merge_min_is_order_independent() {
+        let parts = [vec![5, NONE, 9], vec![3, 8, NONE], vec![NONE, 2, 9]];
+        let merged = |order: &[usize]| {
+            let mut m = FirstDetectionMatrix::undetected(1, 3, 9);
+            for &i in order {
+                m.merge_min(0, &parts[i]);
+            }
+            m
+        };
+        let expect = FirstDetectionMatrix::from_rows(3, vec![vec![3, 2, 9]]);
+        for order in [[0, 1, 2], [2, 1, 0], [1, 2, 0]] {
+            assert_eq!(merged(&order), expect, "{order:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds τ_max")]
+    fn merge_rejects_indices_beyond_tau_max() {
+        FirstDetectionMatrix::undetected(1, 2, 7).merge_min(0, &[8, NONE]);
+    }
+
+    #[test]
+    fn max_first_in_reads_only_masked_detected_columns() {
+        let m = sample();
+        let mask = |bits: &[bool]| BitVec::from_bits(bits);
+        assert_eq!(m.max_first_in(0, &mask(&[true, true, true, true])), Some(7));
+        assert_eq!(
+            m.max_first_in(0, &mask(&[true, true, true, false])),
+            Some(3)
+        );
+        assert_eq!(m.max_first_in(0, &mask(&[false, false, true, false])), None);
+        assert_eq!(m.max_first_in(1, &mask(&[true; 4])), None);
+        assert_eq!(
+            m.max_first_in(2, &mask(&[true, false, true, false])),
+            Some(2)
         );
     }
 
@@ -353,10 +651,13 @@ mod tests {
         let empty = FirstDetectionMatrix::from_rows(3, Vec::new());
         assert_eq!(empty.rows(), 0);
         assert_eq!(empty.at_tau(5).rows(), 0);
+        assert_eq!(empty.at_tau(5).cols(), 3);
         assert_eq!(empty.max_first(), None);
         let zero = FirstDetectionMatrix::from_rows(2, vec![vec![NONE, NONE]]);
         assert_eq!(zero.nnz(), 0);
         assert_eq!(zero.at_tau(100).row_weight(0), 0);
+        let no_cols = FirstDetectionMatrix::from_rows(0, vec![vec![], vec![]]);
+        assert_eq!(no_cols.at_tau(3).rows(), 2);
     }
 
     #[test]
@@ -366,91 +667,27 @@ mod tests {
     }
 
     #[test]
-    fn csr_parts_round_trip_through_from_csr() {
+    fn cells_round_trip_through_from_cells() {
         let m = sample();
-        let (row_ptr, col_idx, first) = m.csr_parts();
-        let back = FirstDetectionMatrix::from_csr(
-            m.rows(),
-            m.cols(),
-            row_ptr.to_vec(),
-            col_idx.to_vec(),
-            first.to_vec(),
-        )
-        .unwrap();
+        let back = FirstDetectionMatrix::from_cells(3, 4, 7, m.cells().clone()).unwrap();
         assert_eq!(back, m);
-        // the degenerate empty matrix round-trips too
         let empty = FirstDetectionMatrix::from_rows(3, Vec::new());
-        let (p, c, f) = empty.csr_parts();
-        let back = FirstDetectionMatrix::from_csr(0, 3, p.to_vec(), c.to_vec(), f.to_vec());
+        let back = FirstDetectionMatrix::from_cells(0, 3, 0, empty.cells().clone());
         assert_eq!(back.unwrap(), empty);
     }
 
     #[test]
-    fn from_csr_validates_every_invariant() {
+    fn from_cells_validates_every_invariant() {
         let m = sample();
-        let (p, c, f) = m.csr_parts();
-        let (p, c, f) = (p.to_vec(), c.to_vec(), f.to_vec());
-        // wrong row_ptr length
-        assert!(
-            FirstDetectionMatrix::from_csr(2, 4, p.clone(), c.clone(), f.clone())
-                .unwrap_err()
-                .contains("row_ptr")
-        );
-        // bad start
-        let mut bad = p.clone();
-        bad[0] = 1;
-        assert!(
-            FirstDetectionMatrix::from_csr(3, 4, bad, c.clone(), f.clone())
-                .unwrap_err()
-                .contains("start at 0")
-        );
-        // bad end
-        let mut bad = p.clone();
-        *bad.last_mut().unwrap() += 1;
-        assert!(
-            FirstDetectionMatrix::from_csr(3, 4, bad, c.clone(), f.clone())
-                .unwrap_err()
-                .contains("ends at")
-        );
-        // non-monotone
-        let mut bad = p.clone();
-        bad[1] = p[2] + 1;
-        bad[2] = p[2];
-        assert!(
-            FirstDetectionMatrix::from_csr(3, 4, bad, c.clone(), f.clone()).is_err(),
-            "non-monotone row_ptr must be rejected"
-        );
-        // length mismatch between col_idx and first
-        let mut bad = f.clone();
-        bad.pop();
-        assert!(
-            FirstDetectionMatrix::from_csr(3, 4, p.clone(), c.clone(), bad)
-                .unwrap_err()
-                .contains("first-detection indices")
-        );
-        // column out of range
-        let mut bad = c.clone();
-        bad[0] = 9;
-        assert!(
-            FirstDetectionMatrix::from_csr(3, 4, p.clone(), bad, f.clone())
-                .unwrap_err()
-                .contains("out of range")
-        );
-        // duplicate / descending columns
-        let mut bad = c.clone();
-        bad[1] = bad[0];
-        assert!(
-            FirstDetectionMatrix::from_csr(3, 4, p.clone(), bad, f.clone())
-                .unwrap_err()
-                .contains("ascending")
-        );
-        // stored sentinel
-        let mut bad = f.clone();
-        bad[0] = NONE;
-        assert!(
-            FirstDetectionMatrix::from_csr(3, 4, p.clone(), c.clone(), bad)
-                .unwrap_err()
-                .contains("NO_DETECTION")
-        );
+        let cells = m.cells().clone();
+        let err = |rows, cols, tau_max, cells| {
+            FirstDetectionMatrix::from_cells(rows, cols, tau_max, cells).unwrap_err()
+        };
+        assert!(err(usize::MAX, 2, 7, cells.clone()).contains("overflow"));
+        assert!(err(3, 4, 300, cells.clone()).contains("needs 2-byte cells"));
+        assert!(err(2, 4, 7, cells.clone()).contains("12 cells for a 2 × 4"));
+        // 7 is out of range once τ_max says 6
+        assert!(err(3, 4, 6, cells.clone()).contains("cell (0, 3) holds 7"));
+        assert!(err(1, 1, u32::MAX as usize, Cells::U32(vec![0])).contains("sentinel"));
     }
 }

@@ -62,7 +62,7 @@ mod reduce;
 mod solution;
 
 pub use exact::{ExactConfig, ExactResult, ExactSolver};
-pub use first::FirstDetectionMatrix;
+pub use first::{Cells, FirstDetectionMatrix};
 pub use greedy::greedy_cover;
 pub use local::{eliminate_redundant, local_search_cover, LocalSearchConfig};
 pub use matrix::DetectionMatrix;

@@ -96,6 +96,12 @@ impl DetectionMatrix {
         DetectionMatrix { rows: m, cols_t: t }
     }
 
+    /// Pairs a row-major matrix with its already-built transpose.
+    pub(crate) fn from_both(rows: BitMatrix, cols_t: BitMatrix) -> DetectionMatrix {
+        debug_assert!(cols_t == rows.transposed(), "cols_t must be the transpose");
+        DetectionMatrix { rows, cols_t }
+    }
+
     /// Number of rows (triplets).
     pub fn rows(&self) -> usize {
         self.rows.rows()

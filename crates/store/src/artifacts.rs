@@ -3,14 +3,14 @@
 //! Every codec is exact: `decode(encode(x)) == x`, pinned by the
 //! round-trip proptests in `tests/roundtrip.rs`. Decoders validate
 //! every structural invariant they rebuild (widths, index ranges, CSR
-//! monotonicity, netlist arities) so a corrupt payload is reported as
+//! cell ranges, netlist arities) so a corrupt payload is reported as
 //! [`DecodeError::Invalid`] instead of panicking deep inside a consumer.
 
 use fbist_atpg::AtpgResult;
 use fbist_bits::BitVec;
 use fbist_fault::{Fault, FaultId, FaultList, FaultSite};
 use fbist_netlist::{GateId, GateKind, Netlist};
-use fbist_setcover::FirstDetectionMatrix;
+use fbist_setcover::{Cells, FirstDetectionMatrix};
 use fbist_tpg::Triplet;
 
 use crate::codec::{DecodeError, Reader, Writer};
@@ -239,29 +239,62 @@ impl Artifact for FirstDetectionMatrix {
     const KIND: &'static str = "first-detection-matrix";
 
     fn encode(&self, w: &mut Writer) {
-        let (row_ptr, col_idx, first) = self.csr_parts();
         w.usize(self.rows());
         w.usize(self.cols());
-        w.usize(row_ptr.len());
-        for &p in row_ptr {
-            w.usize(p);
+        w.usize(self.tau_max());
+        let cells = self.cells();
+        w.u8(cells.bytes_per_cell() as u8);
+        let mut raw = Vec::with_capacity(cells.len() * cells.bytes_per_cell());
+        match cells {
+            Cells::U8(v) => raw.extend_from_slice(v),
+            Cells::U16(v) => v
+                .iter()
+                .for_each(|c| raw.extend_from_slice(&c.to_le_bytes())),
+            Cells::U32(v) => v
+                .iter()
+                .for_each(|c| raw.extend_from_slice(&c.to_le_bytes())),
         }
-        w.u32_slice(col_idx);
-        w.u32_slice(first);
+        w.bytes(&raw);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let rows = r.usize()?;
         let cols = r.usize()?;
-        let n_ptr = r.usize()?;
-        let mut row_ptr = Vec::with_capacity(n_ptr.min(r.remaining() / 8));
-        for _ in 0..n_ptr {
-            row_ptr.push(r.usize()?);
+        let tau_max = r.usize()?;
+        let width = usize::from(r.u8()?);
+        if width != Cells::bytes_for(tau_max) {
+            return Err(DecodeError::Invalid(format!(
+                "width tag {width} for τ_max = {tau_max}, which needs {}-byte cells",
+                Cells::bytes_for(tau_max)
+            )));
         }
-        let col_idx = r.u32_vec()?;
-        let first = r.u32_vec()?;
-        FirstDetectionMatrix::from_csr(rows, cols, row_ptr, col_idx, first)
-            .map_err(DecodeError::Invalid)
+        // the raw bytes are borrowed from the buffer, so nothing is
+        // allocated before their length is checked against rows × cols
+        let raw = r.bytes()?;
+        let expected = rows
+            .checked_mul(cols)
+            .and_then(|n| n.checked_mul(width))
+            .ok_or_else(|| DecodeError::Invalid(format!("{rows} × {cols} cells overflow")))?;
+        if raw.len() != expected {
+            return Err(DecodeError::Invalid(format!(
+                "{} cell bytes for a {rows} × {cols} matrix of {width}-byte cells",
+                raw.len()
+            )));
+        }
+        let cells = match width {
+            1 => Cells::U8(raw.to_vec()),
+            2 => Cells::U16(
+                raw.chunks_exact(2)
+                    .map(|b| u16::from_le_bytes([b[0], b[1]]))
+                    .collect(),
+            ),
+            _ => Cells::U32(
+                raw.chunks_exact(4)
+                    .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                    .collect(),
+            ),
+        };
+        FirstDetectionMatrix::from_cells(rows, cols, tau_max, cells).map_err(DecodeError::Invalid)
     }
 }
 

@@ -17,7 +17,7 @@ use crate::key::StageKey;
 /// layout changes; a store written by another version is simply treated
 /// as cold (artifact by artifact, with a warning) rather than
 /// misdecoded.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Magic bytes every artifact file starts with.
 const MAGIC: &[u8; 4] = b"FBST";

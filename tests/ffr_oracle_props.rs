@@ -21,7 +21,7 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use set_covering_reseeding::bits::{simd, SimWord};
-use set_covering_reseeding::fault::{merge_first_detections, reference::ConeOracle, BatchPlan};
+use set_covering_reseeding::fault::{reference::ConeOracle, BatchPlan};
 use set_covering_reseeding::netlist::GateId;
 use set_covering_reseeding::prelude::*;
 
@@ -222,19 +222,22 @@ fn check_width<const W: usize>(
             }
         }
     }
-    let mut partials = Vec::new();
+    let mut firsts = vec![vec![FaultSimulator::NO_DETECTION; faults.len()]; rows.len()];
     let mut detects = vec![BitVec::zeros(faults.len()); rows.len()];
     let mut lo = 0;
     while lo < plan.block_count() {
         let hi = (lo + chunk).min(plan.block_count());
         let span = &rows[plan.row_span(lo..hi)];
-        partials.extend(fsim.first_detections_blocks(&plan, lo..hi, span, &faults));
+        for (row, partial) in fsim.first_detections_blocks(&plan, lo..hi, span, &faults) {
+            for (first, index) in firsts[row].iter_mut().zip(partial) {
+                *first = (*first).min(index);
+            }
+        }
         for (row, bits) in fsim.detects_blocks(&plan, lo..hi, span, &faults) {
             detects[row].union_with(&bits);
         }
         lo = hi;
     }
-    let firsts = merge_first_detections(rows.len(), faults.len(), partials);
     prop_assert_eq!(&firsts, &expect, "W={} chunk {}", W, chunk);
     for (r, row) in expect.iter().enumerate() {
         for (f, &first) in row.iter().enumerate() {

@@ -11,6 +11,14 @@
 //! LFSR-based `lfsr`) and `jobs ∈ {1, 4}`, on a τ list that is
 //! deliberately unsorted and duplicated.
 //!
+//! A store-backed sweep trims from the first-detection indices instead
+//! of re-simulating: each selected triplet's new faults are its matrix
+//! row minus the faults already covered, and its test length is one past
+//! the largest first index among them. Every such report must be
+//! byte-identical to the public, re-simulating `ReseedingFlow::finish` on
+//! the thresholded matrix, for every profile over the default 8-point τ
+//! list at `jobs ∈ {1, 4}`.
+//!
 //! It also pins the shared pass's reason to exist: on `mid256` at full
 //! scale with `--taus 0,3,7,15,31,63`, one sweep runs **exactly one**
 //! Detection-Matrix simulation pass (the builder's pass counter) and
@@ -20,10 +28,13 @@
 //! [`tradeoff_sweep`]: reseed_core::tradeoff_sweep
 //! [`ReseedingFlow::run`]: reseed_core::ReseedingFlow::run
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use fbist_genbench::{all_profiles, generate, CircuitProfile};
 use fbist_netlist::Netlist;
 use set_covering_reseeding::prelude::*;
-use set_covering_reseeding::reseed::SweepPoint;
+use set_covering_reseeding::reseed::{InitialReseeding, SweepPoint};
+use set_covering_reseeding::store::encode_to_vec;
 
 /// Gate budget for the per-profile half: exercises every interface shape
 /// while staying test-fast.
@@ -73,6 +84,60 @@ fn assert_sweep_matches_runs(netlist: &Netlist, tpg: TpgKind, label: &str) {
     }
 }
 
+/// The `fbist sweep` default τ list.
+const DEFAULT_TAUS: [usize; 8] = [0, 3, 7, 15, 31, 63, 127, 255];
+
+/// A store-backed sweep over the default τ list against the public
+/// `finish`, which re-simulates each selected triplet, on the same
+/// thresholded first-detection matrix: the cover artifacts must be
+/// byte-identical.
+fn assert_index_accounting_matches_resimulation(netlist: &Netlist, tpg: TpgKind, label: &str) {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let oracle = ReseedingFlow::new(netlist).unwrap();
+    let builder = oracle.builder();
+    let generator = tpg.build(netlist.inputs().len());
+    for jobs in [1usize, 4] {
+        let config = FlowConfig::new(tpg).with_jobs(jobs);
+        let dir = std::env::temp_dir().join(format!(
+            "fbist-sweep-trim-{label}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ArtifactStore::open(&dir).expect("temp store opens");
+        let flow = ReseedingFlow::with_store(netlist, store).unwrap();
+        let curve = tradeoff_sweep_with(&flow, &config, &DEFAULT_TAUS);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let base = builder.atpg_base(&config);
+        let (triplets, fdm) = builder.first_detection_matrix_for(
+            &*generator,
+            &base.atpg.patterns,
+            &base.target_faults,
+            255,
+            config.seed,
+            jobs,
+            config.matrix_build,
+            config.simd_width,
+        );
+        for (point, &tau) in curve.iter().zip(&DEFAULT_TAUS) {
+            let initial = InitialReseeding {
+                triplets: triplets.iter().map(|t| t.with_tau(tau)).collect(),
+                matrix: fdm.at_tau(tau),
+                target_faults: base.target_faults.clone(),
+                universe_size: base.universe_size,
+                atpg: base.atpg.clone(),
+            };
+            let resimulated = oracle.finish(&config.clone().with_tau(tau), &initial);
+            assert_eq!(
+                encode_to_vec(&point.report),
+                encode_to_vec(&resimulated),
+                "{label} jobs={jobs} τ={tau}: index accounting differs from re-simulation"
+            );
+        }
+    }
+}
+
 macro_rules! sweep_equivalence_tests {
     ($($test:ident => $profile:literal),+ $(,)?) => {$(
         mod $test {
@@ -88,6 +153,12 @@ macro_rules! sweep_equivalence_tests {
             fn lfsr() {
                 let p = genbench_profile($profile).expect("profile registered");
                 assert_sweep_matches_runs(&small(&p), TpgKind::Lfsr, $profile);
+            }
+
+            #[test]
+            fn trim_from_indices() {
+                let p = genbench_profile($profile).expect("profile registered");
+                assert_index_accounting_matches_resimulation(&small(&p), TpgKind::Adder, $profile);
             }
         }
     )+};
@@ -158,8 +229,8 @@ fn mid256_sweep_is_one_pass_and_fewer_blocks_than_runs() {
         1,
         "the sweep must run exactly one matrix simulation pass"
     );
-    // the per-point trimming simulations are identical on both sides
-    // (identical reports), so the strict block gap is pure matrix work
+    // the sweep trims from its first-detection indices, so its blocks
+    // are its one matrix pass; the runs add a trimming simulation each
     assert!(
         sweep_blocks < run_blocks,
         "the sweep evaluated {sweep_blocks} blocks, six runs {run_blocks} — \
