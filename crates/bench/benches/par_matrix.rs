@@ -1,10 +1,11 @@
 //! Parallel vs. sequential Detection-Matrix construction.
 //!
-//! Measures `InitialReseedingBuilder::matrix_for` — the dominant cost of
-//! `table1`/`table2`/`figure2` and of every `ReseedingFlow::run` — at
-//! `jobs = 1` against `jobs =` all available cores. The two variants are
-//! bit-identical by construction (asserted below before timing), so the
-//! ratio is pure speedup.
+//! Measures `InitialReseedingBuilder::matrix_for` — one first-detection
+//! pass at τ thresholded at τ, the matrix build of `table1`/`table2`/
+//! `figure2` and of every `ReseedingFlow::run` — at `jobs = 1` against
+//! `jobs =` all available cores. The two variants are bit-identical by
+//! construction (asserted below before timing), so the ratio is pure
+//! speedup.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fbist_bench::build_circuit;

@@ -209,25 +209,6 @@ impl BitVec {
         v
     }
 
-    /// ORs `other` into `self`, word by word.
-    ///
-    /// ```
-    /// use fbist_bits::BitVec;
-    /// let mut a: BitVec = "0011".parse().unwrap();
-    /// a.union_with(&"0101".parse().unwrap());
-    /// assert_eq!(a, "0111".parse().unwrap());
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if the widths differ.
-    pub fn union_with(&mut self, other: &BitVec) {
-        assert_eq!(self.width, other.width, "union_with requires equal widths");
-        for (w, &o) in self.words.iter_mut().zip(&other.words) {
-            *w |= o;
-        }
-    }
-
     /// `true` if every bit is zero.
     pub fn is_zero(&self) -> bool {
         self.words.iter().all(|&w| w == 0)

@@ -155,31 +155,6 @@ impl BitMatrix {
         BitVec::from_words(self.cols, self.row_words(row))
     }
 
-    /// ORs a [`BitVec`] into a row (in-place accumulation), the primitive
-    /// behind assembling rows from independently computed partials.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range or `bits` is not `cols` wide.
-    pub fn or_bits_into_row(&mut self, row: usize, bits: &BitVec) {
-        assert!(
-            row < self.rows,
-            "row {row} out of range ({} rows)",
-            self.rows
-        );
-        assert_eq!(
-            bits.width(),
-            self.cols,
-            "row {row}: partial width {} != matrix cols {}",
-            bits.width(),
-            self.cols
-        );
-        let base = row * self.words_per_row;
-        for (i, &w) in bits.as_words().iter().enumerate() {
-            self.data[base + i] |= w;
-        }
-    }
-
     /// ORs `src` row into `dst` row (in place accumulation).
     pub fn or_row_into(&mut self, src: usize, dst: usize) {
         assert!(src < self.rows && dst < self.rows);

@@ -824,9 +824,9 @@ fn cmd_compare(args: &[String]) -> Result<(), Failure> {
     let flow = ReseedingFlow::new(&n).map_err(|e| e.to_string())?;
     let report = flow.run(&cfg);
     let gatsby = Gatsby::new(&n).map_err(|e| e.to_string())?;
-    let init = flow.builder().build(&cfg);
+    let base = flow.builder().atpg_base(&cfg);
     let gres = gatsby.run(
-        &init.target_faults,
+        &base.target_faults,
         &GatsbyConfig {
             tpg,
             tau,

@@ -95,9 +95,6 @@ enum CircuitKey {
 struct Residents {
     store: Option<ArtifactStore>,
     entries: Vec<(CircuitKey, Arc<ReseedingFlow>)>,
-    /// The server's worker count, resolved once for the admission check
-    /// (resolving reads the environment and the CPU set).
-    workers: usize,
 }
 
 impl Residents {
@@ -105,7 +102,6 @@ impl Residents {
         Residents {
             store,
             entries: Vec::new(),
-            workers: mini_rayon::max_workers(0),
         }
     }
 
@@ -231,9 +227,10 @@ fn parse_line(line: &str, residents: &mut Residents) -> Result<Parsed, String> {
         .tpg
         .check_inputs(flow.builder().netlist().inputs().len())?;
     let inputs = flow.builder().netlist().inputs().len();
+    let workers = mini_rayon::max_workers(0);
     if kind.as_str() == "reseed" {
         let config = config.with_tau(parse_tau(rest, 31)?);
-        admit_tau(config.tau, inputs, residents.workers)?;
+        admit_tau(config.tau, inputs, workers)?;
         let digest = flow.cover_key(&config).to_string();
         Ok(Parsed {
             flow,
@@ -243,11 +240,7 @@ fn parse_line(line: &str, residents: &mut Residents) -> Result<Parsed, String> {
         })
     } else {
         let taus = parse_taus(rest)?;
-        admit_tau(
-            taus.iter().copied().max().unwrap_or(0),
-            inputs,
-            residents.workers,
-        )?;
+        admit_tau(taus.iter().copied().max().unwrap_or(0), inputs, workers)?;
         let digest = format!("sweep/{}", flow.sweep_digest(&config, &taus));
         Ok(Parsed {
             flow,

@@ -4,7 +4,6 @@
 //! the Detection Matrix by fault-simulating each triplet's expanded test
 //! set against the target fault list `F`.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -163,7 +162,7 @@ impl InitialReseedingBuilder {
     /// amortise the dispatch; keeping the chunk small load-balances
     /// blocks whose masked-dropping savings differ. A range grows past
     /// this only to hold one whole row (see
-    /// [`block_ranges`](Self::block_ranges)).
+    /// [`first_detection_matrix_for`](Self::first_detection_matrix_for)).
     const BLOCK_CHUNK: usize = 4;
 
     /// An upper bound, in bytes, on the expanded patterns one matrix build
@@ -190,22 +189,11 @@ impl InitialReseedingBuilder {
     }
 
     /// Builds triplets and the Detection Matrix for an explicit pattern
-    /// list and fault list (used by [`ReseedingFlow`](crate::ReseedingFlow)
-    /// to build from a shared ATPG run).
-    ///
-    /// `jobs` fans the construction out across the pool (`0` = global
-    /// default); `build` and `simd_width` select nothing (see
-    /// [`MatrixBuild`] and [`SimdWidth`]). Every RNG draw happens in the
-    /// serial prologue below, so the triplet stream — and therefore the
-    /// matrix — is a pure function of `(seed, patterns, tau)`: the result
-    /// is bit-identical for every job count.
-    ///
-    /// The rows' expanded pattern streams are planned into shared blocks
-    /// ([`BatchPlan`]); *block ranges* fan out over the pool, each
-    /// expanding only the rows it touches, and rows are reassembled in
-    /// index order from the partial detection sets each range reports —
-    /// the union over any partition of the block axis is the same, so
-    /// worker count and scheduling can never change a bit.
+    /// list and fault list at `tau`:
+    /// [`first_detection_matrix_for`](Self::first_detection_matrix_for)
+    /// at `tau`, thresholded at `tau` ([`FirstDetectionMatrix::at_tau`]).
+    /// One matrix pass; `build` and `simd_width` select nothing (see
+    /// [`MatrixBuild`] and [`SimdWidth`]).
     ///
     /// # Panics
     ///
@@ -219,74 +207,20 @@ impl InitialReseedingBuilder {
         tau: usize,
         seed: u64,
         jobs: usize,
-        _build: MatrixBuild,
-        _simd_width: SimdWidth,
+        build: MatrixBuild,
+        simd_width: SimdWidth,
     ) -> (Vec<Triplet>, DetectionMatrix) {
-        self.matrix_passes.fetch_add(1, Ordering::Relaxed);
-        let triplets = derive_triplets(tpg, patterns, tau, seed);
-        let partials = self.block_ranges(
+        let (triplets, firsts) = self.first_detection_matrix_for(
             tpg,
-            &triplets,
+            patterns,
+            target_faults,
             tau,
+            seed,
             jobs,
-            |plan: &BatchPlan, range, rows: &[Vec<BitVec>]| {
-                self.fsim.detects_blocks(plan, range, rows, target_faults)
-            },
+            build,
+            simd_width,
         );
-        let matrix = DetectionMatrix::from_partial_rows(
-            triplets.len(),
-            target_faults.len(),
-            partials.into_iter().flatten(),
-        );
-        (triplets, matrix)
-    }
-
-    /// The shared half of both builds: plan shared blocks from the row
-    /// lengths, fan *block ranges* out over the pool, and return each
-    /// range's `simulate` result in range order. Keeping plan
-    /// construction and range partitioning in one place is what makes the
-    /// "same plan, same partitioning" half of the first-detection
-    /// bit-identity contract hold by construction — the detection and
-    /// first-detection builds differ only in the simulator call and the
-    /// merge.
-    ///
-    /// Each range expands only the rows
-    /// [`BatchPlan::row_span`] names, so memory holds the patterns of a
-    /// few ranges, not of the whole matrix. A range spans at least
-    /// [`Self::BLOCK_CHUNK`] blocks and at least one row's `τ + 1` lanes:
-    /// a row then touches at most two ranges, so no row is expanded more
-    /// than twice however large `τ` grows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `τ + 1` or the total lane count overflows `usize` —
-    /// callers going through [`FlowConfig::with_tau`] are bounded far
-    /// below this by [`FlowConfig::MAX_TAU`], but the builders take a raw
-    /// `usize`, so the arithmetic is checked instead of wrapping silently
-    /// in release builds.
-    fn block_ranges<U: Send>(
-        &self,
-        tpg: &dyn PatternGenerator,
-        triplets: &[Triplet],
-        tau: usize,
-        jobs: usize,
-        simulate: impl Fn(&BatchPlan, Range<usize>, &[Vec<BitVec>]) -> U + Sync,
-    ) -> Vec<U> {
-        // every triplet expands to τ + 1 patterns (PatternGenerator::expand)
-        let len = tau
-            .checked_add(1)
-            .expect("τ + 1 overflows usize — bound τ by FlowConfig::MAX_TAU");
-        let plan = BatchPlan::new(&vec![len; triplets.len()]);
-        let chunk = Self::BLOCK_CHUNK.max(len.div_ceil(plan.lane_capacity()));
-        let ranges = plan.block_count().div_ceil(chunk);
-        mini_rayon::par_map_indexed(jobs, ranges, |i| {
-            let range = i * chunk..((i + 1) * chunk).min(plan.block_count());
-            let rows: Vec<Vec<BitVec>> = triplets[plan.row_span(range.clone())]
-                .iter()
-                .map(|t| tpg.expand(t))
-                .collect();
-            simulate(&plan, range, &rows)
-        })
+        (triplets, firsts.at_tau(tau))
     }
 
     /// Builds triplets at `tau_max` and the **first-detection matrix**:
@@ -295,21 +229,33 @@ impl InitialReseedingBuilder {
     /// of *every* `τ ≤ tau_max` is derivable by thresholding
     /// ([`FirstDetectionMatrix::at_tau`]).
     ///
-    /// The serial RNG prologue and the block-range fan-out are exactly
-    /// [`matrix_for`](Self::matrix_for)'s — same seeds, same plan, same
-    /// partitioning — so the triplets equal `matrix_for(.., τ, ..)`'s up
-    /// to their `τ` field, and
-    /// `first_detection_matrix_for(.., tau_max, ..).1.at_tau(τ)` is
-    /// bit-identical to `matrix_for(.., τ, ..).1` for every
-    /// `τ ≤ tau_max` and every job count. Each range's partials are
-    /// merged into the narrow cells as the range finishes, with an
-    /// elementwise `min` ([`FirstDetectionMatrix::merge_min`]), which is
-    /// partition- and order-invariant like the detection union; only the
-    /// ranges in flight hold `u32` partials.
+    /// `jobs` fans the construction out across the pool (`0` = global
+    /// default); `build` and `simd_width` select nothing (see
+    /// [`MatrixBuild`] and [`SimdWidth`]). Every RNG draw happens in a
+    /// serial prologue, so the triplets are a pure function of
+    /// `(seed, patterns, tau_max)` and differ from those at any other τ
+    /// only in their `τ` field.
+    ///
+    /// The rows' expanded pattern streams are planned into shared blocks
+    /// ([`BatchPlan`]); *block ranges* fan out over the pool, each
+    /// expanding only the rows [`BatchPlan::row_span`] names, so memory
+    /// holds the patterns of a few ranges, not of the whole matrix. A
+    /// range spans at least four blocks and at least one row's
+    /// `τ_max + 1` lanes: a row then touches at most two ranges, so no
+    /// row is expanded more than twice however large `τ_max` grows.
+    /// Each range's partials are merged into the narrow cells as the
+    /// range finishes, with an elementwise `min`
+    /// ([`FirstDetectionMatrix::merge_min`]), which is partition- and
+    /// order-invariant, so worker count and scheduling can never change
+    /// a cell; only the ranges in flight hold `u32` partials.
     ///
     /// # Panics
     ///
-    /// Panics if `tau_max + 1` or the total lane count overflows `usize`.
+    /// Panics if `tau_max + 1` or the total lane count overflows `usize`
+    /// — callers going through [`FlowConfig::with_tau`] are bounded far
+    /// below this by [`FlowConfig::MAX_TAU`], but the builders take a raw
+    /// `usize`, so the arithmetic is checked instead of wrapping silently
+    /// in release builds.
     #[allow(clippy::too_many_arguments)]
     pub fn first_detection_matrix_for(
         &self,
@@ -324,34 +270,39 @@ impl InitialReseedingBuilder {
     ) -> (Vec<Triplet>, FirstDetectionMatrix) {
         self.matrix_passes.fetch_add(1, Ordering::Relaxed);
         let triplets = derive_triplets(tpg, patterns, tau_max, seed);
+        // every triplet expands to τ + 1 patterns (PatternGenerator::expand)
+        let len = tau_max
+            .checked_add(1)
+            .expect("τ + 1 overflows usize — bound τ by FlowConfig::MAX_TAU");
+        let plan = BatchPlan::new(&vec![len; triplets.len()]);
+        let chunk = Self::BLOCK_CHUNK.max(len.div_ceil(plan.lane_capacity()));
         let matrix = Mutex::new(FirstDetectionMatrix::undetected(
             triplets.len(),
             target_faults.len(),
             tau_max,
         ));
-        self.block_ranges(
-            tpg,
-            &triplets,
-            tau_max,
-            jobs,
-            |plan: &BatchPlan, range, rows: &[Vec<BitVec>]| {
-                let partials = self
-                    .fsim
-                    .first_detections_blocks(plan, range, rows, target_faults);
-                let mut matrix = matrix.lock().expect("first-detection cells poisoned");
-                for (row, partial) in partials {
-                    matrix.merge_min(row, &partial);
-                }
-            },
-        );
+        mini_rayon::par_map_indexed(jobs, plan.block_count().div_ceil(chunk), |i| {
+            let range = i * chunk..((i + 1) * chunk).min(plan.block_count());
+            let rows: Vec<Vec<BitVec>> = triplets[plan.row_span(range.clone())]
+                .iter()
+                .map(|t| tpg.expand(t))
+                .collect();
+            let partials = self
+                .fsim
+                .first_detections_blocks(&plan, range, &rows, target_faults);
+            let mut matrix = matrix.lock().expect("first-detection cells poisoned");
+            for (row, partial) in partials {
+                matrix.merge_min(row, &partial);
+            }
+        });
         let matrix = matrix.into_inner().expect("first-detection cells poisoned");
         (triplets, matrix)
     }
 
     /// Number of Detection-Matrix simulation passes this builder has run
-    /// ([`matrix_for`](Self::matrix_for) and
-    /// [`first_detection_matrix_for`](Self::first_detection_matrix_for)
-    /// each count one, whatever their engine or job count).
+    /// (each [`first_detection_matrix_for`](Self::first_detection_matrix_for),
+    /// so each [`matrix_for`](Self::matrix_for), counts one, whatever its
+    /// job count).
     ///
     /// This is the sweep's efficiency contract made observable: a sweep
     /// pays exactly **one** pass whatever its τ count, where separate runs
@@ -378,7 +329,7 @@ impl InitialReseedingBuilder {
     }
 }
 
-/// Serial triplet prologue shared by both matrix builds: derive every
+/// Serial triplet prologue of the matrix build: derive every
 /// triplet (and thus consume the full RNG stream) before any worker
 /// starts, in pattern order. Worker identity and completion order can
 /// never leak into the δ values, and the stream does not depend on `tau`
@@ -473,7 +424,7 @@ mod tests {
         assert_eq!(a.matrix.row_major(), b.matrix.row_major());
     }
 
-    /// c17's ATPG base, and both builds over it.
+    /// c17's ATPG base and its first-detection build.
     struct C17 {
         b: InitialReseedingBuilder,
         base: AtpgBase,
@@ -494,18 +445,6 @@ mod tests {
 
         fn adder(&self) -> Box<dyn PatternGenerator> {
             TpgKind::Adder.build(self.b.netlist().inputs().len())
-        }
-
-        fn matrix(
-            &self,
-            tpg: &dyn PatternGenerator,
-            tau: usize,
-            jobs: usize,
-        ) -> (Vec<Triplet>, DetectionMatrix) {
-            let (patterns, faults) = (&self.base.atpg.patterns, &self.base.target_faults);
-            let (build, width) = (MatrixBuild::Batched, SimdWidth::Auto);
-            self.b
-                .matrix_for(tpg, patterns, faults, tau, self.seed, jobs, build, width)
         }
 
         fn firsts(
@@ -561,12 +500,10 @@ mod tests {
         let bound = 2 * c17.base.atpg.patterns.len() as u64 * (tau as u64 + 1);
         let expanded = || tpg.expanded.swap(0, Ordering::Relaxed);
         for jobs in [1, 4] {
-            let (triplets, matrix) = c17.matrix(&tpg, tau, jobs);
+            let (triplets, fdm) = c17.firsts(&tpg, tau, jobs);
             let count = expanded();
             assert!(count <= bound, "jobs={jobs}: {count} > {bound}");
-            let (_, fdm) = c17.firsts(&tpg, tau, jobs);
-            let count = expanded();
-            assert!(count <= bound, "jobs={jobs}: {count} > {bound}");
+            let matrix = fdm.at_tau(tau);
 
             // the per-row oracle: each row's expansion simulated alone
             let runs: Vec<_> = triplets
@@ -588,23 +525,29 @@ mod tests {
         // without the check this would wrap to len = 0 in release builds
         // and plan empty rows for a nonsense τ
         let c17 = C17::new();
-        let _ = c17.matrix(&*c17.adder(), usize::MAX, 1);
+        let _ = c17.firsts(&*c17.adder(), usize::MAX, 1);
     }
 
     #[test]
     fn first_detection_matrix_thresholds_to_every_tau() {
-        // one first-detection pass at τ_max must reproduce matrix_for's
-        // triplets (up to the τ field) and matrix at every smaller τ
+        // one first-detection pass at τ_max must give the triplets derived
+        // at every smaller τ (up to the τ field), and thresholded at τ,
+        // each row's detection set at τ simulated alone
         let c17 = C17::new();
         let tpg = c17.adder();
+        let (patterns, faults) = (&c17.base.atpg.patterns, &c17.base.target_faults);
         let (trip_max, fdm) = c17.firsts(&*tpg, 9, 1);
         for tau in [0usize, 1, 3, 9] {
-            let (trip, matrix) = c17.matrix(&*tpg, tau, 1);
+            let trip = derive_triplets(&*tpg, patterns, tau, c17.seed);
             let derived: Vec<_> = trip_max.iter().map(|t| t.with_tau(tau)).collect();
             assert_eq!(trip, derived, "τ={tau}: triplets");
+            let rows: Vec<BitVec> = trip
+                .iter()
+                .map(|t| c17.b.fault_simulator().detects(&tpg.expand(t), faults))
+                .collect();
             assert_eq!(
-                matrix.row_major(),
-                fdm.at_tau(tau).row_major(),
+                fdm.at_tau(tau),
+                DetectionMatrix::from_rows(faults.len(), rows),
                 "τ={tau}: thresholded matrix differs"
             );
         }

@@ -108,11 +108,10 @@ pub const PATTERN_MEMORY_BUDGET: usize = 1 << 30;
 
 /// Admits a request at evolution length `tau` (a sweep's largest τ) on a
 /// circuit with `inputs` inputs and `workers` threads
-/// ([`mini_rayon::max_workers`], resolved once per process: it reads the
-/// environment and the CPU set) only if its matrix build's pattern memory
-/// stays within [`PATTERN_MEMORY_BUDGET`]. Front ends call it before any
-/// work, so an oversized τ is refused at once instead of exhausting
-/// memory; the check itself is a few multiplications.
+/// ([`mini_rayon::max_workers`]) only if its matrix build's pattern
+/// memory stays within [`PATTERN_MEMORY_BUDGET`]. Front ends call it
+/// before any work, so an oversized τ is refused at once instead of
+/// exhausting memory; the check itself is a few multiplications.
 ///
 /// # Errors
 ///

@@ -107,22 +107,15 @@ impl ReseedingFlow {
 
     /// Computes the report of every τ in `uniq` (sorted, deduplicated,
     /// non-empty) from one ATPG base and records each as a `cover`
-    /// artifact, for [`run`](Self::run) and the τ-sweep alike. This is the
-    /// one place the flow decides how the Detection Matrix is built:
+    /// artifact, for [`run`](Self::run) and the τ-sweep alike.
     ///
-    /// * **two or more τ, or a store attached:** one first-detection pass
-    ///   at `max(uniq)`, thresholded per point
-    ///   ([`FirstDetectionMatrix::at_tau`]). With a store the pass
-    ///   resolves through the saturating `first-detection` stage, which
-    ///   then answers every later τ up to its `τ_max`. Trimming reads the
-    ///   same first indices ([`FirstDetectionMatrix::max_first_in`]), so
-    ///   a point simulates nothing.
-    /// * **exactly one τ and no store:** the detection-only
-    ///   [`InitialReseedingBuilder::matrix_for`] build, trimmed by
-    ///   [`finish`](Self::finish).
-    ///
-    /// Both builds give byte-identical reports
-    /// (`tests/sweep_equivalence.rs`), so no option selects between them.
+    /// Every cover takes one first-detection pass at `max(uniq)`
+    /// ([`StageCache::first_detection`], which with a store resolves
+    /// through the saturating `first-detection` stage and then answers
+    /// every later τ up to its `τ_max`), thresholds it per point
+    /// ([`FirstDetectionMatrix::at_tau`]) and trims from the same first
+    /// indices ([`FirstDetectionMatrix::max_first_in`]), so no selected
+    /// row is simulated again.
     ///
     /// [`FirstDetectionMatrix::at_tau`]: fbist_setcover::FirstDetectionMatrix::at_tau
     /// [`FirstDetectionMatrix::max_first_in`]: fbist_setcover::FirstDetectionMatrix::max_first_in
@@ -134,60 +127,28 @@ impl ReseedingFlow {
     ) -> Vec<ReseedingReport> {
         let netlist = self.builder.netlist();
         let tpg = config.tpg.build(netlist.inputs().len());
-        let reports = match *uniq {
-            // A single point has nothing to amortise first-detection
-            // indices over, and they cost memory. Whole-process peak RSS
-            // (`ru_maxrss`, release build, x86-64 Linux, jobs = 1) of
-            // `fbist reseed <c> --tau 31`, which builds here, against
-            // `fbist sweep <c> --taus 30,31`, which builds narrow first
-            // detections: c1908 5.5 vs 5.8 MB, mid256 3.7 vs 3.9 MB,
-            // s953 4.2 vs 4.2 MB, c7552 14.0 vs 20.3 MB.
-            [tau] if !self.stages.is_enabled() => {
-                let (triplets, matrix) = self.builder.matrix_for(
-                    &*tpg,
-                    &base.atpg.patterns,
-                    &base.target_faults,
-                    tau,
-                    config.seed,
-                    config.jobs,
-                    config.matrix_build,
-                    config.simd_width,
-                );
-                let initial = InitialReseeding {
-                    triplets,
-                    matrix,
-                    target_faults: base.target_faults,
-                    universe_size: base.universe_size,
-                    atpg: base.atpg,
-                };
-                vec![self.finish(&config.clone().with_tau(tau), &initial)]
-            }
-            _ => {
-                let tau_max = *uniq.last().expect("at least one τ");
-                let (triplets_max, fdm) =
-                    self.stages
-                        .first_detection(&self.builder, &*tpg, &base, config, tau_max);
-                let sizes = Sizes {
-                    target_faults: base.target_faults.len(),
-                    universe: base.universe_size,
-                    atpg_coverage: base.atpg.coverage(),
-                };
-                mini_rayon::par_map_indexed(config.jobs, uniq.len(), |i| {
-                    // derived instead of re-simulated: same δ/θ (the RNG
-                    // prologue never reads τ), same matrix (prefix
-                    // property + thresholding), same trim (prefix
-                    // property again)
-                    let tau = uniq[i];
-                    self.cover(
-                        &config.clone().with_tau(tau),
-                        &fdm.at_tau(tau),
-                        sizes,
-                        |row| triplets_max[row].with_tau(tau),
-                        |row, new| fdm.max_first_in(row, new).map_or(0, |f| f as usize + 1),
-                    )
-                })
-            }
+        let tau_max = *uniq.last().expect("at least one τ");
+        let (triplets_max, fdm) =
+            self.stages
+                .first_detection(&self.builder, &*tpg, &base, config, tau_max);
+        let sizes = Sizes {
+            target_faults: base.target_faults.len(),
+            universe: base.universe_size,
+            atpg_coverage: base.atpg.coverage(),
         };
+        let reports = mini_rayon::par_map_indexed(config.jobs, uniq.len(), |i| {
+            // derived instead of re-simulated: same δ/θ (the RNG
+            // prologue never reads τ), same matrix (prefix property +
+            // thresholding), same trim (prefix property again)
+            let tau = uniq[i];
+            self.cover(
+                &config.clone().with_tau(tau),
+                &fdm.at_tau(tau),
+                sizes,
+                |row| triplets_max[row].with_tau(tau),
+                |row, new| fdm.max_first_in(row, new).map_or(0, |f| f as usize + 1),
+            )
+        });
         for (&tau, report) in uniq.iter().zip(&reports) {
             self.stages
                 .cover_put(netlist, &config.clone().with_tau(tau), report);
@@ -196,10 +157,12 @@ impl ReseedingFlow {
     }
 
     /// Runs reduction, solving and trimming on a prebuilt initial
-    /// reseeding (lets the τ-sweep share one ATPG run and one matrix
-    /// pass across its points). Each selected triplet's useful prefix
-    /// comes from one fault simulation of its expansion against the
-    /// faults it newly covers.
+    /// reseeding. Each selected triplet's useful prefix comes from one
+    /// fault simulation of its expansion against the faults it newly
+    /// covers. The flow itself trims from first-detection indices and
+    /// never calls this; it is the re-simulating reference the oracle
+    /// tests hold [`run`](Self::run) to, and the entry point for callers
+    /// that bring their own [`InitialReseeding`].
     pub fn finish(&self, config: &FlowConfig, initial: &InitialReseeding) -> ReseedingReport {
         let tpg = config.tpg.build(self.builder.netlist().inputs().len());
         let fsim = self.builder.fault_simulator();
@@ -427,11 +390,10 @@ mod tests {
 
     #[test]
     fn index_accounting_matches_simulation_row_by_row() {
-        // multi-τ sweeps trim from first-detection indices and run()
-        // without a store re-simulates; on both, every selected triplet's
-        // kept prefix, simulated against the faults still uncovered,
-        // detects exactly its new faults and first-detects one on its
-        // last pattern
+        // sweeps and run() both trim from first-detection indices; every
+        // selected triplet's kept prefix, simulated against the faults
+        // still uncovered, detects exactly its new faults and
+        // first-detects one on its last pattern
         let tiny = generate(&profile("tiny64").unwrap(), 1);
         for netlist in [embedded::c17(), tiny] {
             let flow = ReseedingFlow::new(&netlist).unwrap();

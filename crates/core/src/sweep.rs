@@ -26,10 +26,10 @@
 //! solving, trimming) runs from per-point configuration and seeds, so
 //! every [`SweepPoint`] — report included — is bit-identical to
 //! [`ReseedingFlow::run`] at its τ, for every profile × TPG × jobs
-//! combination (`tests/sweep_equivalence.rs`). Which build a
-//! sweep uses is decided in one place, `ReseedingFlow`'s shared cover
-//! computation: a single τ without a store takes the detection-only
-//! build that `run` uses.
+//! combination (`tests/sweep_equivalence.rs`). A sweep and
+//! [`ReseedingFlow::run`] share one cover computation: `run` is the
+//! one-point sweep, a first-detection pass at its τ thresholded at that
+//! τ, and both trim each selected triplet from the same first indices.
 //!
 //! [`PatternGenerator`]: fbist_tpg::PatternGenerator
 //! [`FaultSimulator::first_detections_blocks`]: fbist_fault::FaultSimulator::first_detections_blocks
@@ -285,22 +285,24 @@ mod tests {
     }
 
     #[test]
-    fn single_tau_sweep_is_one_detection_only_pass_equal_to_run() {
-        // one distinct τ (even duplicated) and no store: the detection-only
-        // build `run` uses, one pass, never the first-detection stage
+    fn single_tau_sweep_is_one_first_detection_pass_equal_to_run() {
+        // one distinct τ (even duplicated) and no store: one
+        // first-detection pass at that τ, the same one `run` takes
         let n = generate(&profile("tiny64").unwrap(), 4);
         let flow = ReseedingFlow::new(&n).unwrap();
         let cfg = FlowConfig::new(TpgKind::Adder);
         let curve = tradeoff_sweep_with(&flow, &cfg, &[7, 7]);
         assert_eq!(flow.builder().matrix_sim_passes(), 1);
-        assert_eq!(flow.stages().stats().first_detection_misses, 0);
+        assert_eq!(flow.stages().stats().first_detection_misses, 1);
         assert_eq!(curve[0], curve[1], "duplicate τ points are identical");
         assert_eq!(curve[0].report, flow.run(&cfg.clone().with_tau(7)));
+        assert_eq!(flow.builder().matrix_sim_passes(), 2, "run is one pass");
+        assert_eq!(flow.stages().stats().first_detection_misses, 2);
         // two distinct τ: one shared first-detection pass
         flow.builder().reset_matrix_sim_passes();
         let _ = tradeoff_sweep_with(&flow, &cfg, &[7, 15]);
         assert_eq!(flow.builder().matrix_sim_passes(), 1);
-        assert_eq!(flow.stages().stats().first_detection_misses, 1);
+        assert_eq!(flow.stages().stats().first_detection_misses, 3);
     }
 
     #[test]

@@ -12,17 +12,17 @@
 //! is propagated once per shared block, cutting both counts by up to
 //! `64·W / (τ + 1)` versus simulating each row alone.
 //!
-//! Detection attribution is exact: a row detects a fault iff *some* lane
-//! of *some* of its groups differs at a primary output, which is precisely
-//! the criterion of [`FaultSimulator::detects`] on the row alone — so the
-//! batched rows are bit-identical to per-row ones (see
-//! [`FaultSimulator::detects_blocks`]). The same argument makes the
-//! result independent of `W`: a `W`-wide block is exactly `W` consecutive
-//! 64-lane blocks evaluated together, lanes keep their flat stream order,
-//! and detection ORs / first-detection minimums reduce in that order.
+//! Detection attribution is exact: a row's first detection of a fault is
+//! its lowest lane, over all of its groups, that differs at a primary
+//! output, which is precisely what [`FaultSimulator::run`] records on the
+//! row alone — so the batched rows are bit-identical to per-row ones (see
+//! [`FaultSimulator::first_detections_blocks`]). The same argument makes
+//! the result independent of `W`: a `W`-wide block is exactly `W`
+//! consecutive 64-lane blocks evaluated together, lanes keep their flat
+//! stream order, and first-detection minimums reduce in that order.
 //!
-//! [`FaultSimulator::detects`]: crate::FaultSimulator::detects
-//! [`FaultSimulator::detects_blocks`]: crate::FaultSimulator::detects_blocks
+//! [`FaultSimulator::run`]: crate::FaultSimulator::run
+//! [`FaultSimulator::first_detections_blocks`]: crate::FaultSimulator::first_detections_blocks
 
 use std::ops::Range;
 

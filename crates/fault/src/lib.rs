@@ -18,7 +18,6 @@
 //!   fault ([`reference::ConeOracle`] keeps the per-fault path as the
 //!   oracle);
 //! * [`BatchPlan`] — the cross-row batch planner behind
-//!   [`FaultSimulator::detects_blocks`] and
 //!   [`FaultSimulator::first_detections_blocks`], which fills every
 //!   simulation lane when many rows are simulated at once.
 //!
@@ -27,17 +26,18 @@
 //! A [`BatchPlan`] concatenates the `τ + 1`-pattern streams of all
 //! Detection-Matrix rows into shared blocks, with a [`LaneGroup`] per
 //! row segment in each block. A fault's detection word for a block is
-//! ANDed with each group's lane mask, and a nonzero intersection marks
-//! `(row, f)` detected. *Masked dropping* skips a
-//! fault's evaluation for a block once every row with lanes there has
-//! already detected it. That is exact, because a row detects `f` iff
-//! **some** lane of **some** of its groups differs at a primary output
-//! — a monotone OR, which a skipped lane could only re-confirm (the
-//! argument that makes classical per-row fault dropping exact). The
-//! batched matrix therefore equals per-row [`FaultSimulator::detects`]
-//! and [`FaultSimulator::run`] on each row's stream — pinned for every
-//! profile × TPG × `jobs` × `τ` by the `batched_matrix_equivalence`
-//! suite, which keeps those per-row calls as its oracle.
+//! ANDed with each group's lane mask, and the lowest lane of a nonzero
+//! intersection is `(row, f)`'s first detection in that block. *Masked
+//! dropping* skips a fault's evaluation for a block once every row with
+//! lanes there has already detected it. That is exact, because lanes
+//! ascend in stream order: once a row's first index for `f` is fixed, a
+//! skipped later lane could only offer a larger one (the argument that
+//! makes classical per-row fault dropping exact). The batched first
+//! detections therefore equal per-row [`FaultSimulator::run`] on each
+//! row's stream, and thresholded at `τ` they equal per-row
+//! [`FaultSimulator::detects`] — pinned for every profile × TPG × `jobs`
+//! × `τ` by the `batched_matrix_equivalence` suite, which keeps those
+//! per-row calls as its oracle.
 //!
 //! # Example
 //!

@@ -409,104 +409,80 @@ impl FaultSimulator {
         }
     }
 
-    /// Cross-row batched fault simulation over a consecutive range of a
-    /// [`BatchPlan`]'s blocks: simulates many rows' pattern streams
-    /// through shared blocks and returns `(row, detected)` partials for
-    /// the rows whose lane groups appear in the range.
+    /// Sentinel first-detection index: the pair was never detected.
+    ///
+    /// Used by [`first_detections_blocks`](Self::first_detections_blocks)
+    /// instead of `Option<u32>` so partials can be merged with a plain
+    /// elementwise `min` (the sentinel is the identity of `min`; the
+    /// flow's `FirstDetectionMatrix::merge_min`). Real pattern indices
+    /// are always `< u32::MAX`; the flow layer bounds `τ` far below that
+    /// (`FlowConfig::MAX_TAU`).
+    pub const NO_DETECTION: u32 = u32::MAX;
+
+    /// Cross-row batched *first-detection* simulation over a consecutive
+    /// range of a [`BatchPlan`]'s blocks: simulates many rows' pattern
+    /// streams through shared blocks and, for each row with lane groups
+    /// in the range, returns the index (within the row's own pattern
+    /// stream) of the earliest detecting pattern *within the range* per
+    /// fault, or [`NO_DETECTION`](Self::NO_DETECTION) if the range
+    /// detects nothing for that pair.
     ///
     /// `rows` holds the patterns of exactly the rows
     /// [`plan.row_span(range)`](BatchPlan::row_span) names, in order, so
     /// a caller expands only what the range touches; the returned row
     /// indices are the plan's. The good circuit is evaluated once per
     /// *shared* block and every fault once per shared block — against
-    /// the per-row [`detects`](Self::detects) loop this cuts both counts
-    /// by up to `64·W / (τ + 1)` while producing **bit-identical rows**:
-    /// OR the partials of any partition of the block axis into ranges
-    /// and row `i` equals `detects(&row_i, f)`. Detection of a row is the
-    /// OR of its lanes' primary-output differences, which does not depend
-    /// on which block a lane lives in — which is what lets callers fan
-    /// ranges out across a worker pool.
+    /// the per-row [`run`](Self::run) loop this cuts both counts by up to
+    /// `64·W / (τ + 1)`. Lanes ascend in stream order, so the lowest set
+    /// lane of a group's masked detection word is its first detection,
+    /// and an elementwise `min` over the partials of **any** partition of
+    /// the block axis recovers, per row, `run(&row, f).first_detection`
+    /// (with `NO_DETECTION` for `None`) — which is what lets callers fan
+    /// ranges out across a worker pool. Row `i` detects fault `j` at `τ`
+    /// iff its first index is `≤ τ`, so one pass at the largest `τ`
+    /// yields every smaller τ's Detection Matrix by thresholding.
     ///
-    /// Within the range, *masked dropping* is applied: once every row
-    /// with lanes in a later block has already detected a fault inside
-    /// this range, the fault's evaluation is skipped for that block.
-    /// Dropping can never change a row's detected set — detection is a
-    /// monotone OR over lanes, so skipping lanes that can only re-detect
-    /// an already-detected `(row, fault)` pair removes redundant work
-    /// only (the same argument that makes per-row fault dropping exact).
+    /// Within the range, *masked dropping* is applied: a fault is
+    /// evaluated in a block only on the lane groups of rows that have
+    /// not yet detected it inside this range. Once a row's first index
+    /// for a fault is fixed, later blocks can only offer larger indices,
+    /// so dropping removes redundant work only.
+    ///
+    /// The plan carries the SIMD width; this dispatches to the
+    /// monomorphised sweep for it.
     ///
     /// # Panics
     ///
     /// Panics if `range` is out of bounds for the plan, `rows` does not
     /// hold one stream per row of the span, or a pattern's width differs
     /// from the input count.
-    pub fn detects_blocks(
+    pub fn first_detections_blocks(
         &self,
         plan: &BatchPlan,
         range: Range<usize>,
         rows: &[Vec<BitVec>],
         faults: &FaultList,
-    ) -> Vec<(usize, BitVec)> {
-        self.blocks_sweep(
-            plan,
-            range,
-            rows,
-            faults,
-            || BitVec::zeros(faults.len()),
-            |partial, fi| !partial.get(fi),
-            |partial, fi, _first_idx| partial.set(fi, true),
-        )
-    }
-
-    /// The shared block loop of both batched engines: packs each shared
-    /// block, evaluates the good circuit once, builds every fault's
-    /// masked-dropping lane mask from the rows `alive` still admits,
-    /// evaluates a fault only when its mask is nonzero, and reports each hit
-    /// group to `record` together with the row-local index of its lowest
-    /// detecting lane (= the group's earliest hit pattern).
-    ///
-    /// [`detects_blocks`](Self::detects_blocks) and
-    /// [`first_detections_blocks`](Self::first_detections_blocks) are
-    /// both this loop with different partials, so their packing,
-    /// occupancy accounting, masked dropping and lane attribution cannot
-    /// drift apart — which is half of the first-detection engine's
-    /// bit-identity contract. The plan carries the SIMD width; this
-    /// dispatches to the monomorphised sweep for it.
-    #[allow(clippy::too_many_arguments)]
-    fn blocks_sweep<P>(
-        &self,
-        plan: &BatchPlan,
-        range: Range<usize>,
-        rows: &[Vec<BitVec>],
-        faults: &FaultList,
-        new_partial: impl Fn() -> P,
-        alive: impl Fn(&P, usize) -> bool,
-        record: impl FnMut(&mut P, usize, u32),
-    ) -> Vec<(usize, P)> {
+    ) -> Vec<(usize, Vec<u32>)> {
         match plan.width_words() {
-            1 => self.blocks_sweep_w::<1, P>(plan, range, rows, faults, new_partial, alive, record),
-            2 => self.blocks_sweep_w::<2, P>(plan, range, rows, faults, new_partial, alive, record),
-            4 => self.blocks_sweep_w::<4, P>(plan, range, rows, faults, new_partial, alive, record),
-            8 => self.blocks_sweep_w::<8, P>(plan, range, rows, faults, new_partial, alive, record),
+            1 => self.first_detections_blocks_w::<1>(plan, range, rows, faults),
+            2 => self.first_detections_blocks_w::<2>(plan, range, rows, faults),
+            4 => self.first_detections_blocks_w::<4>(plan, range, rows, faults),
+            8 => self.first_detections_blocks_w::<8>(plan, range, rows, faults),
             w => unreachable!("BatchPlan guarantees a supported width, got {w}"),
         }
     }
 
-    /// The width-`W` monomorphisation of the shared block loop. Lane
+    /// The width-`W` monomorphisation of
+    /// [`first_detections_blocks`](Self::first_detections_blocks). Lane
     /// groups address the flat `0..64·W` lane space and all detection
-    /// words are [`SimWord<W>`]; everything else is identical to the
-    /// classic 64-lane loop, which *is* the `W = 1` instantiation.
-    #[allow(clippy::too_many_arguments)]
-    fn blocks_sweep_w<const W: usize, P>(
+    /// words are [`SimWord<W>`].
+    fn first_detections_blocks_w<const W: usize>(
         &self,
         plan: &BatchPlan,
         range: Range<usize>,
         rows: &[Vec<BitVec>],
         faults: &FaultList,
-        new_partial: impl Fn() -> P,
-        alive: impl Fn(&P, usize) -> bool,
-        mut record: impl FnMut(&mut P, usize, u32),
-    ) -> Vec<(usize, P)> {
+    ) -> Vec<(usize, Vec<u32>)> {
         debug_assert_eq!(
             plan.width_words(),
             W,
@@ -520,7 +496,9 @@ impl FaultSimulator {
         );
         let blocks = &plan.blocks()[range];
         let first_row = span.start;
-        let mut partial: Vec<P> = span.map(|_| new_partial()).collect();
+        let mut partial: Vec<Vec<u32>> = span
+            .map(|_| vec![Self::NO_DETECTION; faults.len()])
+            .collect();
 
         let n = self.netlist().gate_count();
         let mut good = vec![SimWord::<W>::ZERO; n];
@@ -545,7 +523,7 @@ impl FaultSimulator {
                 let fi = fid.index();
                 let mut mask = SimWord::<W>::ZERO;
                 for g in &block.groups {
-                    if alive(&partial[g.row as usize - first_row], fi) {
+                    if partial[g.row as usize - first_row][fi] == Self::NO_DETECTION {
                         mask |= g.mask_w();
                     }
                 }
@@ -559,11 +537,11 @@ impl FaultSimulator {
                 for g in &block.groups {
                     let hit = det & g.mask_w();
                     if !hit.is_zero() {
-                        // the mask only admitted alive rows, and lanes
+                        // the mask only admitted undetected rows, and lanes
                         // ascend in stream order, so the lowest set lane
                         // is the group's earliest hit pattern
-                        let first_idx = g.start + (hit.trailing_zeros() - g.lane_offset as u32);
-                        record(&mut partial[g.row as usize - first_row], fi, first_idx);
+                        partial[g.row as usize - first_row][fi] =
+                            g.start + (hit.trailing_zeros() - g.lane_offset as u32);
                     }
                 }
             }
@@ -574,61 +552,6 @@ impl FaultSimulator {
             .enumerate()
             .map(|(i, p)| (first_row + i, p))
             .collect()
-    }
-
-    /// Sentinel first-detection index: the pair was never detected.
-    ///
-    /// Used by [`first_detections_blocks`](Self::first_detections_blocks)
-    /// instead of `Option<u32>` so partials can be merged with a plain
-    /// elementwise `min` (the sentinel is the identity of `min`; the
-    /// flow's `FirstDetectionMatrix::merge_min`). Real pattern indices
-    /// are always `< u32::MAX`; the flow layer bounds `τ` far below that
-    /// (`FlowConfig::MAX_TAU`).
-    pub const NO_DETECTION: u32 = u32::MAX;
-
-    /// Cross-row batched *first-detection* simulation over a consecutive
-    /// range of a [`BatchPlan`]'s blocks: for each row with lane groups
-    /// in the range, the index (within the row's own pattern stream) of
-    /// the earliest detecting pattern *within the range* per fault, or
-    /// [`NO_DETECTION`](Self::NO_DETECTION) if the range detects nothing
-    /// for that pair. `rows` holds the patterns of the rows
-    /// [`plan.row_span(range)`](BatchPlan::row_span) names, exactly as
-    /// for [`detects_blocks`](Self::detects_blocks).
-    ///
-    /// This is the engine behind the single-simulation τ-sweep: row `i`
-    /// detects fault `j` at `τ` iff its first index is `≤ τ`, so one pass
-    /// at the largest `τ` yields every smaller τ's matrix by
-    /// thresholding. Lanes ascend in stream order, so the lowest set lane
-    /// of a group's masked detection word is its first detection.
-    ///
-    /// An elementwise `min` over the partials of **any** partition
-    /// of the block axis recovers, per row, `run(&row, f).first_detection`
-    /// (with `NO_DETECTION` for `None`): the global first detection is
-    /// the minimum over the per-range ones. Masked dropping is exact as
-    /// in `detects_blocks`: once a row's first index for a fault is fixed,
-    /// later blocks can only offer larger indices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is out of bounds for the plan, `rows` does not
-    /// hold one stream per row of the span, or a pattern's width differs
-    /// from the input count.
-    pub fn first_detections_blocks(
-        &self,
-        plan: &BatchPlan,
-        range: Range<usize>,
-        rows: &[Vec<BitVec>],
-        faults: &FaultList,
-    ) -> Vec<(usize, Vec<u32>)> {
-        self.blocks_sweep(
-            plan,
-            range,
-            rows,
-            faults,
-            || vec![Self::NO_DETECTION; faults.len()],
-            |partial, fi| partial[fi] == Self::NO_DETECTION,
-            |partial, fi, first_idx| partial[fi] = first_idx,
-        )
     }
 
     /// Builds the full pattern × fault detection dictionary (no dropping):
@@ -1097,27 +1020,22 @@ mod tests {
         );
     }
 
-    /// Every row's detection set and first-detection indices from
-    /// [`detects_blocks`](FaultSimulator::detects_blocks) and
+    /// Every row's first-detection indices from
     /// [`first_detections_blocks`](FaultSimulator::first_detections_blocks)
-    /// over the width-`w` plan, in ranges of `chunk` blocks, merged.
+    /// over the width-`w` plan, in ranges of `chunk` blocks, min-merged.
     fn blocks_in_chunks(
         sim: &FaultSimulator,
         rows: &[Vec<BitVec>],
         faults: &FaultList,
         w: usize,
         chunk: usize,
-    ) -> (Vec<BitVec>, Vec<Vec<u32>>) {
+    ) -> Vec<Vec<u32>> {
         let plan = BatchPlan::with_width(&rows.iter().map(Vec::len).collect::<Vec<_>>(), w);
-        let mut detected = vec![BitVec::zeros(faults.len()); rows.len()];
         let mut firsts = vec![vec![FaultSimulator::NO_DETECTION; faults.len()]; rows.len()];
         let mut lo = 0;
         while lo < plan.block_count() {
             let hi = plan.block_count().min(lo.saturating_add(chunk));
             let span = &rows[plan.row_span(lo..hi)];
-            for (row, bits) in sim.detects_blocks(&plan, lo..hi, span, faults) {
-                detected[row].union_with(&bits);
-            }
             for (row, partial) in sim.first_detections_blocks(&plan, lo..hi, span, faults) {
                 for (first, index) in firsts[row].iter_mut().zip(partial) {
                     *first = (*first).min(index);
@@ -1125,7 +1043,7 @@ mod tests {
             }
             lo = hi;
         }
-        (detected, firsts)
+        firsts
     }
 
     /// Rows of the given lengths of random adder4 patterns: empty,
@@ -1152,13 +1070,14 @@ mod tests {
         let sim = FaultSimulator::new(&n).unwrap();
         let faults = FaultList::collapsed(&n);
         let rows = mixed_rows(&[0, 4, 1, 60, 130, 7, 0, 64, 33]);
-        let (detected, firsts) = blocks_in_chunks(&sim, &rows, &faults, 1, usize::MAX);
+        let firsts = blocks_in_chunks(&sim, &rows, &faults, 1, usize::MAX);
         for (i, row) in rows.iter().enumerate() {
             let per_row = sim.run(row, &faults);
-            assert_eq!(detected[i], sim.detects(row, &faults), "row {i}");
+            let detected = sim.detects(row, &faults);
             for (f, &first) in firsts[i].iter().enumerate() {
                 let expect = per_row.first_detection[f].unwrap_or(FaultSimulator::NO_DETECTION);
                 assert_eq!(first, expect, "row {i} fault {f}");
+                assert_eq!(first != FaultSimulator::NO_DETECTION, detected.get(f));
             }
         }
     }
@@ -1173,7 +1092,7 @@ mod tests {
         let rows: Vec<Vec<BitVec>> = (0..5)
             .map(|r| (0..13u64).map(|v| BitVec::from_u64(5, v * 3 + r)).collect())
             .collect();
-        let (_, firsts) = blocks_in_chunks(&sim, &rows, &faults, 1, usize::MAX);
+        let firsts = blocks_in_chunks(&sim, &rows, &faults, 1, usize::MAX);
         for (i, row) in rows.iter().enumerate() {
             let dict = sim.dictionary(row, &faults);
             for (fid, _f) in faults.iter() {
@@ -1189,9 +1108,8 @@ mod tests {
 
     #[test]
     fn block_partitions_are_invariant() {
-        // the union and min merges that let core fan block ranges across
-        // the pool must give the same rows for every partition, at every
-        // width
+        // the min merge that lets core fan block ranges across the pool
+        // must give the same rows for every partition, at every width
         let n = embedded::c17();
         let sim = FaultSimulator::new(&n).unwrap();
         let faults = FaultList::collapsed(&n);
@@ -1248,7 +1166,10 @@ mod tests {
                 &|| drop(sim.run(&patterns, &faults)),
                 &|| drop(sim.detects(&patterns, &faults)),
                 &|| drop(sim.dictionary(&patterns, &faults)),
-                &|| drop(sim.detects_blocks(&plan, 0..1, std::slice::from_ref(&patterns), &faults)),
+                &|| {
+                    let rows = std::slice::from_ref(&patterns);
+                    drop(sim.first_detections_blocks(&plan, 0..1, rows, &faults))
+                },
             ];
             for (e, engine) in engines.iter().enumerate() {
                 sim.good_simulator().reset_occupancy();
@@ -1282,7 +1203,7 @@ mod tests {
 
         sim.good_simulator().reset_occupancy();
         let plan = BatchPlan::new(&[4; 16]);
-        let _ = sim.detects_blocks(&plan, 0..1, &rows, &faults);
+        let _ = sim.first_detections_blocks(&plan, 0..1, &rows, &faults);
         let batched = sim.good_simulator().occupancy();
         assert_eq!(batched.blocks, 1);
         assert_eq!(batched.ratio(), 1.0);

@@ -26,9 +26,10 @@ use crate::matrix::DetectionMatrix;
 /// stream simulated. One fault-simulation pass at `τ_max` thus determines
 /// the Detection Matrix of **every** `τ ≤ τ_max` — [`at_tau`] derives them
 /// by comparing stored indices against `τ`, without touching a simulator,
-/// and the result is bit-identical to re-simulating at `τ` (pinned by
-/// `tests/sweep_equivalence.rs` across every profile × TPG × jobs
-/// combination).
+/// and the result is bit-identical to re-simulating at `τ` (pinned
+/// against per-row simulation by `tests/batched_matrix_equivalence.rs`,
+/// and across τ by `tests/sweep_equivalence.rs`, for every profile × TPG
+/// × jobs combination).
 ///
 /// The same prefix argument gives the paper's §4 trimming: a triplet kept
 /// for a set of faults needs exactly `1 + max first[i][j]` patterns over

@@ -53,43 +53,6 @@ impl DetectionMatrix {
         DetectionMatrix { rows: m, cols_t: t }
     }
 
-    /// Assembles a matrix from *partial* row coverages: every `(row, bits)`
-    /// pair is ORed into row `row`, and rows no pair mentions stay zero.
-    ///
-    /// This is the reassembly half of the cross-row batched matrix build:
-    /// workers fault-simulate disjoint ranges of shared 64-lane blocks and
-    /// emit per-row partials, which OR together into the same matrix in any
-    /// arrival order (union is associative and commutative), so the result
-    /// is bit-identical for every partition of the block axis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a partial names a row `>= rows` or its width differs from
-    /// `cols`, naming the offending row and both widths.
-    pub fn from_partial_rows(
-        rows: usize,
-        cols: usize,
-        partials: impl IntoIterator<Item = (usize, BitVec)>,
-    ) -> DetectionMatrix {
-        let mut m = BitMatrix::new(rows, cols);
-        for (row, bits) in partials {
-            assert!(
-                row < rows,
-                "DetectionMatrix::from_partial_rows: partial names row {row} \
-                 but the matrix has {rows} rows"
-            );
-            assert_eq!(
-                bits.width(),
-                cols,
-                "DetectionMatrix::from_partial_rows: row {row} partial is {} \
-                 bits wide but the matrix has {cols} columns",
-                bits.width()
-            );
-            m.or_bits_into_row(row, &bits);
-        }
-        DetectionMatrix::from_bit_matrix(m)
-    }
-
     /// Builds a matrix from a raw [`BitMatrix`] (rows × cols).
     pub fn from_bit_matrix(m: BitMatrix) -> DetectionMatrix {
         let t = m.transposed();
@@ -277,48 +240,6 @@ mod tests {
             .map(|s| s.parse().unwrap())
             .collect();
         let _ = DetectionMatrix::from_rows(5, rows);
-    }
-
-    #[test]
-    fn partial_rows_assemble_by_union() {
-        let full = sample();
-        // split every row into two partials (low and high column halves)
-        // plus a duplicate overlap, delivered out of order
-        let mut partials = Vec::new();
-        for r in (0..full.rows()).rev() {
-            let row = full.row_coverage(r);
-            let mut low = row.clone();
-            let mut high = row.clone();
-            for c in 0..full.cols() {
-                if c < 2 {
-                    high.set(c, false);
-                } else {
-                    low.set(c, false);
-                }
-            }
-            partials.push((r, high));
-            partials.push((r, low));
-            partials.push((r, row)); // overlap: union must be idempotent
-        }
-        let m = DetectionMatrix::from_partial_rows(full.rows(), full.cols(), partials);
-        assert_eq!(m.row_major(), full.row_major());
-        assert_eq!(m.col_major(), full.col_major());
-    }
-
-    #[test]
-    fn partial_rows_unmentioned_rows_stay_zero() {
-        let bits: BitVec = "101".parse().unwrap();
-        let m = DetectionMatrix::from_partial_rows(3, 3, vec![(1, bits)]);
-        assert_eq!(m.row_weight(0), 0);
-        assert_eq!(m.row_weight(1), 2);
-        assert_eq!(m.row_weight(2), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "names row 7 but the matrix has 3 rows")]
-    fn partial_rows_reject_bad_row_index() {
-        let bits: BitVec = "101".parse().unwrap();
-        let _ = DetectionMatrix::from_partial_rows(3, 3, vec![(7, bits)]);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! the batching machinery is identical at every size), a TPG from each
 //! family (accumulator-based `add`, LFSR-based `lfsr`), `jobs ∈ {1, 4}`
 //! and `τ ∈ {0, 3, 31, 63}`, every row of `matrix_for`'s Detection
-//! Matrix must equal [`FaultSimulator::detects`] on that triplet's own
+//! Matrix (a first-detection pass at τ, thresholded at τ) must equal
+//! [`FaultSimulator::detects`] on that triplet's own
 //! expansion, and at `τ = 63` every index of
 //! `first_detection_matrix_for` must equal [`FaultSimulator::run`]'s
 //! first detection. The per-row calls share nothing with the build but

@@ -14,9 +14,9 @@
 //!
 //! * `dictionary` — every lane of every word, no dropping;
 //! * `run` — fault dropping across blocks, first detection indices;
-//! * `first_detections_blocks` / `detects_blocks` — masked dropping over
-//!   shared blocks whose lane groups only partly fill a block, merged
-//!   over random partitions of the block axis.
+//! * `first_detections_blocks` — masked dropping over shared blocks
+//!   whose lane groups only partly fill a block, min-merged over random
+//!   partitions of the block axis.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -223,7 +223,6 @@ fn check_width<const W: usize>(
         }
     }
     let mut firsts = vec![vec![FaultSimulator::NO_DETECTION; faults.len()]; rows.len()];
-    let mut detects = vec![BitVec::zeros(faults.len()); rows.len()];
     let mut lo = 0;
     while lo < plan.block_count() {
         let hi = (lo + chunk).min(plan.block_count());
@@ -233,17 +232,9 @@ fn check_width<const W: usize>(
                 *first = (*first).min(index);
             }
         }
-        for (row, bits) in fsim.detects_blocks(&plan, lo..hi, span, &faults) {
-            detects[row].union_with(&bits);
-        }
         lo = hi;
     }
     prop_assert_eq!(&firsts, &expect, "W={} chunk {}", W, chunk);
-    for (r, row) in expect.iter().enumerate() {
-        for (f, &first) in row.iter().enumerate() {
-            prop_assert_eq!(detects[r].get(f), first != FaultSimulator::NO_DETECTION);
-        }
-    }
     Ok(())
 }
 

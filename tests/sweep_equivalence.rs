@@ -1,23 +1,26 @@
 //! Oracle suite for the τ-sweep: every point of [`tradeoff_sweep`] must
 //! equal [`ReseedingFlow::run`] at that τ, byte for byte.
 //!
-//! With more than one τ the sweep derives every point's Detection Matrix
-//! by thresholding one first-detection pass at `max(taus)`; `run` on a
-//! flow without a store builds the detection-only matrix at its single τ.
-//! The two sides share no matrix code, so their agreement pins the
-//! derivation itself. The suite covers **every** genbench profile (scaled
+//! The sweep derives every point's Detection Matrix by thresholding one
+//! first-detection pass at `max(taus)`; `run` takes that pass at its
+//! single τ. Their agreement pins the thresholding: a matrix cut from a
+//! pass at a larger τ must equal the one simulated at τ itself (which
+//! `tests/batched_matrix_equivalence.rs` holds to per-row simulation).
+//! The suite covers **every** genbench profile (scaled
 //! to a small, fast gate budget — the thresholding machinery is identical
 //! at every size), a TPG from each family (accumulator-based `add`,
 //! LFSR-based `lfsr`) and `jobs ∈ {1, 4}`, on a τ list that is
 //! deliberately unsorted and duplicated.
 //!
-//! A store-backed sweep trims from the first-detection indices instead
-//! of re-simulating: each selected triplet's new faults are its matrix
-//! row minus the faults already covered, and its test length is one past
-//! the largest first index among them. Every such report must be
-//! byte-identical to the public, re-simulating `ReseedingFlow::finish` on
-//! the thresholded matrix, for every profile over the default 8-point τ
-//! list at `jobs ∈ {1, 4}`.
+//! Every cover trims from the first-detection indices instead of
+//! re-simulating: each selected triplet's new faults are its matrix row
+//! minus the faults already covered, and its test length is one past the
+//! largest first index among them. Every such report must be
+//! byte-identical to the public, re-simulating `ReseedingFlow::finish`:
+//! a store-backed sweep over the default 8-point τ list against `finish`
+//! on the thresholded matrix, and `run` without a store at
+//! `τ ∈ {0, 3, 31, 63}` against `finish` on `InitialReseedingBuilder::build`,
+//! for every profile at `jobs ∈ {1, 4}`.
 //!
 //! It also pins the shared pass's reason to exist: on `mid256` at full
 //! scale with `--taus 0,3,7,15,31,63`, one sweep runs **exactly one**
@@ -138,6 +141,24 @@ fn assert_index_accounting_matches_resimulation(netlist: &Netlist, tpg: TpgKind,
     }
 }
 
+/// `run` on a flow without a store against the public `finish`, which
+/// re-simulates each selected triplet, on `build`'s matrix at the same
+/// τ: the encoded reports must be byte-identical.
+fn assert_run_matches_resimulation(netlist: &Netlist, tpg: TpgKind, label: &str) {
+    let flow = ReseedingFlow::new(netlist).unwrap();
+    for jobs in [1usize, 4] {
+        for tau in [0usize, 3, 31, 63] {
+            let config = FlowConfig::new(tpg).with_jobs(jobs).with_tau(tau);
+            let resimulated = flow.finish(&config, &flow.builder().build(&config));
+            assert_eq!(
+                encode_to_vec(&flow.run(&config)),
+                encode_to_vec(&resimulated),
+                "{label} jobs={jobs} τ={tau}: run's index accounting differs from re-simulation"
+            );
+        }
+    }
+}
+
 macro_rules! sweep_equivalence_tests {
     ($($test:ident => $profile:literal),+ $(,)?) => {$(
         mod $test {
@@ -158,7 +179,9 @@ macro_rules! sweep_equivalence_tests {
             #[test]
             fn trim_from_indices() {
                 let p = genbench_profile($profile).expect("profile registered");
-                assert_index_accounting_matches_resimulation(&small(&p), TpgKind::Adder, $profile);
+                let netlist = small(&p);
+                assert_index_accounting_matches_resimulation(&netlist, TpgKind::Adder, $profile);
+                assert_run_matches_resimulation(&netlist, TpgKind::Adder, $profile);
             }
         }
     )+};
@@ -229,8 +252,8 @@ fn mid256_sweep_is_one_pass_and_fewer_blocks_than_runs() {
         1,
         "the sweep must run exactly one matrix simulation pass"
     );
-    // the sweep trims from its first-detection indices, so its blocks
-    // are its one matrix pass; the runs add a trimming simulation each
+    // every run and the sweep trim from first-detection indices, so the
+    // blocks are their matrix passes: six at τ ≤ 63 against one at 63
     assert!(
         sweep_blocks < run_blocks,
         "the sweep evaluated {sweep_blocks} blocks, six runs {run_blocks} — \
