@@ -127,8 +127,9 @@ pub fn untestable_faults(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fbist_bits::Trit;
     use fbist_fault::Fault;
-    use fbist_netlist::bench;
+    use fbist_netlist::{bench, eval_trit};
 
     fn proven(src: &str) -> (Vec<bool>, FaultList, Netlist) {
         let n = bench::parse(src).unwrap();
@@ -271,7 +272,7 @@ mod tests {
                 GateKind::Const1 => true,
                 GateKind::Dff => false,
                 kind => {
-                    let pins: Vec<u64> = g
+                    let pins: Vec<Trit> = g
                         .fanin()
                         .iter()
                         .enumerate()
@@ -287,10 +288,10 @@ mod tests {
                                     b = flt.stuck_value();
                                 }
                             }
-                            b as u64
+                            Trit::from_bool(b)
                         })
                         .collect();
-                    fbist_netlist::eval_packed(kind, &pins) & 1 == 1
+                    eval_trit(kind, &pins) == Trit::One
                 }
             };
             if let Some(flt) = fault {

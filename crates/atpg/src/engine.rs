@@ -9,7 +9,7 @@
 //! drop results and [`AtpgResult`] are bit-identical at any worker count —
 //! `jobs` is a pure throughput knob, pinned by `tests/atpg_equivalence.rs`.
 
-use fbist_bits::{pack, BitVec, Trit};
+use fbist_bits::{pack, BitVec, SimWord, Trit};
 use fbist_fault::{FaultId, FaultList, FaultSimulator};
 use fbist_netlist::{eval_trit, GateId, GateKind, Netlist};
 use fbist_sim::SimError;
@@ -496,8 +496,8 @@ impl Atpg {
 struct Seen {
     zero: Vec<bool>,
     one: Vec<bool>,
-    /// Good-circuit value buffer, one word per net.
-    values: Vec<u64>,
+    /// Good-circuit value buffer, one 64-lane word per net.
+    values: Vec<SimWord<1>>,
 }
 
 impl Seen {
@@ -505,7 +505,7 @@ impl Seen {
         Seen {
             zero: vec![false; nets],
             one: vec![false; nets],
-            values: vec![0; nets],
+            values: vec![SimWord::ZERO; nets],
         }
     }
 
@@ -516,10 +516,10 @@ impl Seen {
         for chunk in patterns.chunks(pack::BLOCK) {
             let pi_words = pack::pack_patterns(sim.input_count(), chunk);
             sim.eval_block_into(&pi_words, &mut self.values);
-            let mask = pack::lane_mask(chunk.len());
+            let mask = pack::lane_mask::<1>(chunk.len());
             for (i, &v) in self.values.iter().enumerate() {
-                self.zero[i] |= !v & mask != 0;
-                self.one[i] |= v & mask != 0;
+                self.zero[i] |= !(!v & mask).is_zero();
+                self.one[i] |= !(v & mask).is_zero();
             }
         }
     }

@@ -11,8 +11,9 @@
 //! * [`Trit`] — a single three-valued logic value;
 //! * [`BitMatrix`] — a dense two-dimensional bit matrix, the backing store
 //!   of the paper's *Detection Matrix*;
-//! * [`pack`] — helpers to transpose pattern sets into the 64-way packed
-//!   ("bit-parallel") layout used by the logic and fault simulators;
+//! * [`pack`] — helpers to transpose pattern sets into the `64·W`-lane
+//!   packed ("bit-parallel") layout used by the logic and fault
+//!   simulators;
 //! * [`SimWord`] / [`simd::width_for`] — the width-parametric `[u64; W]`
 //!   simulation block word and the rule that picks `W` for a workload.
 //!

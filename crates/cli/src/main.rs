@@ -822,9 +822,10 @@ fn cmd_compare(args: &[String]) -> Result<(), Failure> {
     admit(&n, cfg.tau)?;
     let (tpg, tau) = (cfg.tpg, cfg.tau);
     let flow = ReseedingFlow::new(&n).map_err(|e| e.to_string())?;
-    let report = flow.run(&cfg);
+    // one ATPG run: the set-covering flow and GATSBY share its targets
+    let base = flow.stages().atpg_base(flow.builder(), &cfg);
+    let report = flow.run_from_base(&base, &cfg);
     let gatsby = Gatsby::new(&n).map_err(|e| e.to_string())?;
-    let base = flow.builder().atpg_base(&cfg);
     let gres = gatsby.run(
         &base.target_faults,
         &GatsbyConfig {

@@ -100,6 +100,14 @@ impl ReseedingFlow {
             return report;
         }
         let base = self.stages.atpg_base(&self.builder, config);
+        self.run_from_base(&base, config)
+    }
+
+    /// [`run`](Self::run) after its `cover` lookup, on an ATPG base the
+    /// caller already holds, for a caller that needs the base too (`fbist
+    /// compare` hands its target faults to GATSBY) and so runs ATPG once.
+    /// `base` must be this flow's [`StageCache::atpg_base`] under `config`.
+    pub fn run_from_base(&self, base: &AtpgBase, config: &FlowConfig) -> ReseedingReport {
         self.covers_from_base(base, config, &[config.tau])
             .pop()
             .expect("one report per τ")
@@ -121,7 +129,7 @@ impl ReseedingFlow {
     /// [`FirstDetectionMatrix::max_first_in`]: fbist_setcover::FirstDetectionMatrix::max_first_in
     pub(crate) fn covers_from_base(
         &self,
-        base: AtpgBase,
+        base: &AtpgBase,
         config: &FlowConfig,
         uniq: &[usize],
     ) -> Vec<ReseedingReport> {
@@ -130,7 +138,7 @@ impl ReseedingFlow {
         let tau_max = *uniq.last().expect("at least one τ");
         let (triplets_max, fdm) =
             self.stages
-                .first_detection(&self.builder, &*tpg, &base, config, tau_max);
+                .first_detection(&self.builder, &*tpg, base, config, tau_max);
         let sizes = Sizes {
             target_faults: base.target_faults.len(),
             universe: base.universe_size,

@@ -43,11 +43,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use fbist_atpg::AtpgConfig;
-use fbist_netlist::Netlist;
+use fbist_netlist::{GateKind, Netlist};
 use fbist_setcover::{Engine, FirstDetectionMatrix, SolveConfig};
 use fbist_store::{
-    encode_to_vec, Artifact, ArtifactStore, DecodeError, Digest, DigestBytes, Reader, StageKey,
-    Writer,
+    Artifact, ArtifactStore, DecodeError, Digest, DigestBytes, Reader, StageKey, Writer,
 };
 use fbist_tpg::{PatternGenerator, Triplet};
 
@@ -62,8 +61,35 @@ use crate::report::{ReseedingReport, SelectedTriplet};
 /// Content digest of a netlist — the root of every stage key.
 pub fn circuit_digest(netlist: &Netlist) -> DigestBytes {
     let mut d = Digest::new("fbist/netlist");
-    d.bytes(&encode_to_vec(netlist));
+    d.bytes(&netlist_bytes(netlist));
     d.finish()
+}
+
+/// The exact byte encoding [`circuit_digest`] hashes: the name, then per
+/// gate in id order its kind's position in [`GateKind::ALL`], name and
+/// fanin ids, then the output ids. Netlists are hashed, never stored, so
+/// there is no decoder.
+fn netlist_bytes(netlist: &Netlist) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.str(netlist.name());
+    w.usize(netlist.gate_count());
+    for (_, gate) in netlist.iter() {
+        let tag = GateKind::ALL
+            .iter()
+            .position(|&k| k == gate.kind())
+            .expect("GateKind::ALL covers every kind") as u8;
+        w.u8(tag);
+        w.str(gate.name());
+        w.usize(gate.fanin().len());
+        for &f in gate.fanin() {
+            w.u32(f.index() as u32);
+        }
+    }
+    w.usize(netlist.outputs().len());
+    for &o in netlist.outputs() {
+        w.u32(o.index() as u32);
+    }
+    w.into_bytes()
 }
 
 /// Hashes the ATPG-relevant fragment: every [`AtpgConfig`] field *except*

@@ -157,7 +157,7 @@ pub fn tradeoff_sweep_with(
         .collect();
     if !missing.is_empty() {
         let base = stages.atpg_base(flow.builder(), config);
-        let reports = flow.covers_from_base(base, config, &missing);
+        let reports = flow.covers_from_base(&base, config, &missing);
         for (&tau, report) in missing.iter().zip(reports) {
             let i = uniq
                 .binary_search(&tau)

@@ -50,8 +50,8 @@ pub struct LaneGroup {
 impl LaneGroup {
     /// The flat block lanes this group occupies, as a width-`W` mask.
     #[inline]
-    pub fn mask_w<const W: usize>(&self) -> SimWord<W> {
-        pack::lane_group_mask_w(self.lane_offset as usize, self.len as usize)
+    pub fn mask<const W: usize>(&self) -> SimWord<W> {
+        pack::lane_group_mask(self.lane_offset as usize, self.len as usize)
     }
 }
 
@@ -261,7 +261,7 @@ mod tests {
         assert_eq!(b.groups[1].row, 1);
         assert_eq!(b.groups[1].lane_offset, 4);
         assert_eq!(b.groups[2].lane_offset, 8);
-        assert_eq!(b.groups[1].mask_w::<1>().0, [0b1111_0000]);
+        assert_eq!(b.groups[1].mask::<1>().0, [0b1111_0000]);
     }
 
     #[test]
@@ -344,7 +344,7 @@ mod tests {
         assert_eq!(b.lanes_used, 512);
         assert_eq!(b.groups[1].lane_offset, 300);
         assert_eq!(b.groups[1].len, 212);
-        let m = b.groups[1].mask_w::<8>();
+        let m = b.groups[1].mask::<8>();
         assert_eq!(m.count_ones(), 212);
         assert_eq!(m.trailing_zeros(), 300);
     }

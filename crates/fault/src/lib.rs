@@ -16,7 +16,9 @@
 //!   simulates by fanout-free region: critical-path tracing inside each
 //!   region and one event-driven cone sweep per region root, not per
 //!   fault ([`reference::ConeOracle`] keeps the per-fault path as the
-//!   oracle);
+//!   oracle). Its good-circuit sweep, cone sweep and pin-fault injection
+//!   all evaluate gates through [`fbist_netlist::eval_word`]: a stuck
+//!   input pin is a pin read that returns the stuck word;
 //! * [`BatchPlan`] — the cross-row batch planner behind
 //!   [`FaultSimulator::first_detections_blocks`], which fills every
 //!   simulation lane when many rows are simulated at once.

@@ -77,15 +77,15 @@ impl ConeOracle {
         faults: &FaultList,
     ) -> Vec<Vec<SimWord<W>>> {
         let good_sim = self.sim.good_simulator();
-        let mut good = good_sim.value_buffer_w::<W>();
+        let mut good = good_sim.value_buffer::<W>();
         let mut scratch = Scratch::<W>::new(good.len());
         patterns
             .chunks(SimWord::<W>::LANES)
             .map(|chunk| {
-                let pi_words = pack::pack_patterns_w::<W>(good_sim.input_count(), chunk);
-                good_sim.eval_block_into_w(&pi_words, &mut good);
+                let pi_words = pack::pack_patterns::<W>(good_sim.input_count(), chunk);
+                good_sim.eval_block_into(&pi_words, &mut good);
                 scratch.next_block(&good);
-                let lane_mask = pack::lane_mask_w::<W>(chunk.len());
+                let lane_mask = pack::lane_mask::<W>(chunk.len());
                 faults
                     .iter()
                     .map(|(_, fault)| self.propagate(&good, fault, &mut scratch) & lane_mask)

@@ -36,7 +36,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fbist_bits::{pack, simd, BitMatrix, BitVec, SimWord, SIMD_WIDTHS};
-use fbist_netlist::{CsrAdjacency, GateId, GateKind, Netlist};
+use fbist_netlist::{eval_word, CsrAdjacency, GateId, GateKind, Netlist};
 use fbist_sim::{PackedSimulator, SimError};
 
 use crate::batch::BatchPlan;
@@ -384,11 +384,11 @@ impl FaultSimulator {
                 break;
             }
             let base = (block_idx * lanes) as u32;
-            let pi_words = pack::pack_patterns_w::<W>(self.sim.input_count(), chunk);
-            self.sim.eval_block_into_w(&pi_words, &mut good);
-            self.sim.record_occupancy_wide(chunk.len(), lanes);
+            let pi_words = pack::pack_patterns::<W>(self.sim.input_count(), chunk);
+            self.sim.eval_block_into(&pi_words, &mut good);
+            self.sim.record_occupancy(chunk.len(), lanes);
             scratch.next_block(&good);
-            let lane_mask = pack::lane_mask_w::<W>(chunk.len());
+            let lane_mask = pack::lane_mask::<W>(chunk.len());
             for (fid, fault) in faults.iter() {
                 if detected.get(fid.index()) {
                     continue;
@@ -509,22 +509,22 @@ impl FaultSimulator {
             for g in &block.groups {
                 let row = &rows[g.row as usize - first_row];
                 let start = g.start as usize;
-                pack::pack_patterns_at_w(
+                pack::pack_patterns_at(
                     &mut pi_words,
                     g.lane_offset as usize,
                     &row[start..start + g.len as usize],
                 );
             }
-            self.sim.eval_block_into_w(&pi_words, &mut good);
+            self.sim.eval_block_into(&pi_words, &mut good);
             self.sim
-                .record_occupancy_wide(block.lanes_used, SimWord::<W>::LANES);
+                .record_occupancy(block.lanes_used, SimWord::<W>::LANES);
             scratch.next_block(&good);
             for (fid, fault) in faults.iter() {
                 let fi = fid.index();
                 let mut mask = SimWord::<W>::ZERO;
                 for g in &block.groups {
                     if partial[g.row as usize - first_row][fi] == Self::NO_DETECTION {
-                        mask |= g.mask_w();
+                        mask |= g.mask();
                     }
                 }
                 if mask.is_zero() {
@@ -535,7 +535,7 @@ impl FaultSimulator {
                     continue;
                 }
                 for g in &block.groups {
-                    let hit = det & g.mask_w();
+                    let hit = det & g.mask();
                     if !hit.is_zero() {
                         // the mask only admitted undetected rows, and lanes
                         // ascend in stream order, so the lowest set lane
@@ -599,11 +599,11 @@ impl FaultSimulator {
         let mut m = BitMatrix::new(patterns.len(), faults.len());
         for (block_idx, chunk) in patterns.chunks(lanes).enumerate() {
             let base = block_idx * lanes;
-            let pi_words = pack::pack_patterns_w::<W>(self.sim.input_count(), chunk);
-            self.sim.eval_block_into_w(&pi_words, &mut good);
-            self.sim.record_occupancy_wide(chunk.len(), lanes);
+            let pi_words = pack::pack_patterns::<W>(self.sim.input_count(), chunk);
+            self.sim.eval_block_into(&pi_words, &mut good);
+            self.sim.record_occupancy(chunk.len(), lanes);
             scratch.next_block(&good);
-            let lane_mask = pack::lane_mask_w::<W>(chunk.len());
+            let lane_mask = pack::lane_mask::<W>(chunk.len());
             for (fid, fault) in faults.iter() {
                 let mut det = self.detect(&good, fault, lane_mask, &mut scratch);
                 while !det.is_zero() {
@@ -659,7 +659,14 @@ impl FaultSimulator {
             FaultSite::GateInput { gate, pin } => {
                 let g = gate.index();
                 let fanin = self.fanins_of(g);
-                let v = eval_forced(self.kinds[g], fanin, pin as usize, forced, |i| good[i]);
+                let pin = pin as usize;
+                let v = eval_word(self.kinds[g], fanin, |p, f| {
+                    if p == pin {
+                        forced
+                    } else {
+                        good[f.index()]
+                    }
+                });
                 (g, v)
             }
         }
@@ -782,7 +789,7 @@ impl FaultSimulator {
             if kind == GateKind::Dff {
                 continue; // state boundary: effects stop at D pins
             }
-            let v = eval_mixed(kind, self.fanins_of(idx), |i| s.faulty[i]);
+            let v = eval_word(kind, self.fanins_of(idx), |_, f| s.faulty[f.index()]);
             if v != good[idx] {
                 s.faulty[idx] = v;
                 s.touched.push(idx as u32);
@@ -805,77 +812,6 @@ impl FaultSimulator {
             s.faulty[t] = good[t];
         }
         det
-    }
-}
-
-/// Evaluates a gate reading width-`W` values through `read`.
-#[inline]
-fn eval_mixed<const W: usize>(
-    kind: GateKind,
-    fanin: &[GateId],
-    read: impl Fn(usize) -> SimWord<W>,
-) -> SimWord<W> {
-    type S<const W: usize> = SimWord<W>;
-    match kind {
-        GateKind::And => fanin.iter().fold(S::MAX, |a, f| a & read(f.index())),
-        GateKind::Nand => !fanin.iter().fold(S::MAX, |a, f| a & read(f.index())),
-        GateKind::Or => fanin.iter().fold(S::ZERO, |a, f| a | read(f.index())),
-        GateKind::Nor => !fanin.iter().fold(S::ZERO, |a, f| a | read(f.index())),
-        GateKind::Xor => fanin.iter().fold(S::ZERO, |a, f| a ^ read(f.index())),
-        GateKind::Xnor => !fanin.iter().fold(S::ZERO, |a, f| a ^ read(f.index())),
-        GateKind::Not => !read(fanin[0].index()),
-        GateKind::Buff => read(fanin[0].index()),
-        GateKind::Const0 => S::ZERO,
-        GateKind::Const1 => S::MAX,
-        GateKind::Input | GateKind::Dff => unreachable!("sources are assigned"),
-    }
-}
-
-/// Evaluates a gate with one input pin forced to a constant word.
-#[inline]
-fn eval_forced<const W: usize>(
-    kind: GateKind,
-    fanin: &[GateId],
-    forced_pin: usize,
-    forced_word: SimWord<W>,
-    read: impl Fn(usize) -> SimWord<W>,
-) -> SimWord<W> {
-    type S<const W: usize> = SimWord<W>;
-    let pin_val = |p: usize, f: &GateId| {
-        if p == forced_pin {
-            forced_word
-        } else {
-            read(f.index())
-        }
-    };
-    match kind {
-        GateKind::And => fanin
-            .iter()
-            .enumerate()
-            .fold(S::MAX, |a, (p, f)| a & pin_val(p, f)),
-        GateKind::Nand => !fanin
-            .iter()
-            .enumerate()
-            .fold(S::MAX, |a, (p, f)| a & pin_val(p, f)),
-        GateKind::Or => fanin
-            .iter()
-            .enumerate()
-            .fold(S::ZERO, |a, (p, f)| a | pin_val(p, f)),
-        GateKind::Nor => !fanin
-            .iter()
-            .enumerate()
-            .fold(S::ZERO, |a, (p, f)| a | pin_val(p, f)),
-        GateKind::Xor => fanin
-            .iter()
-            .enumerate()
-            .fold(S::ZERO, |a, (p, f)| a ^ pin_val(p, f)),
-        GateKind::Xnor => !fanin
-            .iter()
-            .enumerate()
-            .fold(S::ZERO, |a, (p, f)| a ^ pin_val(p, f)),
-        GateKind::Not => !forced_word,
-        GateKind::Buff => forced_word,
-        _ => unreachable!("input-pin faults exist only on gates with pins"),
     }
 }
 

@@ -3,7 +3,9 @@
 use std::fmt;
 use std::str::FromStr;
 
-use fbist_bits::Trit;
+use fbist_bits::{SimWord, Trit};
+
+use crate::GateId;
 
 /// The kind of a gate (its Boolean function).
 ///
@@ -161,42 +163,53 @@ impl FromStr for GateKind {
     }
 }
 
-/// Evaluates a gate over 64-way packed values (one bit per pattern lane).
+/// Evaluates a gate over bit-parallel words: one [`SimWord<W>`] per net
+/// carries `64·W` pattern lanes, and `read(p, driver)` returns the word
+/// on input pin `p`, driven by `driver`. This is the one two-valued gate
+/// truth table of the workspace: the good-circuit sweep reads each
+/// driver's good word, the fault simulator's cone sweep reads its faulty
+/// words, and a stuck-at fault on pin `p` is only a `read` that returns
+/// a constant word for that pin. The folds are plain `[u64; W]` array
+/// operations, which the autovectorizer lowers to SIMD.
 ///
-/// `Input` and `Dff` gates are sources for the combinational evaluation and
-/// must not be evaluated through this function (their packed words are
-/// assigned by the simulator).
+/// `Input` and `Dff` gates are sources of the combinational evaluation;
+/// the simulators assign their words instead.
 ///
 /// # Panics
 ///
-/// Panics if called on `Input`/`Dff`, or if the fanin count is invalid for
-/// the kind.
+/// Panics if called on `Input`/`Dff`.
 ///
 /// ```
-/// use fbist_netlist::{eval_packed, GateKind};
-/// assert_eq!(eval_packed(GateKind::And, &[0b1100, 0b1010]), 0b1000);
-/// assert_eq!(eval_packed(GateKind::Xor, &[0b1100, 0b1010]), 0b0110);
-/// assert_eq!(eval_packed(GateKind::Not, &[0]), u64::MAX);
+/// use fbist_bits::SimWord;
+/// use fbist_netlist::{eval_word, GateId, GateKind};
+/// let fanin = [GateId::from_index(0), GateId::from_index(1)];
+/// let words = [SimWord([0b1100]), SimWord([0b1010])];
+/// let read = |_, f: GateId| words[f.index()];
+/// assert_eq!(eval_word::<1>(GateKind::And, &fanin, read), SimWord([0b1000]));
+/// assert_eq!(eval_word::<1>(GateKind::Xor, &fanin, read), SimWord([0b0110]));
+/// // pin 1 stuck at 1: AND passes pin 0 through
+/// let stuck = |p, f: GateId| if p == 1 { SimWord::MAX } else { words[f.index()] };
+/// assert_eq!(eval_word::<1>(GateKind::And, &fanin, stuck), SimWord([0b1100]));
 /// ```
 #[inline]
-pub fn eval_packed(kind: GateKind, fanin: &[u64]) -> u64 {
+pub fn eval_word<const W: usize>(
+    kind: GateKind,
+    fanin: &[GateId],
+    read: impl Fn(usize, GateId) -> SimWord<W>,
+) -> SimWord<W> {
+    type S<const W: usize> = SimWord<W>;
+    let mut pins = fanin.iter().enumerate().map(|(p, &f)| read(p, f));
     match kind {
-        GateKind::And => fanin.iter().fold(u64::MAX, |acc, &v| acc & v),
-        GateKind::Nand => !fanin.iter().fold(u64::MAX, |acc, &v| acc & v),
-        GateKind::Or => fanin.iter().fold(0, |acc, &v| acc | v),
-        GateKind::Nor => !fanin.iter().fold(0, |acc, &v| acc | v),
-        GateKind::Xor => fanin.iter().fold(0, |acc, &v| acc ^ v),
-        GateKind::Xnor => !fanin.iter().fold(0, |acc, &v| acc ^ v),
-        GateKind::Not => {
-            debug_assert_eq!(fanin.len(), 1);
-            !fanin[0]
-        }
-        GateKind::Buff => {
-            debug_assert_eq!(fanin.len(), 1);
-            fanin[0]
-        }
-        GateKind::Const0 => 0,
-        GateKind::Const1 => u64::MAX,
+        GateKind::And => pins.fold(S::MAX, |a, v| a & v),
+        GateKind::Nand => !pins.fold(S::MAX, |a, v| a & v),
+        GateKind::Or => pins.fold(S::ZERO, |a, v| a | v),
+        GateKind::Nor => !pins.fold(S::ZERO, |a, v| a | v),
+        GateKind::Xor => pins.fold(S::ZERO, |a, v| a ^ v),
+        GateKind::Xnor => !pins.fold(S::ZERO, |a, v| a ^ v),
+        GateKind::Not => !pins.next().expect("NOT has one pin"),
+        GateKind::Buff => pins.next().expect("BUFF has one pin"),
+        GateKind::Const0 => S::ZERO,
+        GateKind::Const1 => S::MAX,
         GateKind::Input | GateKind::Dff => {
             panic!("{kind} is a source; its value is assigned, not evaluated")
         }
@@ -209,7 +222,7 @@ pub fn eval_packed(kind: GateKind, fanin: &[u64]) -> u64 {
 ///
 /// # Panics
 ///
-/// Panics like [`eval_packed`] on sources.
+/// Panics like [`eval_word`] on sources.
 ///
 /// ```
 /// use fbist_netlist::{eval_trit, GateKind};
@@ -341,7 +354,7 @@ pub fn tv_not(v: Tv) -> Tv {
 ///
 /// # Panics
 ///
-/// Panics like [`eval_packed`] on sources.
+/// Panics like [`eval_word`] on sources.
 #[inline]
 pub fn eval_tv(kind: GateKind, arity: usize, read: impl Fn(usize) -> Tv) -> Tv {
     #[inline]
@@ -431,34 +444,70 @@ mod tests {
         assert_eq!(eval_tv(GateKind::Const1, 0, |_| TV_X), TV_ONE);
     }
 
-    #[test]
-    fn packed_truth_tables() {
-        // lanes: 00, 01, 10, 11 for (a=0b1100? ...) use a=0b0101? Standard:
-        let a = 0b0011u64; // a = 1 in lanes 0,1
-        let b = 0b0101u64; // b = 1 in lanes 0,2
-        assert_eq!(eval_packed(GateKind::And, &[a, b]) & 0xF, 0b0001);
-        assert_eq!(eval_packed(GateKind::Or, &[a, b]) & 0xF, 0b0111);
-        assert_eq!(eval_packed(GateKind::Xor, &[a, b]) & 0xF, 0b0110);
-        assert_eq!(eval_packed(GateKind::Nand, &[a, b]) & 0xF, 0b1110);
-        assert_eq!(eval_packed(GateKind::Nor, &[a, b]) & 0xF, 0b1000);
-        assert_eq!(eval_packed(GateKind::Xnor, &[a, b]) & 0xF, 0b1001);
-        assert_eq!(eval_packed(GateKind::Buff, &[a]) & 0xF, a);
-        assert_eq!(eval_packed(GateKind::Not, &[a]) & 0xF, 0b1100);
+    /// Checks [`eval_word`] at width `W` against [`eval_trit`] on 0/1 for
+    /// every evaluated kind (constants at arity 0, the rest at 1–4) and
+    /// input combination, plain and with each pin forced to 0 and to 1. Lane `k` carries combination
+    /// `(k ^ k / 64) mod 2^n`, so the words of a wide block hold the
+    /// combinations in different orders.
+    fn word_eval_matches_trit<const W: usize>() {
+        let lanes = SimWord::<W>::LANES;
+        for kind in GateKind::ALL {
+            if matches!(kind, GateKind::Input | GateKind::Dff) {
+                continue; // assigned, not evaluated
+            }
+            let (lo, hi) = kind.fanin_arity();
+            for n in lo..=hi.min(4) {
+                let combo = |k: usize| (k ^ (k / 64)) % (1 << n);
+                let fanin: Vec<GateId> = (0..n).map(GateId::from_index).collect();
+                let mut words = vec![SimWord::<W>::ZERO; n];
+                for k in 0..lanes {
+                    for (i, w) in words.iter_mut().enumerate() {
+                        if combo(k) >> i & 1 == 1 {
+                            w.set_lane(k);
+                        }
+                    }
+                }
+                let forcings = [None]
+                    .into_iter()
+                    .chain((0..n).flat_map(|p| [Some((p, false)), Some((p, true))]));
+                for forced in forcings {
+                    let read = |p: usize, f: GateId| match forced {
+                        Some((fp, v)) if fp == p => [SimWord::ZERO, SimWord::MAX][v as usize],
+                        _ => words[f.index()],
+                    };
+                    let got = eval_word::<W>(kind, &fanin, read);
+                    for k in 0..lanes {
+                        let pins: Vec<Trit> = (0..n)
+                            .map(|i| match forced {
+                                Some((fp, v)) if fp == i => Trit::from_bool(v),
+                                _ => Trit::from_bool(combo(k) >> i & 1 == 1),
+                            })
+                            .collect();
+                        assert_eq!(
+                            Trit::from_bool(got.lane(k)),
+                            eval_trit(kind, &pins),
+                            "W={W} {kind} {pins:?} forced {forced:?} lane {k}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
-    fn packed_multi_input() {
-        let v = [0b1110u64, 0b1101, 0b1011];
-        assert_eq!(eval_packed(GateKind::And, &v) & 0xF, 0b1000);
-        assert_eq!(eval_packed(GateKind::Xor, &v) & 0xF, 0b1000);
-        // parity of three words: 1110^1101^1011 = 1000
-        assert_eq!(eval_packed(GateKind::Xor, &v) & 0xF, 0b1000);
+    fn word_eval_matches_trit_narrow() {
+        word_eval_matches_trit::<1>();
+    }
+
+    #[test]
+    fn word_eval_matches_trit_wide() {
+        word_eval_matches_trit::<4>();
     }
 
     #[test]
     #[should_panic(expected = "source")]
     fn eval_input_panics() {
-        eval_packed(GateKind::Input, &[]);
+        eval_word::<1>(GateKind::Input, &[], |_, _| SimWord::ZERO);
     }
 
     #[test]
@@ -472,29 +521,6 @@ mod tests {
         assert_eq!(eval_trit(GateKind::Xnor, &[One, One]), One);
         assert_eq!(eval_trit(GateKind::Not, &[X]), X);
         assert_eq!(eval_trit(GateKind::Const1, &[]), One);
-    }
-
-    #[test]
-    fn trit_agrees_with_packed_on_binary() {
-        use Trit::*;
-        for kind in [
-            GateKind::And,
-            GateKind::Nand,
-            GateKind::Or,
-            GateKind::Nor,
-            GateKind::Xor,
-            GateKind::Xnor,
-        ] {
-            for a in [false, true] {
-                for b in [false, true] {
-                    let lane = (a as u64) | (b as u64); // single-lane check
-                    let packed = eval_packed(kind, &[a as u64, b as u64]) & 1 == 1;
-                    let tri = eval_trit(kind, &[Trit::from_bool(a), Trit::from_bool(b)]);
-                    assert_eq!(tri, Trit::from_bool(packed), "{kind} {a} {b} lane {lane}");
-                }
-            }
-        }
-        assert_eq!(eval_trit(GateKind::Buff, &[One]), One);
     }
 
     #[test]

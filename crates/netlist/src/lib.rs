@@ -48,8 +48,7 @@ pub mod stats;
 pub mod topo;
 
 pub use gate::{
-    eval_packed, eval_trit, eval_tv, tv_from_bool, tv_not, tv_of, GateKind, Tv, TV_ONE, TV_X,
-    TV_ZERO,
+    eval_trit, eval_tv, eval_word, tv_from_bool, tv_not, tv_of, GateKind, Tv, TV_ONE, TV_X, TV_ZERO,
 };
 pub use netlist::{CsrAdjacency, Gate, GateId, Netlist, NetlistError};
 pub use scan::{full_scan, ScanView};

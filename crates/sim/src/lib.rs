@@ -1,19 +1,25 @@
 //! Gate-level logic simulation.
 //!
-//! Four simulators, one per use case in the reseeding flow:
+//! Four simulators and a signature register, one per use case in the
+//! reseeding flow:
 //!
-//! * [`PackedSimulator`] — 64-way bit-parallel combinational simulation
-//!   (one `u64` per net carries 64 pattern lanes). This is the workhorse
-//!   behind fault simulation and detection-matrix construction.
+//! * [`PackedSimulator`] — bit-parallel combinational simulation: one
+//!   [`SimWord<W>`](fbist_bits::SimWord) per net carries `64·W` pattern
+//!   lanes. This is the workhorse behind fault simulation and
+//!   detection-matrix construction.
 //! * [`SeqSimulator`] — cycle-accurate sequential simulation of netlists
-//!   with flip-flops, also 64 lanes wide (64 independent executions).
+//!   with flip-flops, 64 lanes wide (64 independent executions).
 //! * [`TritSimulator`] — three-valued (`0`/`1`/`X`) single-pattern
 //!   simulation of [`Cube`](fbist_bits::Cube)s, used to reason about
 //!   partially specified patterns.
 //! * [`EventSimulator`] — classic single-pattern event-driven simulation,
-//!   kept as a cross-check and for the ablation benchmarks;
+//!   kept as a cross-check and for the ablation benchmarks.
 //! * [`Misr`] — multiple-input signature register for output-response
 //!   compaction, the observation side of a real BIST datapath.
+//!
+//! The two bit-parallel simulators evaluate every gate through
+//! [`fbist_netlist::eval_word`], the workspace's one two-valued word
+//! evaluator.
 //!
 //! # Example
 //!
@@ -48,72 +54,13 @@ pub use seq::SeqSimulator;
 pub use threeval::TritSimulator;
 
 use fbist_bits::SimWord;
-use fbist_netlist::{GateId, GateKind, Netlist};
-
-/// Evaluates one gate over packed values stored in a flat per-net array.
-///
-/// This is the inner loop of every simulator in this crate; it avoids
-/// materialising a fanin slice per gate.
-#[inline]
-pub(crate) fn eval_gate_packed(kind: GateKind, fanin: &[GateId], values: &[u64]) -> u64 {
-    match kind {
-        GateKind::And => fanin.iter().fold(u64::MAX, |a, f| a & values[f.index()]),
-        GateKind::Nand => !fanin.iter().fold(u64::MAX, |a, f| a & values[f.index()]),
-        GateKind::Or => fanin.iter().fold(0u64, |a, f| a | values[f.index()]),
-        GateKind::Nor => !fanin.iter().fold(0u64, |a, f| a | values[f.index()]),
-        GateKind::Xor => fanin.iter().fold(0u64, |a, f| a ^ values[f.index()]),
-        GateKind::Xnor => !fanin.iter().fold(0u64, |a, f| a ^ values[f.index()]),
-        GateKind::Not => !values[fanin[0].index()],
-        GateKind::Buff => values[fanin[0].index()],
-        GateKind::Const0 => 0,
-        GateKind::Const1 => u64::MAX,
-        GateKind::Input | GateKind::Dff => unreachable!("sources are assigned, not evaluated"),
-    }
-}
+use fbist_netlist::{eval_word, GateId, GateKind, Netlist};
 
 /// Evaluates every non-source gate of `netlist` in `order`, reading and
-/// writing the flat `values` array. Input and DFF values must already be
-/// assigned.
+/// writing the flat `values` array (one [`SimWord<W>`] per net). Input
+/// and DFF values must already be assigned.
 #[inline]
-pub(crate) fn sweep(netlist: &Netlist, order: &[GateId], values: &mut [u64]) {
-    for &id in order {
-        let g = netlist.gate(id);
-        let k = g.kind();
-        if k == GateKind::Input || k == GateKind::Dff {
-            continue;
-        }
-        values[id.index()] = eval_gate_packed(k, g.fanin(), values);
-    }
-}
-
-/// Width-generic [`eval_gate_packed`]: one [`SimWord<W>`] per net carries
-/// `64·W` pattern lanes. The fold bodies are plain `[u64; W]` array ops,
-/// which the autovectorizer lowers to 128/256/512-bit SIMD.
-#[inline]
-pub(crate) fn eval_gate_packed_w<const W: usize>(
-    kind: GateKind,
-    fanin: &[GateId],
-    values: &[SimWord<W>],
-) -> SimWord<W> {
-    type S<const W: usize> = SimWord<W>;
-    match kind {
-        GateKind::And => fanin.iter().fold(S::MAX, |a, f| a & values[f.index()]),
-        GateKind::Nand => !fanin.iter().fold(S::MAX, |a, f| a & values[f.index()]),
-        GateKind::Or => fanin.iter().fold(S::ZERO, |a, f| a | values[f.index()]),
-        GateKind::Nor => !fanin.iter().fold(S::ZERO, |a, f| a | values[f.index()]),
-        GateKind::Xor => fanin.iter().fold(S::ZERO, |a, f| a ^ values[f.index()]),
-        GateKind::Xnor => !fanin.iter().fold(S::ZERO, |a, f| a ^ values[f.index()]),
-        GateKind::Not => !values[fanin[0].index()],
-        GateKind::Buff => values[fanin[0].index()],
-        GateKind::Const0 => S::ZERO,
-        GateKind::Const1 => S::MAX,
-        GateKind::Input | GateKind::Dff => unreachable!("sources are assigned, not evaluated"),
-    }
-}
-
-/// Width-generic [`sweep`] over [`SimWord<W>`] value buffers.
-#[inline]
-pub(crate) fn sweep_w<const W: usize>(
+pub(crate) fn sweep<const W: usize>(
     netlist: &Netlist,
     order: &[GateId],
     values: &mut [SimWord<W>],
@@ -124,6 +71,6 @@ pub(crate) fn sweep_w<const W: usize>(
         if k == GateKind::Input || k == GateKind::Dff {
             continue;
         }
-        values[id.index()] = eval_gate_packed_w(k, g.fanin(), values);
+        values[id.index()] = eval_word(k, g.fanin(), |_, f| values[f.index()]);
     }
 }

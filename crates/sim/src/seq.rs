@@ -1,6 +1,6 @@
 //! Cycle-accurate sequential simulation.
 
-use fbist_bits::{pack, BitVec};
+use fbist_bits::{pack, BitVec, SimWord};
 use fbist_netlist::{GateId, Netlist};
 
 use crate::{sweep, SimError};
@@ -8,7 +8,8 @@ use crate::{sweep, SimError};
 /// Sequential (flip-flop-aware) simulator, 64 lanes wide.
 ///
 /// Each of the 64 bit lanes is an *independent* execution of the circuit:
-/// the simulator keeps one packed state word per flip-flop and updates all
+/// the simulator keeps one [`SimWord<1>`] state word per flip-flop and
+/// updates all
 /// lanes synchronously on every [`step`](SeqSimulator::step). Lane 0 is the
 /// conventional single-machine view; the helper methods that take and return
 /// [`BitVec`]s operate on lane 0.
@@ -32,7 +33,7 @@ use crate::{sweep, SimError};
 pub struct SeqSimulator {
     netlist: Netlist,
     order: Vec<GateId>,
-    values: Vec<u64>,
+    values: Vec<SimWord<1>>,
 }
 
 impl SeqSimulator {
@@ -44,7 +45,7 @@ impl SeqSimulator {
     /// Returns [`SimError::Netlist`] if the netlist fails levelisation.
     pub fn new(netlist: &Netlist) -> Result<Self, SimError> {
         let order = netlist.levelize()?;
-        let values = vec![0u64; netlist.gate_count()];
+        let values = vec![SimWord::ZERO; netlist.gate_count()];
         Ok(SeqSimulator {
             netlist: netlist.clone(),
             order,
@@ -59,9 +60,7 @@ impl SeqSimulator {
 
     /// Clears all state lanes to zero.
     pub fn reset(&mut self) {
-        for v in &mut self.values {
-            *v = 0;
-        }
+        self.values.fill(SimWord::ZERO);
     }
 
     /// Sets the state register from one [`BitVec`] per flip-flop *for all
@@ -77,7 +76,11 @@ impl SeqSimulator {
             "state width must equal the flip-flop count"
         );
         for (i, &d) in self.netlist.dffs().iter().enumerate() {
-            self.values[d.index()] = if state.get(i) { u64::MAX } else { 0 };
+            self.values[d.index()] = if state.get(i) {
+                SimWord::MAX
+            } else {
+                SimWord::ZERO
+            };
         }
     }
 
@@ -85,7 +88,7 @@ impl SeqSimulator {
     pub fn state_pattern(&self) -> BitVec {
         let mut s = BitVec::zeros(self.netlist.dffs().len());
         for (i, &d) in self.netlist.dffs().iter().enumerate() {
-            if self.values[d.index()] & 1 == 1 {
+            if self.values[d.index()].lane(0) {
                 s.set(i, true);
             }
         }
@@ -99,7 +102,7 @@ impl SeqSimulator {
     /// # Panics
     ///
     /// Panics if `pi_words.len()` differs from the input count.
-    pub fn step(&mut self, pi_words: &[u64]) -> Vec<u64> {
+    pub fn step(&mut self, pi_words: &[SimWord<1>]) -> Vec<SimWord<1>> {
         assert_eq!(
             pi_words.len(),
             self.netlist.inputs().len(),
@@ -116,7 +119,7 @@ impl SeqSimulator {
             .map(|o| self.values[o.index()])
             .collect();
         // Commit next state: Q <= D, synchronously.
-        let next: Vec<u64> = self
+        let next: Vec<SimWord<1>> = self
             .netlist
             .dffs()
             .iter()
@@ -208,15 +211,15 @@ mod tests {
         let mut sim = SeqSimulator::new(&n).unwrap();
         sim.reset();
         // lane 0 gets x=1 every cycle; lane 1 gets x=0
-        let words = vec![0b01u64];
+        let words = vec![SimWord([0b01])];
         sim.step(&words);
         sim.step(&words);
         // After two cycles: lane0 q = 1^1 = 0 after second commit? q: 0->1->0
         let q = sim.netlist().dffs()[0];
-        let v = sim.values[q.index()];
+        let v = sim.values[q.index()].0[0];
         assert_eq!(v & 0b11, 0b00);
         sim.step(&words);
-        let v = sim.values[q.index()];
+        let v = sim.values[q.index()].0[0];
         assert_eq!(v & 0b11, 0b01); // lane0 toggled again, lane1 still 0
     }
 

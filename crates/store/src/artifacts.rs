@@ -3,13 +3,13 @@
 //! Every codec is exact: `decode(encode(x)) == x`, pinned by the
 //! round-trip proptests in `tests/roundtrip.rs`. Decoders validate
 //! every structural invariant they rebuild (widths, index ranges, CSR
-//! cell ranges, netlist arities) so a corrupt payload is reported as
+//! cell ranges) so a corrupt payload is reported as
 //! [`DecodeError::Invalid`] instead of panicking deep inside a consumer.
 
 use fbist_atpg::AtpgResult;
 use fbist_bits::BitVec;
 use fbist_fault::{Fault, FaultId, FaultList, FaultSite};
-use fbist_netlist::{GateId, GateKind, Netlist};
+use fbist_netlist::GateId;
 use fbist_setcover::{Cells, FirstDetectionMatrix};
 use fbist_tpg::Triplet;
 
@@ -298,94 +298,6 @@ impl Artifact for FirstDetectionMatrix {
     }
 }
 
-impl Artifact for Netlist {
-    const KIND: &'static str = "netlist";
-
-    fn encode(&self, w: &mut Writer) {
-        w.str(self.name());
-        w.usize(self.gate_count());
-        for (_, gate) in self.iter() {
-            let tag = GateKind::ALL
-                .iter()
-                .position(|&k| k == gate.kind())
-                .expect("GateKind::ALL covers every kind") as u8;
-            w.u8(tag);
-            w.str(gate.name());
-            w.usize(gate.fanin().len());
-            for &f in gate.fanin() {
-                w.u32(f.index() as u32);
-            }
-        }
-        w.usize(self.outputs().len());
-        for &o in self.outputs() {
-            w.u32(o.index() as u32);
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let bad = |e: fbist_netlist::NetlistError| DecodeError::Invalid(e.to_string());
-        let name = r.str()?;
-        let n = r.usize()?;
-        let mut netlist = Netlist::new(name);
-        // Pass 1: gates in id order. Non-DFF gates always reference
-        // earlier ids (Netlist::add_gate enforces it at construction, so
-        // any encoded netlist has the property); DFF `D` pins may point
-        // forward and are connected in pass 2, mirroring how the .bench
-        // reader builds feedback loops.
-        let mut dff_fanin: Vec<(GateId, u32)> = Vec::new();
-        for i in 0..n {
-            let tag = r.u8()? as usize;
-            let &kind = GateKind::ALL
-                .get(tag)
-                .ok_or_else(|| DecodeError::Invalid(format!("bad gate-kind tag {tag}")))?;
-            let gname = r.str()?;
-            let fanin_len = r.usize()?;
-            let mut fanin = Vec::with_capacity(fanin_len.min(r.remaining() / 4));
-            for _ in 0..fanin_len {
-                fanin.push(GateId::from_index(r.u32()? as usize));
-            }
-            let id = if kind == GateKind::Dff {
-                if fanin.len() > 1 {
-                    return Err(DecodeError::Invalid(format!(
-                        "DFF {gname:?} has {} fanins",
-                        fanin.len()
-                    )));
-                }
-                let id = netlist.add_dff(gname).map_err(bad)?;
-                if let Some(&d) = fanin.first() {
-                    dff_fanin.push((id, d.index() as u32));
-                }
-                id
-            } else {
-                netlist.add_gate(kind, gname, fanin).map_err(bad)?
-            };
-            if id.index() != i {
-                return Err(DecodeError::Invalid(format!(
-                    "gate {i} decoded to id {}",
-                    id.index()
-                )));
-            }
-        }
-        for (dff, d) in dff_fanin {
-            netlist
-                .connect_dff(dff, GateId::from_index(d as usize))
-                .map_err(bad)?;
-        }
-        let n_out = r.usize()?;
-        for _ in 0..n_out {
-            let o = r.u32()? as usize;
-            if o >= netlist.gate_count() {
-                return Err(DecodeError::Invalid(format!(
-                    "output id {o} out of range ({} gates)",
-                    netlist.gate_count()
-                )));
-            }
-            netlist.add_output(GateId::from_index(o));
-        }
-        Ok(netlist)
-    }
-}
-
 /// Encodes any artifact to a standalone byte vector (no envelope).
 pub fn encode_to_vec<T: Artifact>(value: &T) -> Vec<u8> {
     let mut w = Writer::new();
@@ -458,47 +370,6 @@ mod tests {
         round_trip(&FaultList::collapsed(&n));
         round_trip(&FaultList::full(&n));
         round_trip(&FaultList::new());
-    }
-
-    #[test]
-    fn embedded_netlists_round_trip() {
-        for n in embedded::all() {
-            round_trip(&n);
-        }
-    }
-
-    #[test]
-    fn sequential_netlist_round_trips_feedback_loops() {
-        // q = DFF(not q): the D pin points forward, exercising pass 2
-        let mut n = Netlist::new("loop");
-        let q = n.add_dff("q").unwrap();
-        let inv = n.add_gate(GateKind::Not, "inv", vec![q]).unwrap();
-        n.connect_dff(q, inv).unwrap();
-        n.add_output(inv);
-        n.validate().unwrap();
-        round_trip(&n);
-    }
-
-    #[test]
-    fn netlist_decode_rejects_bad_tag_and_bad_output() {
-        let n = embedded::c17();
-        let bytes = encode_to_vec(&n);
-        let mut bad = bytes.clone();
-        // first gate's kind tag sits right after the name and gate count
-        let tag_pos = {
-            let mut r = Reader::new(&bytes);
-            let _ = r.str().unwrap();
-            let _ = r.usize().unwrap();
-            bytes.len() - r.remaining()
-        };
-        bad[tag_pos] = 0xFF;
-        assert!(matches!(
-            decode_from_slice::<Netlist>(&bad),
-            Err(DecodeError::Invalid(_))
-        ));
-        let mut truncated = bytes.clone();
-        truncated.pop();
-        assert!(decode_from_slice::<Netlist>(&truncated).is_err());
     }
 
     #[test]

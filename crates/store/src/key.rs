@@ -13,8 +13,7 @@ use crate::digest::DigestBytes;
 /// millions).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StageKey {
-    /// Stage kind — `"netlist"`, `"atpg"`, `"first-detection"`,
-    /// `"cover"`. Doubles as the subdirectory name, so it must stay a
+    /// Stage kind — `"atpg"`, `"first-detection"`, `"cover"`. Doubles as the subdirectory name, so it must stay a
     /// valid path component.
     pub kind: &'static str,
     /// Content digest of the stage's inputs.

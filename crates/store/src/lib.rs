@@ -34,21 +34,25 @@
 //! ## Example
 //!
 //! ```
-//! use fbist_store::{ArtifactStore, Digest, StageKey};
+//! use fbist_atpg::{Atpg, AtpgConfig, AtpgResult};
+//! use fbist_fault::FaultList;
 //! use fbist_netlist::embedded;
+//! use fbist_store::{ArtifactStore, Digest, StageKey};
 //!
 //! let dir = std::env::temp_dir().join(format!("fbist-store-doc-{}", std::process::id()));
 //! let store = ArtifactStore::open(&dir)?;
 //! let netlist = embedded::c17();
+//! // the ATPG run the flow's `atpg` stage caches
+//! let result = Atpg::new(&netlist)?.run(&FaultList::collapsed(&netlist), &AtpgConfig::default());
 //!
 //! let mut d = Digest::new("doc-example");
 //! d.str(netlist.name());
-//! let key = StageKey::new("netlist", d.finish());
+//! let key = StageKey::new("atpg", d.finish());
 //!
-//! store.save(key, &netlist)?;
-//! assert_eq!(store.load(key)?, Some(netlist));
+//! store.save(key, &result)?;
+//! assert_eq!(store.load::<AtpgResult>(key)?, Some(result));
 //! # std::fs::remove_dir_all(&dir).ok();
-//! # Ok::<(), fbist_store::StoreError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![forbid(unsafe_code)]

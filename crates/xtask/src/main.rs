@@ -1,7 +1,7 @@
 //! Repo invariant lints, run as `cargo run -p xtask -- lint` (and as a
 //! plain `cargo test -p xtask`, so the tier-1 suite enforces them too).
 //!
-//! Five invariants, chosen because nothing else in the build would catch
+//! Six invariants, chosen because nothing else in the build would catch
 //! a quiet violation:
 //!
 //! 1. **`#![forbid(unsafe_code)]` in every first-party crate root.** The
@@ -34,6 +34,12 @@
 //!    `THROUGHPUT_KNOBS` entry, `--jobs` naming `jobs` (or a nested
 //!    `<stage>.jobs`). So a knob flag cannot come back without the
 //!    equivalence suite that pins it.
+//! 6. **One word-level gate truth table.** `fbist_netlist::eval_word`
+//!    (`crates/netlist/src/gate.rs`) is the one two-valued evaluator
+//!    over simulation words; every bit-parallel engine reads pins
+//!    through it. A match arm mapping `GateKind::Xnor` to a negated word
+//!    (`=> !`) anywhere else is a second copy of the truth table that the
+//!    evaluator's truth-table tests do not cover.
 
 #![forbid(unsafe_code)]
 
@@ -80,6 +86,7 @@ fn run_lints(root: &Path) -> Vec<String> {
     lint_throughput_manifest(root, &mut failures);
     lint_no_hash_iteration(root, &mut failures);
     lint_knob_flags(root, &mut failures);
+    lint_one_word_evaluator(root, &mut failures);
     failures
 }
 
@@ -306,6 +313,45 @@ fn lint_knob_flags(root: &Path, failures: &mut Vec<String>) {
     }
 }
 
+// ------------------------------------------- 6: one word-level evaluator
+
+/// The one file allowed to hold a word-level gate truth table.
+const WORD_EVALUATOR: &str = "crates/netlist/src/gate.rs";
+
+fn lint_one_word_evaluator(root: &Path, failures: &mut Vec<String>) {
+    // built at runtime so this source file cannot trip its own lint
+    let needle: String = ["Xnor", "=>", "!"].concat();
+    let mut sources = Vec::new();
+    for top in ["crates", "tests", "src", "examples", "benches"] {
+        collect_rs_files(&root.join(top), &mut sources);
+    }
+    for path in sources {
+        if path == root.join(WORD_EVALUATOR) {
+            continue;
+        }
+        let Ok(text) = std::fs::read_to_string(&path) else {
+            continue;
+        };
+        for (i, line) in text.lines().enumerate() {
+            let code: String = line
+                .split("//")
+                .next()
+                .unwrap_or("")
+                .split_whitespace()
+                .collect();
+            if code.contains(&needle) {
+                failures.push(format!(
+                    "{}:{}: word-level gate arm — evaluate gates through \
+                     fbist_netlist::eval_word ({WORD_EVALUATOR}), the one \
+                     two-valued truth table",
+                    path.display(),
+                    i + 1
+                ));
+            }
+        }
+    }
+}
+
 /// The lines of the array declared on the first line that contains
 /// `decl` and a `[`, up to its closing `];` — or, for an array that
 /// closes on its declaration line, that line's initializer.
@@ -476,6 +522,30 @@ mod tests {
         assert_eq!(failures.len(), 2, "{failures:#?}");
         assert!(failures[0].contains("lib.rs:1:"), "{failures:#?}");
         assert!(failures[1].contains("lib.rs:4:"), "{failures:#?}");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn second_word_evaluator_is_reported() {
+        let dir = std::env::temp_dir().join(format!("xtask-lint6-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("crates/netlist/src")).unwrap();
+        std::fs::create_dir_all(dir.join("crates/sim/src")).unwrap();
+        let arm = ["GateKind::Xnor", " => !"].concat();
+        let body = format!("match k {{\n    {arm}fold(v),\n}}\n");
+        std::fs::write(dir.join(WORD_EVALUATOR), &body).unwrap();
+        std::fs::write(
+            dir.join("crates/sim/src/lib.rs"),
+            format!("// {arm} in a comment is fine\n{body}Xnor=>!x,\n"),
+        )
+        .unwrap();
+        let mut failures = Vec::new();
+        lint_one_word_evaluator(&dir, &mut failures);
+        // gate.rs may hold the arm; the copy in sim is reported, spaced
+        // or not, and the comment is not
+        assert_eq!(failures.len(), 2, "{failures:#?}");
+        assert!(failures[0].contains("lib.rs:3:"), "{failures:#?}");
+        assert!(failures[1].contains("lib.rs:5:"), "{failures:#?}");
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -44,7 +44,7 @@
 use fbist_atpg::{prove_redundancy, ConstantVerdict, FaultMiter, SatVerdict};
 use fbist_fault::FaultId;
 use fbist_genbench::{all_profiles, generate, CircuitProfile};
-use fbist_netlist::GateId;
+use fbist_netlist::{eval_trit, GateId};
 use proptest::prelude::*;
 use set_covering_reseeding::prelude::*;
 
@@ -363,9 +363,12 @@ fn truth_tables(n: &Netlist) -> Vec<Vec<bool>> {
                     GateKind::Const1 => true,
                     GateKind::Dff => false,
                     kind => {
-                        let pins: Vec<u64> =
-                            g.fanin().iter().map(|f| val[f.index()] as u64).collect();
-                        fbist_netlist::eval_packed(kind, &pins) & 1 == 1
+                        let pins: Vec<Trit> = g
+                            .fanin()
+                            .iter()
+                            .map(|f| Trit::from_bool(val[f.index()]))
+                            .collect();
+                        eval_trit(kind, &pins) == Trit::One
                     }
                 };
             }

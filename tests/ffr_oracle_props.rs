@@ -213,7 +213,7 @@ fn check_width<const W: usize>(
                 b * lanes + g.lane_offset as usize
             );
             for (fid, _) in faults.iter() {
-                let hit = words[b][fid.index()] & g.mask_w::<W>();
+                let hit = words[b][fid.index()] & g.mask::<W>();
                 if !hit.is_zero() {
                     let first = g.start + (hit.trailing_zeros() - g.lane_offset as u32);
                     let cell = &mut expect[r][fid.index()];
