@@ -45,7 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod compact;
 mod engine;
 mod miter;
 mod podem;
@@ -53,7 +52,6 @@ mod redundancy;
 mod sat;
 pub use fbist_analyze::testability;
 
-pub use compact::{compact_cubes, compaction_ratio};
 pub use engine::{Atpg, AtpgConfig, AtpgResult};
 pub use miter::{ConstantVerdict, FaultMiter, MiterSession, SatVerdict, CONFLICT_BUDGET};
 pub use podem::{Podem, PodemConfig, PodemOutcome, PodemSession, PodemStats, ESCALATE_AT};

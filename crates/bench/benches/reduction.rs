@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fbist_setcover::generate::detection_shaped;
-use fbist_setcover::{solve, Engine, ExactConfig, ReducerConfig, SolveConfig};
+use fbist_setcover::{solve, ExactConfig, ReducerConfig, SolveConfig};
 
 fn configs() -> Vec<(&'static str, SolveConfig)> {
     let exact = ExactConfig {
@@ -18,7 +18,6 @@ fn configs() -> Vec<(&'static str, SolveConfig)> {
             "no_reduction",
             SolveConfig {
                 reducer: ReducerConfig::none(),
-                engine: Engine::Exact,
                 exact,
                 ..SolveConfig::default()
             },
@@ -27,7 +26,6 @@ fn configs() -> Vec<(&'static str, SolveConfig)> {
             "paper_reduction",
             SolveConfig {
                 reducer: ReducerConfig::default(),
-                engine: Engine::Exact,
                 exact,
                 ..SolveConfig::default()
             },
@@ -36,7 +34,6 @@ fn configs() -> Vec<(&'static str, SolveConfig)> {
             "all_reductions",
             SolveConfig {
                 reducer: ReducerConfig::all(),
-                engine: Engine::Exact,
                 exact,
                 ..SolveConfig::default()
             },

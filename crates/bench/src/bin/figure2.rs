@@ -80,8 +80,8 @@ fn main() {
         println!("len {:>7} | {bar} {}", pt.test_length, pt.triplets);
     }
     // the paper's Figure-2 shape. This is an empirical property of the
-    // instance, not a guarantee: the greedy/local-search solver can
-    // return a (still fully covering) larger cover at a larger τ.
+    // instance, not a guarantee: a solve cut short by its node budget
+    // can return a (still fully covering) larger cover at a larger τ.
     let monotone = curve.windows(2).all(|w| w[1].triplets <= w[0].triplets);
     println!(
         "\n# monotone non-increasing triplet count: {}",

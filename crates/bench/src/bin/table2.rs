@@ -15,7 +15,7 @@
 //! * other circuits split between solver-only and mixed solutions.
 
 use fbist_bench::{build_circuit, display_name, suite_from_args, Args, JOBS_FLAGS, SUITE_FLAGS};
-use fbist_setcover::{Engine, SolveConfig};
+use fbist_setcover::{ExactConfig, SolveConfig};
 use reseed_core::{FlowConfig, ReseedingFlow, TpgKind};
 
 fn main() {
@@ -57,7 +57,7 @@ fn main() {
             let mut cfg = FlowConfig::new(tpg).with_tau(tau).with_seed(suite.seed);
             if greedy {
                 cfg = cfg.with_solve(SolveConfig {
-                    engine: Engine::Greedy,
+                    exact: ExactConfig { node_limit: 0 },
                     ..SolveConfig::default()
                 });
             }

@@ -41,11 +41,6 @@ impl Trit {
             Trit::X => None,
         }
     }
-
-    /// `true` unless the value is `X`.
-    pub fn is_specified(self) -> bool {
-        self != Trit::X
-    }
 }
 
 impl fmt::Display for Trit {

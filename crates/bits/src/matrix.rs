@@ -155,16 +155,6 @@ impl BitMatrix {
         BitVec::from_words(self.cols, self.row_words(row))
     }
 
-    /// ORs `src` row into `dst` row (in place accumulation).
-    pub fn or_row_into(&mut self, src: usize, dst: usize) {
-        assert!(src < self.rows && dst < self.rows);
-        let (s, d) = (src * self.words_per_row, dst * self.words_per_row);
-        for i in 0..self.words_per_row {
-            let v = self.data[s + i];
-            self.data[d + i] |= v;
-        }
-    }
-
     /// Number of set bits in a row.
     pub fn count_row(&self, row: usize) -> usize {
         self.row_words(row)

@@ -207,7 +207,8 @@ pub struct FlowConfig {
     pub seed: u64,
     /// ATPG settings used to produce `ATPGTS` and `F`.
     pub atpg: AtpgConfig,
-    /// Set-covering pipeline settings (reductions + engine).
+    /// Set-covering pipeline settings (reductions + the exact solver's
+    /// node budget).
     pub solve: SolveConfig,
     /// Trim each selected triplet's tail patterns that add no coverage
     /// (the paper's global-test-length accounting, §4).
@@ -287,12 +288,6 @@ impl FlowConfig {
     /// Replaces the set-covering configuration.
     pub fn with_solve(mut self, solve: SolveConfig) -> FlowConfig {
         self.solve = solve;
-        self
-    }
-
-    /// Replaces the ATPG configuration.
-    pub fn with_atpg(mut self, atpg: AtpgConfig) -> FlowConfig {
-        self.atpg = atpg;
         self
     }
 

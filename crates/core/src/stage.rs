@@ -44,7 +44,7 @@ use std::sync::OnceLock;
 
 use fbist_atpg::AtpgConfig;
 use fbist_netlist::{GateKind, Netlist};
-use fbist_setcover::{Engine, FirstDetectionMatrix, SolveConfig};
+use fbist_setcover::{FirstDetectionMatrix, SolveConfig};
 use fbist_store::{
     Artifact, ArtifactStore, DecodeError, Digest, DigestBytes, Reader, StageKey, Writer,
 };
@@ -133,31 +133,17 @@ fn hash_atpg_fragment(d: &mut Digest, atpg: &AtpgConfig) {
 pub const THROUGHPUT_KNOBS: &[(&str, &str)] = &[
     ("jobs", "parallel_equivalence"),
     ("atpg.jobs", "atpg_equivalence"),
-    ("solve.engine.jobs", "parallel_equivalence"),
 ];
 
-/// Hashes the solver-relevant fragment of [`SolveConfig`]: reductions,
-/// engine (with the local-search parameters that shape the cover —
-/// everything except its `jobs`), and the exact-node budget.
+/// Hashes the solver-relevant fragment of [`SolveConfig`]: reductions and
+/// the exact solver's node budget.
 fn hash_solve_fragment(d: &mut Digest, solve: &SolveConfig) {
     d.bool(solve.reducer.essentiality);
     d.bool(solve.reducer.row_dominance);
     d.bool(solve.reducer.col_dominance);
-    match solve.engine {
-        Engine::Exact => d.u8(0),
-        Engine::Greedy => d.u8(1),
-        Engine::LocalSearch(ls) => {
-            d.u8(2);
-            d.usize(ls.iterations);
-            d.usize(ls.ruin_size);
-            d.f64_bits(ls.temperature);
-            d.f64_bits(ls.cooling);
-            d.u64(ls.seed);
-            d.usize(ls.restarts);
-            // ls.jobs deliberately not hashed: restart evaluation order
-            // is pinned independent of the worker count
-        }
-    }
+    // where an engine tag was once hashed: exact is the only engine, and
+    // the constant keeps existing cover keys
+    d.u8(0);
     d.u64(solve.exact.node_limit);
 }
 
@@ -613,18 +599,6 @@ mod tests {
         let mut atpg_jobs = cfg();
         atpg_jobs.atpg.jobs = 5;
         assert_eq!(all_keys(&n, &atpg_jobs), base_keys, "atpg.jobs leaked");
-        // local-search jobs are a throughput knob too
-        let mut ls = cfg();
-        ls.solve.engine = Engine::LocalSearch(fbist_setcover::LocalSearchConfig {
-            jobs: 9,
-            ..Default::default()
-        });
-        let mut ls_serial = ls.clone();
-        ls_serial.solve.engine = Engine::LocalSearch(fbist_setcover::LocalSearchConfig {
-            jobs: 1,
-            ..Default::default()
-        });
-        assert_eq!(all_keys(&n, &ls), all_keys(&n, &ls_serial));
     }
 
     #[test]
@@ -655,12 +629,16 @@ mod tests {
             first_detection_stage_key(&n, &base)
         );
         assert_ne!(cover_stage_key(&n, &lfsr), cover_stage_key(&n, &base));
-        // trim and the solver engine feed only the cover
+        // trim and the solver's node budget feed only the cover
         let untrimmed = base.clone().with_trim(false);
         assert_eq!(atpg_stage_key(&n, &untrimmed), atpg_stage_key(&n, &base));
         assert_ne!(cover_stage_key(&n, &untrimmed), cover_stage_key(&n, &base));
         let mut greedy = base.clone();
-        greedy.solve.engine = Engine::Greedy;
+        greedy.solve.exact.node_limit = 0;
+        assert_eq!(
+            first_detection_stage_key(&n, &greedy),
+            first_detection_stage_key(&n, &base)
+        );
         assert_ne!(cover_stage_key(&n, &greedy), cover_stage_key(&n, &base));
         // static_prepass changes the ATPG fault classification, so it
         // feeds every stage downstream of atpg — it is NOT a throughput
@@ -694,6 +672,15 @@ mod tests {
         // it is the deliberate bump.
         let key = atpg_stage_key(&embedded::c17(), &FlowConfig::new(TpgKind::Adder));
         assert_eq!(key.digest.to_hex(), "95c723cd2c1aeb10719304ebbe0585c1");
+    }
+
+    #[test]
+    fn c17_default_cover_key_is_pinned() {
+        // Warm stores hold cover artifacts under this key; dropping the
+        // constant that stands where the engine tag was hashed, or any
+        // other change to the solve fragment, moves it.
+        let key = cover_stage_key(&embedded::c17(), &FlowConfig::new(TpgKind::Adder));
+        assert_eq!(key.digest.to_hex(), "dcdd1201f0422abb227996ca5daf6ea4");
     }
 
     #[test]

@@ -96,8 +96,8 @@ pub struct SweepPoint {
 /// )?;
 /// assert_eq!(curve.len(), 3);
 /// // what the flow guarantees at every point: the solution covers every
-/// // target fault (triplet counts usually shrink as τ grows, but the
-/// // greedy/local-search solver does not promise monotonicity)
+/// // target fault (triplet counts usually shrink as τ grows, but a
+/// // solve cut short by its node budget does not promise monotonicity)
 /// assert!(curve.iter().all(|p| p.report.covers_all_target_faults()));
 /// # Ok::<(), fbist_sim::SimError>(())
 /// ```
@@ -208,9 +208,9 @@ mod tests {
     fn sweep_covers_all_faults_at_every_point() {
         // what the flow guarantees per point. (On this circuit the curve
         // happens to be monotone too, but that is an empirical property of
-        // the instance — the greedy/local-search solver does not guarantee
-        // it, so it is not asserted here; `tests/sweep_equivalence.rs`
-        // pins every point against `run`.)
+        // the instance — a solve cut short by its node budget does not
+        // guarantee it, so it is not asserted here;
+        // `tests/sweep_equivalence.rs` pins every point against `run`.)
         let n = generate(&profile("tiny64").unwrap(), 4);
         let curve = tradeoff_sweep(&n, &FlowConfig::new(TpgKind::Adder), &[0, 3, 15, 63]).unwrap();
         assert_eq!(curve.len(), 4);
@@ -224,14 +224,14 @@ mod tests {
         // Documented counterexample for the old "triplets never increase
         // with τ" claim: optimal covers are monotone (a τ-cover is also a
         // τ'-cover for τ' > τ, rows only gain coverage), but the fallback
-        // heuristics promise no such thing. Under the Chvátal greedy
-        // engine this instance steps UP from 10 to 11 triplets between
-        // τ = 17 and τ = 18. Deterministic, so pinned exactly; if a
-        // solver change moves the counterexample, find another instead of
-        // re-asserting monotonicity — the guaranteed invariant is full
-        // coverage, nothing more.
+        // heuristics promise no such thing. At a zero node budget (the
+        // Chvátal greedy cover) this instance steps UP from 10 to 11
+        // triplets between τ = 17 and τ = 18. Deterministic, so pinned
+        // exactly; if a solver change moves the counterexample, find
+        // another instead of re-asserting monotonicity — the guaranteed
+        // invariant is full coverage, nothing more.
         use fbist_netlist::full_scan;
-        use fbist_setcover::{Engine, SolveConfig};
+        use fbist_setcover::{ExactConfig, SolveConfig};
         let n = generate(&profile("tiny64").unwrap().scaled(0.35), 4);
         let n = if n.is_combinational() {
             n
@@ -240,7 +240,7 @@ mod tests {
         };
         let mut cfg = FlowConfig::new(TpgKind::Adder);
         cfg.solve = SolveConfig {
-            engine: Engine::Greedy,
+            exact: ExactConfig { node_limit: 0 },
             ..SolveConfig::default()
         };
         let curve = tradeoff_sweep(&n, &cfg, &[17, 18]).unwrap();

@@ -185,11 +185,6 @@ impl Netlist {
         &self.name
     }
 
-    /// Renames the circuit.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// Adds a primary input and returns its id.
     ///
     /// # Panics

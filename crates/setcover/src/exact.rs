@@ -12,7 +12,8 @@
 //! * **Warm start** from the Chvátal greedy cover.
 //!
 //! A node budget keeps worst cases bounded; hitting it downgrades the
-//! result to "best found" with `optimal = false`.
+//! result to "best found" with `optimal = false`. A budget of 0 is the
+//! Chvátal greedy cover itself, with `optimal = false` and `nodes = 0`.
 
 use fbist_bits::BitVec;
 
@@ -22,7 +23,8 @@ use crate::matrix::DetectionMatrix;
 /// Configuration for [`ExactSolver`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExactConfig {
-    /// Search-node budget; `u64::MAX` for a truly exhaustive run.
+    /// Search-node budget; `u64::MAX` for a truly exhaustive run, 0 to
+    /// return the greedy warm start unimproved.
     pub node_limit: u64,
 }
 

@@ -17,8 +17,9 @@
 //!    columns) until fixpoint, with a full event log;
 //! 2. the residual matrix — usually tiny — goes to an exact
 //!    branch-and-bound ([`ExactSolver`], standing in for the commercial
-//!    LINGO package), or to the Chvátal greedy heuristic
-//!    ([`greedy_cover`]) for very large instances;
+//!    LINGO package), warm-started from the Chvátal greedy heuristic
+//!    ([`greedy_cover`]) under a node budget; a budget of 0 returns the
+//!    greedy cover itself;
 //! 3. the final [`CoverSolution`] distinguishes *necessary* (essential)
 //!    rows from solver-chosen rows, exactly like the paper's Table 2.
 //!
@@ -27,11 +28,13 @@
 //!
 //! # One implementation
 //!
-//! The reducer and both solvers scan packed `BitVec` words. The flow's
+//! The reducer and the solver scan packed `BitVec` words. The flow's
 //! Detection Matrices are dense (23–87 % ones on every genbench profile
 //! across the default τ list), and on all of them the word scans reduce
 //! faster than adjacency-list bookkeeping would; the reducer leaves the
-//! solvers at most a tiny residual.
+//! solver at most a tiny residual. §3.3 of the paper keeps local search
+//! and metaheuristics for residuals too large for an exact method; no
+//! workload here leaves one, so there is a single engine.
 //!
 //! # Example
 //!
@@ -55,7 +58,6 @@ mod exact;
 mod first;
 pub mod generate;
 mod greedy;
-mod local;
 pub mod lp;
 mod matrix;
 mod reduce;
@@ -64,7 +66,6 @@ mod solution;
 pub use exact::{ExactConfig, ExactResult, ExactSolver};
 pub use first::{Cells, FirstDetectionMatrix};
 pub use greedy::greedy_cover;
-pub use local::{eliminate_redundant, local_search_cover, LocalSearchConfig};
 pub use matrix::DetectionMatrix;
 pub use reduce::{reduce, reduce_with, Backend, ReducerConfig, Reduction, ReductionEvent};
-pub use solution::{solve, solve_with, CoverSolution, Engine, SolveConfig};
+pub use solution::{solve, solve_with, CoverSolution, SolveConfig};

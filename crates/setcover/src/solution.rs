@@ -1,34 +1,19 @@
-//! The end-to-end solve pipeline (reduce → exact/greedy) and its result.
+//! The end-to-end solve pipeline (reduce → exact branch-and-bound) and
+//! its result.
 
 use std::fmt;
 
 use crate::exact::{ExactConfig, ExactSolver};
-use crate::greedy::greedy_cover;
-use crate::local::{local_search_cover, LocalSearchConfig};
 use crate::matrix::DetectionMatrix;
 use crate::reduce::{reduce, Backend, ReducerConfig, Reduction};
-
-/// Which engine processes the residual matrix after reduction.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum Engine {
-    /// Exact branch-and-bound (the paper's LINGO role).
-    #[default]
-    Exact,
-    /// Chvátal greedy (for very large residuals).
-    Greedy,
-    /// Ruin-and-recreate local search (§3.3's "local research and
-    /// meta-heuristic techniques" option for very large matrices).
-    LocalSearch(LocalSearchConfig),
-}
 
 /// Configuration of [`solve`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SolveConfig {
-    /// Reductions to apply before the engine.
+    /// Reductions to apply before the solver.
     pub reducer: ReducerConfig,
-    /// Engine for the residual matrix.
-    pub engine: Engine,
-    /// Node budget for the exact engine.
+    /// Node budget for the exact solver on the residual matrix; a budget
+    /// of 0 keeps its Chvátal greedy warm start.
     pub exact: ExactConfig,
     /// Selects nothing (see [`Backend`]); no code in this workspace
     /// reads it.
@@ -54,7 +39,7 @@ impl CoverSolution {
         &self.necessary
     }
 
-    /// Rows chosen by the engine on the residual matrix ("LINGO triplets",
+    /// Rows chosen by the solver on the residual matrix ("LINGO triplets",
     /// Table 2).
     pub fn solver_chosen(&self) -> &[usize] {
         &self.solver_chosen
@@ -72,13 +57,13 @@ impl CoverSolution {
         self.necessary.len() + self.solver_chosen.len()
     }
 
-    /// `true` when the engine proved minimality of its part (greedy runs
-    /// and budget-exhausted exact runs report `false`).
+    /// `true` when the solver proved minimality of its part (a run that
+    /// exhausts its node budget, a zero budget included, reports `false`).
     pub fn is_optimal(&self) -> bool {
         self.optimal
     }
 
-    /// Residual matrix size `(rows, cols)` handed to the engine.
+    /// Residual matrix size `(rows, cols)` handed to the solver.
     pub fn residual_size(&self) -> (usize, usize) {
         self.residual_size
     }
@@ -88,7 +73,7 @@ impl CoverSolution {
         self.reduction_iterations
     }
 
-    /// Search nodes spent by the exact engine (0 for greedy).
+    /// Search nodes spent by the exact solver (0 at a zero budget).
     pub fn solver_nodes(&self) -> u64 {
         self.solver_nodes
     }
@@ -126,24 +111,12 @@ pub fn solve_with(
         (Vec::new(), true, 0)
     } else {
         let (sub, map) = matrix.submatrix(&reduction.active_rows, &reduction.active_cols);
-        match config.engine {
-            Engine::Exact => {
-                let res = ExactSolver::with_config(config.exact).solve(&sub);
-                (
-                    res.rows.iter().map(|&r| map.row_map[r]).collect(),
-                    res.optimal,
-                    res.nodes,
-                )
-            }
-            Engine::Greedy => {
-                let rows = greedy_cover(&sub);
-                (rows.iter().map(|&r| map.row_map[r]).collect(), false, 0)
-            }
-            Engine::LocalSearch(cfg) => {
-                let rows = local_search_cover(&sub, &cfg);
-                (rows.iter().map(|&r| map.row_map[r]).collect(), false, 0)
-            }
-        }
+        let res = ExactSolver::with_config(config.exact).solve(&sub);
+        (
+            res.rows.iter().map(|&r| map.row_map[r]).collect(),
+            res.optimal,
+            res.nodes,
+        )
     };
     CoverSolution {
         necessary: reduction.essential_rows.clone(),
@@ -194,19 +167,26 @@ mod tests {
 
     #[test]
     fn engines_agree_on_validity() {
+        // the default budget proves the optimum of 2; budget 0 keeps the
+        // greedy warm start, which needs 4 rows here
         let mat = m(&["00001111", "00110000", "01000000", "01010101", "10101010"]);
-        for engine in [
-            Engine::Exact,
-            Engine::Greedy,
-            Engine::LocalSearch(crate::local::LocalSearchConfig::default()),
-        ] {
+        for (node_limit, rows, optimal) in
+            [(ExactConfig::default().node_limit, 2, true), (0, 4, false)]
+        {
             let cfg = SolveConfig {
-                engine,
                 reducer: crate::reduce::ReducerConfig::none(),
+                exact: ExactConfig { node_limit },
                 ..SolveConfig::default()
             };
             let sol = solve(&mat, &cfg);
-            assert!(mat.is_cover(&sol.rows()), "{engine:?}");
+            assert!(mat.is_cover(&sol.rows()), "node_limit={node_limit}");
+            assert_eq!(sol.cardinality(), rows, "node_limit={node_limit}");
+            assert_eq!(sol.is_optimal(), optimal, "node_limit={node_limit}");
+            assert_eq!(
+                sol.solver_nodes() == 0,
+                node_limit == 0,
+                "node_limit={node_limit}"
+            );
         }
     }
 

@@ -164,11 +164,6 @@ impl PackedSimulator {
         self.netlist.inputs().len()
     }
 
-    /// Number of primary outputs.
-    pub fn output_count(&self) -> usize {
-        self.netlist.outputs().len()
-    }
-
     /// Allocates a width-`W` value buffer (one [`SimWord<W>`] per net).
     pub fn value_buffer<const W: usize>(&self) -> Vec<SimWord<W>> {
         vec![SimWord::ZERO; self.netlist.gate_count()]

@@ -143,11 +143,6 @@ impl SeqSimulator {
         let po_words = self.step(&pi_words);
         pack::unpack_patterns(&po_words, 1).remove(0)
     }
-
-    /// Runs a whole input sequence on lane 0, returning the output sequence.
-    pub fn run_sequence(&mut self, patterns: &[BitVec]) -> Vec<BitVec> {
-        patterns.iter().map(|p| self.step_pattern(p)).collect()
-    }
 }
 
 #[cfg(test)]

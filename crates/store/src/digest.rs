@@ -87,11 +87,6 @@ impl Digest {
         self.tagged(0x05, &[u8::from(v)]);
     }
 
-    /// An `f64` by bit pattern.
-    pub fn f64_bits(&mut self, v: f64) {
-        self.tagged(0x06, &v.to_bits().to_le_bytes());
-    }
-
     /// A length-prefixed string.
     pub fn str(&mut self, v: &str) {
         self.tagged(0x07, &(v.len() as u64).to_le_bytes());

@@ -9,9 +9,10 @@
 //! An artifact's address is a [`StageKey`]: a stage *kind* plus a
 //! 128-bit FNV-1a [`Digest`] of **exactly the inputs the stage's output
 //! depends on** — the circuit content and the relevant
-//! `FlowConfig` fragment. Throughput knobs (`jobs`, the SIMD width)
-//! are deliberately *not* hashed: the workspace pins them bit-identical, so caching across
-//! them is sound and a warm store answers any of their combinations.
+//! `FlowConfig` fragment. Throughput knobs (the flow's `jobs` and
+//! ATPG's own `jobs`) are deliberately *not* hashed: the workspace pins
+//! them bit-identical, so caching across them is sound and a warm store
+//! answers any of their combinations.
 //! Changing a keyed knob (seed, τ, TPG, ATPG settings, solver
 //! settings, trim) changes the key, which *is* the invalidation rule —
 //! stale artifacts are never read, only orphaned.

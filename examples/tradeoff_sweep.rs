@@ -52,8 +52,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     // guaranteed at every point: full target-fault coverage. (The triplet
     // count usually shrinks as τ grows — it does on this instance — but
-    // the greedy/local-search solver does not guarantee monotonicity, so
-    // the example no longer asserts it.)
+    // a solve cut short by its node budget does not guarantee
+    // monotonicity, so the example does not assert it.)
     assert!(
         curve.iter().all(|p| p.report.covers_all_target_faults()),
         "every sweep point must cover all target faults"

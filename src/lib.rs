@@ -53,7 +53,7 @@ pub use reseed_core as reseed;
 /// The most common imports in one place.
 pub mod prelude {
     pub use fbist_analyze::{analyze, untestable_faults, AnalysisReport, Severity};
-    pub use fbist_atpg::{compact_cubes, Atpg, AtpgConfig, AtpgResult};
+    pub use fbist_atpg::{Atpg, AtpgConfig, AtpgResult};
     pub use fbist_bits::{BitMatrix, BitVec, Cube, Trit};
     pub use fbist_fault::{checkpoint_faults, Fault, FaultList, FaultSimulator};
     pub use fbist_genbench::generate as genbench_generate;

@@ -2,7 +2,9 @@
 
 use proptest::prelude::*;
 use set_covering_reseeding::prelude::*;
-use set_covering_reseeding::setcover::{greedy_cover, reduce, ExactSolver, ReducerConfig};
+use set_covering_reseeding::setcover::{
+    greedy_cover, reduce, ExactConfig, ExactSolver, ReducerConfig,
+};
 
 /// Strategy: a random small netlist built through the public builder API.
 fn arb_netlist() -> impl Strategy<Value = Netlist> {
@@ -129,7 +131,8 @@ proptest! {
     }
 
     /// Greedy is valid and within the H(d) bound of the optimum on flow
-    /// matrices.
+    /// matrices, and the exact solver at a zero node budget is exactly
+    /// greedy.
     #[test]
     fn greedy_within_harmonic_bound(seed in any::<u64>()) {
         let netlist = genbench_generate(&genbench_profile("tiny64").unwrap(), seed % 16);
@@ -141,6 +144,10 @@ proptest! {
         prop_assert!(m.is_cover(&greedy));
         let exact = ExactSolver::new().solve(m);
         prop_assert!(exact.optimal);
+        let zero = ExactSolver::with_config(ExactConfig { node_limit: 0 }).solve(m);
+        prop_assert_eq!(&zero.rows, &greedy);
+        prop_assert!(!zero.optimal);
+        prop_assert_eq!(zero.nodes, 0);
         let d = (0..m.rows()).map(|r| m.row_weight(r)).max().unwrap_or(1);
         let harmonic: f64 = (1..=d).map(|k| 1.0 / k as f64).sum();
         prop_assert!(
