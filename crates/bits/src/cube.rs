@@ -162,33 +162,6 @@ impl Cube {
         self.care.count_ones() == self.care.width()
     }
 
-    /// `true` if two cubes agree on every position both specify.
-    ///
-    /// Compatible cubes can be [merged](Cube::merge) into one, the basis of
-    /// static test compaction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the widths differ.
-    pub fn is_compatible(&self, other: &Cube) -> bool {
-        let both = &self.care & &other.care;
-        let diff = &self.value ^ &other.value;
-        (&both & &diff).is_zero()
-    }
-
-    /// Merges two compatible cubes (union of their specified positions).
-    ///
-    /// Returns `None` if the cubes conflict.
-    pub fn merge(&self, other: &Cube) -> Option<Cube> {
-        if !self.is_compatible(other) {
-            return None;
-        }
-        Some(Cube {
-            care: &self.care | &other.care,
-            value: &self.value | &other.value,
-        })
-    }
-
     /// `true` if `pattern` is contained in this cube, i.e. the pattern
     /// matches every specified position.
     ///
@@ -349,25 +322,6 @@ mod tests {
             assert_eq!(c.to_string(), canon);
         }
         assert!("10Z".parse::<Cube>().is_err());
-    }
-
-    #[test]
-    fn compatibility_and_merge() {
-        let a: Cube = "1X0".parse().unwrap();
-        let b: Cube = "1XX".parse().unwrap();
-        let c: Cube = "0X0".parse().unwrap();
-        assert!(a.is_compatible(&b));
-        assert!(!a.is_compatible(&c));
-        let m = a.merge(&b).unwrap();
-        assert_eq!(m.to_string(), "1X0");
-        assert!(a.merge(&c).is_none());
-    }
-
-    #[test]
-    fn merge_unions_cares() {
-        let a: Cube = "1XX".parse().unwrap();
-        let b: Cube = "XX0".parse().unwrap();
-        assert_eq!(a.merge(&b).unwrap().to_string(), "1X0");
     }
 
     #[test]

@@ -224,11 +224,27 @@ impl BitMatrix {
 
     /// The transposed matrix (columns become rows). Used to accelerate
     /// per-column queries in the covering reductions.
+    ///
+    /// Works on 64 × 64 bit blocks: the words 64 consecutive rows hold at
+    /// one column word are gathered, transposed (`transpose_block`) and
+    /// scattered as the words 64 consecutive columns hold at one row
+    /// word. Rows past the last are read as zero, so no result row sets a
+    /// bit beyond `rows`.
     pub fn transposed(&self) -> BitMatrix {
         let mut t = BitMatrix::new(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in self.cols_of_row(r) {
-                t.set(c, r, true);
+        let mut block = [0u64; WORD_BITS];
+        for rb in 0..t.words_per_row {
+            let rows = rb * WORD_BITS..self.rows.min((rb + 1) * WORD_BITS);
+            for cw in 0..self.words_per_row {
+                block.fill(0);
+                for (k, r) in rows.clone().enumerate() {
+                    block[k] = self.data[r * self.words_per_row + cw];
+                }
+                transpose_block(&mut block);
+                let cols = cw * WORD_BITS..self.cols.min((cw + 1) * WORD_BITS);
+                for (k, c) in cols.enumerate() {
+                    t.data[c * t.words_per_row + rb] = block[k];
+                }
             }
         }
         t
@@ -261,6 +277,27 @@ impl BitMatrix {
         } else {
             self.count_ones() as f64 / cells as f64
         }
+    }
+}
+
+/// Transposes a 64 × 64 bit block in place: bit `c` of word `r` moves to
+/// bit `r` of word `c`. Six rounds swap the off-diagonal quadrants of
+/// ever smaller sub-blocks (32, 16, …, 1 bits wide), each a masked
+/// shift-and-xor over word pairs.
+fn transpose_block(a: &mut [u64; WORD_BITS]) {
+    let mut width = WORD_BITS / 2;
+    let mut mask = u64::MAX >> width;
+    while width != 0 {
+        let mut k = 0;
+        while k < WORD_BITS {
+            let t = ((a[k] >> width) ^ a[k + width]) & mask;
+            a[k] ^= t << width;
+            a[k + width] ^= t;
+            // the next row whose `width` bit is clear
+            k = (k + width + 1) & !width;
+        }
+        width /= 2;
+        mask ^= mask << width;
     }
 }
 

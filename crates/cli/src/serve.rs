@@ -20,7 +20,14 @@
 //! circuits resident, dropping the least recently used one to make room.
 //! Each holds one [`ReseedingFlow`]: the netlist, the ATPG and
 //! fault-simulator engines, and the store-backed stage cache with the
-//! circuit digest hashed once. A profile or embedded circuit is a pure
+//! circuit digest hashed once. The cache keeps the last `atpg` base and
+//! `first-detection` matrix the flow read or wrote, decoded, so a
+//! resident flow answers its next cover miss at a τ up to that matrix's
+//! `τ_max` by thresholding cells already in memory, with no store read.
+//! The store stays the source of truth across processes: a resident
+//! artifact is one the store held or was just given under the same key,
+//! so every answer and stats line is the one a fresh server would print.
+//! A profile or embedded circuit is a pure
 //! function of its name, `--scale` and `--seed`, so it is looked up by
 //! those before anything is generated. A `.bench` path is read and parsed
 //! on every request and looked up by its content digest, so an edited
@@ -51,7 +58,7 @@
 //! meanwhile.
 
 use std::any::Any;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, LineWriter, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -75,7 +82,10 @@ pub fn cmd_serve(args: &[String]) -> Result<(), String> {
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let stderr = std::io::stderr();
-    serve(store, stdin.lock(), &mut stdout.lock(), &mut stderr.lock())
+    // stdout is line-buffered already; stderr is not, so without this a
+    // stats line reached the pipe in one write per formatted piece
+    let mut err = LineWriter::new(stderr.lock());
+    serve(store, stdin.lock(), &mut stdout.lock(), &mut err)
 }
 
 /// What names a resident circuit before anything is built.

@@ -27,7 +27,7 @@ use fbist_bits::SimdWidth;
 /// Detection Matrix from it — re-running ATPG per τ would change nothing
 /// (the run does not depend on `τ`) and waste the sweep's dominant
 /// fixed cost.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct AtpgBase {
     /// The raw ATPG outcome (pattern set, coverage, untestable faults…).
     pub atpg: AtpgResult,

@@ -94,12 +94,13 @@ impl ReseedingFlow {
 
     /// Runs the full flow: answered from the `cover` artifact when the
     /// store holds one under this configuration's key, computed stage by
-    /// stage (each stage checking the store first) otherwise.
+    /// stage otherwise, each stage answering from the [`StageCache`]'s
+    /// resident artifact or the store before it computes.
     pub fn run(&self, config: &FlowConfig) -> ReseedingReport {
         if let Some(report) = self.stages.cover_get(self.builder.netlist(), config) {
             return report;
         }
-        let base = self.stages.atpg_base(&self.builder, config);
+        let base = self.stages.atpg_base_shared(&self.builder, config);
         self.run_from_base(&base, config)
     }
 
@@ -119,8 +120,9 @@ impl ReseedingFlow {
     ///
     /// Every cover takes one first-detection pass at `max(uniq)`
     /// ([`StageCache::first_detection`], which with a store resolves
-    /// through the saturating `first-detection` stage and then answers
-    /// every later τ up to its `τ_max`), thresholds it per point
+    /// through the saturating `first-detection` stage, resident artifact
+    /// first, and then answers every later τ up to its `τ_max`),
+    /// borrowed rather than cloned, thresholds it per point
     /// ([`FirstDetectionMatrix::at_tau`]) and trims from the same first
     /// indices ([`FirstDetectionMatrix::max_first_in`]), so no selected
     /// row is simulated again.
@@ -136,9 +138,10 @@ impl ReseedingFlow {
         let netlist = self.builder.netlist();
         let tpg = config.tpg.build(netlist.inputs().len());
         let tau_max = *uniq.last().expect("at least one τ");
-        let (triplets_max, fdm) =
+        let (triplets_max, cached) =
             self.stages
-                .first_detection(&self.builder, &*tpg, base, config, tau_max);
+                .first_detection_shared(&self.builder, &*tpg, base, config, tau_max);
+        let fdm = &cached.matrix;
         let sizes = Sizes {
             target_faults: base.target_faults.len(),
             universe: base.universe_size,

@@ -4,7 +4,10 @@
 //! circuit and a canonicalised [`FlowConfig`] fragment containing exactly
 //! the knobs its output depends on. [`StageCache`] fronts each stage with
 //! the content-addressed [`ArtifactStore`]: check the store under the
-//! stage's key, compute on a miss, write back. With no store attached
+//! stage's key, compute on a miss, write back. A store-backed cache also
+//! keeps the last `atpg` and `first-detection` artifacts it read or
+//! wrote, decoded, and answers a repeat of their key from memory (see
+//! [`StageCache`]). With no store attached
 //! every stage degrades to the plain computation — bit for bit the same
 //! results, the cache only ever short-circuits work whose output is
 //! already known.
@@ -40,7 +43,7 @@
 //! (delete the store directory to reclaim the space).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use fbist_atpg::AtpgConfig;
 use fbist_netlist::{GateKind, Netlist};
@@ -370,11 +373,12 @@ impl Artifact for ReseedingReport {
 /// numbers `fbist serve` reports per request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageStats {
-    /// `atpg` stage store hits.
+    /// `atpg` stage hits, resident or stored.
     pub atpg_hits: u64,
     /// `atpg` stage computations (store misses or store disabled).
     pub atpg_misses: u64,
-    /// `first-detection` stage store hits (recorded `τ_max` sufficed).
+    /// `first-detection` stage hits, resident or stored (recorded
+    /// `τ_max` sufficed).
     pub first_detection_hits: u64,
     /// `first-detection` stage computations.
     pub first_detection_misses: u64,
@@ -410,21 +414,64 @@ impl StageStats {
 /// `flow.rs`, `builder.rs` and `sweep.rs` resolve every stage, instead
 /// of threading ad-hoc intermediates.
 ///
+/// A store-backed cache also keeps, per stage kind, the last `atpg` base
+/// and the last `first-detection` matrix it read or wrote, decoded, with
+/// the key they answer (a *resident slot*). A stage answers from its slot
+/// when the key matches (and, for first detection, the slot's `τ_max`
+/// reaches the request and its shape matches the base), counting a hit
+/// as a store hit would; otherwise it checks the store, then computes,
+/// and the artifact it ends with replaces the slot. The store stays the
+/// source of truth across processes: the slot only ever holds what the
+/// store held or was just given under the same key, so it answers exactly
+/// as re-reading the artifact would, without the read, checksum and
+/// decode. What a slot holds is what the last request on this flow
+/// already materialised.
+///
 /// A disabled cache (no store attached, [`StageCache::disabled`])
-/// computes everything inline and counts misses only — the flow behaves
-/// exactly as if the cache did not exist.
+/// computes everything inline, fills no slot and counts misses only —
+/// the flow behaves exactly as if the cache did not exist.
 #[derive(Debug, Default)]
 pub struct StageCache {
     store: Option<ArtifactStore>,
     /// The bound netlist's content digest, computed once on first use —
     /// every key derives from it.
     circuit: OnceLock<DigestBytes>,
+    atpg_slot: Slot<AtpgBase>,
+    fd_slot: Slot<CachedFirstDetection>,
     atpg_hits: AtomicU64,
     atpg_misses: AtomicU64,
     fd_hits: AtomicU64,
     fd_misses: AtomicU64,
     cover_hits: AtomicU64,
     cover_misses: AtomicU64,
+}
+
+/// One resident artifact of a store-backed [`StageCache`], decoded, with
+/// the key it was read or written under.
+#[derive(Debug)]
+struct Slot<T>(Mutex<Option<(StageKey, Arc<T>)>>);
+
+impl<T> Default for Slot<T> {
+    fn default() -> Self {
+        Slot(Mutex::new(None))
+    }
+}
+
+impl<T> Slot<T> {
+    /// The resident artifact if it was stored under `key`.
+    fn get(&self, key: StageKey) -> Option<Arc<T>> {
+        // a slot changes only by whole assignment, so a panic elsewhere
+        // while it was locked cannot have left it half-written
+        let slot = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        slot.as_ref()
+            .filter(|(k, _)| *k == key)
+            .map(|(_, value)| Arc::clone(value))
+    }
+
+    /// Makes `value`, stored under `key`, the resident artifact.
+    fn fill(&self, key: StageKey, value: &Arc<T>) {
+        *self.0.lock().unwrap_or_else(PoisonError::into_inner) = Some((key, Arc::clone(value)));
+    }
 }
 
 impl StageCache {
@@ -467,26 +514,46 @@ impl StageCache {
         *self.circuit.get_or_init(|| circuit_digest(netlist))
     }
 
-    /// Resolves the `atpg` stage: store hit or
+    /// Resolves the `atpg` stage: resident slot, store hit, or
     /// [`InitialReseedingBuilder::atpg_base`] + write-back.
     pub fn atpg_base(&self, builder: &InitialReseedingBuilder, config: &FlowConfig) -> AtpgBase {
+        Arc::unwrap_or_clone(self.atpg_base_shared(builder, config))
+    }
+
+    /// [`atpg_base`](Self::atpg_base), borrowing the resident base
+    /// instead of cloning it.
+    pub(crate) fn atpg_base_shared(
+        &self,
+        builder: &InitialReseedingBuilder,
+        config: &FlowConfig,
+    ) -> Arc<AtpgBase> {
         let Some(store) = &self.store else {
             self.atpg_misses.fetch_add(1, Ordering::Relaxed);
-            return builder.atpg_base(config);
+            return Arc::new(builder.atpg_base(config));
         };
         let key = atpg_key_from(self.circuit(builder.netlist()), config);
-        if let Some(base) = store.get::<AtpgBase>(key) {
+        if let Some(base) = self.atpg_slot.get(key) {
             self.atpg_hits.fetch_add(1, Ordering::Relaxed);
             return base;
         }
-        self.atpg_misses.fetch_add(1, Ordering::Relaxed);
-        let base = builder.atpg_base(config);
-        store.put(key, &base);
+        let base = match store.get::<AtpgBase>(key) {
+            Some(base) => {
+                self.atpg_hits.fetch_add(1, Ordering::Relaxed);
+                Arc::new(base)
+            }
+            None => {
+                self.atpg_misses.fetch_add(1, Ordering::Relaxed);
+                let base = builder.atpg_base(config);
+                store.put(key, &base);
+                Arc::new(base)
+            }
+        };
+        self.atpg_slot.fill(key, &base);
         base
     }
 
-    /// Resolves the `first-detection` stage at `tau_max`: a stored
-    /// artifact whose recorded `τ_max` is `≥ tau_max` is a hit (its
+    /// Resolves the `first-detection` stage at `tau_max`: a resident or
+    /// stored artifact whose recorded `τ_max` is `≥ tau_max` is a hit (its
     /// thresholded matrices are exact for every requested τ); anything
     /// less recomputes at `tau_max` and overwrites, so the artifact only
     /// grows. The returned triplets are derived at `tau_max` from the
@@ -500,20 +567,45 @@ impl StageCache {
         config: &FlowConfig,
         tau_max: usize,
     ) -> (Vec<Triplet>, FirstDetectionMatrix) {
+        let (triplets, cached) = self.first_detection_shared(builder, tpg, base, config, tau_max);
+        (triplets, Arc::unwrap_or_clone(cached).matrix)
+    }
+
+    /// [`first_detection`](Self::first_detection), borrowing the resident
+    /// artifact instead of cloning its matrix. The artifact's `τ_max` may
+    /// exceed `tau_max`; the triplets are derived at `tau_max`.
+    pub(crate) fn first_detection_shared(
+        &self,
+        builder: &InitialReseedingBuilder,
+        tpg: &dyn PatternGenerator,
+        base: &AtpgBase,
+        config: &FlowConfig,
+        tau_max: usize,
+    ) -> (Vec<Triplet>, Arc<CachedFirstDetection>) {
+        let answers = |cached: &CachedFirstDetection| {
+            cached.tau_max >= tau_max
+                && cached.matrix.rows() == base.atpg.patterns.len()
+                && cached.matrix.cols() == base.target_faults.len()
+        };
         let stored = self.store.as_ref().map(|store| {
             let key = first_detection_key_from(self.circuit(builder.netlist()), config);
             (store, key)
         });
         if let Some((store, key)) = stored {
-            let hit = store.get::<CachedFirstDetection>(key).filter(|cached| {
-                cached.tau_max >= tau_max
-                    && cached.matrix.rows() == base.atpg.patterns.len()
-                    && cached.matrix.cols() == base.target_faults.len()
-            });
+            let hit = self
+                .fd_slot
+                .get(key)
+                .filter(|cached| answers(cached))
+                .or_else(|| {
+                    let cached = store.get::<CachedFirstDetection>(key).filter(answers)?;
+                    let cached = Arc::new(cached);
+                    self.fd_slot.fill(key, &cached);
+                    Some(cached)
+                });
             if let Some(cached) = hit {
                 self.fd_hits.fetch_add(1, Ordering::Relaxed);
                 let triplets = derive_triplets(tpg, &base.atpg.patterns, tau_max, config.seed);
-                return (triplets, cached.matrix);
+                return (triplets, cached);
             }
         }
         self.fd_misses.fetch_add(1, Ordering::Relaxed);
@@ -527,16 +619,12 @@ impl StageCache {
             config.matrix_build,
             config.simd_width,
         );
+        let cached = Arc::new(CachedFirstDetection { tau_max, matrix });
         if let Some((store, key)) = stored {
-            store.put(
-                key,
-                &CachedFirstDetection {
-                    tau_max,
-                    matrix: matrix.clone(),
-                },
-            );
+            store.put(key, &*cached);
+            self.fd_slot.fill(key, &cached);
         }
-        (triplets, matrix)
+        (triplets, cached)
     }
 
     /// Looks up the `cover` stage for `config` (the configured τ is part
@@ -712,6 +800,141 @@ mod tests {
             sweep_request_digest(&n, &base.with_jobs(3), &[0, 7]),
             canonical
         );
+    }
+
+    /// A store in a fresh directory no other test shares; the caller
+    /// removes the directory.
+    fn temp_store(label: &str) -> (ArtifactStore, std::path::PathBuf) {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "fbist-stage-{label}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        (ArtifactStore::open(&dir).expect("temp store opens"), dir)
+    }
+
+    /// Deletes the artifact stored under `key`, so only a resident slot
+    /// can still answer it.
+    fn delete(store: &ArtifactStore, key: StageKey) {
+        std::fs::remove_file(key.path_under(store.root())).expect("artifact was written");
+    }
+
+    fn assert_same_base(a: &AtpgBase, b: &AtpgBase) {
+        assert_eq!(a.atpg, b.atpg);
+        assert_eq!(a.target_faults, b.target_faults);
+        assert_eq!(a.universe_size, b.universe_size);
+    }
+
+    #[test]
+    fn resident_first_detection_answers_without_the_store() {
+        let n = embedded::c17();
+        let builder = InitialReseedingBuilder::new(&n).unwrap();
+        let (store, dir) = temp_store("fd-slot");
+        let cache = StageCache::with_store(store.clone());
+        let config = cfg();
+        let tpg = config.tpg.build(n.inputs().len());
+        let key = first_detection_stage_key(&n, &config);
+        let base = cache.atpg_base(&builder, &config);
+        let fd = |tau| cache.first_detection(&builder, &*tpg, &base, &config, tau);
+        // (hits, misses, matrix passes)
+        let counts = || {
+            let s = cache.stats();
+            let passes = builder.matrix_sim_passes();
+            (s.first_detection_hits, s.first_detection_misses, passes)
+        };
+
+        let computed = fd(7);
+        assert_eq!(counts(), (0, 1, 1));
+        delete(&store, key);
+        assert_eq!(fd(7), computed, "a resident hit answers like the pass");
+        assert_eq!(fd(3).1, computed.1, "any τ ≤ τ_max reads the same cells");
+        let triplets = derive_triplets(&*tpg, &base.atpg.patterns, 3, config.seed);
+        assert_eq!(fd(3).0, triplets);
+        assert_eq!(counts(), (3, 1, 1), "no matrix pass on a resident hit");
+
+        // above the slot's τ_max with nothing stored: compute, then the
+        // new artifact is resident
+        let wider = fd(15);
+        assert_eq!(wider.1.tau_max(), 15);
+        assert_eq!(counts(), (3, 2, 2));
+        delete(&store, key);
+        assert_eq!(fd(15), wider);
+        assert_eq!(counts(), (4, 2, 2));
+
+        // above the slot's τ_max with a wider artifact stored by another
+        // cache: a store hit, which then becomes resident
+        let other = StageCache::with_store(store.clone());
+        let widest = other.first_detection(&builder, &*tpg, &base, &config, 31);
+        assert_eq!(fd(31), widest);
+        assert_eq!(counts(), (5, 2, 3));
+        delete(&store, key);
+        assert_eq!(fd(20).1, widest.1);
+        assert_eq!(counts(), (6, 2, 3));
+        assert_eq!(cache.fd_slot.get(key).map(|c| c.tau_max), Some(31));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn resident_atpg_base_answers_without_the_store() {
+        let n = embedded::c17();
+        let builder = InitialReseedingBuilder::new(&n).unwrap();
+        let (store, dir) = temp_store("atpg-slot");
+        let cache = StageCache::with_store(store.clone());
+        let config = cfg();
+        let key = atpg_stage_key(&n, &config);
+        // (hits, misses)
+        let counts = || (cache.stats().atpg_hits, cache.stats().atpg_misses);
+
+        let computed = cache.atpg_base(&builder, &config);
+        assert_eq!(counts(), (0, 1));
+        delete(&store, key);
+        assert_same_base(&cache.atpg_base(&builder, &config), &computed);
+        assert_eq!(counts(), (1, 1));
+
+        // another key goes to the store and replaces the slot
+        let mut reseeded = config.clone();
+        reseeded.atpg.seed ^= 1;
+        let other_key = atpg_stage_key(&n, &reseeded);
+        let stored = StageCache::with_store(store.clone()).atpg_base(&builder, &reseeded);
+        assert_same_base(&cache.atpg_base(&builder, &reseeded), &stored);
+        assert_eq!(counts(), (2, 1));
+        delete(&store, other_key);
+        assert_same_base(&cache.atpg_base(&builder, &reseeded), &stored);
+        assert_eq!(counts(), (3, 1));
+
+        // ... and a key with nothing stored computes and replaces it again
+        assert_same_base(&cache.atpg_base(&builder, &config), &computed);
+        assert_eq!(counts(), (3, 2));
+        assert!(cache.atpg_slot.get(key).is_some());
+        assert!(cache.atpg_slot.get(other_key).is_none());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn disabled_cache_fills_no_slot() {
+        let n = embedded::c17();
+        let builder = InitialReseedingBuilder::new(&n).unwrap();
+        let cache = StageCache::disabled();
+        let config = cfg();
+        let tpg = config.tpg.build(n.inputs().len());
+        for round in 1..=2 {
+            let base = cache.atpg_base(&builder, &config);
+            cache.first_detection(&builder, &*tpg, &base, &config, 7);
+            let stats = cache.stats();
+            assert_eq!((stats.atpg_hits, stats.atpg_misses), (0, round));
+            assert_eq!(
+                (stats.first_detection_hits, stats.first_detection_misses),
+                (0, round)
+            );
+            assert_eq!(builder.matrix_sim_passes(), round);
+        }
+        assert!(cache.atpg_slot.get(atpg_stage_key(&n, &config)).is_none());
+        assert!(cache
+            .fd_slot
+            .get(first_detection_stage_key(&n, &config))
+            .is_none());
     }
 
     #[test]

@@ -156,7 +156,7 @@ pub fn tradeoff_sweep_with(
         .map(|(&tau, _)| tau)
         .collect();
     if !missing.is_empty() {
-        let base = stages.atpg_base(flow.builder(), config);
+        let base = stages.atpg_base_shared(flow.builder(), config);
         let reports = flow.covers_from_base(&base, config, &missing);
         for (&tau, report) in missing.iter().zip(reports) {
             let i = uniq

@@ -397,15 +397,13 @@ impl FirstDetectionMatrix {
     /// for why this is exactly the matrix a fresh simulation at `tau`
     /// would produce, provided `tau` does not exceed
     /// [`tau_max`](Self::tau_max) (larger `tau` silently saturates at the
-    /// `τ_max` matrix). Both the row-major matrix and its transpose are
-    /// packed straight from the cells, 64 compares per word.
+    /// `τ_max` matrix). The row-major matrix is packed straight from the
+    /// cells, 64 compares per word; the column-major copy is its
+    /// 64 × 64 word-block [`transposed`](BitMatrix::transposed).
     pub fn at_tau(&self, tau: usize) -> DetectionMatrix {
         let (rows, cols) = (self.rows, self.cols);
-        let (row_major, col_major) = with_cells!(&self.cells, v => threshold(v, rows, cols, tau));
-        DetectionMatrix::from_both(
-            BitMatrix::from_words(rows, cols, row_major),
-            BitMatrix::from_words(cols, rows, col_major),
-        )
+        let words = with_cells!(&self.cells, v => threshold(v, rows, cols, tau));
+        DetectionMatrix::from_bit_matrix(BitMatrix::from_words(rows, cols, words))
     }
 }
 
@@ -441,36 +439,40 @@ fn max_over<T: Cell>(row: &[T], cols: &BitVec) -> Option<u32> {
     best.map(Cell::widen)
 }
 
-/// Packs `cell <= threshold(tau)` for every cell, row-major and
-/// column-major. The column-major pass walks 64 rows at a time, so each
-/// row's cache lines serve 64 consecutive columns.
-fn threshold<T: Cell>(cells: &[T], rows: usize, cols: usize, tau: usize) -> (Vec<u64>, Vec<u64>) {
+/// Packs `cell <= threshold(tau)` for every cell into row-major words.
+fn threshold<T: Cell>(cells: &[T], rows: usize, cols: usize, tau: usize) -> Vec<u64> {
     let t = T::threshold(tau);
-    let bit = |k: usize, cell: T| u64::from(cell <= t) << k;
-    let per_row = words_for(cols);
-    let mut row_major = vec![0u64; rows * per_row];
-    let per_col = words_for(rows);
-    let mut col_major = vec![0u64; cols * per_col];
+    let mut words = Vec::with_capacity(rows * words_for(cols));
     if cols == 0 {
-        return (row_major, col_major);
+        return words;
     }
-    for (r, row) in cells.chunks_exact(cols).enumerate() {
-        for (w, chunk) in row.chunks(WORD_BITS).enumerate() {
-            row_major[r * per_row + w] = chunk
-                .iter()
-                .enumerate()
-                .fold(0, |acc, (k, &c)| acc | bit(k, c));
+    for row in cells.chunks_exact(cols) {
+        let mut full = row.chunks_exact(WORD_BITS);
+        words.extend((&mut full).map(|chunk| {
+            let (lo, hi) = chunk.split_at(WORD_BITS / 2);
+            u64::from(pack_half(lo, t)) | u64::from(pack_half(hi, t)) << 32
+        }));
+        let rest = full.remainder();
+        if !rest.is_empty() {
+            words.push(
+                rest.iter()
+                    .enumerate()
+                    .fold(0, |acc, (k, &c)| acc | u64::from(c <= t) << k),
+            );
         }
     }
-    for (w, block) in cells.chunks(WORD_BITS * cols).enumerate() {
-        for c in 0..cols {
-            col_major[c * per_col + w] = block
-                .chunks_exact(cols)
-                .enumerate()
-                .fold(0, |acc, (k, row)| acc | bit(k, row[c]));
-        }
-    }
-    (row_major, col_major)
+    words
+}
+
+/// Bit `k` set iff `half[k] <= t`, for exactly 32 cells: a fixed-length
+/// fold into a `u32` the compiler turns into vector compares on baseline
+/// x86-64, where a 64-bit fold stays one cell at a time (3× slower).
+#[inline]
+fn pack_half<T: Cell>(half: &[T], t: T) -> u32 {
+    let half: &[T; 32] = half.try_into().expect("32 cells");
+    half.iter()
+        .enumerate()
+        .fold(0, |acc, (k, &c)| acc | u32::from(c <= t) << k)
 }
 
 impl fmt::Debug for FirstDetectionMatrix {
@@ -535,9 +537,9 @@ mod tests {
                 for c in 0..m.cols() {
                     let expect = m.first(r, c).is_some_and(|f| f as usize <= tau);
                     assert_eq!(d.get(r, c), expect, "τ={tau} ({r},{c})");
+                    assert_eq!(d.col_major().get(c, r), expect, "τ={tau} ({c},{r})ᵀ");
                 }
             }
-            assert_eq!(*d.col_major(), d.row_major().transposed(), "τ={tau}");
         }
         // τ beyond max_first saturates: no new cells can appear
         assert_eq!(
@@ -549,14 +551,17 @@ mod tests {
 
     #[test]
     fn thresholding_spans_word_and_row_block_boundaries() {
-        // 130 × 70: three row blocks of 64 and two column words
+        // 130 × 70: three row blocks of 64 and two column words. Rows
+        // 64..128, the whole middle block, detect every fault at 300..=306
+        // only, so the block is empty below τ = 300 and full from 306.
         let (rows, cols) = (130usize, 70usize);
         let dense: Vec<Vec<u32>> = (0..rows)
             .map(|r| {
                 (0..cols)
-                    .map(|c| match (r * 31 + c * 17) % 11 {
-                        0 => NONE,
-                        k => (k * 40) as u32,
+                    .map(|c| match (r, (r * 31 + c * 17) % 11) {
+                        (64..128, _) => 300 + ((r * 3 + c) % 7) as u32,
+                        (_, 0) => NONE,
+                        (_, k) => (k * 40) as u32,
                     })
                     .collect()
             })
@@ -564,14 +569,58 @@ mod tests {
         let m = FirstDetectionMatrix::from_rows(cols, dense.clone());
         assert_eq!(m.tau_max(), 400);
         assert_eq!(m.cells().bytes_per_cell(), 2);
-        for tau in [0usize, 39, 40, 200, 399, 400, 70_000] {
+        for tau in [0usize, 39, 40, 200, 299, 305, 306, 399, 400, 70_000] {
             let d = m.at_tau(tau);
             for (r, row) in dense.iter().enumerate() {
                 for (c, &f) in row.iter().enumerate() {
-                    assert_eq!(d.get(r, c), f != NONE && f as usize <= tau, "τ={tau}");
+                    let expect = f != NONE && f as usize <= tau;
+                    assert_eq!(d.get(r, c), expect, "τ={tau} ({r},{c})");
+                    assert_eq!(d.col_major().get(c, r), expect, "τ={tau} ({c},{r})ᵀ");
                 }
             }
-            assert_eq!(*d.col_major(), d.row_major().transposed(), "τ={tau}");
+            // the middle block is one column-major word per fault
+            let middle = match tau {
+                0..300 => Some(0),
+                306.. => Some(u64::MAX),
+                _ => None,
+            };
+            if let Some(word) = middle {
+                for c in 0..cols {
+                    assert_eq!(d.col_major().row_words(c)[1], word, "τ={tau} column {c}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn thresholding_packs_full_words_at_every_cell_width() {
+        // 3 × 130: two full 64-cell words and a 2-cell tail per row, in
+        // u8, u16 and u32 cells
+        for (tau_max, bytes) in [(200u32, 1), (400, 2), (70_000, 4)] {
+            let dense: Vec<Vec<u32>> = (0..3u32)
+                .map(|r| {
+                    (0..130u32)
+                        .map(|c| match (r * 7 + c * 13) % 5 {
+                            0 => NONE,
+                            _ => (r * 7919 + c * 104_729) % (tau_max + 1),
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut m = FirstDetectionMatrix::undetected(3, 130, tau_max as usize);
+            for (r, row) in dense.iter().enumerate() {
+                m.merge_min(r, row);
+            }
+            assert_eq!(m.cells().bytes_per_cell(), bytes);
+            for tau in [0, tau_max / 3, tau_max / 2, tau_max] {
+                let d = m.at_tau(tau as usize);
+                for (r, row) in dense.iter().enumerate() {
+                    for (c, &f) in row.iter().enumerate() {
+                        let expect = f != NONE && f <= tau;
+                        assert_eq!(d.get(r, c), expect, "τ_max={tau_max} τ={tau} ({r},{c})");
+                    }
+                }
+            }
         }
     }
 

@@ -48,21 +48,14 @@ impl DetectionMatrix {
                 row.width()
             );
         }
-        let m = BitMatrix::from_rows(cols, &rows);
-        let t = m.transposed();
-        DetectionMatrix { rows: m, cols_t: t }
+        DetectionMatrix::from_bit_matrix(BitMatrix::from_rows(cols, &rows))
     }
 
-    /// Builds a matrix from a raw [`BitMatrix`] (rows × cols).
+    /// Builds a matrix from a raw [`BitMatrix`] (rows × cols), taking
+    /// the column-major copy as its [`transposed`](BitMatrix::transposed).
     pub fn from_bit_matrix(m: BitMatrix) -> DetectionMatrix {
         let t = m.transposed();
         DetectionMatrix { rows: m, cols_t: t }
-    }
-
-    /// Pairs a row-major matrix with its already-built transpose.
-    pub(crate) fn from_both(rows: BitMatrix, cols_t: BitMatrix) -> DetectionMatrix {
-        debug_assert!(cols_t == rows.transposed(), "cols_t must be the transpose");
-        DetectionMatrix { rows, cols_t }
     }
 
     /// Number of rows (triplets).

@@ -82,7 +82,9 @@ impl Error for StoreError {}
 /// temporary file in the same directory followed by a rename, so a
 /// crashed writer can never leave a half-written artifact under a live
 /// key, and concurrent writers of the same key are safe (they write
-/// identical bytes — keys are content addresses).
+/// identical bytes — keys are content addresses). Writes are not synced
+/// to disk, so an operating-system crash can tear one; its checksum then
+/// fails and the next read recomputes it.
 ///
 /// The store is cheap to clone and safe to share across threads.
 #[derive(Debug, Clone)]
@@ -187,6 +189,12 @@ impl ArtifactStore {
 
     /// Writes `value` under `key`, atomically (temp file + rename).
     ///
+    /// The file is not synced to disk: the store is a cache, and an
+    /// artifact that an operating-system crash left torn fails its
+    /// envelope or checksum check on the next read, which recomputes it
+    /// like any other unreadable artifact. Waiting on the disk made each
+    /// write's cost follow the device's load rather than the work.
+    ///
     /// # Errors
     ///
     /// [`StoreError::Io`] on any filesystem failure.
@@ -207,7 +215,6 @@ impl ArtifactStore {
         let write = || -> std::io::Result<()> {
             let mut f = fs::File::create(&tmp)?;
             f.write_all(&bytes)?;
-            f.sync_all()?;
             fs::rename(&tmp, &path)
         };
         write().map_err(|source| {
